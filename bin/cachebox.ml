@@ -415,157 +415,67 @@ let infer_cmd =
     let cfg = cache_config ~sets ~ways in
     let w = find_workload name in
     let data = Cbox_dataset.build_l1 spec ~configs:[ cfg ] ~trace_len [ w ] in
+    let report (d : Cbox_dataset.benchmark_data) ~predicted suffix =
+      Fmt.pr "%-24s %s: true %.4f predicted %.4f |diff| %.2f%%%s@."
+        d.Cbox_dataset.workload.Workload.name (Cache.config_name cfg)
+        d.Cbox_dataset.true_hit_rate predicted
+        (Metrics.abs_pct_diff ~truth:d.Cbox_dataset.true_hit_rate ~predicted)
+        suffix
+    in
+    let analytical fb suffix =
+      List.iter
+        (fun (d : Cbox_dataset.benchmark_data) ->
+          let trace = d.Cbox_dataset.workload.Workload.generate trace_len in
+          report d ~predicted:(Option.get (Cbox_infer.baseline_hit_rate fb d.cache trace)) suffix)
+        data
+    in
     match backend with
     | Cbox_infer.Backend_hrd | Cbox_infer.Backend_stm ->
       (* Explicitly requested analytical backends are first-class answers,
          not degradations: no checkpoint is loaded at all. *)
-      let fb =
-        if backend = Cbox_infer.Backend_hrd then Cbox_infer.Fallback_hrd
-        else Cbox_infer.Fallback_stm
+      analytical
+        (if backend = Cbox_infer.Backend_hrd then Cbox_infer.Fallback_hrd
+         else Cbox_infer.Fallback_stm)
+        (Printf.sprintf " (backend %s)" (Cbox_infer.backend_name backend))
+    | Cbox_infer.Backend_float32 | Cbox_infer.Backend_int8 | Cbox_infer.Backend_student
+    | Cbox_infer.Backend_student_int8 -> (
+      (* The daemon's backend table, resolved once: an unusable derived
+         model re-runs on the float32 teacher, flagged, never silently. *)
+      let teacher =
+        Serve_engine.model_of_checkpoint ~seed:42 (Cbgan.default_config ()) ~path:ckpt
       in
-      List.iter
-        (fun (d : Cbox_dataset.benchmark_data) ->
-          let trace = d.Cbox_dataset.workload.Workload.generate trace_len in
-          let predicted =
-            Option.get (Cbox_infer.baseline_hit_rate fb d.Cbox_dataset.cache trace)
-          in
-          Fmt.pr "%-24s %s: true %.4f predicted %.4f |diff| %.2f%% (backend %s)@."
-            d.Cbox_dataset.workload.Workload.name (Cache.config_name cfg)
-            d.Cbox_dataset.true_hit_rate predicted
-            (Metrics.abs_pct_diff ~truth:d.Cbox_dataset.true_hit_rate ~predicted)
-            (Cbox_infer.backend_name backend))
-        data
-    | Cbox_infer.Backend_student | Cbox_infer.Backend_student_int8 ->
-      (* The student ladder mirrors the daemon's: a missing/corrupt student
-         checkpoint (or a failed int8 compilation of it) re-runs the request
-         on the float32 teacher, flagged, never silently. *)
-      let want_int8 = backend = Cbox_infer.Backend_student_int8 in
-      let served =
-        match Student.load student_ckpt with
-        | exception Failure why ->
-          Error
-            ( why,
-              if want_int8 then "student_int8_unavailable" else "student_unavailable" )
-        | exception e ->
-          Error
-            ( Printexc.to_string e,
-              if want_int8 then "student_int8_unavailable" else "student_unavailable" )
-        | s ->
-          if not want_int8 then Ok (`Student s)
-          else (
-            match Qgen.of_student ~spec s with
-            | q -> Ok (`Qstudent q)
-            | exception _ ->
-              Error ("int8 compilation failed", "student_int8_unavailable"))
-      in
-      (match served with
-      | Ok m ->
-        List.iter
-          (fun (d : Cbox_dataset.benchmark_data) ->
-            let p =
-              match m with
-              | `Student s -> Cbox_infer.spredict s spec d
-              | `Qstudent q -> Cbox_infer.qpredict q spec d
-            in
-            Fmt.pr "%-24s %s: true %.4f predicted %.4f |diff| %.2f%% (backend %s)@."
-              p.Cbox_infer.benchmark (Cache.config_name cfg) p.Cbox_infer.true_hit_rate
-              p.Cbox_infer.predicted_hit_rate (Cbox_infer.abs_pct_diff p)
-              (Cbox_infer.backend_name backend))
-          data
-      | Error (why, reason) -> (
-        Fmt.epr "student backend unusable (%s: %s); degrading to float32@." student_ckpt
-          why;
-        match
-          Serve_engine.model_of_checkpoint ~seed:42 (Cbgan.default_config ()) ~path:ckpt
-        with
-        | Ok model ->
-          List.iter
-            (fun (d : Cbox_dataset.benchmark_data) ->
-              let p = Cbox_infer.predict model spec d in
-              Fmt.pr
-                "%-24s %s: true %.4f predicted %.4f |diff| %.2f%% (backend float32, \
-                 degraded: %s)@."
-                p.Cbox_infer.benchmark (Cache.config_name cfg) p.Cbox_infer.true_hit_rate
-                p.Cbox_infer.predicted_hit_rate (Cbox_infer.abs_pct_diff p) reason)
-            data
-        | Error e ->
-          Fmt.epr "%a@." Serve_error.pp e;
-          if fallback = Cbox_infer.No_fallback then begin
-            Fmt.epr
-              "no fallback enabled; rerun with --fallback hrd|stm or `cachebox train`@.";
-            exit (Serve_error.exit_code e.Serve_error.code)
-          end;
-          List.iter
-            (fun (d : Cbox_dataset.benchmark_data) ->
-              let trace = d.Cbox_dataset.workload.Workload.generate trace_len in
-              let predicted =
-                Option.get
-                  (Cbox_infer.baseline_hit_rate fallback d.Cbox_dataset.cache trace)
-              in
-              Fmt.pr
-                "%-24s %s: true %.4f predicted %.4f |diff| %.2f%% (degraded: %s \
-                 fallback)@."
-                d.Cbox_dataset.workload.Workload.name (Cache.config_name cfg)
-                d.Cbox_dataset.true_hit_rate predicted
-                (Metrics.abs_pct_diff ~truth:d.Cbox_dataset.true_hit_rate ~predicted)
-                (Cbox_infer.fallback_name fallback))
-            data))
-    | Cbox_infer.Backend_float32 | Cbox_infer.Backend_int8 ->
-      let model =
-        match
-          Serve_engine.model_of_checkpoint ~seed:42 (Cbgan.default_config ()) ~path:ckpt
-        with
-        | Ok model -> Some model
-        | Error e ->
-          Fmt.epr "%a@." Serve_error.pp e;
-          if fallback = Cbox_infer.No_fallback then begin
-            Fmt.epr
-              "no fallback enabled; rerun with --fallback hrd|stm or `cachebox train`@.";
-            exit (Serve_error.exit_code e.Serve_error.code)
-          end;
-          Fmt.epr "degrading to the %s analytical baseline@."
-            (Cbox_infer.fallback_name fallback);
-          None
-      in
-      (* The int8 rung degrades to float32, never the other way round. *)
-      let qmodel =
-        match (backend, model) with
-        | Cbox_infer.Backend_int8, Some m -> (
-          match Qgen.of_model ~spec m with
-          | q -> Some q
-          | exception _ ->
-            Fmt.epr "int8 quantization failed; degrading to float32@.";
-            None)
+      let student_path =
+        match backend with
+        | Cbox_infer.Backend_student | Cbox_infer.Backend_student_int8 -> Some student_ckpt
         | _ -> None
       in
-      List.iter
-        (fun (d : Cbox_dataset.benchmark_data) ->
-          match model with
-          | Some model ->
-            let p, tag =
-              match qmodel with
-              | Some q -> (Cbox_infer.qpredict q spec d, " (backend int8)")
-              | None ->
-                ( Cbox_infer.predict model spec d,
-                  if backend = Cbox_infer.Backend_int8 then
-                    " (backend float32, degraded: int8_unavailable)"
-                  else "" )
-            in
-            Fmt.pr "%-24s %s: true %.4f predicted %.4f |diff| %.2f%%%s@."
-              p.Cbox_infer.benchmark (Cache.config_name cfg) p.Cbox_infer.true_hit_rate
-              p.Cbox_infer.predicted_hit_rate (Cbox_infer.abs_pct_diff p) tag
-          | None ->
-            let trace = d.Cbox_dataset.workload.Workload.generate trace_len in
-            let predicted =
-              Option.get (Cbox_infer.baseline_hit_rate fallback d.Cbox_dataset.cache trace)
-            in
-            Fmt.pr
-              "%-24s %s: true %.4f predicted %.4f |diff| %.2f%% (degraded: %s fallback)@."
-              d.Cbox_dataset.workload.Workload.name (Cache.config_name cfg)
-              d.Cbox_dataset.true_hit_rate predicted
-              (Metrics.abs_pct_diff ~truth:d.Cbox_dataset.true_hit_rate ~predicted)
-              (Cbox_infer.fallback_name fallback))
-        data
+      let gen =
+        Serve_engine.generation ~only:backend ~spec ~warmup:false ~batch_size:8 ~replicas:1
+          ~on_reject:(fun p why ->
+            Fmt.epr "student backend unusable (%s: %s); degrading to float32@." p why)
+          ~model:(Result.to_option teacher) ?student_path ()
+      in
+      match (Serve_engine.resolve gen backend, teacher) with
+      | Some (g, served, reason), _ ->
+        let suffix =
+          match (reason, served) with
+          | Some r, _ -> Printf.sprintf " (backend %s, degraded: %s)" (Cbox_infer.backend_name served) r
+          | None, Cbox_infer.Backend_float32 -> ""
+          | None, _ -> Printf.sprintf " (backend %s)" (Cbox_infer.backend_name served)
+        in
+        List.iter
+          (fun d -> report d ~predicted:(Cbox_infer.predict g spec d).predicted_hit_rate suffix)
+          data
+      | None, Ok _ -> assert false (* a loaded teacher always resolves *)
+      | None, Error e ->
+        Fmt.epr "%a@." Serve_error.pp e;
+        if fallback = Cbox_infer.No_fallback then begin
+          Fmt.epr "no fallback enabled; rerun with --fallback hrd|stm or `cachebox train`@.";
+          exit (Serve_error.exit_code e.Serve_error.code)
+        end;
+        Fmt.epr "degrading to the %s analytical baseline@." (Cbox_infer.fallback_name fallback);
+        analytical fallback
+          (Printf.sprintf " (degraded: %s fallback)" (Cbox_infer.fallback_name fallback)))
   in
   Cmd.v (Cmd.info "infer" ~doc:"Predict a benchmark's hit rate with a trained checkpoint")
     Term.(

@@ -59,7 +59,7 @@ let () =
       let data = Cbox_dataset.build_l1 spec ~configs:[ cfg ] ~trace_len [ probe_benchmark ] in
       match data with
       | [ d ] ->
-        let p = Cbox_infer.predict model spec d in
+        let p = Cbox_infer.predict (Cbox_infer.of_cbgan model) spec d in
         let seen = List.exists (fun c -> c = cfg) train_configs in
         Printf.printf "  %-14s %-6d %10.4f %10.4f %8.2f  %s\n"
           (Cache.config_name cfg)
@@ -77,7 +77,7 @@ let () =
       (fun cfg ->
         match Cbox_dataset.build_l1 spec ~configs:[ cfg ] ~trace_len [ probe_benchmark ] with
         | [ d ] ->
-          let p = Cbox_infer.predict model spec d in
+          let p = Cbox_infer.predict (Cbox_infer.of_cbgan model) spec d in
           Some (cfg, p.Cbox_infer.predicted_hit_rate)
         | _ -> None)
       sweep

@@ -61,7 +61,7 @@ let () =
   print_endline "\nrunning inference on the unseen benchmark...";
   List.iter
     (fun d ->
-      let p = Cbox_infer.predict model spec d in
+      let p = Cbox_infer.predict (Cbox_infer.of_cbgan model) spec d in
       (match p.Cbox_infer.synthetic with
       | synth :: _ ->
         print_endline "Synthetic miss heatmap (CB-GAN output):";

@@ -7,69 +7,70 @@ type prediction = {
   synthetic : Tensor.t list;
 }
 
-let synthesize model spec ?(batch_size = 8) ?domains ~cache access_heatmaps =
-  if batch_size <= 0 then invalid_arg "Cbox_infer.synthesize: batch_size must be positive";
-  let h = (Cbgan.model_config model).Cbgan.image_size in
+type generator = {
+  forward : ?cache_params:Tensor.t -> Tensor.t -> Tensor.t;
+  image_size : int;
+  uses_cache_params : bool;
+}
+
+(* Eval mode: running-stats batch norm and no dropout, so the rng the
+   forward signature requires is never drawn from. *)
+let of_cbgan model =
+  let cfg = Cbgan.model_config model in
+  {
+    forward =
+      (fun ?cache_params x ->
+        Value.value
+          (Cbgan.generator_forward model ~rng:(Prng.create 0) ~training:false ?cache_params x));
+    image_size = cfg.Cbgan.image_size;
+    uses_cache_params = cfg.Cbgan.use_cache_params;
+  }
+
+let of_qgen q =
+  {
+    forward = (fun ?cache_params x -> Qgen.forward q ?cache_params x);
+    image_size = Qgen.image_size q;
+    uses_cache_params = Qgen.uses_cache_params q;
+  }
+
+let of_student s =
+  {
+    forward =
+      (fun ?cache_params x -> Value.value (Student.forward s ~training:false ?cache_params x));
+    image_size = Student.image_size s;
+    uses_cache_params = Student.uses_cache_params s;
+  }
+
+let rec chunks n = function
+  | [] -> []
+  | xs -> List.filteri (fun i _ -> i < n) xs :: chunks n (List.filteri (fun i _ -> i >= n) xs)
+
+(* Flatten every request's windows into one (cache, image) stream; the
+   conditioning tensor carries one row per sample, so windows of requests
+   with different cache geometries share a forward pass. Every generator
+   is per-sample independent at inference (running-stats batch norm,
+   stateless int8 GEMMs), so the results are bit-identical to scoring each
+   request alone, at any batch size and on any number of domains. *)
+let run g spec ?(batch_size = 8) ?domains items =
+  if batch_size <= 0 then invalid_arg "Cbox_infer.run: batch_size must be positive";
+  let h = g.image_size in
   let run_batch batch =
-    (* Inference needs no dropout randomness; the rng is unused but required
-       by the forward signature. *)
-    let rng = Prng.create 0 in
-    let x = Cbox_dataset.batch_images spec batch in
-    let n = List.length batch in
-    let cp =
-      if (Cbgan.model_config model).Cbgan.use_cache_params then
-        Some (Cbgan.cache_params_tensor (List.init n (fun _ -> cache)))
+    let x = Cbox_dataset.batch_images spec (List.map snd batch) in
+    let cache_params =
+      if g.uses_cache_params then Some (Cbgan.cache_params_tensor (List.map fst batch))
       else None
     in
-    let out = Value.value (Cbgan.generator_forward model ~rng ~training:false ?cache_params:cp x) in
-    List.init n (fun i ->
-        let img = Tensor.slice_batch out i 1 in
-        Cbox_dataset.denormalize spec (Tensor.view img [| h; h |]))
+    let out = g.forward ?cache_params x in
+    List.mapi
+      (fun i _ ->
+        Cbox_dataset.denormalize spec (Tensor.view (Tensor.slice_batch out i 1) [| h; h |]))
+      batch
   in
-  let rec batches acc = function
-    | [] -> List.rev acc
-    | imgs ->
-      let batch = List.filteri (fun i _ -> i < batch_size) imgs in
-      let rest = List.filteri (fun i _ -> i >= batch_size) imgs in
-      batches (batch :: acc) rest
-  in
-  let batch_list = Array.of_list (batches [] access_heatmaps) in
-  (* Sample results are independent at inference (running-stats batch norm),
-     so batches may be scored on separate domains when the host has spare
-     cores. *)
-  Dpool.parallel_map_array ?domains run_batch batch_list
-  |> Array.to_list |> List.concat
-
-(* Shared flatten/batch/unflatten plumbing for the cross-request group
-   paths: [forward ~caches x] runs one batch ([x] stacked from that batch's
-   images, [caches] one geometry per sample) and returns the [n; 1; h; h]
-   output tensor. Inference outputs are per-sample independent (running-stats
-   batch norm in the float model, stateless GEMMs in the quantized one), so
-   results are bit-identical to scoring each request alone. *)
-let group_run ~image_size:h ~forward spec ~batch_size ?domains items =
-  if batch_size <= 0 then
-    invalid_arg "Cbox_infer.synthesize_group: batch_size must be positive";
   let flat =
     List.concat_map (fun (cache, imgs) -> List.map (fun img -> (cache, img)) imgs) items
   in
-  let run_batch batch =
-    let imgs = List.map snd batch in
-    let x = Cbox_dataset.batch_images spec imgs in
-    let n = List.length batch in
-    let out = forward ~caches:(List.map fst batch) x in
-    List.init n (fun i ->
-        let img = Tensor.slice_batch out i 1 in
-        Cbox_dataset.denormalize spec (Tensor.view img [| h; h |]))
-  in
-  let rec batches acc = function
-    | [] -> List.rev acc
-    | xs ->
-      let batch = List.filteri (fun i _ -> i < batch_size) xs in
-      let rest = List.filteri (fun i _ -> i >= batch_size) xs in
-      batches (batch :: acc) rest
-  in
   let outputs =
-    Dpool.parallel_map_array ?domains run_batch (Array.of_list (batches [] flat))
+    Dpool.parallel_map_array ?domains run_batch (Array.of_list (chunks batch_size flat))
     |> Array.to_list |> List.concat
   in
   (* Unflatten back to one synthetic list per request, preserving order. *)
@@ -77,68 +78,16 @@ let group_run ~image_size:h ~forward spec ~batch_size ?domains items =
     | [] -> []
     | (_, imgs) :: rest ->
       let k = List.length imgs in
-      let mine = List.filteri (fun i _ -> i < k) outs in
-      let theirs = List.filteri (fun i _ -> i >= k) outs in
-      mine :: split theirs rest
+      List.filteri (fun i _ -> i < k) outs :: split (List.filteri (fun i _ -> i >= k) outs) rest
   in
   split outputs items
 
-let synthesize_group model spec ?(batch_size = 8) ?domains items =
-  (* Flatten every request's windows into one (cache, image) stream; the
-     conditioning tensor carries one row per sample, so windows of requests
-     with different cache geometries share a forward pass. Inference
-     batch-norm uses running statistics, so each sample's output is
-     independent of its batch mates — results are bit-identical to scoring
-     each request alone (the serve-batch suite asserts this). *)
-  let cfg = Cbgan.model_config model in
-  let forward ~caches x =
-    let rng = Prng.create 0 in
-    let cp =
-      if cfg.Cbgan.use_cache_params then Some (Cbgan.cache_params_tensor caches) else None
-    in
-    Value.value (Cbgan.generator_forward model ~rng ~training:false ?cache_params:cp x)
-  in
-  group_run ~image_size:cfg.Cbgan.image_size ~forward spec ~batch_size ?domains items
+let run_one g spec ?batch_size ?domains ~cache access_heatmaps =
+  List.hd (run g spec ?batch_size ?domains [ (cache, access_heatmaps) ])
 
-(* Quantized counterparts: identical batching and unflattening with the
-   Value-graph forward swapped for the direct int8 tensor program. *)
-let qsynthesize_group qmodel spec ?(batch_size = 8) ?domains items =
-  let forward ~caches x =
-    let cp =
-      if Qgen.uses_cache_params qmodel then Some (Cbgan.cache_params_tensor caches)
-      else None
-    in
-    Qgen.forward qmodel ?cache_params:cp x
-  in
-  group_run ~image_size:(Qgen.image_size qmodel) ~forward spec ~batch_size ?domains items
-
-let qsynthesize qmodel spec ?(batch_size = 8) ?domains ~cache access_heatmaps =
-  match qsynthesize_group qmodel spec ~batch_size ?domains [ (cache, access_heatmaps) ] with
-  | [ out ] -> out
-  | _ -> assert false
-
-(* Distilled-student counterparts: the student's forward is deterministic
-   (no dropout, running-stats batch norm at eval), so cross-request batching
-   is again bit-identical to per-item scoring. *)
-let ssynthesize_group student spec ?(batch_size = 8) ?domains items =
-  let forward ~caches x =
-    let cp =
-      if Student.uses_cache_params student then Some (Cbgan.cache_params_tensor caches)
-      else None
-    in
-    Value.value (Student.forward student ~training:false ?cache_params:cp x)
-  in
-  group_run ~image_size:(Student.image_size student) ~forward spec ~batch_size ?domains
-    items
-
-let ssynthesize student spec ?(batch_size = 8) ?domains ~cache access_heatmaps =
-  match ssynthesize_group student spec ~batch_size ?domains [ (cache, access_heatmaps) ] with
-  | [ out ] -> out
-  | _ -> assert false
-
-let predict_hit_rate model spec ?batch_size ?domains ~cache access =
-  let synthetic = synthesize model spec ?batch_size ?domains ~cache access in
-  Heatmap.hit_rate spec ~access ~miss:synthetic
+let synthesize model = run_one (of_cbgan model)
+let qsynthesize q = run_one (of_qgen q)
+let ssynthesize s = run_one (of_student s)
 
 let validate_hit_rate ?(lo = -0.25) ?(hi = 1.25) raw =
   if Float.is_nan raw then Error "hit rate is NaN"
@@ -192,9 +141,9 @@ let baseline_hit_rate fallback cache trace =
   | Fallback_hrd -> Some (Hrd.predict_l1 cache trace)
   | Fallback_stm -> Some (Stm.predict cache trace)
 
-let predict model spec ?batch_size (data : Cbox_dataset.benchmark_data) =
+let predict g spec ?batch_size (data : Cbox_dataset.benchmark_data) =
   let access = List.map fst data.pairs in
-  let synthetic = synthesize model spec ?batch_size ~cache:data.cache access in
+  let synthetic = run_one g spec ?batch_size ~cache:data.cache access in
   let predicted = Heatmap.hit_rate spec ~access ~miss:synthetic in
   {
     benchmark = data.workload.Workload.name;
@@ -205,33 +154,7 @@ let predict model spec ?batch_size (data : Cbox_dataset.benchmark_data) =
     synthetic;
   }
 
-let predict_all model spec ?batch_size data = List.map (predict model spec ?batch_size) data
-
-let qpredict qmodel spec ?batch_size (data : Cbox_dataset.benchmark_data) =
-  let access = List.map fst data.pairs in
-  let synthetic = qsynthesize qmodel spec ?batch_size ~cache:data.cache access in
-  let predicted = Heatmap.hit_rate spec ~access ~miss:synthetic in
-  {
-    benchmark = data.workload.Workload.name;
-    cache = data.cache;
-    level = data.level;
-    true_hit_rate = data.true_hit_rate;
-    predicted_hit_rate = Float.max 0.0 (Float.min 1.0 predicted);
-    synthetic;
-  }
-
-let spredict student spec ?batch_size (data : Cbox_dataset.benchmark_data) =
-  let access = List.map fst data.pairs in
-  let synthetic = ssynthesize student spec ?batch_size ~cache:data.cache access in
-  let predicted = Heatmap.hit_rate spec ~access ~miss:synthetic in
-  {
-    benchmark = data.workload.Workload.name;
-    cache = data.cache;
-    level = data.level;
-    true_hit_rate = data.true_hit_rate;
-    predicted_hit_rate = Float.max 0.0 (Float.min 1.0 predicted);
-    synthetic;
-  }
+let predict_all g spec ?batch_size data = List.map (predict g spec ?batch_size) data
 
 let abs_pct_diff p =
   Metrics.abs_pct_diff ~truth:p.true_hit_rate ~predicted:p.predicted_hit_rate

@@ -1,10 +1,14 @@
 (** CB-GAN inference: synthetic miss heatmaps and predicted hit rates
     (paper §3.2.4, §4.4).
 
-    Inference is batched: a benchmark's access heatmaps are grouped into
-    batches of a configurable size and pushed through the generator in eval
-    mode (no dropout; batch statistics, as pix2pix does). Larger batches
-    amortise per-call overheads — the mechanism behind RQ5. *)
+    Every learned backend — the float32 CB-GAN, its int8 compile, the
+    distilled student and the student's int8 compile — is one
+    {!generator}: a forward from normalised access heatmaps to synthetic
+    miss heatmaps. {!run} batches any generator the same way: a request's
+    access heatmaps are grouped into batches of a configurable size and
+    pushed through the forward in eval mode (no dropout; batch norm uses
+    its running statistics). Larger batches amortise per-call overheads —
+    the mechanism behind RQ5. *)
 
 type prediction = {
   benchmark : string;
@@ -15,6 +19,43 @@ type prediction = {
   synthetic : Tensor.t list;  (** denormalised synthetic miss heatmaps *)
 }
 
+type generator = {
+  forward : ?cache_params:Tensor.t -> Tensor.t -> Tensor.t;
+      (** [\[n; 1; s; s\]] normalised access heatmaps in, synthetic miss
+          heatmaps in [\[-1, 1\]] out; [cache_params] is the [\[n; 2\]]
+          conditioning tensor, passed iff [uses_cache_params]. Per-sample
+          independent and safe to call from several domains at once. *)
+  image_size : int;
+  uses_cache_params : bool;
+}
+
+val of_cbgan : Cbgan.t -> generator
+(** The CB-GAN generator in eval mode. *)
+
+val of_qgen : Qgen.t -> generator
+(** An int8 compile (of the teacher or of a student). *)
+
+val of_student : Student.t -> generator
+(** A distilled student in eval mode. *)
+
+val run :
+  generator ->
+  Heatmap.spec ->
+  ?batch_size:int ->
+  ?domains:int ->
+  (Cache.config * Tensor.t list) list ->
+  Tensor.t list list
+(** The one batching function. Each item is one request's (cache geometry,
+    access heatmaps); all windows of all items are flattened into shared
+    forward passes of [batch_size] (default 8) — the conditioning tensor
+    carries one row per sample, so requests with different geometries batch
+    together. Returns one list of denormalised synthetic miss heatmaps per
+    item, order preserved. When [domains] (default {!Dpool.recommended})
+    exceeds 1, batches run on separate domains. Because every generator is
+    per-sample independent at inference, the result is bit-identical to
+    running each item alone, at any batch size or domain count (the
+    serve-batch suite asserts this); only the speed differs. *)
+
 val synthesize :
   Cbgan.t ->
   Heatmap.spec ->
@@ -23,26 +64,7 @@ val synthesize :
   cache:Cache.config ->
   Tensor.t list ->
   Tensor.t list
-(** Raw pipeline: access heatmaps in, denormalised synthetic miss heatmaps
-    out (order preserved). Default batch size 8. When [domains] (default
-    {!Dpool.recommended}) exceeds 1, batches are scored on separate domains
-    — sample results are independent because inference batch-norm uses
-    running statistics, so the parallel and serial paths agree exactly. *)
-
-val synthesize_group :
-  Cbgan.t ->
-  Heatmap.spec ->
-  ?batch_size:int ->
-  ?domains:int ->
-  (Cache.config * Tensor.t list) list ->
-  Tensor.t list list
-(** Cross-request batching: each item is one request's (cache geometry,
-    access heatmaps); ALL windows of ALL items are flattened into shared
-    forward passes — the conditioning tensor carries one row per sample, so
-    requests with different geometries batch together. Returns one synthetic
-    list per item, order preserved. Because inference batch-norm uses running
-    statistics, outputs are bit-identical to calling {!synthesize} per item
-    (asserted by the serve-batch suite); only the speed differs. *)
+(** {!run} on [of_cbgan model] for a single request. *)
 
 val qsynthesize :
   Qgen.t ->
@@ -52,19 +74,7 @@ val qsynthesize :
   cache:Cache.config ->
   Tensor.t list ->
   Tensor.t list
-(** {!synthesize} on the int8-quantized generator: same batching, same
-    output shape, deterministic and bit-identical at any domain count. *)
-
-val qsynthesize_group :
-  Qgen.t ->
-  Heatmap.spec ->
-  ?batch_size:int ->
-  ?domains:int ->
-  (Cache.config * Tensor.t list) list ->
-  Tensor.t list list
-(** {!synthesize_group} on the int8-quantized generator. Quantized GEMMs are
-    stateless per sample, so cross-request batching is again bit-identical to
-    per-item scoring. *)
+(** {!run} on [of_qgen q] for a single request. *)
 
 val ssynthesize :
   Student.t ->
@@ -74,30 +84,7 @@ val ssynthesize :
   cache:Cache.config ->
   Tensor.t list ->
   Tensor.t list
-(** {!synthesize} on a distilled {!Student} generator: deterministic (no
-    dropout), bit-identical at any domain count. *)
-
-val ssynthesize_group :
-  Student.t ->
-  Heatmap.spec ->
-  ?batch_size:int ->
-  ?domains:int ->
-  (Cache.config * Tensor.t list) list ->
-  Tensor.t list list
-(** {!synthesize_group} on a distilled {!Student} generator. *)
-
-val predict_hit_rate :
-  Cbgan.t ->
-  Heatmap.spec ->
-  ?batch_size:int ->
-  ?domains:int ->
-  cache:Cache.config ->
-  Tensor.t list ->
-  float
-(** Raw (unclamped) predicted hit rate from a list of access heatmaps: the
-    serving path's entry point. The result may be NaN or out of [0, 1] when
-    the model misbehaves — callers that serve the value must gate it through
-    {!validate_hit_rate}. *)
+(** {!run} on [of_student s] for a single request. *)
 
 val validate_hit_rate : ?lo:float -> ?hi:float -> float -> (float, string) result
 (** Validity gate for a raw model prediction: NaN, infinities and values
@@ -146,25 +133,16 @@ val baseline_hit_rate : fallback -> Cache.config -> int array -> float option
     and re-simulates. Both are bounded to [\[0, 1\]] by construction. *)
 
 val predict :
-  Cbgan.t -> Heatmap.spec -> ?batch_size:int -> Cbox_dataset.benchmark_data -> prediction
+  generator -> Heatmap.spec -> ?batch_size:int -> Cbox_dataset.benchmark_data -> prediction
 (** Full per-benchmark prediction, including the de-overlapped hit-rate
     computation against the real access heatmaps. *)
 
 val predict_all :
-  Cbgan.t ->
+  generator ->
   Heatmap.spec ->
   ?batch_size:int ->
   Cbox_dataset.benchmark_data list ->
   prediction list
-
-val qpredict :
-  Qgen.t -> Heatmap.spec -> ?batch_size:int -> Cbox_dataset.benchmark_data -> prediction
-(** {!predict} on the int8-quantized generator (same de-overlapped hit-rate
-    computation, quantized forward). *)
-
-val spredict :
-  Student.t -> Heatmap.spec -> ?batch_size:int -> Cbox_dataset.benchmark_data -> prediction
-(** {!predict} on a distilled student generator. *)
 
 val abs_pct_diff : prediction -> float
 (** |true - predicted| hit rate, in percentage points. *)

@@ -209,7 +209,7 @@ let rq1 ?(log = fun _ -> ()) scale =
   let train_data = filter_threshold (build train_ws) in
   let test_data = filter_threshold (build test_ws) in
   let model = train_model ~log scale ~use_cache_params:true train_data in
-  let preds = Cbox_infer.predict_all model scale.spec test_data in
+  let preds = Cbox_infer.predict_all (Cbox_infer.of_cbgan model) scale.spec test_data in
   summarize "RQ1 mixed suites, L1 64set-12way" (rows_of_predictions preds)
 
 (* --- RQ2 / RQ3 / RQ5 / RQ6 share a model --- *)
@@ -240,7 +240,7 @@ let eval_configs ?(log = fun _ -> ()) ctx configs =
           (Cbox_dataset.build_l1 ctx.scale.spec ~configs:[ cfg ]
              ~trace_len:ctx.scale.trace_len ctx.test_workloads)
       in
-      let preds = Cbox_infer.predict_all ctx.model ctx.scale.spec data in
+      let preds = Cbox_infer.predict_all (Cbox_infer.of_cbgan ctx.model) ctx.scale.spec data in
       let result = summarize (Cache.config_name cfg) (rows_of_predictions preds) in
       log (Printf.sprintf "  %s: avg abs %%diff %.2f" result.label result.avg_abs_pct);
       result)
@@ -285,7 +285,7 @@ let rq4 ?(log = fun _ -> ()) scale =
   let combined =
     List.map
       (fun lvl ->
-        let preds = Cbox_infer.predict_all combined_model scale.spec (of_level lvl test_data) in
+        let preds = Cbox_infer.predict_all (Cbox_infer.of_cbgan combined_model) scale.spec (of_level lvl test_data) in
         summarize ("combined " ^ Hierarchy.level_name lvl) (rows_of_predictions preds))
       levels
   in
@@ -297,7 +297,7 @@ let rq4 ?(log = fun _ -> ()) scale =
         let model =
           train_model ~log scale ~use_cache_params:true ~disc_layers:3 (of_level lvl train_data)
         in
-        let preds = Cbox_infer.predict_all model scale.spec (of_level lvl test_data) in
+        let preds = Cbox_infer.predict_all (Cbox_infer.of_cbgan model) scale.spec (of_level lvl test_data) in
         summarize ("standalone " ^ Hierarchy.level_name lvl) (rows_of_predictions preds))
       levels
   in
@@ -459,7 +459,7 @@ let table1 ?(log = fun _ -> ()) scale =
       let cbox_diffs =
         List.map
           (fun d ->
-            let p = Cbox_infer.predict model scale.spec d in
+            let p = Cbox_infer.predict (Cbox_infer.of_cbgan model) scale.spec d in
             Cbox_infer.abs_pct_diff p)
           phases
       in
@@ -492,7 +492,7 @@ let rq1_with scale ~log =
   let train_data = filter_threshold (build train_ws) in
   let test_data = filter_threshold (build test_ws) in
   let model = train_model ~log scale ~use_cache_params:true train_data in
-  let preds = Cbox_infer.predict_all model scale.spec test_data in
+  let preds = Cbox_infer.predict_all (Cbox_infer.of_cbgan model) scale.spec test_data in
   rows_of_predictions preds
 
 let ablate_lambda ?(log = fun _ -> ()) scale =
@@ -532,7 +532,7 @@ let ablate_cache_params ?(log = fun _ -> ()) scale =
     (fun use_cache_params ->
       log (Printf.sprintf "ablation: cache params %s" (if use_cache_params then "on" else "off"));
       let model = train_model ~log scale ~use_cache_params train_data in
-      let preds = Cbox_infer.predict_all model scale.spec test_data in
+      let preds = Cbox_infer.predict_all (Cbox_infer.of_cbgan model) scale.spec test_data in
       ( use_cache_params,
         summarize
           (if use_cache_params then "with cache params" else "without cache params")

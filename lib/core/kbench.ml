@@ -210,152 +210,92 @@ let int8_conv_bench ~fast ~domains ~reps =
     ~fref:(fun () -> Some (Conv.conv2d ~x ~weight ~bias:(Some bias) ~stride:2 ~pad:1))
     ~fq:(fun () -> Some (Conv.conv2d_q ~x ~weight:qw ~act_scale:act ~kernel:4 ~stride:2 ~pad:1))
 
-(* Whole-generator forward at serving shape: float32 Value-graph forward
-   (wide-batch conv on, its best configuration) vs the quantized direct
-   tensor program. This is the row the CI perf gate holds at >= 1.5x: it
-   bundles the int8 GEMM win with what quantized serving actually ships —
-   no autodiff tape, batch norms folded away. *)
-let int8_unet_parts ~fast =
-  let spec = Heatmap.spec () in
-  let cfg = Cbgan.default_config ~ngf:(if fast then 8 else 16) () in
-  let model = Cbgan.create ~seed:9 cfg in
-  let q = Qgen.of_model ~spec model in
-  let imgs = List.filteri (fun i _ -> i < 8) (Qgen.default_calib spec) in
-  let x = Cbox_dataset.batch_images spec imgs in
-  let n = Tensor.dim x 0 in
-  let caches = Array.of_list Qgen.default_calib_caches in
-  let cp =
-    Cbgan.cache_params_tensor (List.init n (fun i -> caches.(i mod Array.length caches)))
-  in
-  (spec, cfg, model, q, imgs, x, cp)
-
 let with_wide f =
   let w0 = Conv.wide_batch () in
   Conv.set_wide_batch true;
   Fun.protect ~finally:(fun () -> Conv.set_wide_batch w0) f
 
-let int8_unet_bench ~fast ~domains ~reps =
-  let _, _, model, q, _, x, cp = int8_unet_parts ~fast in
-  with_wide (fun () ->
-      compare_int8 ~name:"int8_unet_fwd" ~domains ~reps
-        ~fref:(fun () ->
-          let rng = Prng.create 0 in
-          Some
-            (Value.value
-               (Cbgan.generator_forward model ~rng ~training:false ~cache_params:cp x)))
-        ~fq:(fun () -> Some (Qgen.forward q ~cache_params:cp x)))
+(* --- derived-generator benchmarks ---
 
-(* Fig-14 accuracy row: the same forward pair scored as hit rates, with
-   [max_rel_err] carrying the absolute float-vs-int8 hit-rate delta. CI
-   holds this under a committed bound so a quantization accuracy regression
-   fails the same gate as a performance one. *)
-let int8_fig14_bench ~fast ~domains =
-  let spec, cfg, model, q, imgs, x, cp = int8_unet_parts ~fast in
-  let h = cfg.Cbgan.image_size in
-  let n = Tensor.dim x 0 in
-  let split y =
-    List.init n (fun i ->
-        Cbox_dataset.denormalize spec (Tensor.view (Tensor.slice_batch y i 1) [| h; h |]))
-  in
-  with_wide (fun () ->
-      Dpool.with_domains domains (fun () ->
-          with_mode Blas.Tiled true (fun () ->
-              let t0 = Unix.gettimeofday () in
-              let yf =
-                let rng = Prng.create 0 in
-                Value.value
-                  (Cbgan.generator_forward model ~rng ~training:false ~cache_params:cp x)
-              in
-              let tf = Unix.gettimeofday () -. t0 in
-              let t1 = Unix.gettimeofday () in
-              let yq = Qgen.forward q ~cache_params:cp x in
-              let tq = Unix.gettimeofday () -. t1 in
-              let hr_f = Heatmap.hit_rate spec ~access:imgs ~miss:(split yf) in
-              let hr_q = Heatmap.hit_rate spec ~access:imgs ~miss:(split yq) in
-              {
-                name = "int8_fig14_delta";
-                domains;
-                ref_s = tf;
-                tiled_s = tq;
-                speedup = tf /. Float.max 1e-9 tq;
-                max_rel_err = Some (Float.abs (hr_f -. hr_q));
-              })))
+   Whole-generator forwards at serving shape. The reference side is the
+   float32 CB-GAN teacher in its best configuration (tiled kernels,
+   workspace arena, wide-batch conv), the measured side a generator derived
+   from it: the int8 compile, the half-depth/half-width distilled student,
+   or the student's int8 compile (the two wins compose multiplicatively in
+   one row). These rows bundle the kernel wins with what derived serving
+   actually ships — no autodiff tape, batch norms folded away — and are the
+   ones CI's absolute [--require] gates hold. *)
+type parts = {
+  spec : Heatmap.spec;
+  imgs : Tensor.t list;
+  x : Tensor.t;
+  cp : Tensor.t;
+  teacher : Cbox_infer.generator;
+  derived : Cbox_infer.generator;
+}
 
-(* --- distilled-student benchmarks ---
-
-   Same honest-reference discipline as the int8 rows: the reference side is
-   the float32 TEACHER forward in its best configuration (tiled kernels,
-   workspace arena, wide-batch conv), the measured side the half-depth/
-   half-width student — float32 or through its int8 compilation, so the
-   student and quantization wins compose multiplicatively in one row. *)
-let student_parts ~fast =
+let unet_parts ~fast derive =
   let spec = Heatmap.spec () in
   let cfg = Cbgan.default_config ~ngf:(if fast then 8 else 16) () in
   let teacher = Cbgan.create ~seed:9 cfg in
-  let student = Student.create ~seed:7 (Distill.student_config cfg) in
-  let sq = Qgen.of_student ~spec student in
   let imgs = List.filteri (fun i _ -> i < 8) (Qgen.default_calib spec) in
-  let x = Cbox_dataset.batch_images spec imgs in
-  let n = Tensor.dim x 0 in
   let caches = Array.of_list Qgen.default_calib_caches in
   let cp =
-    Cbgan.cache_params_tensor (List.init n (fun i -> caches.(i mod Array.length caches)))
+    Cbgan.cache_params_tensor
+      (List.mapi (fun i _ -> caches.(i mod Array.length caches)) imgs)
   in
-  (spec, cfg, teacher, student, sq, imgs, x, cp)
+  {
+    spec;
+    imgs;
+    x = Cbox_dataset.batch_images spec imgs;
+    cp;
+    teacher = Cbox_infer.of_cbgan teacher;
+    derived = derive spec cfg teacher;
+  }
 
-let teacher_fwd teacher ~cache_params x () =
-  let rng = Prng.create 0 in
-  Some
-    (Value.value (Cbgan.generator_forward teacher ~rng ~training:false ~cache_params x))
+let int8 spec _ teacher = Cbox_infer.of_qgen (Qgen.of_model ~spec teacher)
+let seeded_student cfg = Student.create ~seed:7 (Distill.student_config cfg)
+let student _ cfg _ = Cbox_infer.of_student (seeded_student cfg)
+let student_int8 spec cfg _ = Cbox_infer.of_qgen (Qgen.of_student ~spec (seeded_student cfg))
 
-let student_unet_bench ~fast ~domains ~reps =
-  let _, _, teacher, student, _, _, x, cp = student_parts ~fast in
+let unet_bench ~name ~fast ~domains ~reps derive =
+  let p = unet_parts ~fast derive in
   with_wide (fun () ->
-      compare_int8 ~name:"student_unet_fwd" ~domains ~reps
-        ~fref:(teacher_fwd teacher ~cache_params:cp x)
-        ~fq:(fun () ->
-          Some (Value.value (Student.forward student ~training:false ~cache_params:cp x))))
+      compare_int8 ~name ~domains ~reps
+        ~fref:(fun () -> Some (p.teacher.forward ~cache_params:p.cp p.x))
+        ~fq:(fun () -> Some (p.derived.forward ~cache_params:p.cp p.x)))
 
-let student_int8_bench ~fast ~domains ~reps =
-  let _, _, teacher, _, sq, _, x, cp = student_parts ~fast in
-  with_wide (fun () ->
-      compare_int8 ~name:"student_int8_fwd" ~domains ~reps
-        ~fref:(teacher_fwd teacher ~cache_params:cp x)
-        ~fq:(fun () -> Some (Qgen.forward sq ~cache_params:cp x)))
-
-(* Fig-14 accuracy row for the student: teacher-vs-student absolute
-   hit-rate delta in [max_rel_err], held under a committed bound by the
-   same CI gate as the int8 row. Both nets share the "empty heatmap"
-   output-bias prior, so the delta is small by construction at init and
-   only tightens with distillation. *)
-let student_fig14_bench ~fast ~domains =
-  let spec, cfg, teacher, student, _, imgs, x, cp = student_parts ~fast in
-  let h = cfg.Cbgan.image_size in
-  let n = Tensor.dim x 0 in
-  let split y =
-    List.init n (fun i ->
-        Cbox_dataset.denormalize spec (Tensor.view (Tensor.slice_batch y i 1) [| h; h |]))
+(* Fig-14 accuracy row: the same forward pair scored as hit rates, with
+   [max_rel_err] carrying the absolute teacher-vs-derived hit-rate delta.
+   CI holds it under a committed bound so an accuracy regression fails the
+   same gate as a performance one. *)
+let fig14_delta ~name ~fast ~domains derive =
+  let p = unet_parts ~fast derive in
+  let scored (g : Cbox_infer.generator) =
+    let t0 = Unix.gettimeofday () in
+    let y = g.forward ~cache_params:p.cp p.x in
+    let dt = Unix.gettimeofday () -. t0 in
+    let h = g.image_size in
+    let miss =
+      List.mapi
+        (fun i _ ->
+          Cbox_dataset.denormalize p.spec (Tensor.view (Tensor.slice_batch y i 1) [| h; h |]))
+        p.imgs
+    in
+    (dt, Heatmap.hit_rate p.spec ~access:p.imgs ~miss)
   in
   with_wide (fun () ->
       Dpool.with_domains domains (fun () ->
           with_mode Blas.Tiled true (fun () ->
-              let t0 = Unix.gettimeofday () in
-              let yt = Option.get (teacher_fwd teacher ~cache_params:cp x ()) in
-              let tf = Unix.gettimeofday () -. t0 in
-              let t1 = Unix.gettimeofday () in
-              let ys =
-                Value.value (Student.forward student ~training:false ~cache_params:cp x)
-              in
-              let ts = Unix.gettimeofday () -. t1 in
-              let hr_t = Heatmap.hit_rate spec ~access:imgs ~miss:(split yt) in
-              let hr_s = Heatmap.hit_rate spec ~access:imgs ~miss:(split ys) in
+              let tf, hr_f = scored p.teacher in
+              let td, hr_d = scored p.derived in
               {
-                name = "student_fig14_delta";
+                name;
                 domains;
                 ref_s = tf;
-                tiled_s = ts;
-                speedup = tf /. Float.max 1e-9 ts;
-                max_rel_err = Some (Float.abs (hr_t -. hr_s));
+                tiled_s = td;
+                speedup = tf /. Float.max 1e-9 td;
+                max_rel_err = Some (Float.abs (hr_f -. hr_d));
               })))
 
 let run ?(fast = Sys.getenv_opt "CACHEBOX_FAST" <> None) ?(log = fun _ -> ()) () =
@@ -407,13 +347,17 @@ let run ?(fast = Sys.getenv_opt "CACHEBOX_FAST" <> None) ?(log = fun _ -> ()) ()
               ~n:(if fast then 256 else 1024)
               ~domains:1 ~reps );
         ("int8_conv_fwd d1", fun () -> int8_conv_bench ~fast ~domains:1 ~reps);
-        ("int8_unet_fwd d1", fun () -> int8_unet_bench ~fast ~domains:1 ~reps);
-        ("int8_unet_fwd d4", fun () -> int8_unet_bench ~fast ~domains:4 ~reps);
-        ("int8_fig14_delta", fun () -> int8_fig14_bench ~fast ~domains:1);
-        ("student_unet_fwd d1", fun () -> student_unet_bench ~fast ~domains:1 ~reps);
-        ("student_unet_fwd d4", fun () -> student_unet_bench ~fast ~domains:4 ~reps);
-        ("student_int8_fwd d1", fun () -> student_int8_bench ~fast ~domains:1 ~reps);
-        ("student_fig14_delta", fun () -> student_fig14_bench ~fast ~domains:1);
+        ("int8_unet_fwd d1", fun () -> unet_bench ~name:"int8_unet_fwd" ~fast ~domains:1 ~reps int8);
+        ("int8_unet_fwd d4", fun () -> unet_bench ~name:"int8_unet_fwd" ~fast ~domains:4 ~reps int8);
+        ("int8_fig14_delta", fun () -> fig14_delta ~name:"int8_fig14_delta" ~fast ~domains:1 int8);
+        ( "student_unet_fwd d1",
+          fun () -> unet_bench ~name:"student_unet_fwd" ~fast ~domains:1 ~reps student );
+        ( "student_unet_fwd d4",
+          fun () -> unet_bench ~name:"student_unet_fwd" ~fast ~domains:4 ~reps student );
+        ( "student_int8_fwd d1",
+          fun () -> unet_bench ~name:"student_int8_fwd" ~fast ~domains:1 ~reps student_int8 );
+        ( "student_fig14_delta",
+          fun () -> fig14_delta ~name:"student_fig14_delta" ~fast ~domains:1 student );
       ]
   in
   List.map

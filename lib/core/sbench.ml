@@ -3,7 +3,7 @@
 
    Two measured quantities drive everything: the real service time of one
    request alone, and the real service time of a coalesced batch through
-   {!Cbox_infer.synthesize_group} with the wide-batch conv lowering. A
+   {!Cbox_infer.run} with the wide-batch conv lowering. A
    deterministic closed-loop simulation (C logical clients, each reissuing
    the moment its reply lands) then turns those service times into
    throughput and latency percentiles per concurrency level — the loop is
@@ -165,12 +165,13 @@ let run ?(fast = Sys.getenv_opt "CACHEBOX_FAST" <> None) ?(log = fun _ -> ()) ()
     (fun () ->
       (* Bit-identity first: sequential batch-1 (wide lowering off — the
          per-sample reference) vs one coalesced wide-batch group. *)
+      let g = Cbox_infer.of_cbgan model in
       Conv.set_wide_batch false;
       let sequential =
-        List.map (fun (cache, imgs) -> Cbox_infer.synthesize model spec ~batch_size:1 ~cache imgs) requests
+        List.concat_map (fun r -> Cbox_infer.run g spec ~batch_size:1 [ r ]) requests
       in
       Conv.set_wide_batch true;
-      let grouped = Cbox_infer.synthesize_group model spec ~batch_size:64 requests in
+      let grouped = Cbox_infer.run g spec ~batch_size:64 requests in
       let max_abs_diff =
         List.fold_left2
           (fun acc a b ->
@@ -192,12 +193,12 @@ let run ?(fast = Sys.getenv_opt "CACHEBOX_FAST" <> None) ?(log = fun _ -> ()) ()
       Conv.set_wide_batch false;
       let t1s =
         let one = [ List.hd requests ] in
-        samples_of reps (fun () -> Cbox_infer.synthesize_group model spec ~batch_size:1 one)
+        samples_of reps (fun () -> Cbox_infer.run g spec ~batch_size:1 one)
       in
       Conv.set_wide_batch true;
       let t_at b =
         let batch = List.filteri (fun i _ -> i < b) requests in
-        samples_of reps (fun () -> Cbox_infer.synthesize_group model spec ~batch_size:b batch)
+        samples_of reps (fun () -> Cbox_infer.run g spec ~batch_size:b batch)
       in
       let t8s = t_at 8 and t64s = t_at 64 in
       log

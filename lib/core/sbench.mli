@@ -2,7 +2,7 @@
     micro-batching through the wide-batch conv lowering.
 
     Measures the {e real} service time of single requests and coalesced
-    batches on the serving model hot path ({!Cbox_infer.synthesize_group})
+    batches on the serving model hot path ({!Cbox_infer.run})
     — keeping every repetition's sample, so the replayed latency
     distribution has genuine spread (p50 and p99 differ) — then replays a
     deterministic closed-loop simulation — C logical

@@ -39,24 +39,118 @@ type reload_spec = {
          distilled backend along with the teacher *)
 }
 
+(* --- the backend table ---
+
+   One generation of learned backends: each rung's replica pool (empty
+   means the backend is not loaded) and the rung a failure falls to. The
+   list is in ladder order — every rung precedes the rung it falls to — so
+   one left fold over it runs a whole batch down the ladder. *)
+
+type rung = {
+  pool : (Cbox_infer.generator * Mutex.t) array;
+  falls_to : Cbox_infer.backend option;
+      (* a failure here re-runs on that rung, flagged, breaker untouched;
+         None on the float32 rung, whose failures are model faults *)
+}
+
+type generation = (Cbox_infer.backend * rung) list
+
+let rung gen b = List.assoc b gen
+let loaded gen b = Array.length (rung gen b).pool > 0
+
+(* The backend's name as a reason prefix and stats key: backend_student_int8. *)
+let key_of b = String.map (fun c -> if c = '-' then '_' else c) (Cbox_infer.backend_name b)
+
+let resolve gen b =
+  let rec go reason b =
+    let r = rung gen b in
+    if Array.length r.pool > 0 then Some (fst r.pool.(0), b, reason)
+    else Option.bind r.falls_to (go (Some (key_of b ^ "_unavailable")))
+  in
+  go None b
+
+(* A tiny inference through the real serving pipeline so the first client
+   request doesn't pay the cold-start costs: workspace arenas reach their
+   steady slot population, the Dpool workers spin up, and code paths get
+   compiled/paged in. Best-effort by design — a model that cannot run a
+   warmup inference will fail identically on real requests and be handled
+   by the ladder there. *)
+let warm ~spec ~batch_size g =
+  try
+    match Validate.cache_config ~sets:64 ~ways:12 () with
+    | Error _ -> ()
+    | Ok cache ->
+      let access = Heatmap.of_trace spec (Array.init 256 (fun i -> i * 64)) in
+      ignore (Cbox_infer.run g spec ~batch_size [ (cache, access) ])
+  with _ -> ()
+
+let generation ?prev ?only ?(on_reject = fun _ _ -> ()) ~spec ~warmup ~batch_size
+    ~replicas ~model ?student_path () =
+  (* A float model and its int8 compile, warmed, compiled and replicated
+     entirely off to the side. The compile is eager so the int8 rung never
+     pays calibration on the serving path; one that fails leaves its rung
+     empty and its requests fall to float32. The compile is stateless, so
+     its replicas share it. *)
+  let family ~of_float ~clone ~compile ~int8 m =
+    let g0 = of_float m in
+    if warmup then warm ~spec ~batch_size g0;
+    let q =
+      if Option.fold ~none:false ~some:(( <> ) int8) only then None
+      else try Some (Cbox_infer.of_qgen (compile m)) with _ -> None
+    in
+    ( Array.init replicas (fun i ->
+          ((if i = 0 then g0 else of_float (clone m)), Mutex.create ())),
+      match q with
+      | None -> [||]
+      | Some q -> Array.init replicas (fun _ -> (q, Mutex.create ())) )
+  in
+  let teacher, int8 =
+    match model with
+    | None -> ([||], [||])
+    | Some m ->
+      family ~of_float:Cbox_infer.of_cbgan ~clone:Cbgan.clone ~compile:(Qgen.of_model ~spec)
+        ~int8:Cbox_infer.Backend_int8 m
+  in
+  (* The student is optional and independent: no path, or a checkpoint that
+     fails to load (missing, corrupt, wrong schema), keeps the previous
+     generation's student rungs — none at startup. A bad student artifact
+     must never degrade a fleet that was serving fine. *)
+  let student, student_int8 =
+    let keep () =
+      match prev with
+      | None -> ([||], [||])
+      | Some g ->
+        ( (rung g Cbox_infer.Backend_student).pool,
+          (rung g Cbox_infer.Backend_student_int8).pool )
+    in
+    match student_path with
+    | None -> keep ()
+    | Some p -> (
+      match Student.load p with
+      | s ->
+        family ~of_float:Cbox_infer.of_student ~clone:Student.clone
+          ~compile:(Qgen.of_student ~spec) ~int8:Cbox_infer.Backend_student_int8 s
+      | exception e ->
+        on_reject p (Printexc.to_string e);
+        keep ())
+  in
+  let derived pool = { pool; falls_to = Some Cbox_infer.Backend_float32 } in
+  [
+    (Cbox_infer.Backend_int8, derived int8);
+    (Cbox_infer.Backend_student, derived student);
+    (Cbox_infer.Backend_student_int8, derived student_int8);
+    (Cbox_infer.Backend_float32, { pool = teacher; falls_to = None });
+  ]
+
 type t = {
   cfg : config;
   spec : Heatmap.spec;
   now : unit -> float;
   journal : Runlog.t option;
   jm : Mutex.t;  (* Runlog is not thread-safe; batch completions journal concurrently *)
-  mutable model : Cbgan.t option;
-  mutable qmodel : Qgen.t option;
-      (* int8 quantization of [model], rebuilt on reload; None when the
-         model is missing or quantization failed (the int8 backend then
-         degrades to float32 per request) *)
-  mutable pool : (Cbgan.t * Mutex.t) array;  (* replica 0 is [model] itself *)
-  mutable student : Student.t option;
-      (* distilled student, loaded from its own checkpoint; None when no
-         student was configured or its checkpoint was rejected — student
-         requests then degrade to float32, flagged, breaker untouched *)
-  mutable sqmodel : Qgen.t option;  (* int8 quantization of [student] *)
-  mutable spool : (Student.t * Mutex.t) array;  (* replica 0 is [student] *)
+  mutable gen : generation;
+      (* read once per batch, replaced by one write per reload: a batch
+         never pairs one generation's teacher with another's compile *)
   breaker : Breaker.t;
   stats : Serve_stats.t;
   em : Mutex.t;  (* guards ewma_model_s and req_count across entrants *)
@@ -71,84 +165,17 @@ type t = {
          to the stats reply without the engine depending on it *)
 }
 
-(* A tiny inference through the real serving pipeline so the first client
-   request doesn't pay the cold-start costs: workspace arenas reach their
-   steady slot population, the Dpool workers spin up, and code paths get
-   compiled/paged in. Best-effort by design — a model that cannot run a
-   warmup inference will fail identically on real requests and be handled
-   by the breaker/fallback machinery there. *)
-let warmup_model ~spec ~batch_size model =
-  try
-    match Validate.cache_config ~sets:64 ~ways:12 () with
-    | Error _ -> ()
-    | Ok cache ->
-      let trace = Array.init 256 (fun i -> i * 64) in
-      let access = Heatmap.of_trace spec trace in
-      ignore (Cbox_infer.synthesize model spec ~batch_size ~cache access)
-  with _ -> ()
-
-(* Load, warm, quantize and replicate a student checkpoint entirely off to
-   the side. Total: any failure (missing file, corrupt bytes, wrong schema)
-   is an [Error reason] — callers journal it and keep float32 serving. *)
-let student_of_checkpoint ~spec ~warmup ~batch_size ~replicas path =
-  match Student.load path with
-  | exception e -> Error (Printexc.to_string e)
-  | s ->
-    (if warmup then
-       try
-         match Validate.cache_config ~sets:64 ~ways:12 () with
-         | Error _ -> ()
-         | Ok cache ->
-           let trace = Array.init 256 (fun i -> i * 64) in
-           let access = Heatmap.of_trace spec trace in
-           ignore (Cbox_infer.ssynthesize s spec ~batch_size ~cache access)
-       with _ -> ());
-    let sq = try Some (Qgen.of_student ~spec s) with _ -> None in
-    let spool =
-      Array.init replicas (fun i ->
-          ((if i = 0 then s else Student.clone s), Mutex.create ()))
-    in
-    Ok (s, sq, spool)
-
 let create ?now ?journal ?reload ?student_path ~spec ~model cfg =
   let now = Option.value now ~default:Unix.gettimeofday in
   if cfg.replicas < 1 then invalid_arg "Serve_engine.create: replicas must be >= 1";
   (* Serving is forward-only, so the wide-batch conv lowering (bit-identical,
      faster at batch > 1) is safe to leave on for the whole process. *)
   Conv.set_wide_batch true;
-  if cfg.warmup then
-    Option.iter (warmup_model ~spec ~batch_size:cfg.batch_size) model;
-  (* Quantize eagerly so the int8 backend never pays calibration on the
-     serving path; a model that cannot quantize leaves [qmodel] at None and
-     int8 requests degrade to float32 (flagged) instead of failing. *)
-  let quantize m = try Some (Qgen.of_model ~spec m) with _ -> None in
-  let qmodel = Option.bind model quantize in
-  let pool =
-    match model with
-    | None -> [||]
-    | Some m ->
-      Array.init cfg.replicas (fun i ->
-          ((if i = 0 then m else Cbgan.clone m), Mutex.create ()))
-  in
-  (* The student is optional and independent: a checkpoint that fails to
-     load (corrupt bytes, wrong schema) is journalled and dropped, leaving
-     float32 (and int8) serving untouched. *)
-  let student, sqmodel, spool =
-    match student_path with
-    | None -> (None, None, [||])
-    | Some p -> (
-      match
-        student_of_checkpoint ~spec ~warmup:cfg.warmup ~batch_size:cfg.batch_size
-          ~replicas:cfg.replicas p
-      with
-      | Ok (s, sq, sp) -> (Some s, sq, sp)
-      | Error why ->
-        Option.iter
-          (fun j ->
-            Runlog.event j "student_reject"
-              [ ("path", Runlog.S p); ("why", Runlog.S why) ])
-          journal;
-        (None, None, [||]))
+  let on_reject p why =
+    Option.iter
+      (fun j ->
+        Runlog.event j "student_reject" [ ("path", Runlog.S p); ("why", Runlog.S why) ])
+      journal
   in
   {
     cfg;
@@ -156,12 +183,9 @@ let create ?now ?journal ?reload ?student_path ~spec ~model cfg =
     now;
     journal;
     jm = Mutex.create ();
-    model;
-    qmodel;
-    pool;
-    student;
-    sqmodel;
-    spool;
+    gen =
+      generation ~on_reject ~spec ~warmup:cfg.warmup ~batch_size:cfg.batch_size
+        ~replicas:cfg.replicas ~model ?student_path ();
     breaker =
       Breaker.create ~threshold:cfg.breaker_threshold ~cooldown:cfg.breaker_cooldown_s ~now
         ();
@@ -195,8 +219,8 @@ let journal_event t kind fields =
 
 let stats t = Serve_stats.snapshot t.stats
 let breaker_state t = Breaker.state t.breaker
-let model_loaded t = t.model <> None
-let student_loaded t = t.student <> None
+let model_loaded t = loaded t.gen Cbox_infer.Backend_float32
+let student_loaded t = loaded t.gen Cbox_infer.Backend_student
 let requests_seen t = t.req_count
 let reloads t = t.reloads
 let now t = t.now ()
@@ -205,12 +229,13 @@ let set_extra_stats t f = t.extra_stats <- f
 
 (* --- zero-downtime reload ---
 
-   Load and warm the new checkpoint entirely off to the side, then hand it
-   over with two plain field writes. In-flight batches snapshotted [t.pool]
-   at batch start, so they drain on the old model; the next batch picks up
-   the new pool. Nothing below ever blocks the serving path: overlapping
-   reloads are rejected ([try_lock]), and a checkpoint that fails to load
-   leaves the old model serving untouched. *)
+   Load and warm the new checkpoint (and re-read the student's) entirely
+   off to the side, then hand the new generation over with one field write.
+   In-flight batches read [t.gen] at batch start, so they drain on the old
+   generation; the next batch picks up the new one. Nothing below ever
+   blocks the serving path: overlapping reloads are rejected ([try_lock]),
+   and a checkpoint that fails to load leaves the old generation serving
+   untouched. *)
 let reload t ?path () =
   match t.reload with
   | None ->
@@ -243,37 +268,14 @@ let reload t ?path () =
                 [ ("path", Runlog.S path); ("why", Runlog.S e.Serve_error.message) ];
               Error e
             | Ok m ->
-              if t.cfg.warmup then warmup_model ~spec:t.spec ~batch_size:t.cfg.batch_size m;
-              let q = try Some (Qgen.of_model ~spec:t.spec m) with _ -> None in
-              let pool =
-                Array.init t.cfg.replicas (fun i ->
-                    ((if i = 0 then m else Cbgan.clone m), Mutex.create ()))
-              in
-              (* The student checkpoint is re-read off to the side too, so a
-                 reload hot-swaps both generations together. A student that
-                 fails to load keeps the PREVIOUS student serving (the swap
-                 below is all-or-nothing per family): a bad student artifact
-                 must never degrade a fleet that was serving fine. *)
-              let student_next =
-                Option.map
-                  (fun p ->
-                    ( p,
-                      student_of_checkpoint ~spec:t.spec ~warmup:t.cfg.warmup
-                        ~batch_size:t.cfg.batch_size ~replicas:t.cfg.replicas p ))
-                  r.reload_student_path
-              in
-              t.pool <- pool;
-              t.model <- Some m;
-              t.qmodel <- q;
-              (match student_next with
-              | None -> ()
-              | Some (_, Ok (s, sq, sp)) ->
-                t.spool <- sp;
-                t.student <- Some s;
-                t.sqmodel <- sq
-              | Some (p, Error why) ->
-                journal_event t "student_reject"
-                  [ ("path", Runlog.S p); ("why", Runlog.S why) ]);
+              t.gen <-
+                generation ~prev:t.gen
+                  ~on_reject:(fun p why ->
+                    journal_event t "student_reject"
+                      [ ("path", Runlog.S p); ("why", Runlog.S why) ])
+                  ~spec:t.spec ~warmup:t.cfg.warmup ~batch_size:t.cfg.batch_size
+                  ~replicas:t.cfg.replicas ~model:(Some m)
+                  ?student_path:r.reload_student_path ();
               t.reloads <- t.reloads + 1;
               journal_event t "reload_ok"
                 [ ("path", Runlog.S path); ("generation", Runlog.I t.reloads) ];
@@ -348,17 +350,16 @@ let stats_reply t =
        ("reload_failures", Sjson.Num (float_of_int t.reload_failures));
      ]
     (* Per-backend serve counts: all six registry entries are always
-       present so clients can compute deltas without existence checks. The
-       JSON key is the backend name with '-' mapped to '_' (field names
-       stay identifier-shaped: backend_student_int8). *)
+       present so clients can compute deltas without existence checks. *)
     @ List.map
         (fun b ->
           let n =
-            match List.assoc_opt b s.Serve_stats.backends with Some n -> n | None -> 0
+            Option.value ~default:0
+              (List.assoc_opt (Cbox_infer.backend_name b) s.Serve_stats.backends)
           in
-          let key = String.map (fun c -> if c = '-' then '_' else c) b in
-          ("backend_" ^ key, Sjson.Num (float_of_int n)))
-        [ "float32"; "int8"; "student"; "student-int8"; "hrd"; "stm" ]
+          ("backend_" ^ key_of b, Sjson.Num (float_of_int n)))
+        Cbox_infer.[ Backend_float32; Backend_int8; Backend_student; Backend_student_int8;
+                     Backend_hrd; Backend_stm ]
     @ t.extra_stats ()
     @ List.map
         (fun (code, n) -> ("err_" ^ code, Sjson.Num (float_of_int n)))
@@ -386,66 +387,35 @@ let resolve_trace t source =
       Error (Serve_error.v Serve_error.Bad_request "unknown benchmark %S" name))
   | Validate.File path -> Validate.read_trace_file ~max_len:t.cfg.max_trace_len path
 
-(* Shared per-request prediction body: fault-injection hooks, heatmap
-   construction, one forward through [synth], the validity gate. [synth] is
-   the backend-specific scorer (float32 or int8). The hooks simulate a
-   stalled model, a NaN output, a checkpoint that rotted under a live
-   server, a crashing backend (abrupt exit, socket closed mid-response) and
-   a hung backend (alive and connectable, never answers in time). *)
-let predict_with t ~index ~synth trace =
-  match
-    if Faultinject.crash_now ~index then Unix._exit 42;
-    if Faultinject.checkpoint_fault ~index then
-      failwith "checkpoint unreadable (injected fault)";
-    let delay = Faultinject.slow_delay ~index +. Faultinject.hang_delay ~index in
-    if delay > 0.0 then Unix.sleepf delay;
-    let access = Heatmap.of_trace t.spec trace in
-    let synthetic = synth access in
-    Faultinject.poison_output ~index synthetic;
-    Heatmap.hit_rate t.spec ~access ~miss:synthetic
-  with
-  | raw -> Cbox_infer.validate_hit_rate ~lo:t.cfg.grace_lo ~hi:t.cfg.grace_hi raw
-  | exception e -> Error (Printexc.to_string e)
-
-(* One model attempt: a validated, clamped hit rate or the reason the model
-   cannot be trusted. *)
-let model_predict t index cache trace =
-  match t.model with
-  | None -> Error "model not loaded"
-  | Some model ->
-    predict_with t ~index
-      ~synth:(fun access ->
-        Cbox_infer.synthesize model t.spec ~batch_size:t.cfg.batch_size ~cache access)
-      trace
-
-let qmodel_predict t index q cache trace =
-  predict_with t ~index
-    ~synth:(fun access ->
-      Cbox_infer.qsynthesize q t.spec ~batch_size:t.cfg.batch_size ~cache access)
-    trace
-
-let smodel_predict t index s cache trace =
-  predict_with t ~index
-    ~synth:(fun access ->
-      Cbox_infer.ssynthesize s t.spec ~batch_size:t.cfg.batch_size ~cache access)
-    trace
-
 let record_and_reply ?backend t ~arrival ~ok ~degraded ~code reply =
   Serve_stats.record ?backend t.stats ~ok ~degraded ~code
     ~latency_s:(t.now () -. arrival);
   reply
 
-let baseline t ~arrival ~id ~reason cache trace =
-  match Cbox_infer.baseline_hit_rate t.cfg.fallback cache trace with
+let internal_reply ?id t ~arrival exn =
+  let e = { (Serve_error.of_exn exn) with Serve_error.code = Serve_error.Internal } in
+  record_and_reply t ~arrival ~ok:false ~degraded:false ~code:(Some Serve_error.Internal)
+    (error_reply ?id e)
+
+(* An analytical answer from [fallback]'s predictor. With a [reason] it is
+   the bottom rung of the ladder: flagged [degraded] and journalled. With
+   none it is an explicitly requested hrd/stm backend: a first-class,
+   non-degraded answer that needs no model and never touches the breaker. *)
+let baseline t ~arrival ~id ~fallback ~reason cache trace =
+  let degraded = reason <> None in
+  match Cbox_infer.baseline_hit_rate fallback cache trace with
   | Some hit_rate ->
-    let name = Cbox_infer.fallback_name t.cfg.fallback in
-    journal_event t "degraded"
-      [ ("reason", Runlog.S reason); ("source", Runlog.S name) ];
-    let latency_ms = 1000.0 *. (t.now () -. arrival) in
-    record_and_reply t ~backend:name ~arrival ~ok:true ~degraded:true ~code:None
-      (hit_rate_reply ?id ~degraded:true ~source:name ~backend:name
-         ~reason:(Some reason) ~latency_ms hit_rate)
+    let name = Cbox_infer.fallback_name fallback in
+    Option.iter
+      (fun r ->
+        journal_event t "degraded" [ ("reason", Runlog.S r); ("source", Runlog.S name) ])
+      reason;
+    record_and_reply t ~backend:name ~arrival ~ok:true ~degraded ~code:None
+      (hit_rate_reply ?id ~degraded ~source:name ~backend:name ~reason
+         ~latency_ms:(1000.0 *. (t.now () -. arrival))
+         hit_rate)
   | None ->
+    let reason = Option.value reason ~default:"" in
     let code =
       if reason = "deadline" then Serve_error.Deadline_exceeded
       else Serve_error.Model_unavailable
@@ -453,32 +423,6 @@ let baseline t ~arrival ~id ~reason cache trace =
     let e = Serve_error.v code "learned model unusable (%s) and fallback is off" reason in
     record_and_reply t ~arrival ~ok:false ~degraded:false ~code:(Some code)
       (error_reply ?id e)
-  | exception e ->
-    let e = Serve_error.of_exn e in
-    record_and_reply t ~arrival ~ok:false ~degraded:false
-      ~code:(Some e.Serve_error.code) (error_reply ?id e)
-
-(* An explicitly requested analytical backend (hrd/stm) is a first-class
-   answer, not a degradation: ok, non-degraded, no breaker involvement, and
-   it works with no model loaded. Distinct from [baseline], which serves the
-   same predictors as the bottom rung of the ladder, flagged. *)
-let analytic t ~arrival ~id ~backend cache trace =
-  let fb =
-    match backend with
-    | Cbox_infer.Backend_hrd -> Cbox_infer.Fallback_hrd
-    | Cbox_infer.Backend_stm -> Cbox_infer.Fallback_stm
-    | Cbox_infer.Backend_float32 | Cbox_infer.Backend_int8 | Cbox_infer.Backend_student
-    | Cbox_infer.Backend_student_int8 ->
-      invalid_arg "Serve_engine.analytic: model backend"
-  in
-  let name = Cbox_infer.backend_name backend in
-  match Cbox_infer.baseline_hit_rate fb cache trace with
-  | Some hit_rate ->
-    record_and_reply t ~backend:name ~arrival ~ok:true ~degraded:false ~code:None
-      (hit_rate_reply ?id ~degraded:false ~source:name ~backend:name ~reason:None
-         ~latency_ms:(1000.0 *. (t.now () -. arrival))
-         hit_rate)
-  | None -> assert false (* hrd/stm always produce an answer *)
   | exception e ->
     let e = Serve_error.of_exn e in
     record_and_reply t ~arrival ~ok:false ~degraded:false
@@ -503,7 +447,7 @@ let ok_counted t ~arrival json =
   record_and_reply t ~arrival ~ok:true ~degraded:false ~code:None json
 
 let degraded_reply ?id t ~arrival ~reason cache trace =
-  baseline t ~arrival ~id ~reason cache trace
+  baseline t ~arrival ~id ~fallback:t.cfg.fallback ~reason:(Some reason) cache trace
 
 let journal t kind fields = journal_event t kind fields
 
@@ -535,124 +479,6 @@ let ewma t =
   Mutex.unlock t.em;
   v
 
-let infer t ~arrival ~id ~sets ~ways ~source ~deadline_s ~backend =
-  let index = next_index t in
-  let backend = Option.value backend ~default:t.cfg.default_backend in
-  let fail_with e =
-    record_and_reply t ~arrival ~ok:false ~degraded:false
-      ~code:(Some e.Serve_error.code) (error_reply ?id e)
-  in
-  match Validate.cache_config ~sets ~ways () with
-  | Error e -> fail_with e
-  | Ok cache -> (
-    match resolve_trace t source with
-    | Error e -> fail_with e
-    | Ok trace -> (
-      match Validate.trace_for_spec t.spec ~max_len:t.cfg.max_trace_len trace with
-      | Error e -> fail_with e
-      | Ok () ->
-        let budget =
-          Float.min t.cfg.max_deadline_s
-            (Option.value deadline_s ~default:t.cfg.default_deadline_s)
-        in
-        let deadline = arrival +. budget in
-        if t.now () > deadline then
-          (* Expired while queued: too late even for the baseline. *)
-          fail_with
-            (Serve_error.v Serve_error.Deadline_exceeded
-               "deadline (%.0f ms) expired before processing started" (1000.0 *. budget))
-        else begin
-          match backend with
-          | Cbox_infer.Backend_hrd | Cbox_infer.Backend_stm ->
-            analytic t ~arrival ~id ~backend cache trace
-          | Cbox_infer.Backend_float32 | Cbox_infer.Backend_int8
-          | Cbox_infer.Backend_student | Cbox_infer.Backend_student_int8 ->
-            let model_usable = t.model <> None && Breaker.allow t.breaker in
-            let headroom = t.now () +. ewma t <= deadline in
-            if model_usable && headroom then begin
-              let before = Breaker.state t.breaker in
-              let t0 = t.now () in
-              (* The int8/student rungs: score on the requested variant when
-                 it is loaded; a missing or faulting variant re-runs the
-                 request on float32, flagged [degraded] with a reason,
-                 WITHOUT touching the breaker — trouble in a derived model
-                 says nothing about the float reference's health. *)
-              let attempt, served_backend, degrade_reason =
-                match backend with
-                | Cbox_infer.Backend_int8 -> (
-                  match t.qmodel with
-                  | Some q -> (
-                    match qmodel_predict t index q cache trace with
-                    | Ok hr -> (Some (Ok hr), "int8", None)
-                    | Error why ->
-                      journal_event t "int8_fault" [ ("why", Runlog.S why) ];
-                      (None, "float32", Some "int8_fault"))
-                  | None -> (None, "float32", Some "int8_unavailable"))
-                | Cbox_infer.Backend_student -> (
-                  match t.student with
-                  | Some s -> (
-                    match smodel_predict t index s cache trace with
-                    | Ok hr -> (Some (Ok hr), "student", None)
-                    | Error why ->
-                      journal_event t "student_fault" [ ("why", Runlog.S why) ];
-                      (None, "float32", Some "student_fault"))
-                  | None -> (None, "float32", Some "student_unavailable"))
-                | Cbox_infer.Backend_student_int8 -> (
-                  match t.sqmodel with
-                  | Some q -> (
-                    match qmodel_predict t index q cache trace with
-                    | Ok hr -> (Some (Ok hr), "student-int8", None)
-                    | Error why ->
-                      journal_event t "student_int8_fault" [ ("why", Runlog.S why) ];
-                      (None, "float32", Some "student_int8_fault"))
-                  | None -> (None, "float32", Some "student_int8_unavailable"))
-                | _ -> (None, "float32", None)
-              in
-              let result =
-                match attempt with
-                | Some r -> r
-                | None -> model_predict t index cache trace
-              in
-              match result with
-              | Ok hit_rate ->
-                let dur = t.now () -. t0 in
-                update_ewma t dur;
-                Breaker.record_success t.breaker;
-                journal_breaker_transition t before;
-                if t.now () > deadline then
-                  (* The answer arrived too late to trust the time budget;
-                     serve the (cheap) analytical answer, flagged. *)
-                  baseline t ~arrival ~id ~reason:"deadline" cache trace
-                else begin
-                  let degraded = degrade_reason <> None in
-                  if degraded then
-                    journal_event t "degraded"
-                      [
-                        ("reason", Runlog.S (Option.get degrade_reason));
-                        ("source", Runlog.S "model");
-                      ];
-                  record_and_reply t ~backend:served_backend ~arrival ~ok:true
-                    ~degraded ~code:None
-                    (hit_rate_reply ?id ~degraded ~source:"model"
-                       ~backend:served_backend ~reason:degrade_reason
-                       ~latency_ms:(1000.0 *. (t.now () -. arrival))
-                       hit_rate)
-                end
-              | Error why ->
-                Breaker.record_failure t.breaker;
-                journal_breaker_transition t before;
-                journal_event t "model_fault" [ ("why", Runlog.S why) ];
-                baseline t ~arrival ~id ~reason:("model_fault: " ^ why) cache trace
-            end
-            else
-              let reason =
-                if t.model = None then "model_unavailable"
-                else if not (Breaker.allow t.breaker) then "breaker_open"
-                else "deadline"
-              in
-              baseline t ~arrival ~id ~reason cache trace
-        end))
-
 type outcome = Reply of Sjson.t | Shutdown_reply of Sjson.t
 
 (* Perform a reload and build the wire reply. Total: callers may run this
@@ -672,64 +498,13 @@ let do_reload t ~arrival ~id ~checkpoint =
   | Error e ->
     record_and_reply t ~arrival ~ok:false ~degraded:false ~code:(Some e.Serve_error.code)
       (error_reply ?id e)
-  | exception e ->
-    let e = Serve_error.of_exn e in
-    let e = { e with Serve_error.code = Serve_error.Internal } in
-    record_and_reply t ~arrival ~ok:false ~degraded:false ~code:(Some Serve_error.Internal)
-      (error_reply ?id e)
+  | exception e -> internal_reply ?id t ~arrival e
 
-let handle_request t ~arrival req =
-  match req with
-  | Validate.Health ->
-    Reply
-      (record_and_reply t ~arrival ~ok:true ~degraded:false ~code:None (health_reply t))
-  | Validate.Stats_request ->
-    Reply (record_and_reply t ~arrival ~ok:true ~degraded:false ~code:None (stats_reply t))
-  | Validate.Shutdown ->
-    journal_event t "serve_stop" [];
-    Shutdown_reply
-      (record_and_reply t ~arrival ~ok:true ~degraded:false ~code:None
-         (Sjson.Obj [ ("ok", Sjson.Bool true); ("op", Sjson.Str "shutdown") ]))
-  | Validate.Reload { id; checkpoint } -> Reply (do_reload t ~arrival ~id ~checkpoint)
-  | Validate.Stream_open { id; _ }
-  | Validate.Stream_feed { id; _ }
-  | Validate.Stream_resume { id; _ }
-  | Validate.Stream_close { id; _ } ->
-    (* Streaming needs the reactor's connection identity and the batcher's
-       completion callbacks; the sequential entry points have neither. *)
-    Reply
-      (error_reply_counted ?id t ~arrival
-         (Serve_error.v Serve_error.Bad_request
-            "stream ops are only served by the streaming daemon path"))
-  | Validate.Infer { id; sets; ways; source; deadline_s; backend } -> (
-    (* Total: a bug below this point is an [internal] reply, not a dead
-       worker. *)
-    match infer t ~arrival ~id ~sets ~ways ~source ~deadline_s ~backend with
-    | reply -> Reply reply
-    | exception e ->
-      let e = Serve_error.of_exn e in
-      let e = { e with Serve_error.code = Serve_error.Internal } in
-      Reply
-        (record_and_reply t ~arrival ~ok:false ~degraded:false
-           ~code:(Some Serve_error.Internal) (error_reply ?id e)))
+(* --- batched execution ---
 
-let handle_line ?arrival t line =
-  let arrival = Option.value arrival ~default:(t.now ()) in
-  match Sjson.parse line with
-  | Error why ->
-    let e = Serve_error.v Serve_error.Bad_request "malformed JSON: %s" why in
-    Reply
-      (record_and_reply t ~arrival ~ok:false ~degraded:false
-         ~code:(Some Serve_error.Bad_request) (error_reply e))
-  | Ok json -> (
-    match Validate.request ~max_trace_len:t.cfg.max_trace_len json with
-    | Error e ->
-      Reply
-        (record_and_reply t ~arrival ~ok:false ~degraded:false
-           ~code:(Some e.Serve_error.code) (error_reply e))
-    | Ok req -> handle_request t ~arrival req)
-
-(* --- batched execution (the daemon's dynamic micro-batching path) --- *)
+   Every infer request runs through [infer_batch]: the daemon's dynamic
+   micro-batcher hands it coalesced batches, and the sequential entry
+   points ([handle_line], [handle_request]) a batch of one. *)
 
 type infer_item = {
   item_id : string option;
@@ -781,12 +556,7 @@ let stream_item t ~arrival ~cache ~trace ~access =
 let classify_request t ~arrival req =
   match req with
   | Validate.Infer { id; sets; ways; source; deadline_s; backend } -> (
-    let fail_with e =
-      Immediate
-        (Reply
-           (record_and_reply t ~arrival ~ok:false ~degraded:false
-              ~code:(Some e.Serve_error.code) (error_reply ?id e)))
-    in
+    let fail_with e = Immediate (Reply (error_reply_counted ?id t ~arrival e)) in
     match
       match Validate.cache_config ~sets ~ways () with
       | Error e -> fail_with e
@@ -815,48 +585,43 @@ let classify_request t ~arrival req =
               }))
     with
     | c -> c
-    | exception e ->
-      let e = Serve_error.of_exn e in
-      let e = { e with Serve_error.code = Serve_error.Internal } in
-      Immediate
-        (Reply
-           (record_and_reply t ~arrival ~ok:false ~degraded:false
-              ~code:(Some Serve_error.Internal) (error_reply ?id e))))
+    | exception e -> Immediate (Reply (internal_reply ?id t ~arrival e)))
   | Validate.Reload { id; checkpoint } ->
     Deferred (fun () -> Reply (do_reload t ~arrival ~id ~checkpoint))
   | ( Validate.Stream_open _ | Validate.Stream_feed _ | Validate.Stream_resume _
     | Validate.Stream_close _ ) as req ->
     Stream req
-  | req -> Immediate (handle_request t ~arrival req)
+  | Validate.Health -> Immediate (Reply (ok_counted t ~arrival (health_reply t)))
+  | Validate.Stats_request -> Immediate (Reply (ok_counted t ~arrival (stats_reply t)))
+  | Validate.Shutdown ->
+    journal_event t "serve_stop" [];
+    Immediate
+      (Shutdown_reply
+         (ok_counted t ~arrival
+            (Sjson.Obj [ ("ok", Sjson.Bool true); ("op", Sjson.Str "shutdown") ])))
 
 let classify_line ?arrival t line =
   let arrival = Option.value arrival ~default:(t.now ()) in
   match Sjson.parse line with
   | Error why ->
-    let e = Serve_error.v Serve_error.Bad_request "malformed JSON: %s" why in
     Immediate
       (Reply
-         (record_and_reply t ~arrival ~ok:false ~degraded:false
-            ~code:(Some Serve_error.Bad_request) (error_reply e)))
+         (error_reply_counted t ~arrival
+            (Serve_error.v Serve_error.Bad_request "malformed JSON: %s" why)))
   | Ok json -> (
     match Validate.request ~max_trace_len:t.cfg.max_trace_len json with
-    | Error e ->
-      Immediate
-        (Reply
-           (record_and_reply t ~arrival ~ok:false ~degraded:false
-              ~code:(Some e.Serve_error.code) (error_reply e)))
+    | Error e -> Immediate (Reply (error_reply_counted t ~arrival e))
     | Ok req -> classify_request t ~arrival req)
 
-let replica_count t = max 1 (Array.length t.pool)
+let replica_count t = max 1 (Array.length (rung t.gen Cbox_infer.Backend_float32).pool)
 
-(* Per-item execution plan, decided once at batch start. Unlike the
-   sequential path, the admission decision (breaker state, headroom) is made
-   for the whole batch at its start: a breaker that trips while the batch
-   runs affects the NEXT batch, not batch mates that already went through
-   the shared forward pass. *)
+(* Per-item execution plan, decided once at batch start: the admission
+   decision (breaker state, headroom) is made for the whole batch, so a
+   breaker that trips while the batch runs affects the NEXT batch, not
+   batch mates that already went through the shared forward pass. *)
 type plan =
   | P_expired
-  | P_analytic  (* explicitly requested hrd/stm: first-class, needs no model *)
+  | P_analytic of Cbox_infer.fallback  (* explicitly requested hrd/stm *)
   | P_baseline of string  (* degradation reason *)
   | P_fault of string  (* model fault raised before the forward *)
   | P_forward
@@ -866,14 +631,11 @@ let infer_batch ?(replica = 0) t items =
   | [] -> []
   | _ ->
     let t0 = t.now () in
-    (* Snapshot the replica pools (and the derived models) once: a
-       concurrent reload swaps the fields atomically, and this batch must
-       drain entirely on the generation it started with. *)
-    let pool = t.pool in
-    let qmodel = t.qmodel in
-    let spool = t.spool in
-    let sqmodel = t.sqmodel in
-    let have_model = Array.length pool > 0 in
+    (* Read the backend table once: a concurrent reload swaps it with one
+       field write, and this batch drains entirely on the generation it
+       started with. *)
+    let gen = t.gen in
+    let have_model = loaded gen Cbox_infer.Backend_float32 in
     let model_usable = have_model && Breaker.allow t.breaker in
     let est = ewma t in
     let pairs =
@@ -883,7 +645,8 @@ let infer_batch ?(replica = 0) t items =
             if t0 > it.item_deadline then P_expired
             else
               match it.item_backend with
-              | Cbox_infer.Backend_hrd | Cbox_infer.Backend_stm -> P_analytic
+              | Cbox_infer.Backend_hrd -> P_analytic Cbox_infer.Fallback_hrd
+              | Cbox_infer.Backend_stm -> P_analytic Cbox_infer.Fallback_stm
               | Cbox_infer.Backend_float32 | Cbox_infer.Backend_int8
               | Cbox_infer.Backend_student | Cbox_infer.Backend_student_int8 ->
                 if not model_usable then
@@ -896,16 +659,13 @@ let infer_batch ?(replica = 0) t items =
           (it, plan))
         items
     in
-    let fwd = List.filter (fun (_, p) -> p = P_forward) pairs in
-    List.iter
-      (fun (it, _) -> if Faultinject.crash_now ~index:it.item_index then Unix._exit 42)
-      fwd;
+    let fwd = List.filter_map (fun (it, p) -> if p = P_forward then Some it else None) pairs in
+    List.iter (fun it -> if Faultinject.crash_now ~index:it.item_index then Unix._exit 42) fwd;
     (* A slow (or hung) fault stalls the whole batch (the forward pass is
-       shared); sleeping the summed delay keeps total injected latency equal
-       to the sequential path. *)
+       shared), by the summed delay of its items. *)
     let slow =
       List.fold_left
-        (fun acc (it, _) ->
+        (fun acc it ->
           acc
           +. Faultinject.slow_delay ~index:it.item_index
           +. Faultinject.hang_delay ~index:it.item_index)
@@ -919,146 +679,94 @@ let infer_batch ?(replica = 0) t items =
       Hashtbl.create 16
     in
     (if n_fwd > 0 then begin
-       let model, lock = pool.(replica mod Array.length pool) in
        let input_of it =
          ( it.item_cache,
            match it.item_access with
            | Some img -> [ img ]
            | None -> Heatmap.of_trace t.spec it.item_trace )
        in
-       (* Score one backend's sub-group through [synth_group] under the
-          given replica lock. Each element carries its degradation reason
-          (None = a clean answer on the requested backend). A raised group
-          failure is returned so the caller decides: retry on float32 (the
-          derived-model rungs) or fail every batch mate (float32 rung).
-          Each sub-group is one homogeneous wide-batch forward — backends
-          are never mixed inside a forward pass. *)
-       let score ~backend ~lock synth_group group =
-         match group with
-         | [] -> Ok ()
-         | _ -> (
-           let inputs = List.map (fun ((it, _), _) -> input_of it) group in
+       (* Score one rung's group — one homogeneous wide-batch forward under
+          the replica's lock; backends never mix inside a forward pass — and
+          record each item's validated hit rate (or why it failed). A raised
+          forward is returned for the ladder to decide. *)
+       let score backend rung group =
+         let g, lock = rung.pool.(replica mod Array.length rung.pool) in
+         let inputs = List.map (fun (it, _) -> input_of it) group in
+         match
+           Mutex.lock lock;
+           Fun.protect
+             ~finally:(fun () -> Mutex.unlock lock)
+             (fun () -> Cbox_infer.run g t.spec ~batch_size:t.cfg.batch_size inputs)
+         with
+         | synth ->
+           List.iter2
+             (fun (it, reason) ((_, access), syn) ->
+               Faultinject.poison_output ~index:it.item_index syn;
+               let r =
+                 match Heatmap.hit_rate t.spec ~access ~miss:syn with
+                 | raw ->
+                   Cbox_infer.validate_hit_rate ~lo:t.cfg.grace_lo ~hi:t.cfg.grace_hi raw
+                 | exception e -> Error (Printexc.to_string e)
+               in
+               Hashtbl.replace results it.item_index
+                 (Result.map (fun hr -> (hr, Cbox_infer.backend_name backend, reason)) r))
+             group
+             (List.combine inputs synth);
+           Ok ()
+         | exception e -> Error (Printexc.to_string e)
+       in
+       (* One fold down the ladder. Each rung scores the items that asked
+          for it plus those that fell to it. A rung with somewhere to fall
+          hands on every failure — not loaded, a raised forward, an invalid
+          answer — flagged [<rung>_unavailable] or [<rung>_fault], without
+          touching the breaker: trouble in a derived model says nothing
+          about the float reference's health. The float32 rung has nowhere
+          to fall; its failures are model faults, counted by the breaker
+          when the replies are built below. *)
+       let step (pending, failed) (backend, rung) =
+         let mine, others = List.partition (fun (b, _) -> b = backend) pending in
+         let group = List.map snd mine in
+         match (group, rung.falls_to) with
+         | [], _ -> (pending, failed)
+         | _, Some lower ->
+           let fall why = List.map (fun (it, _) -> (lower, (it, Some why))) in
+           let fault = key_of backend ^ "_fault" in
+           let fallen =
+             if Array.length rung.pool = 0 then fall (key_of backend ^ "_unavailable") group
+             else
+               match score backend rung group with
+               | Error why ->
+                 journal_event t fault [ ("why", Runlog.S why) ];
+                 fall fault group
+               | Ok () ->
+                 List.filter
+                   (fun (it, _) ->
+                     match Hashtbl.find_opt results it.item_index with
+                     | Some (Error why) ->
+                       journal_event t fault [ ("why", Runlog.S why) ];
+                       true
+                     | _ -> false)
+                   group
+                 |> fall fault
+           in
+           (others @ fallen, failed)
+         | _, None -> (
            match
-             Mutex.lock lock;
-             Fun.protect
-               ~finally:(fun () -> Mutex.unlock lock)
-               (fun () -> synth_group inputs)
+             if Array.length rung.pool = 0 then Error "model not loaded"
+             else score backend rung group
            with
-           | synth ->
-             List.iter2
-               (fun ((it, _), reason) ((_, access), syn) ->
-                 Faultinject.poison_output ~index:it.item_index syn;
-                 let r =
-                   match Heatmap.hit_rate t.spec ~access ~miss:syn with
-                   | raw ->
-                     Cbox_infer.validate_hit_rate ~lo:t.cfg.grace_lo ~hi:t.cfg.grace_hi
-                       raw
-                   | exception e -> Error (Printexc.to_string e)
-                 in
-                 Hashtbl.replace results it.item_index
-                   (match r with
-                   | Ok hr -> Ok (hr, backend, reason)
-                   | Error w -> Error w))
-               group
-               (List.combine inputs synth);
-             Ok ()
-           | exception e -> Error (Printexc.to_string e))
+           | Ok () -> (others, failed)
+           | Error why ->
+             (* The shared forward died: every batch mate records the fault. *)
+             List.iter (fun (it, _) -> Hashtbl.replace results it.item_index (Error why)) group;
+             (others, true))
        in
        let t_f0 = t.now () in
-       let sitems, rest =
-         List.partition (fun (it, _) -> it.item_backend = Cbox_infer.Backend_student) fwd
-       in
-       let sqitems, rest =
-         List.partition
-           (fun (it, _) -> it.item_backend = Cbox_infer.Backend_student_int8)
-           rest
-       in
-       let qitems, fitems =
-         List.partition (fun (it, _) -> it.item_backend = Cbox_infer.Backend_int8) rest
-       in
-       (* Derived-model sub-groups first; any trouble (model not loaded, a
-          raised group failure, a per-item validity failure) drops the
-          affected items into the float32 pass, flagged — these rungs never
-          trip the breaker. [run_rung] scores one sub-group and returns the
-          items that must re-run on float32 with their reasons. *)
-       let run_rung ~backend ~reason items synth =
-         match (items, synth) with
-         | [], _ -> []
-         | _, None -> List.map (fun p -> (p, Some (reason ^ "_unavailable"))) items
-         | _, Some (lock, synth_group) -> (
-           match
-             score ~backend ~lock synth_group (List.map (fun p -> (p, None)) items)
-           with
-           | Ok () ->
-             List.filter_map
-               (fun ((it, _) as p) ->
-                 match Hashtbl.find_opt results it.item_index with
-                 | Some (Error why) ->
-                   journal_event t (reason ^ "_fault") [ ("why", Runlog.S why) ];
-                   Some (p, Some (reason ^ "_fault"))
-                 | _ -> None)
-               items
-           | Error why ->
-             journal_event t (reason ^ "_fault") [ ("why", Runlog.S why) ];
-             List.map (fun p -> (p, Some (reason ^ "_fault"))) items)
-       in
-       let refloat_q =
-         run_rung ~backend:"int8" ~reason:"int8" qitems
-           (Option.map
-              (fun q ->
-                ( lock,
-                  fun inputs ->
-                    Cbox_infer.qsynthesize_group q t.spec ~batch_size:t.cfg.batch_size
-                      inputs ))
-              qmodel)
-       in
-       let replica_student =
-         if Array.length spool = 0 then None
-         else Some spool.(replica mod Array.length spool)
-       in
-       let refloat_s =
-         run_rung ~backend:"student" ~reason:"student" sitems
-           (Option.map
-              (fun (s, sl) ->
-                ( sl,
-                  fun inputs ->
-                    Cbox_infer.ssynthesize_group s t.spec ~batch_size:t.cfg.batch_size
-                      inputs ))
-              replica_student)
-       in
-       let refloat_sq =
-         run_rung ~backend:"student-int8" ~reason:"student_int8" sqitems
-           (Option.map
-              (fun q ->
-                ( lock,
-                  fun inputs ->
-                    Cbox_infer.qsynthesize_group q t.spec ~batch_size:t.cfg.batch_size
-                      inputs ))
-              sqmodel)
-       in
-       let fgroup =
-         List.map (fun p -> (p, None)) fitems @ refloat_q @ refloat_s @ refloat_sq
-       in
-       let failed =
-         match
-           score ~backend:"float32" ~lock
-             (fun inputs ->
-               Cbox_infer.synthesize_group model t.spec ~batch_size:t.cfg.batch_size
-                 inputs)
-             fgroup
-         with
-         | Ok () -> false
-         | Error why ->
-           (* The shared float32 forward died: every batch mate records the
-              fault. *)
-           List.iter
-             (fun ((it, _), _) -> Hashtbl.replace results it.item_index (Error why))
-             fgroup;
-           true
+       let _, failed =
+         List.fold_left step (List.map (fun it -> (it.item_backend, (it, None))) fwd, false) gen
        in
        if not failed then begin
-         let dur = t.now () -. t_f0 in
-         update_ewma t (dur /. float_of_int n_fwd);
+         update_ewma t ((t.now () -. t_f0) /. float_of_int n_fwd);
          Serve_stats.record_batch t.stats ~size:n_fwd
        end
      end);
@@ -1068,7 +776,7 @@ let infer_batch ?(replica = 0) t items =
         let arrival = it.item_arrival and id = it.item_id in
         let infer_share =
           match plan with
-          | P_forward when n_fwd > 0 -> (t.now () -. t0) /. float_of_int n_fwd
+          | P_forward -> (t.now () -. t0) /. float_of_int n_fwd
           | _ -> 0.0
         in
         Serve_stats.record_stages t.stats
@@ -1079,42 +787,40 @@ let infer_batch ?(replica = 0) t items =
           Breaker.record_failure t.breaker;
           journal_breaker_transition t before;
           journal_event t "model_fault" [ ("why", Runlog.S why) ];
-          baseline t ~arrival ~id ~reason:("model_fault: " ^ why) it.item_cache
+          degraded_reply ?id t ~arrival ~reason:("model_fault: " ^ why) it.item_cache
             it.item_trace
         in
         match plan with
         | P_expired ->
           let budget = it.item_deadline -. arrival in
-          let e =
-            Serve_error.v Serve_error.Deadline_exceeded
-              "deadline (%.0f ms) expired before processing started" (1000.0 *. budget)
-          in
-          record_and_reply t ~arrival ~ok:false ~degraded:false
-            ~code:(Some e.Serve_error.code) (error_reply ?id e)
-        | P_analytic ->
-          analytic t ~arrival ~id ~backend:it.item_backend it.item_cache it.item_trace
-        | P_baseline reason -> baseline t ~arrival ~id ~reason it.item_cache it.item_trace
+          error_reply_counted ?id t ~arrival
+            (Serve_error.v Serve_error.Deadline_exceeded
+               "deadline (%.0f ms) expired before processing started" (1000.0 *. budget))
+        | P_analytic fallback ->
+          baseline t ~arrival ~id ~fallback ~reason:None it.item_cache it.item_trace
+        | P_baseline reason ->
+          degraded_reply ?id t ~arrival ~reason it.item_cache it.item_trace
         | P_fault why -> fault why
         | P_forward -> (
           match Hashtbl.find_opt results it.item_index with
-          | Some (Ok (hit_rate, served_backend, degrade_reason)) ->
+          | Some (Ok (hit_rate, served_backend, reason)) ->
             let before = Breaker.state t.breaker in
             Breaker.record_success t.breaker;
             journal_breaker_transition t before;
             if t.now () > it.item_deadline then
-              baseline t ~arrival ~id ~reason:"deadline" it.item_cache it.item_trace
+              (* The answer arrived too late to trust the time budget; serve
+                 the (cheap) analytical answer, flagged. *)
+              degraded_reply ?id t ~arrival ~reason:"deadline" it.item_cache it.item_trace
             else begin
-              let degraded = degrade_reason <> None in
-              if degraded then
-                journal_event t "degraded"
-                  [
-                    ("reason", Runlog.S (Option.get degrade_reason));
-                    ("source", Runlog.S "model");
-                  ];
+              let degraded = reason <> None in
+              Option.iter
+                (fun r ->
+                  journal_event t "degraded"
+                    [ ("reason", Runlog.S r); ("source", Runlog.S "model") ])
+                reason;
               record_and_reply t ~backend:served_backend ~arrival ~ok:true ~degraded
                 ~code:None
-                (hit_rate_reply ?id ~degraded ~source:"model" ~backend:served_backend
-                   ~reason:degrade_reason
+                (hit_rate_reply ?id ~degraded ~source:"model" ~backend:served_backend ~reason
                    ~latency_ms:(1000.0 *. (t.now () -. arrival))
                    hit_rate)
             end
@@ -1123,3 +829,42 @@ let infer_batch ?(replica = 0) t items =
             (* Unreachable: every P_forward item was given a result above. *)
             fault "batch result missing"))
       pairs
+
+(* --- sequential entry points: a batch of one --- *)
+
+let handle_request t ~arrival req =
+  match req with
+  | Validate.Stream_open { id; _ }
+  | Validate.Stream_feed { id; _ }
+  | Validate.Stream_resume { id; _ }
+  | Validate.Stream_close { id; _ } ->
+    (* Streaming needs the reactor's connection identity and the batcher's
+       completion callbacks; the sequential entry points have neither. *)
+    Reply
+      (error_reply_counted ?id t ~arrival
+         (Serve_error.v Serve_error.Bad_request
+            "stream ops are only served by the streaming daemon path"))
+  | _ -> (
+    match classify_request t ~arrival req with
+    | Immediate o -> o
+    | Deferred f -> f ()
+    | Stream _ -> assert false (* answered above *)
+    | Batchable it -> (
+      (* Total: a bug below this point is an [internal] reply, not a dead
+         worker. *)
+      match infer_batch t [ it ] with
+      | [ r ] -> Reply r
+      | _ -> assert false
+      | exception e -> Reply (internal_reply ?id:it.item_id t ~arrival e)))
+
+let handle_line ?arrival t line =
+  let arrival = Option.value arrival ~default:(t.now ()) in
+  match Sjson.parse line with
+  | Error why ->
+    Reply
+      (error_reply_counted t ~arrival
+         (Serve_error.v Serve_error.Bad_request "malformed JSON: %s" why))
+  | Ok json -> (
+    match Validate.request ~max_trace_len:t.cfg.max_trace_len json with
+    | Error e -> Reply (error_reply_counted t ~arrival e)
+    | Ok req -> handle_request t ~arrival req)

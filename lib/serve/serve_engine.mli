@@ -1,21 +1,23 @@
 (** The hardened inference engine behind [cachebox serve].
 
-    One engine holds an optional CB-GAN model, the circuit breaker guarding
-    it, the serving counters and the degradation policy; {!handle_line}
-    takes one protocol line and always produces a reply — every failure
-    mode is a taxonomy error or a [degraded:true] baseline answer, never an
-    escaped exception.
+    One engine holds a {e generation} — the table of learned backends — the
+    circuit breaker guarding it, the serving counters and the degradation
+    policy; {!handle_line} takes one protocol line and always produces a
+    reply — every failure mode is a taxonomy error or a [degraded:true]
+    baseline answer, never an escaped exception.
 
-    The degradation ladder for [infer] (TAO-style hybrid):
+    Every infer request runs through {!infer_batch}; the sequential entry
+    points answer it as a batch of one. The degradation ladder (TAO-style
+    hybrid) is one fold down the backend table:
     + a derived model — the int8 quantization, the distilled student, or
       the student's int8 quantization — when the request selects the
-      [int8] / [student] / [student-int8] backend and that model is
-      available; a missing or faulting derived model re-runs the request on
-      float32, tagged [degraded:true] with reason
-      [int8_unavailable]/[int8_fault] (resp. [student_*],
-      [student_int8_*]), without touching the breaker;
-    + learned model, if loaded, the breaker allows it and the deadline has
-      headroom for it;
+      [int8] / [student] / [student-int8] backend; a derived rung that is
+      not loaded, or whose forward raises or answers invalidly, hands the
+      request to the rung below it (float32), tagged [degraded:true] with
+      reason [<rung>_unavailable] / [<rung>_fault] ([int8_*],
+      [student_*], [student_int8_*]), without touching the breaker;
+    + the float32 learned model, if loaded, the breaker allows it and the
+      deadline has headroom for it; its faults count against the breaker;
     + the analytical baseline (HRD or STM per {!config.fallback}), tagged
       [degraded:true] with a reason, when the model is missing, the breaker
       is open, the model's answer fails its validity gate (NaN/out-of-range
@@ -30,8 +32,8 @@
     reply counts answers per backend.
 
     Concurrency: the engine is multi-entrant across {e replicas}. Each
-    replica is an independent deep copy of the model guarded by its own
-    mutex, so up to [config.replicas] batches run concurrently through
+    replica is an independent deep copy of each float model guarded by its
+    own mutex, so up to [config.replicas] batches run concurrently through
     {!infer_batch}; the breaker, stats, journal, request counter and
     latency EWMA are shared and internally synchronised. A single model
     instance is still not reentrant — two calls targeting the same replica
@@ -97,6 +99,43 @@ val create :
     corrupt, wrong schema — is journalled ([student_reject]) and dropped,
     with float32 serving untouched. *)
 
+(** {2 The backend table} *)
+
+type generation
+(** One immutable generation of the learned backends ([float32], [int8],
+    [student], [student-int8]): each one's replica pool (empty when not
+    loaded) and the backend it falls back to. An engine reads its
+    generation once per batch and a reload replaces it with one write. *)
+
+val generation :
+  ?prev:generation ->
+  ?only:Cbox_infer.backend ->
+  ?on_reject:(string -> string -> unit) ->
+  spec:Heatmap.spec ->
+  warmup:bool ->
+  batch_size:int ->
+  replicas:int ->
+  model:Cbgan.t option ->
+  ?student_path:string ->
+  unit ->
+  generation
+(** Build a generation: warm (when [warmup]) and replicate [model], compile
+    its int8 quantization, and likewise load, warm, replicate and compile
+    the student at [student_path]. A compile that fails leaves its backend
+    unloaded. A student checkpoint that fails to load is reported to
+    [on_reject path why] and, like an absent [student_path], keeps [prev]'s
+    student backends (none without [prev]). With [only] (a caller that
+    serves one backend), only that backend's int8 compile is built. *)
+
+val resolve :
+  generation ->
+  Cbox_infer.backend ->
+  (Cbox_infer.generator * Cbox_infer.backend * string option) option
+(** Walk the ladder from a learned backend to the first loaded rung:
+    replica 0's generator, the backend it serves as, and the
+    [<rung>_unavailable] reason when that is not the requested backend.
+    [None] when no rung down the ladder is loaded. *)
+
 val model_of_checkpoint :
   seed:int -> Cbgan.config -> path:string -> (Cbgan.t, Serve_error.t) result
 (** Builds a model and loads the checkpoint, mapping a missing file to
@@ -146,11 +185,12 @@ val requests_seen : t -> int
 (** {2 Zero-downtime reload} *)
 
 val reload : t -> ?path:string -> unit -> (unit, Serve_error.t) result
-(** Load and warm the checkpoint at [path] (default: the reload spec's
-    default path) on the calling thread, then atomically swap the replica
-    pool; in-flight batches drain on the old model, the next batch uses the
-    new one. The serving path is never blocked. Failure modes leave the old
-    model serving: no reload spec ([Invalid_config]), no path
+(** Load the checkpoint at [path] (default: the reload spec's default
+    path) on the calling thread, build a new {!generation} from it (and the
+    re-read student checkpoint), then swap it in with one write; in-flight
+    batches drain on the old generation, the next batch uses the new one.
+    The serving path is never blocked. Failure modes leave the old
+    generation serving: no reload spec ([Invalid_config]), no path
     ([Bad_request]), unreadable/corrupt checkpoint ([Model_unavailable]),
     or a reload already in progress ([Overloaded]). Call from a dedicated
     thread — loading and warming take seconds. *)
@@ -164,10 +204,10 @@ val reloads : t -> int
     protocol line into either an immediate outcome (health/stats/shutdown,
     validation errors — answered without queueing for the model) or a
     batchable infer item; {!infer_batch} then executes a coalesced batch of
-    items through ONE shared model forward pass. Replies are bit-identical
-    to running {!handle_line} per request (inference batch-norm uses running
-    statistics, and the wide-batch conv lowering preserves accumulation
-    order), except for the [latency_ms] field. *)
+    items through one shared forward pass per backend. Replies are
+    bit-identical to running {!handle_line} per request (inference
+    batch-norm uses running statistics, and the wide-batch conv lowering
+    preserves accumulation order), except for the [latency_ms] field. *)
 
 type infer_item
 
@@ -214,11 +254,12 @@ val set_item_pickup : infer_item -> float -> unit
 val infer_batch : ?replica:int -> t -> infer_item list -> Sjson.t list
 (** Execute a batch: one reply per item, in order. Expired, breaker-blocked
     and no-headroom items degrade per the ladder without touching the model;
-    the rest share one batched forward on replica [replica mod replicas]
-    (concurrent calls on distinct replicas run in parallel; same replica
-    serialises). Faults injected per admission index fire for their item
-    only — except [Slow], which stalls the whole batch by the summed delay.
-    The breaker/headroom admission decision is made once at batch start. *)
+    the rest run down the backend table in one fold, each backend's group
+    as one forward on replica [replica mod replicas] (concurrent calls on
+    distinct replicas run in parallel; same replica serialises). Faults
+    injected per admission index fire for their item only — except [Slow],
+    which stalls the whole batch by the summed delay. The breaker/headroom
+    admission decision is made once at batch start. *)
 
 val replica_count : t -> int
 (** Size of the replica pool (1 when no model is loaded). *)

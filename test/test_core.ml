@@ -195,7 +195,7 @@ let test_training_reduces_l1 () =
 let test_inference_predictions () =
   let data = Cbox_dataset.build_l1 tiny_spec ~configs:[ tiny_cache ] ~trace_len:1200 [ tiny_workload "t3" 13 ] in
   let model = Cbgan.create ~seed:3 tiny_model_config in
-  let preds = Cbox_infer.predict_all model tiny_spec data in
+  let preds = Cbox_infer.predict_all (Cbox_infer.of_cbgan model) tiny_spec data in
   List.iter
     (fun (p : Cbox_infer.prediction) ->
       Alcotest.(check bool) "prediction in [0,1]" true

@@ -336,6 +336,76 @@ let test_mixed_batch_no_backend_mixing () =
             (hit_rate_bits seq) (hit_rate_bits bat))
         (List.combine sequential batched))
 
+let test_mixed_batch_ladder () =
+  (* One batch carrying all six backends with no student checkpoint loaded
+     and a NaN output armed on the int8 item: the student rungs fall to
+     float32 as unavailable, the int8 rung faults and falls, all three
+     refloat into the shared float32 group, and hrd/stm answer first-class
+     inside the batch. Every reply must match the same line answered alone.
+     The int8 line goes last: an armed fault fires at any index at or past
+     its own, so no earlier batch mate can take the shot. *)
+  let model = tiny_teacher () in
+  let backends = [ "float32"; "student"; "student-int8"; "hrd"; "stm"; "int8" ] in
+  let lines = List.map (fun b -> (b, infer_line ~backend:b ~id:b ())) backends in
+  let arm_at at = Faultinject.arm Faultinject.Nan_output ~at_batch:at in
+  Fun.protect ~finally:Faultinject.disarm (fun () ->
+      let alone =
+        let e = engine ~model:(Some model) () in
+        List.map
+          (fun (b, line) ->
+            if b = "int8" then arm_at (Serve_engine.requests_seen e + 1);
+            reply e line)
+          lines
+      in
+      let e = engine ~model:(Some model) () in
+      let items =
+        List.map
+          (fun (_, line) ->
+            match Serve_engine.classify_line e line with
+            | Serve_engine.Batchable item -> item
+            | _ -> Alcotest.fail "expected a batchable infer request")
+          lines
+      in
+      arm_at (Serve_engine.requests_seen e);
+      let batched = Serve_engine.infer_batch e items in
+      List.iter2
+        (fun (b, (one, bat)) expected ->
+          List.iter
+            (fun field ->
+              Alcotest.(check (option string)) (b ^ " " ^ field) (str_field one field)
+                (str_field bat field))
+            [ "backend"; "reason" ];
+          Alcotest.(check (option bool)) (b ^ " degraded") (bool_field one "degraded")
+            (bool_field bat "degraded");
+          Alcotest.(check int64) (b ^ " hit_rate bits") (hit_rate_bits one) (hit_rate_bits bat);
+          Alcotest.(check (pair string (option string))) (b ^ " rung") expected
+            (Option.get (str_field bat "backend"), str_field bat "reason"))
+        (List.combine backends (List.combine alone batched))
+        [
+          ("float32", None);
+          ("float32", Some "student_unavailable");
+          ("float32", Some "student_int8_unavailable");
+          ("hrd", None);
+          ("stm", None);
+          ("float32", Some "int8_fault");
+        ];
+      Alcotest.(check string) "breaker stays closed" "closed"
+        (Breaker.state_name (Serve_engine.breaker_state e));
+      let s = reply e {|{"op": "stats"}|} in
+      List.iter
+        (fun (key, n) ->
+          Alcotest.(check (option (float 1e-9))) (key ^ " reconciles") (Some n)
+            (num_field s key))
+        [
+          ("backend_float32", 4.0);
+          ("backend_int8", 0.0);
+          ("backend_student", 0.0);
+          ("backend_student_int8", 0.0);
+          ("backend_hrd", 1.0);
+          ("backend_stm", 1.0);
+          ("degraded_count", 3.0);
+        ])
+
 let qc = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -355,4 +425,6 @@ let suite =
         test_engine_corrupt_student_rejected;
       Alcotest.test_case "mixed batch never mixes backends" `Quick
         test_mixed_batch_no_backend_mixing;
+      Alcotest.test_case "mixed batch runs the ladder like single lines" `Quick
+        test_mixed_batch_ladder;
     ] )

@@ -114,7 +114,7 @@ let test_prediction_determinism () =
   let predict () =
     let model = Cbgan.create ~seed:5 cfg in
     List.map
-      (fun d -> (Cbox_infer.predict model spec d).Cbox_infer.predicted_hit_rate)
+      (fun d -> (Cbox_infer.predict (Cbox_infer.of_cbgan model) spec d).Cbox_infer.predicted_hit_rate)
       data
   in
   Alcotest.(check (list (float 0.0))) "deterministic" (predict ()) (predict ())
