@@ -46,6 +46,13 @@ let par_flops = 16_384
 let small_cutoff = ref par_flops
 let set_small_cutoff n = small_cutoff := max 0 n
 
+(* Every bigarray parameter of a kernel in this file carries its full type.
+   Without flambda, [Bigarray.Array1.unsafe_get]/[unsafe_set] are specialised
+   when the use site is type-checked; on a parameter whose element kind and
+   layout are still polymorphic they compile to a [caml_ba_get_1]/
+   [caml_ba_set_1] C call per element (boxing every float), and no later
+   inlining undoes that. test/check_bigarray_calls.sh guards the rule. *)
+
 (* --- reference kernel (previous implementation, unchanged) ---
 
    Core kernel over rows [row_lo .. row_hi] (inclusive) of the output:
@@ -54,7 +61,8 @@ let set_small_cutoff n = small_cutoff := max 0 n
    traffic on B. Row slices handed to the pool are aligned to even row pairs
    so the pairing — and with it the exact float behaviour — matches the
    serial pass over [0 .. m-1]. *)
-let gemm_rows ~alpha ~ad ~bd ~cd ~k ~n ~row_lo ~row_hi =
+let gemm_rows ~alpha ~(ad : Tensor.buffer) ~(bd : Tensor.buffer) ~(cd : Tensor.buffer) ~k ~n
+    ~row_lo ~row_hi =
   let i = ref row_lo in
   while !i <= row_hi do
     let two_rows = !i + 1 <= row_hi in
@@ -125,7 +133,7 @@ let nc_blk = 256
 (* Pack op(A)[i0 .. i0+mcur-1, p0 .. p0+kcur-1] as MR-tall k-major panels
    with [alpha] folded in; rows past [mcur] pack as zero. [ac] is the stored
    column count of [a] (its leading dimension). *)
-let pack_a ~trans ~alpha ad ~ac ~i0 ~mcur ~p0 ~kcur dst =
+let pack_a ~trans ~alpha (ad : Tensor.buffer) ~ac ~i0 ~mcur ~p0 ~kcur (dst : Tensor.buffer) =
   let panels = (mcur + mr - 1) / mr in
   for pi = 0 to panels - 1 do
     let base = pi * mr * kcur in
@@ -149,7 +157,7 @@ let pack_a ~trans ~alpha ad ~ac ~i0 ~mcur ~p0 ~kcur dst =
 
 (* Pack op(B)[p0 .. p0+kcur-1, j0 .. j0+ncur-1] as NR-wide k-major panels;
    columns past [ncur] pack as zero. [bc] is [b]'s stored column count. *)
-let pack_b ~trans bd ~bc ~p0 ~kcur ~j0 ~ncur dst =
+let pack_b ~trans (bd : Tensor.buffer) ~bc ~p0 ~kcur ~j0 ~ncur (dst : Tensor.buffer) =
   let panels = (ncur + nr - 1) / nr in
   for pj = 0 to panels - 1 do
     let base = pj * nr * kcur in
@@ -173,7 +181,8 @@ let pack_b ~trans bd ~bc ~p0 ~kcur ~j0 ~ncur dst =
 (* 4x4 register microkernel: accumulate a full KC block in k order into 16
    local accumulators, then flush [rows] x [cols] of them to C (the rest
    belong to zero-padded edge rows/columns and are discarded). *)
-let kern4x4 ap a0 bp b0 ~kcur cd ~c0 ~ldc ~rows ~cols =
+let kern4x4 (ap : Tensor.buffer) a0 (bp : Tensor.buffer) b0 ~kcur (cd : Tensor.buffer) ~c0
+    ~ldc ~rows ~cols =
   let acc00 = ref 0.0 and acc01 = ref 0.0 and acc02 = ref 0.0 and acc03 = ref 0.0 in
   let acc10 = ref 0.0 and acc11 = ref 0.0 and acc12 = ref 0.0 and acc13 = ref 0.0 in
   let acc20 = ref 0.0 and acc21 = ref 0.0 and acc22 = ref 0.0 and acc23 = ref 0.0 in
@@ -247,8 +256,9 @@ let kern4x4 ap a0 bp b0 ~kcur cd ~c0 ~ldc ~rows ~cols =
 (* One lane's share: rows [row_lo .. row_hi] of C, full jc -> pc -> ic block
    sweep. [ap]/[bp] are this lane's packing buffers (>= mc_blk*kc_blk and
    nc_blk*kc_blk elements). *)
-let gemm_tile_rows ~trans_a ~trans_b ~alpha ~ad ~ac ~bd ~bc ~cd ~k ~n ~row_lo ~row_hi ~ap
-    ~bp =
+let gemm_tile_rows ~trans_a ~trans_b ~alpha ~(ad : Tensor.buffer) ~ac ~(bd : Tensor.buffer)
+    ~bc ~(cd : Tensor.buffer) ~k ~n ~row_lo ~row_hi ~(ap : Tensor.buffer)
+    ~(bp : Tensor.buffer) =
   let jc = ref 0 in
   while !jc < n do
     let ncur = min nc_blk (n - !jc) in
@@ -388,10 +398,12 @@ let gemv ~a ~x =
    bit-identical at every domain count. *)
 
 module Int8 = struct
+  type qbytes = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
   type qweight = {
     qm : int;
     qk : int;
-    qpack : (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t;
+    qpack : qbytes;
         (* ua bytes; KC-major blocks of MR-tall k-major panels, padded rows = 128 *)
     qscales : float array;  (* per-output-row dequant scale, length qm *)
     qrow_sums : int array;  (* signed q row sums, one per (KC block, row) *)
@@ -500,7 +512,8 @@ module Int8 = struct
   (* Quantize and pack op(B)[p0 .. p0+kcur-1, j0 .. j0+ncur-1] as column-PAIR
      words (two 32-bit ua lanes per native int), recording signed per-column
      q sums. Columns past [ncur] pack as ua = 128 (q = 0). *)
-  let pack_qb ~trans bd ~bc ~p0 ~kcur ~j0 ~ncur ~inv_act bw bsums =
+  let pack_qb ~trans (bd : Tensor.buffer) ~bc ~p0 ~kcur ~j0 ~ncur ~inv_act
+      (bw : Workspace.ibuffer) (bsums : Workspace.ibuffer) =
     let panels = (ncur + nr - 1) / nr in
     for pj = 0 to panels - 1 do
       let wbase = pj * 2 * kcur in
@@ -554,7 +567,7 @@ module Int8 = struct
 
   (* 4-row x 2-word microkernel over one KC block: 8 packed-pair integer
      accumulators, written into [accs] (length 8, row-major by word). *)
-  let kern4x2w ap abase bw bbase ~kcur accs =
+  let kern4x2w (ap : qbytes) abase (bw : Workspace.ibuffer) bbase ~kcur accs =
     let acc00 = ref 0 and acc01 = ref 0 in
     let acc10 = ref 0 and acc11 = ref 0 in
     let acc20 = ref 0 and acc21 = ref 0 in
@@ -621,7 +634,8 @@ module Int8 = struct
   (* One lane's share: MR panels [pan_lo .. pan_hi] of C, full jc -> pc
      sweep. A is prepacked so there is no per-lane A packing (and no MC
      loop: a lane's whole byte block per KC step is a few KB). *)
-  let gemm_lane ~qw ~act_scale ~trans_b ~bd ~bc ~cd ~n ~pan_lo ~pan_hi ~bw ~bsums =
+  let gemm_lane ~qw ~act_scale ~trans_b ~(bd : Tensor.buffer) ~bc ~(cd : Tensor.buffer) ~n
+      ~pan_lo ~pan_hi ~(bw : Workspace.ibuffer) ~(bsums : Workspace.ibuffer) =
     let m = qw.qm and k = qw.qk in
     let npan = npanels m in
     let ap = qw.qpack in
