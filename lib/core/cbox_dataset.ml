@@ -62,8 +62,8 @@ let data_for ~workload ~cache ~level spec ~addresses ~hits =
    These are the original (pre-streaming) implementations, kept verbatim:
    record every per-level trace, decode it, then cut heatmaps out of the
    arrays. They are the bit-identity oracle for the streaming builders below
-   (property and golden tests compare against them) and the baseline side of
-   [bench -- dataset]. Always serial, never cached. *)
+   (property and golden tests compare against them). Always serial, never
+   cached. *)
 
 let build_l1_reference spec ~configs ~trace_len workloads =
   List.concat_map

@@ -81,8 +81,7 @@ val build_prefetch :
 
     The original record-decode-then-cut implementations, kept verbatim:
     always serial, never cached. They are the bit-identity oracle the test
-    suite compares the streaming builders against, and the baseline side
-    of [bench -- dataset]. *)
+    suite compares the streaming builders against. *)
 
 val build_l1_reference :
   Heatmap.spec ->

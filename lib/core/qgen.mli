@@ -63,6 +63,3 @@ val load : string -> t
 
 val default_calib : Heatmap.spec -> Tensor.t list
 (** The deterministic default calibration heatmaps. *)
-
-val default_calib_caches : Cache.config list
-(** The default conditioning-MLP calibration geometries. *)

@@ -22,19 +22,12 @@ let transpose t =
 
    [Tiled] is the cache-blocked, panel-packed production kernel. [Reference]
    is the previous two-row-blocked kernel (with materialised transposes and
-   no packing), kept callable so the kernels benchmark can measure the
-   speedup honestly on the same machine and so a regression can be bisected
-   at runtime (CACHEBOX_KERNEL=ref). Both satisfy the same contract:
-   bit-identical results at every domain count. *)
+   no packing), kept as the oracle the tiled kernel is tested against. Both
+   satisfy the same contract: bit-identical results at every domain count. *)
 
 type kernel_impl = Reference | Tiled
 
-let kernel_of_env () =
-  match Sys.getenv_opt "CACHEBOX_KERNEL" with
-  | Some ("ref" | "reference" | "naive") -> Reference
-  | Some _ | None -> Tiled
-
-let selected = ref (kernel_of_env ())
+let selected = ref Tiled
 let set_kernel k = selected := k
 let kernel () = !selected
 

@@ -17,14 +17,13 @@
     boundaries. *)
 
 type kernel_impl =
-  | Reference  (** previous two-row-blocked kernel, kept for benchmarking *)
+  | Reference  (** previous two-row-blocked kernel, the tests' oracle *)
   | Tiled  (** cache-blocked, packed production kernel (default) *)
 
 val set_kernel : kernel_impl -> unit
 val kernel : unit -> kernel_impl
-(** Kernel selection; defaults to [Tiled], or [Reference] when
-    [CACHEBOX_KERNEL=ref] is set. Both implementations satisfy the full
-    {!gemm} contract. *)
+(** Kernel selection; defaults to [Tiled]. Both implementations satisfy the
+    full {!gemm} contract. *)
 
 val set_small_cutoff : int -> unit
 (** Multiply-add count below which {!gemm} uses the serial row kernel

@@ -22,12 +22,7 @@ let par_work = 16_384
    which is the same for every N, and im2col/col2im keep their per-sample
    loop order. Off by default — training backward passes never use it, and
    the per-sample path remains the reference. *)
-let wide_flag =
-  Atomic.make
-    (match Sys.getenv_opt "CACHEBOX_WIDECONV" with
-    | Some ("0" | "off" | "false") -> false
-    | Some _ -> true
-    | None -> false)
+let wide_flag = Atomic.make false
 
 let set_wide_batch b = Atomic.set wide_flag b
 let wide_batch () = Atomic.get wide_flag

@@ -14,8 +14,8 @@ val set_wide_batch : bool -> unit
     of one small GEMM per sample. Values are bit-identical to the per-sample
     path (per-element accumulation order is unchanged); only the speed
     differs — the wide path amortises per-GEMM overhead and is what makes
-    batched serving beat batch-1. Off by default; also settable via
-    [CACHEBOX_WIDECONV=1]. Backward passes always use the per-sample path. *)
+    batched serving beat batch-1. Off by default; the serving engine turns
+    it on. Backward passes always use the per-sample path. *)
 
 val wide_batch : unit -> bool
 (** Current wide-batch mode. *)

@@ -45,13 +45,6 @@ let randn g shape =
   done;
   t
 
-let rand g shape ~lo ~hi =
-  let t = create shape in
-  for i = 0 to numel t - 1 do
-    Bigarray.Array1.unsafe_set t.data i (Prng.uniform g ~lo ~hi)
-  done;
-  t
-
 let blit ~src ~dst =
   if numel src <> numel dst then invalid_arg "Tensor.blit: size mismatch";
   Bigarray.Array1.blit src.data dst.data

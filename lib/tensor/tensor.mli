@@ -31,9 +31,6 @@ val of_array : int array -> float array -> t
 val randn : Prng.t -> int array -> t
 (** I.i.d. standard normal entries. *)
 
-val rand : Prng.t -> int array -> lo:float -> hi:float -> t
-(** I.i.d. uniform entries in [\[lo, hi)]. *)
-
 val copy : t -> t
 
 val of_buffer : buffer -> int array -> t

@@ -18,10 +18,9 @@
      returns or raises, so nested borrows (e.g. a GEMM packing buffer inside
      a convolution's column buffer, with the nested Dpool region degraded to
      the serial path) simply occupy distinct slots of the same arena.
-   - Opt-out: [set_enabled false] (or CACHEBOX_WORKSPACE=0) routes every
-     borrow to a fresh allocation — the pre-arena behaviour, used by the
-     reference kernel mode and by callers that need re-entrancy guarantees
-     beyond the scoped discipline.
+   - Opt-out: [set_enabled false] routes every borrow to a fresh
+     allocation — the pre-arena behaviour, which the tests compare the
+     arena against.
 
    The [alloc_count] counter is the load-bearing observable: it increments
    only when a borrow misses and a fresh backing buffer is created, so a
@@ -31,11 +30,7 @@
 type slot = { buf : Tensor.buffer; mutable busy : bool }
 type arena = { mutable slots : slot list }
 
-let enabled_flag =
-  ref
-    (match Sys.getenv_opt "CACHEBOX_WORKSPACE" with
-    | Some ("0" | "off" | "false") -> false
-    | Some _ | None -> true)
+let enabled_flag = ref true
 
 let enabled () = !enabled_flag
 let set_enabled b = enabled_flag := b

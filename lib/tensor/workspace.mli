@@ -38,8 +38,8 @@ val enabled : unit -> bool
 
 val set_enabled : bool -> unit
 (** [set_enabled false] makes every borrow allocate a fresh buffer (the
-    pre-arena behaviour); also settable via [CACHEBOX_WORKSPACE=0]. Used by
-    the reference kernel mode and by re-entrant callers that opt out. *)
+    pre-arena behaviour); on by default. Tests use it to check the arena
+    against fresh allocation. *)
 
 (** {1 Observability}
 

@@ -120,29 +120,47 @@ let test_qgen_checkpoint_roundtrip () =
       Alcotest.(check bool) "reloaded forward is bit-identical" true
         (Tensor.to_array y = Tensor.to_array y'))
 
-(* --- float32 vs int8 on the heatmap pipeline, single- and multi-domain --- *)
+(* --- float32 vs int8 and student on the heatmap pipeline, single- and
+   multi-domain --- *)
 
+(* Hit-rate bounds against the float32 model: 0.02 for int8, 0.05 for the
+   seeded student. Both models are untrained, and on this fixture every
+   backend predicts a hit rate of 1.0, so the check is weak; accuracy gates
+   on trained models (ROADMAP item 4) are the real fix. *)
 let test_int8_pipeline_delta () =
   let model = tiny_model () in
   let q = Qgen.of_model ~spec:tiny_spec model in
+  let student = Student.create ~seed:7 (Distill.student_config tiny_model_config) in
   let access = Heatmap.of_trace tiny_spec (Lazy.force tiny_trace) in
   let miss_f =
     Cbox_infer.synthesize model tiny_spec ~domains:1 ~cache:tiny_cache access
   in
   let hr_f = Heatmap.hit_rate tiny_spec ~access ~miss:miss_f in
-  let check_domains d =
-    let miss_q = Cbox_infer.qsynthesize q tiny_spec ~domains:d ~cache:tiny_cache access in
-    let hr_q = Heatmap.hit_rate tiny_spec ~access ~miss:miss_q in
+  let check_domains name synth bound d =
+    let miss = synth d in
+    let hr = Heatmap.hit_rate tiny_spec ~access ~miss in
     Alcotest.(check bool)
-      (Printf.sprintf "domains %d: |int8 - float32| hit-rate delta bounded" d)
+      (Printf.sprintf "domains %d: |%s - float32| hit-rate delta <= %g" d name bound)
       true
-      (Float.abs (hr_q -. hr_f) <= 0.05);
-    miss_q
+      (Float.abs (hr -. hr_f) <= bound);
+    miss
   in
-  let m1 = check_domains 1 in
-  let m4 = check_domains 4 in
-  Alcotest.(check bool) "int8 synthesis bit-identical across domain counts" true
-    (List.for_all2 (fun a b -> Tensor.to_array a = Tensor.to_array b) m1 m4)
+  List.iter
+    (fun (name, synth, bound) ->
+      let m1 = check_domains name synth bound 1 in
+      let m4 = check_domains name synth bound 4 in
+      Alcotest.(check bool)
+        (name ^ " synthesis bit-identical across domain counts")
+        true
+        (List.for_all2 (fun a b -> Tensor.to_array a = Tensor.to_array b) m1 m4))
+    [
+      ( "int8",
+        (fun d -> Cbox_infer.qsynthesize q tiny_spec ~domains:d ~cache:tiny_cache access),
+        0.02 );
+      ( "student",
+        (fun d -> Cbox_infer.ssynthesize student tiny_spec ~domains:d ~cache:tiny_cache access),
+        0.05 );
+    ]
 
 (* --- serving engine: backend registry --- *)
 
