@@ -174,26 +174,31 @@ let checkpoint_arg =
 
 let epochs_arg = Arg.(value & opt int 10 & info [ "epochs" ] ~docv:"N" ~doc:"Training epochs.")
 
-let train_cmd =
-  let count_arg =
-    Arg.(value & opt int 10 & info [ "benchmarks" ] ~docv:"N" ~doc:"Training benchmarks (from the train split).")
-  in
-  let snapshot_every_arg =
+(* The flags [train] and [distill] share. *)
+
+let count_arg =
+  Arg.(value & opt int 10 & info [ "benchmarks" ] ~docv:"N" ~doc:"Training benchmarks (from the train split).")
+
+(* --snapshot-every, --snapshot-dir, --resume and --journal as
+   (snapshot_every, snapshot_dir, resume, journal): the directory is passed
+   on only when snapshots are written or resumed from. *)
+let resilience_term =
+  let snapshot_every =
     Arg.(
       value
       & opt (some int) None
       & info [ "snapshot-every" ] ~docv:"N"
           ~doc:
-            "Write a training snapshot every N batches (atomic, checksummed; the last 3 are \
-             kept). Required for $(b,--resume).")
+            "Write a snapshot of the run every N batches (atomic, checksummed; the last 3 \
+             are kept). Required for $(b,--resume).")
   in
-  let snapshot_dir_arg =
+  let snapshot_dir =
     Arg.(
       value
       & opt string "_snapshots"
-      & info [ "snapshot-dir" ] ~docv:"DIR" ~doc:"Directory for rotating training snapshots.")
+      & info [ "snapshot-dir" ] ~docv:"DIR" ~doc:"Directory for rotating run snapshots.")
   in
-  let resume_arg =
+  let resume =
     Arg.(
       value & flag
       & info [ "resume" ]
@@ -201,53 +206,53 @@ let train_cmd =
             "Resume from the newest loadable snapshot in $(b,--snapshot-dir); the continued \
              run is bit-identical to one that was never interrupted.")
   in
-  let journal_arg =
+  let journal =
     Arg.(
       value
       & opt (some string) None
       & info [ "journal" ] ~docv:"FILE"
           ~doc:"Append run events (snapshots, divergence rollbacks, resumes) to a JSONL journal.")
   in
-  let run sets ways trace_len epochs ckpt count domains simcache snapshot_every snapshot_dir
-      resume journal =
+  let combine every dir resume journal =
+    (every, (if every <> None || resume then Some dir else None), resume, journal)
+  in
+  Term.(const combine $ snapshot_every $ snapshot_dir $ resume $ journal)
+
+(* The first [count] workloads of the train split, simulated on [cfg]. *)
+let train_split_samples spec cfg ~count ~trace_len =
+  let split = Suite.split (Suite.all ()) in
+  let train_ws = List.filteri (fun i _ -> i < count) split.Suite.train in
+  Fmt.pr "building dataset: %d benchmarks, %s, %d-access traces@." (List.length train_ws)
+    (Cache.config_name cfg) trace_len;
+  Cbox_dataset.to_samples (Cbox_dataset.build_l1 spec ~configs:[ cfg ] ~trace_len train_ws)
+
+let train_cmd =
+  let run sets ways trace_len epochs ckpt count domains simcache
+      (snapshot_every, snapshot_dir, resume, journal) =
     apply_domains domains;
     apply_simcache simcache;
     let spec = Heatmap.spec () in
-    let cfg = cache_config ~sets ~ways in
-    let split = Suite.split (Suite.all ()) in
-    let train_ws = List.filteri (fun i _ -> i < count) split.Suite.train in
-    Fmt.pr "building dataset: %d benchmarks, %s, %d-access traces@." (List.length train_ws)
-      (Cache.config_name cfg) trace_len;
-    let data = Cbox_dataset.build_l1 spec ~configs:[ cfg ] ~trace_len train_ws in
+    let samples = train_split_samples spec (cache_config ~sets ~ways) ~count ~trace_len in
     let model = Cbgan.create ~seed:42 (Cbgan.default_config ()) in
-    let snapshots_on = snapshot_every <> None || resume in
     let options =
       {
-        (Cbox_train.default_options ~epochs ~batch_size:4 ?snapshot_every
-           ?snapshot_dir:(if snapshots_on then Some snapshot_dir else None)
-           ?journal ())
+        (Cbox_train.default_options ~epochs ~batch_size:4 ?snapshot_every ?snapshot_dir ?journal ())
         with
         Cbox_train.lr = 1e-3;
       }
     in
-    ignore
-      (Cbox_train.train ~log:print_endline ~resume model spec options
-         (Cbox_dataset.to_samples data));
+    ignore (Cbox_train.train ~log:print_endline ~resume model spec options samples);
     Cbgan.save model ckpt;
     Fmt.pr "checkpoint written to %s (%d parameters)@." ckpt (Cbgan.parameter_count model)
   in
   Cmd.v (Cmd.info "train" ~doc:"Train CB-GAN on the training split and save a checkpoint")
     Term.(
       const run $ sets_arg $ ways_arg $ trace_len_arg $ epochs_arg $ checkpoint_arg $ count_arg
-      $ domains_arg $ simcache_arg $ snapshot_every_arg $ snapshot_dir_arg $ resume_arg
-      $ journal_arg)
+      $ domains_arg $ simcache_arg $ resilience_term)
 
 (* --- distill --- *)
 
 let distill_cmd =
-  let count_arg =
-    Arg.(value & opt int 10 & info [ "benchmarks" ] ~docv:"N" ~doc:"Distillation benchmarks (from the train split).")
-  in
   let out_arg =
     Arg.(value & opt string "student.ckpt" & info [ "out" ] ~docv:"FILE" ~doc:"Student checkpoint path to write.")
   in
@@ -263,38 +268,8 @@ let distill_cmd =
   let width_div_arg =
     Arg.(value & opt int 2 & info [ "width-div" ] ~docv:"D" ~doc:"Student width = teacher channels / D.")
   in
-  let snapshot_every_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "snapshot-every" ] ~docv:"N"
-          ~doc:
-            "Write a distillation snapshot every N batches (atomic, checksummed; the last \
-             3 are kept). Required for $(b,--resume).")
-  in
-  let snapshot_dir_arg =
-    Arg.(
-      value
-      & opt string "_snapshots"
-      & info [ "snapshot-dir" ] ~docv:"DIR" ~doc:"Directory for rotating distillation snapshots.")
-  in
-  let resume_arg =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Resume from the newest loadable snapshot in $(b,--snapshot-dir); the continued \
-             run is bit-identical to one that was never interrupted.")
-  in
-  let journal_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:"Append run events (snapshots, divergence rollbacks, resumes) to a JSONL journal.")
-  in
   let run sets ways trace_len epochs ckpt out count temperature feat_weight depth_div
-      width_div domains simcache snapshot_every snapshot_dir resume journal =
+      width_div domains simcache (snapshot_every, snapshot_dir, resume, journal) =
     apply_domains domains;
     apply_simcache simcache;
     let spec = Heatmap.spec () in
@@ -309,11 +284,7 @@ let distill_cmd =
         Fmt.epr "distillation needs a trained teacher; run `cachebox train` first@.";
         exit (Serve_error.exit_code e.Serve_error.code)
     in
-    let split = Suite.split (Suite.all ()) in
-    let train_ws = List.filteri (fun i _ -> i < count) split.Suite.train in
-    Fmt.pr "building dataset: %d benchmarks, %s, %d-access traces@." (List.length train_ws)
-      (Cache.config_name cfg) trace_len;
-    let data = Cbox_dataset.build_l1 spec ~configs:[ cfg ] ~trace_len train_ws in
+    let samples = train_split_samples spec cfg ~count ~trace_len in
     let scfg =
       Distill.student_config ~depth_div ~width_div (Cbgan.model_config teacher)
     in
@@ -322,20 +293,15 @@ let distill_cmd =
       scfg.Student.st_levels scfg.Student.st_ngf
       (Student.parameter_count student)
       (Cbgan.parameter_count teacher);
-    let snapshots_on = snapshot_every <> None || resume in
     let options =
       {
         (Distill.default_options ~epochs ~temperature ~feat_weight ?snapshot_every
-           ?snapshot_dir:(if snapshots_on then Some snapshot_dir else None)
-           ?journal ())
+           ?snapshot_dir ?journal ())
         with
         Distill.batch_size = 4;
       }
     in
-    let stats =
-      Distill.train ~log:print_endline ~resume ~teacher student spec options
-        (Cbox_dataset.to_samples data)
-    in
+    let stats = Distill.train ~log:print_endline ~resume ~teacher student spec options samples in
     (match List.rev stats with
     | last :: _ ->
       Fmt.pr "final epoch %d: pixel loss %.6f, feature loss %.6f over %d batches@."
@@ -353,8 +319,7 @@ let distill_cmd =
     Term.(
       const run $ sets_arg $ ways_arg $ trace_len_arg $ epochs_arg $ checkpoint_arg
       $ out_arg $ count_arg $ temperature_arg $ feat_weight_arg $ depth_div_arg
-      $ width_div_arg $ domains_arg $ simcache_arg $ snapshot_every_arg $ snapshot_dir_arg
-      $ resume_arg $ journal_arg)
+      $ width_div_arg $ domains_arg $ simcache_arg $ resilience_term)
 
 (* --- infer --- *)
 

@@ -38,9 +38,62 @@ type epoch_stats = {
   batches : int;
 }
 
-(* Raised internally when the per-batch sentinel sees a non-finite loss or
-   gradient norm; handled by rolling back to the last good snapshot. *)
+(* --- the resilient training loop ----------------------------------------
+
+   A snapshot is the complete training state: parameters, batch-norm running
+   stats, every optimizer's state (moments + step + lr), the PRNG state, the
+   epoch permutation, the partial epoch-loss sums and the completed-epoch
+   history. Restoring one and continuing is bit-identical to never having
+   stopped.
+
+   Snapshots live in two forms: an in-memory rollback point (always kept;
+   the divergence sentinel rolls back to it) and an on-disk Checkpoint v2
+   file (when [snapshot_dir] is set; crash resume starts from the newest
+   loadable one). Both trainers run here; each supplies only its state and
+   its per-batch step. *)
+
 exception Diverged of string * float
+
+let check source v = if not (Float.is_finite v) then raise (Diverged (source, v))
+
+type run = {
+  epochs : int;
+  batch_size : int;
+  domains : int option;
+  snapshot_every : int option;
+  snapshot_dir : string option;
+  keep_snapshots : int;
+  max_retries : int;
+  journal : string option;
+}
+
+type 's trainer = {
+  who : string;
+  section : string;
+  schema : string;
+  fingerprint : string;
+  run_fields : (string * Runlog.value) list;
+  terms : (string * string) list;
+  stats : epoch:int -> batches:int -> float array -> 's;
+  rng : Prng.t;
+  params : Param.t list;
+  bn : (string * float array) list;
+  optimizers : (string * Optimizer.t) list;
+  step : Cbox_dataset.sample list -> bidx:int -> float array;
+}
+
+(* Mutable run position; everything here but [retries] is snapshotted. *)
+type run_state = {
+  mutable epoch : int;  (* 1-based current epoch *)
+  mutable done_in_epoch : int;  (* completed batches within [epoch] *)
+  mutable global_batch : int;  (* completed batches across the run *)
+  mutable retries : int;  (* divergence rollbacks so far *)
+  mutable sums : float array;  (* per-term loss sums over [epoch] so far *)
+  mutable order : int array;  (* sample permutation for [epoch] *)
+  mutable history : float array list;
+      (* completed epochs, newest first, each as its snapshot row
+         [epoch; term means...; batches] *)
+}
 
 let chunks size xs =
   let rec go acc current count = function
@@ -50,57 +103,6 @@ let chunks size xs =
       else go acc (x :: current) (count + 1) rest
   in
   go [] [] 0 xs
-
-let batch_tensors spec model (samples : Cbox_dataset.sample list) =
-  let access = Cbox_dataset.batch_images spec (List.map (fun (s : Cbox_dataset.sample) -> s.access) samples) in
-  let target = Cbox_dataset.batch_images spec (List.map (fun (s : Cbox_dataset.sample) -> s.target) samples) in
-  let cp =
-    if (Cbgan.model_config model).Cbgan.use_cache_params then
-      Some (Cbgan.cache_params_tensor (List.map (fun (s : Cbox_dataset.sample) -> s.cache) samples))
-    else None
-  in
-  (access, target, cp)
-
-let scalar v = Tensor.get (Value.value v) 0
-
-(* --- resilience layer ---------------------------------------------------
-
-   A snapshot is the complete training state: parameters, batch-norm running
-   stats, both Adam states (moments + step + lr), the PRNG state, the epoch
-   permutation, the partial epoch-loss sums and the completed-epoch history.
-   Restoring one and continuing is bit-identical to never having stopped.
-
-   Snapshots live in two forms: an in-memory copy (always kept; the
-   divergence sentinel rolls back to it) and an on-disk Checkpoint v2 file
-   (when [snapshot_dir] is set; crash resume starts from the newest loadable
-   one). *)
-
-(* Mutable run position; everything here is captured in snapshots. *)
-type run_state = {
-  mutable epoch : int;  (* 1-based current epoch *)
-  mutable done_in_epoch : int;  (* completed batches within [epoch] *)
-  mutable global_batch : int;  (* completed batches across the run *)
-  mutable retries : int;  (* divergence rollbacks so far (not snapshotted) *)
-  mutable sum_g_adv : float;
-  mutable sum_g_l1 : float;
-  mutable sum_d : float;
-  mutable order : int array;  (* sample permutation for [epoch] *)
-  mutable history : epoch_stats list;  (* completed epochs, newest first *)
-}
-
-type mem_snapshot = {
-  s_params : float array array;
-  s_bn : float array array;
-  s_g_opt : (string * float array) list;
-  s_d_opt : (string * float array) list;
-  s_prng : int64;
-  s_epoch : int;
-  s_done : int;
-  s_global : int;
-  s_sums : float * float * float;
-  s_order : int array;
-  s_history : epoch_stats list;
-}
 
 let snapshot_name global = Printf.sprintf "snap-%09d.ckpt" global
 
@@ -119,168 +121,124 @@ let list_snapshots dir =
            else None)
     |> List.sort (fun (a, _) (b, _) -> compare b a)
 
-let flatten_history history =
-  let per (s : epoch_stats) =
-    [ float_of_int s.epoch; s.g_adv; s.g_l1; s.d_loss; float_of_int s.batches ]
-  in
-  Array.of_list (List.concat_map per (List.rev history))
-
-let unflatten_history a =
-  if Array.length a mod 5 <> 0 then
-    failwith "Cbox_train: malformed train.history in snapshot";
-  let n = Array.length a / 5 in
-  List.init n (fun i ->
-      {
-        epoch = int_of_float a.((i * 5) + 0);
-        g_adv = a.((i * 5) + 1);
-        g_l1 = a.((i * 5) + 2);
-        d_loss = a.((i * 5) + 3);
-        batches = int_of_float a.((i * 5) + 4);
-      })
-  |> List.rev
-
-(* Options that must agree between the snapshotting run and the resuming
-   run for bit-identical continuation ([%h] is exact for floats). *)
-let fingerprint options ~samples =
-  Printf.sprintf "v2|%d|%d|%h|%h|%h|%d|%d" options.epochs options.batch_size options.lr
-    options.beta1 options.lambda_l1 options.seed samples
-
-let train_loop ~log ~resume model spec options samples =
+let drive_loop ~log ~resume (r : run) t samples =
+  let fail msg = failwith (t.who ^ ": " ^ msg) in
   let samples_arr = Array.of_list samples in
   let n = Array.length samples_arr in
-  let rng = Prng.create options.seed in
-  let g_opt = Optimizer.adam ~lr:options.lr ~beta1:options.beta1 (Cbgan.generator_params model) in
-  let d_opt = Optimizer.adam ~lr:options.lr ~beta1:options.beta1 (Cbgan.discriminator_params model) in
-  let g_params = Cbgan.generator_params model in
-  let all_params = g_params @ Cbgan.discriminator_params model in
-  let bn = Cbgan.state model in
-  let journal = Option.map Runlog.create options.journal in
+  let nterms = List.length t.terms in
+  let key name = t.section ^ "." ^ name in
+  let journal = Option.map Runlog.create r.journal in
   let jevent kind fields = Option.iter (fun j -> Runlog.event j kind fields) journal in
-  let fp = fingerprint options ~samples:n in
   let st =
     {
       epoch = 1;
       done_in_epoch = 0;
       global_batch = 0;
       retries = 0;
-      sum_g_adv = 0.0;
-      sum_g_l1 = 0.0;
-      sum_d = 0.0;
+      sums = Array.make nterms 0.0;
       order = [||];
       history = [];
     }
   in
-
-  (* --- in-memory snapshots (divergence rollback) --- *)
-  let capture () =
-    {
-      s_params = Array.of_list (List.map (fun p -> Tensor.to_array p.Param.value) all_params);
-      s_bn = Array.of_list (List.map (fun (_, a) -> Array.copy a) bn);
-      s_g_opt = Optimizer.state g_opt;
-      s_d_opt = Optimizer.state d_opt;
-      s_prng = Prng.state rng;
-      s_epoch = st.epoch;
-      s_done = st.done_in_epoch;
-      s_global = st.global_batch;
-      s_sums = (st.sum_g_adv, st.sum_g_l1, st.sum_d);
-      s_order = Array.copy st.order;
-      s_history = st.history;
-    }
+  let opt_states () = List.map (fun (_, o) -> Optimizer.state o) t.optimizers in
+  let set_opt_states states =
+    List.iter2 (fun (_, o) s -> Optimizer.set_state o s) t.optimizers states
   in
-  let restore_mem s =
-    List.iteri
-      (fun i p -> Array.iteri (fun j v -> Tensor.set p.Param.value j v) s.s_params.(i))
-      all_params;
-    List.iteri (fun i (_, live) -> Array.blit s.s_bn.(i) 0 live 0 (Array.length live)) bn;
-    Optimizer.set_state g_opt s.s_g_opt;
-    Optimizer.set_state d_opt s.s_d_opt;
-    Prng.set_state rng s.s_prng;
-    st.epoch <- s.s_epoch;
-    st.done_in_epoch <- s.s_done;
-    st.global_batch <- s.s_global;
-    let a, b, c = s.s_sums in
-    st.sum_g_adv <- a;
-    st.sum_g_l1 <- b;
-    st.sum_d <- c;
-    st.order <- Array.copy s.s_order;
-    st.history <- s.s_history
+  (* Optimizer states as snapshot entries, each key under its prefix. *)
+  let named states =
+    List.concat
+      (List.map2
+         (fun (prefix, _) s -> List.map (fun (k, v) -> (prefix ^ k, v)) s)
+         t.optimizers states)
+  in
+
+  (* --- in-memory rollback points: [capture ()] returns the restore --- *)
+  let capture () =
+    let params = List.map (fun p -> Tensor.to_array p.Param.value) t.params in
+    let bn = List.map (fun (_, a) -> Array.copy a) t.bn in
+    let opts = opt_states () in
+    let prng = Prng.state t.rng in
+    let { epoch; done_in_epoch; global_batch; history; _ } = st in
+    let sums = Array.copy st.sums in
+    let order = Array.copy st.order in
+    fun () ->
+      List.iter2 (fun p a -> Array.iteri (Tensor.set p.Param.value) a) t.params params;
+      List.iter2 (fun (_, live) a -> Array.blit a 0 live 0 (Array.length live)) t.bn bn;
+      set_opt_states opts;
+      Prng.set_state t.rng prng;
+      st.epoch <- epoch;
+      st.done_in_epoch <- done_in_epoch;
+      st.global_batch <- global_batch;
+      st.sums <- Array.copy sums;
+      st.order <- Array.copy order;
+      st.history <- history
   in
 
   (* --- on-disk snapshots (crash resume) --- *)
-  let snapshot_state () =
-    bn
-    @ List.map (fun (k, v) -> ("opt.g." ^ k, v)) (Optimizer.state g_opt)
-    @ List.map (fun (k, v) -> ("opt.d." ^ k, v)) (Optimizer.state d_opt)
-    @ [
-        ( "train.pos",
-          [|
-            float_of_int st.epoch;
-            float_of_int st.done_in_epoch;
-            float_of_int st.global_batch;
-          |] );
-        ("train.sums", [| st.sum_g_adv; st.sum_g_l1; st.sum_d |]);
-        ("train.order", Array.map float_of_int st.order);
-        ("train.history", flatten_history st.history);
-      ]
-  in
   let write_snapshot dir =
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     let path = Filename.concat dir (snapshot_name st.global_batch) in
     Checkpoint.save path
       ~meta:
         [
-          ("schema", "cbox-train-snapshot/1");
-          ("options", fp);
-          ("prng", Int64.to_string (Prng.state rng));
+          ("schema", t.schema);
+          ("options", t.fingerprint);
+          ("prng", Int64.to_string (Prng.state t.rng));
         ]
-      ~params:all_params ~state:(snapshot_state ());
+      ~params:t.params
+      ~state:
+        (t.bn
+        @ named (opt_states ())
+        @ [
+            ( key "pos",
+              [|
+                float_of_int st.epoch;
+                float_of_int st.done_in_epoch;
+                float_of_int st.global_batch;
+              |] );
+            (key "sums", st.sums);
+            (key "order", Array.map float_of_int st.order);
+            (key "history", Array.concat (List.rev st.history));
+          ]);
     jevent "snapshot"
       [ ("path", Runlog.S path); ("epoch", Runlog.I st.epoch); ("batch", Runlog.I st.global_batch) ];
     (* Rotate: keep the newest [keep_snapshots] files. *)
     list_snapshots dir
     |> List.iteri (fun i (_, p) ->
-           if i >= max 1 options.keep_snapshots then try Sys.remove p with Sys_error _ -> ())
+           if i >= max 1 r.keep_snapshots then try Sys.remove p with Sys_error _ -> ())
   in
   let restore_disk (c : Checkpoint.container) =
     (match List.assoc_opt "options" (Checkpoint.meta c) with
-    | Some fp' when fp' = fp -> ()
-    | Some _ ->
-      failwith
-        "Cbox_train.train: snapshot was written with different training options or dataset; \
-         refusing to resume"
-    | None -> failwith "Cbox_train.train: snapshot has no options fingerprint");
+    | Some fp when fp = t.fingerprint -> ()
+    | Some _ -> fail "snapshot was written with different options or dataset; refusing to resume"
+    | None -> fail "snapshot has no options fingerprint");
     let req name =
-      match Checkpoint.find_array c name with
+      match Checkpoint.find_array c (key name) with
       | Some a -> a
-      | None -> failwith ("Cbox_train.train: snapshot missing " ^ name)
+      | None -> fail ("snapshot missing " ^ key name)
     in
-    let pos = req "train.pos" in
-    let sums = req "train.sums" in
-    if Array.length pos <> 3 || Array.length sums <> 3 then
-      failwith "Cbox_train.train: malformed snapshot position";
-    let order = Array.map int_of_float (req "train.order") in
-    if Array.length order <> n then
-      failwith "Cbox_train.train: snapshot permutation does not match the dataset";
-    let history = unflatten_history (req "train.history") in
-    let g_state = Optimizer.state g_opt and d_state = Optimizer.state d_opt in
-    Checkpoint.restore c ~params:all_params
-      ~state:
-        (bn
-        @ List.map (fun (k, v) -> ("opt.g." ^ k, v)) g_state
-        @ List.map (fun (k, v) -> ("opt.d." ^ k, v)) d_state);
-    Optimizer.set_state g_opt g_state;
-    Optimizer.set_state d_opt d_state;
+    let pos = req "pos" in
+    let sums = req "sums" in
+    if Array.length pos <> 3 || Array.length sums <> nterms then
+      fail "malformed snapshot position";
+    let order = Array.map int_of_float (req "order") in
+    if Array.length order <> n then fail "snapshot permutation does not match the dataset";
+    let rows = req "history" in
+    let width = nterms + 2 in
+    if Array.length rows mod width <> 0 then fail ("malformed " ^ key "history" ^ " in snapshot");
+    let states = opt_states () in
+    Checkpoint.restore c ~params:t.params ~state:(t.bn @ named states);
+    set_opt_states states;
     (match List.assoc_opt "prng" (Checkpoint.meta c) with
-    | Some s -> Prng.set_state rng (Int64.of_string s)
-    | None -> failwith "Cbox_train.train: snapshot has no PRNG state");
+    | Some s -> Prng.set_state t.rng (Int64.of_string s)
+    | None -> fail "snapshot has no PRNG state");
     st.epoch <- int_of_float pos.(0);
     st.done_in_epoch <- int_of_float pos.(1);
     st.global_batch <- int_of_float pos.(2);
-    st.sum_g_adv <- sums.(0);
-    st.sum_g_l1 <- sums.(1);
-    st.sum_d <- sums.(2);
+    st.sums <- sums;
     st.order <- order;
-    st.history <- history
+    st.history <-
+      List.rev (List.init (Array.length rows / width) (fun i -> Array.sub rows (i * width) width))
   in
   let try_resume dir =
     let rec attempt = function
@@ -307,10 +265,138 @@ let train_loop ~log ~resume model spec options samples =
     attempt (list_snapshots dir)
   in
 
-  (* --- per-batch work with the divergence sentinel --- *)
-  let check who v = if not (Float.is_finite v) then raise (Diverged (who, v)) in
-  let process_batch batch ~bidx =
-    let access, target, cp = batch_tensors spec model batch in
+  let run () =
+    jevent "run_start"
+      ([
+         ("epochs", Runlog.I r.epochs);
+         ("batch_size", Runlog.I r.batch_size);
+         ("samples", Runlog.I n);
+       ]
+      @ t.run_fields
+      @ [ ("resume", Runlog.B resume) ]);
+    (match (resume, r.snapshot_dir) with
+    | true, Some dir -> try_resume dir
+    | true, None -> invalid_arg (t.who ^ ": ~resume:true requires snapshot_dir")
+    | false, _ -> ());
+    let good = ref (capture ()) in
+    while st.epoch <= r.epochs do
+      if st.done_in_epoch = 0 then begin
+        st.order <- Array.init n Fun.id;
+        Prng.shuffle t.rng st.order;
+        Array.fill st.sums 0 nterms 0.0
+      end;
+      let shuffled = List.map (fun i -> samples_arr.(i)) (Array.to_list st.order) in
+      let batches = Array.of_list (chunks r.batch_size shuffled) in
+      let nb = Array.length batches in
+      match
+        while st.done_in_epoch < nb do
+          let bidx = st.global_batch + 1 in
+          let terms = t.step batches.(st.done_in_epoch) ~bidx in
+          Array.iteri (fun i v -> st.sums.(i) <- st.sums.(i) +. v) terms;
+          st.done_in_epoch <- st.done_in_epoch + 1;
+          st.global_batch <- bidx;
+          (match r.snapshot_every with
+          | Some k when k > 0 && bidx mod k = 0 ->
+            good := capture ();
+            Option.iter write_snapshot r.snapshot_dir
+          | _ -> ());
+          Faultinject.kill_point ~batch:bidx
+        done
+      with
+      | () ->
+        let nf = float_of_int (max 1 nb) in
+        let means = Array.map (fun s -> s /. nf) st.sums in
+        let per_term f = List.mapi (fun i term -> f term means.(i)) t.terms in
+        log
+          (Printf.sprintf "epoch %d/%d: %s (%d batches)" st.epoch r.epochs
+             (String.concat " " (per_term (fun (_, label) m -> Printf.sprintf "%s %.4f" label m)))
+             nb);
+        jevent "epoch_end"
+          ((("epoch", Runlog.I st.epoch) :: per_term (fun (field, _) m -> (field, Runlog.F m)))
+          @ [ ("batches", Runlog.I nb) ]);
+        st.history <-
+          Array.concat [ [| float_of_int st.epoch |]; means; [| float_of_int nb |] ] :: st.history;
+        st.epoch <- st.epoch + 1;
+        st.done_in_epoch <- 0;
+        (* Epoch boundaries are rollback points even with snapshotting off. *)
+        good := capture ()
+      | exception Diverged (source, v) ->
+        jevent "divergence"
+          [
+            ("source", Runlog.S source);
+            ("value", Runlog.F v);
+            ("epoch", Runlog.I st.epoch);
+            ("batch", Runlog.I (st.global_batch + 1));
+            ("retries", Runlog.I st.retries);
+          ];
+        if st.retries >= r.max_retries then begin
+          jevent "abort" [ ("reason", Runlog.S "divergence retries exhausted") ];
+          fail
+            (Printf.sprintf "%s diverged (%g) at batch %d; %d rollbacks exhausted" source v
+               (st.global_batch + 1) st.retries)
+        end;
+        (* Halve the rates in effect now, not the ones the rollback point
+           restores: a second divergence before the next rollback point then
+           retries at lr/4 instead of replaying the lr/2 run bit for bit. *)
+        let lrs = List.map (fun (_, o) -> Optimizer.lr o /. 2.0) t.optimizers in
+        !good ();
+        List.iter2 (fun (_, o) lr -> Optimizer.set_lr o lr) t.optimizers lrs;
+        st.retries <- st.retries + 1;
+        jevent "rollback"
+          [
+            ("epoch", Runlog.I st.epoch);
+            ("batch", Runlog.I st.global_batch);
+            ("lr", Runlog.F (List.hd lrs));
+            ("retries", Runlog.I st.retries);
+          ]
+    done;
+    jevent "run_end" [ ("epochs", Runlog.I r.epochs); ("batches", Runlog.I st.global_batch) ];
+    List.rev_map
+      (fun row ->
+        t.stats ~epoch:(int_of_float row.(0)) ~batches:(int_of_float row.(nterms + 1))
+          (Array.sub row 1 nterms))
+      st.history
+  in
+  Fun.protect ~finally:(fun () -> Option.iter Runlog.close journal) run
+
+let drive ?(log = fun _ -> ()) ~resume (r : run) t samples =
+  if samples = [] then invalid_arg (t.who ^ ": empty dataset");
+  (* [domains] pins the Dpool lane count for the whole run, so every kernel
+     under the step (gemm, conv, elementwise) runs data-parallel; [None]
+     keeps the ambient CACHEBOX_DOMAINS / machine default. *)
+  match r.domains with
+  | Some d -> Dpool.with_domains d (fun () -> drive_loop ~log ~resume r t samples)
+  | None -> drive_loop ~log ~resume r t samples
+
+(* --- the CB-GAN trainer ------------------------------------------------- *)
+
+let batch_tensors spec ~use_cond (samples : Cbox_dataset.sample list) =
+  let access = Cbox_dataset.batch_images spec (List.map (fun (s : Cbox_dataset.sample) -> s.access) samples) in
+  let target = Cbox_dataset.batch_images spec (List.map (fun (s : Cbox_dataset.sample) -> s.target) samples) in
+  let cp =
+    if use_cond then
+      Some (Cbgan.cache_params_tensor (List.map (fun (s : Cbox_dataset.sample) -> s.cache) samples))
+    else None
+  in
+  (access, target, cp)
+
+let scalar v = Tensor.get (Value.value v) 0
+
+(* Options that must agree between the snapshotting run and the resuming
+   run for bit-identical continuation ([%h] is exact for floats). *)
+let fingerprint (options : options) ~samples =
+  Printf.sprintf "v2|%d|%d|%h|%h|%h|%d|%d" options.epochs options.batch_size options.lr
+    options.beta1 options.lambda_l1 options.seed samples
+
+let train ?log ?(resume = false) model spec (options : options) samples =
+  let rng = Prng.create options.seed in
+  let g_params = Cbgan.generator_params model in
+  let d_params = Cbgan.discriminator_params model in
+  let g_opt = Optimizer.adam ~lr:options.lr ~beta1:options.beta1 g_params in
+  let d_opt = Optimizer.adam ~lr:options.lr ~beta1:options.beta1 d_params in
+  let use_cond = (Cbgan.model_config model).Cbgan.use_cache_params in
+  let step batch ~bidx =
+    let access, target, cp = batch_tensors spec ~use_cond batch in
     let shape = Tensor.shape target in
     (* One generator forward serves both phases: the discriminator step
        sees a detached copy, the generator step reuses the live graph. *)
@@ -366,119 +452,33 @@ let train_loop ~log ~resume model spec options samples =
     (* The generator step leaked gradients into the discriminator's
        parameters; clear them so the next D step starts clean. *)
     Optimizer.zero_grad d_opt;
-    st.sum_g_adv <- st.sum_g_adv +. scalar adv;
-    st.sum_g_l1 <- st.sum_g_l1 +. scalar l1;
-    st.sum_d <- st.sum_d +. scalar loss_d
+    [| scalar adv; scalar l1; scalar loss_d |]
   in
-
-  (* --- driver --- *)
-  let run () =
-    jevent "run_start"
-      [
-        ("epochs", Runlog.I options.epochs);
-        ("batch_size", Runlog.I options.batch_size);
-        ("samples", Runlog.I n);
-        ("resume", Runlog.B resume);
-      ];
-    (match (resume, options.snapshot_dir) with
-    | true, Some dir -> try_resume dir
-    | true, None -> invalid_arg "Cbox_train.train: ~resume:true requires snapshot_dir"
-    | false, _ -> ());
-    let good = ref (capture ()) in
-    let take_snapshot () =
-      good := capture ();
-      Option.iter write_snapshot options.snapshot_dir
-    in
-    while st.epoch <= options.epochs do
-      if st.done_in_epoch = 0 then begin
-        st.order <- Array.init n Fun.id;
-        Prng.shuffle rng st.order;
-        st.sum_g_adv <- 0.0;
-        st.sum_g_l1 <- 0.0;
-        st.sum_d <- 0.0
-      end;
-      let shuffled = List.map (fun i -> samples_arr.(i)) (Array.to_list st.order) in
-      let batches = Array.of_list (chunks options.batch_size shuffled) in
-      let nb = Array.length batches in
-      match
-        while st.done_in_epoch < nb do
-          let bidx = st.global_batch + 1 in
-          process_batch batches.(st.done_in_epoch) ~bidx;
-          st.done_in_epoch <- st.done_in_epoch + 1;
-          st.global_batch <- bidx;
-          (match options.snapshot_every with
-          | Some k when k > 0 && st.global_batch mod k = 0 -> take_snapshot ()
-          | _ -> ());
-          Faultinject.kill_point ~batch:st.global_batch
-        done
-      with
-      | () ->
-        let nf = float_of_int (max 1 nb) in
-        let stats =
-          {
-            epoch = st.epoch;
-            g_adv = st.sum_g_adv /. nf;
-            g_l1 = st.sum_g_l1 /. nf;
-            d_loss = st.sum_d /. nf;
-            batches = nb;
-          }
-        in
-        log
-          (Printf.sprintf "epoch %d/%d: G_adv %.4f G_L1 %.4f D %.4f (%d batches)" st.epoch
-             options.epochs stats.g_adv stats.g_l1 stats.d_loss stats.batches);
-        jevent "epoch_end"
-          [
-            ("epoch", Runlog.I st.epoch);
-            ("g_adv", Runlog.F stats.g_adv);
-            ("g_l1", Runlog.F stats.g_l1);
-            ("d_loss", Runlog.F stats.d_loss);
-            ("batches", Runlog.I nb);
-          ];
-        st.history <- stats :: st.history;
-        st.epoch <- st.epoch + 1;
-        st.done_in_epoch <- 0;
-        (* Epoch boundaries are rollback points even with snapshotting off. *)
-        good := capture ()
-      | exception Diverged (who, v) ->
-        jevent "divergence"
-          [
-            ("source", Runlog.S who);
-            ("value", Runlog.F v);
-            ("epoch", Runlog.I st.epoch);
-            ("batch", Runlog.I (st.global_batch + 1));
-            ("retries", Runlog.I st.retries);
-          ];
-        if st.retries >= options.max_retries then begin
-          jevent "abort" [ ("reason", Runlog.S "divergence retries exhausted") ];
-          failwith
-            (Printf.sprintf
-               "Cbox_train.train: %s diverged (%g) at batch %d; %d rollbacks exhausted" who v
-               (st.global_batch + 1) st.retries)
-        end;
-        let r = st.retries + 1 in
-        restore_mem !good;
-        st.retries <- r;
-        let new_lr = Optimizer.lr g_opt /. 2.0 in
-        Optimizer.set_lr g_opt new_lr;
-        Optimizer.set_lr d_opt (Optimizer.lr d_opt /. 2.0);
-        jevent "rollback"
-          [
-            ("epoch", Runlog.I st.epoch);
-            ("batch", Runlog.I st.global_batch);
-            ("lr", Runlog.F new_lr);
-            ("retries", Runlog.I r);
-          ]
-    done;
-    jevent "run_end" [ ("epochs", Runlog.I options.epochs); ("batches", Runlog.I st.global_batch) ];
-    List.rev st.history
-  in
-  Fun.protect ~finally:(fun () -> Option.iter Runlog.close journal) run
-
-let train ?(log = fun _ -> ()) ?(resume = false) model spec options samples =
-  if samples = [] then invalid_arg "Cbox_train.train: empty dataset";
-  (* [domains] pins the Dpool lane count for the whole run, so every kernel
-     under the step (gemm, conv, elementwise) runs data-parallel; [None]
-     keeps the ambient CACHEBOX_DOMAINS / machine default. *)
-  match options.domains with
-  | Some d -> Dpool.with_domains d (fun () -> train_loop ~log ~resume model spec options samples)
-  | None -> train_loop ~log ~resume model spec options samples
+  drive ?log ~resume
+    {
+      epochs = options.epochs;
+      batch_size = options.batch_size;
+      domains = options.domains;
+      snapshot_every = options.snapshot_every;
+      snapshot_dir = options.snapshot_dir;
+      keep_snapshots = options.keep_snapshots;
+      max_retries = options.max_retries;
+      journal = options.journal;
+    }
+    {
+      who = "Cbox_train.train";
+      section = "train";
+      schema = "cbox-train-snapshot/1";
+      fingerprint = fingerprint options ~samples:(List.length samples);
+      run_fields = [];
+      terms = [ ("g_adv", "G_adv"); ("g_l1", "G_L1"); ("d_loss", "D") ];
+      stats =
+        (fun ~epoch ~batches m ->
+          { epoch; g_adv = m.(0); g_l1 = m.(1); d_loss = m.(2); batches });
+      rng;
+      params = g_params @ d_params;
+      bn = Cbgan.state model;
+      optimizers = [ ("opt.g.", g_opt); ("opt.d.", d_opt) ];
+      step;
+    }
+    samples

@@ -20,10 +20,15 @@
       one; a snapshot written under different options is refused.
     - {b Divergence sentinel}: each batch's losses and gradient norms are
       scanned for NaN/Inf before the optimizer steps. On a trip the run
-      rolls back to the last good snapshot, halves both learning rates and
-      retries, up to [max_retries] times, before failing with [Failure].
+      rolls back to the last good snapshot, halves the learning rates in
+      effect at the trip and retries, up to [max_retries] times, before
+      failing with [Failure]. The halving compounds: a second trip before
+      the next rollback point retries at a quarter of the rate, not as a
+      replay of the first retry.
     - {b Journal}: when [journal] is set, run/epoch/snapshot/divergence/
-      rollback/resume events are appended to a {!Runlog} JSONL file. *)
+      rollback/resume events are appended to a {!Runlog} JSONL file.
+
+    {!Distill.train} runs on the same layer: both trainers call {!drive}. *)
 
 type options = {
   epochs : int;
@@ -82,3 +87,64 @@ val train :
     returns per-epoch loss statistics for the whole run — including, after a
     resume, the epochs completed before the interruption. [~resume:true]
     requires [snapshot_dir]; with no snapshot present it starts fresh. *)
+
+(** {1 The resilient training loop} *)
+
+exception Diverged of string * float
+(** Raised by a step whose loss or gradient norm is not finite: the source
+    name and the value. {!drive} rolls back and retries. *)
+
+val check : string -> float -> unit
+(** [check source v] raises [Diverged (source, v)] unless [v] is finite. *)
+
+type run = {
+  epochs : int;
+  batch_size : int;
+  domains : int option;
+  snapshot_every : int option;
+  snapshot_dir : string option;
+  keep_snapshots : int;
+  max_retries : int;
+  journal : string option;
+}
+(** The run settings every trainer's options carry, as in {!options}. *)
+
+type 's trainer = {
+  who : string;  (** prefix of error messages, e.g. ["Cbox_train.train"] *)
+  section : string;
+      (** snapshot arrays [<section>.pos], [.sums], [.order], [.history] *)
+  schema : string;  (** snapshot [schema] meta value *)
+  fingerprint : string;  (** options a resumed run must match exactly *)
+  run_fields : (string * Runlog.value) list;
+      (** extra [run_start] fields, journalled before [resume] *)
+  terms : (string * string) list;
+      (** per loss term: [epoch_end] journal field, epoch log label *)
+  stats : epoch:int -> batches:int -> float array -> 's;
+      (** an epoch's result from its per-term mean losses *)
+  rng : Prng.t;  (** shuffles each epoch; snapshotted with the run *)
+  params : Param.t list;
+  bn : (string * float array) list;  (** live batch-norm running stats *)
+  optimizers : (string * Optimizer.t) list;
+      (** snapshot key prefix and optimizer; a rollback halves every rate and
+          the journal reports the first *)
+  step : Cbox_dataset.sample list -> bidx:int -> float array;
+      (** trains on one batch, [bidx] being its 1-based index across the run,
+          and returns its loss terms; calls {!check} before stepping *)
+}
+(** What differs between trainers; {!drive} owns the rest. *)
+
+val drive :
+  ?log:(string -> unit) ->
+  resume:bool ->
+  run ->
+  's trainer ->
+  Cbox_dataset.sample list ->
+  's list
+(** Runs the epochs with the resilience layer above and returns every
+    epoch's stats, including epochs completed before a resume. The epoch
+    log line is [epoch e/n: <label> <mean> ... (b batches)]. *)
+
+val batch_tensors :
+  Heatmap.spec -> use_cond:bool -> Cbox_dataset.sample list -> Tensor.t * Tensor.t * Tensor.t option
+(** A batch's stacked access and target images, and its cache-parameter
+    tensor when [use_cond]. *)

@@ -17,9 +17,9 @@
    the teacher's through a learned linear adapter (the two bottlenecks have
    different widths), trained jointly with the student.
 
-   The resilience layer — in-memory rollback points, on-disk snapshots with
-   exact resume, the NaN/Inf divergence sentinel with LR-halving retries and
-   the JSONL journal — mirrors Cbox_train batch for batch. *)
+   The run itself — rollback points, snapshots and exact resume, the NaN/Inf
+   sentinel with LR-halving retries, the journal and the epoch loop — is
+   Cbox_train.drive; this module supplies the student's state and step. *)
 
 type options = {
   epochs : int;
@@ -111,98 +111,21 @@ let step_loss ~temperature ~l1_weight ~l2_weight ~out ~truth ~teacher =
         (Value.scale dist temperature)
   end
 
-exception Diverged of string * float
-
-let chunks size xs =
-  let rec go acc current count = function
-    | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
-    | x :: rest ->
-      if count = size then go (List.rev current :: acc) [ x ] 1 rest
-      else go acc (x :: current) (count + 1) rest
-  in
-  go [] [] 0 xs
-
-let batch_tensors spec ~use_cond (samples : Cbox_dataset.sample list) =
-  let access = Cbox_dataset.batch_images spec (List.map (fun (s : Cbox_dataset.sample) -> s.access) samples) in
-  let target = Cbox_dataset.batch_images spec (List.map (fun (s : Cbox_dataset.sample) -> s.target) samples) in
-  let cp =
-    if use_cond then
-      Some (Cbgan.cache_params_tensor (List.map (fun (s : Cbox_dataset.sample) -> s.cache) samples))
-    else None
-  in
-  (access, target, cp)
-
 let scalar v = Tensor.get (Value.value v) 0
-
-(* --- resilience layer (mirrors Cbox_train) ---------------------------- *)
-
-type run_state = {
-  mutable epoch : int;
-  mutable done_in_epoch : int;
-  mutable global_batch : int;
-  mutable retries : int;
-  mutable sum_pixel : float;
-  mutable sum_feat : float;
-  mutable order : int array;
-  mutable history : epoch_stats list;
-}
-
-type mem_snapshot = {
-  s_params : float array array;
-  s_bn : float array array;
-  s_opt : (string * float array) list;
-  s_prng : int64;
-  s_epoch : int;
-  s_done : int;
-  s_global : int;
-  s_sums : float * float;
-  s_order : int array;
-  s_history : epoch_stats list;
-}
-
-let snapshot_name global = Printf.sprintf "snap-%09d.ckpt" global
-
-let list_snapshots dir =
-  if not (Sys.file_exists dir) then []
-  else
-    Sys.readdir dir |> Array.to_list
-    |> List.filter_map (fun f ->
-           if
-             String.length f = 19
-             && String.sub f 0 5 = "snap-"
-             && Filename.check_suffix f ".ckpt"
-           then
-             Option.map (fun b -> (b, Filename.concat dir f)) (int_of_string_opt (String.sub f 5 9))
-           else None)
-    |> List.sort (fun (a, _) (b, _) -> compare b a)
-
-let flatten_history history =
-  let per (s : epoch_stats) =
-    [ float_of_int s.epoch; s.pixel; s.feat; float_of_int s.batches ]
-  in
-  Array.of_list (List.concat_map per (List.rev history))
-
-let unflatten_history a =
-  if Array.length a mod 4 <> 0 then
-    failwith "Distill: malformed distill.history in snapshot";
-  let n = Array.length a / 4 in
-  List.init n (fun i ->
-      {
-        epoch = int_of_float a.((i * 4) + 0);
-        pixel = a.((i * 4) + 1);
-        feat = a.((i * 4) + 2);
-        batches = int_of_float a.((i * 4) + 3);
-      })
-  |> List.rev
 
 let fingerprint options ~samples =
   Printf.sprintf "v1|%d|%d|%h|%h|%h|%h|%h|%h|%d|%d" options.epochs
     options.batch_size options.lr options.beta1 options.temperature
     options.l1_weight options.l2_weight options.feat_weight options.seed samples
 
-let train_loop ~log ~resume ~teacher student spec options samples =
-  let samples_arr = Array.of_list samples in
-  let n = Array.length samples_arr in
+let train ?log ?(resume = false) ~teacher student spec options samples =
+  if
+    (not (Float.is_finite options.temperature))
+    || options.temperature < 0.0
+    || options.temperature > 1.0
+  then invalid_arg "Distill.train: temperature must be in [0, 1]";
+  if options.l1_weight < 0.0 || options.l2_weight < 0.0 || options.feat_weight < 0.0
+  then invalid_arg "Distill.train: loss weights must be non-negative";
   let rng = Prng.create options.seed in
   let scfg = Student.model_config student in
   let tcfg = Cbgan.model_config teacher in
@@ -222,159 +145,17 @@ let train_loop ~log ~resume ~teacher student spec options samples =
            ~bias:true)
     else None
   in
-  let all_params =
+  let params =
     Student.params student
     @ (match adapter with Some a -> Layers.linear_params a | None -> [])
   in
-  let opt = Optimizer.adam ~lr:options.lr ~beta1:options.beta1 all_params in
-  let bn = Student.state student in
-  let journal = Option.map Runlog.create options.journal in
-  let jevent kind fields = Option.iter (fun j -> Runlog.event j kind fields) journal in
-  let fp = fingerprint options ~samples:n in
-  let st =
-    {
-      epoch = 1;
-      done_in_epoch = 0;
-      global_batch = 0;
-      retries = 0;
-      sum_pixel = 0.0;
-      sum_feat = 0.0;
-      order = [||];
-      history = [];
-    }
-  in
-
-  (* --- in-memory snapshots (divergence rollback) --- *)
-  let capture () =
-    {
-      s_params = Array.of_list (List.map (fun p -> Tensor.to_array p.Param.value) all_params);
-      s_bn = Array.of_list (List.map (fun (_, a) -> Array.copy a) bn);
-      s_opt = Optimizer.state opt;
-      s_prng = Prng.state rng;
-      s_epoch = st.epoch;
-      s_done = st.done_in_epoch;
-      s_global = st.global_batch;
-      s_sums = (st.sum_pixel, st.sum_feat);
-      s_order = Array.copy st.order;
-      s_history = st.history;
-    }
-  in
-  let restore_mem s =
-    List.iteri
-      (fun i p -> Array.iteri (fun j v -> Tensor.set p.Param.value j v) s.s_params.(i))
-      all_params;
-    List.iteri (fun i (_, live) -> Array.blit s.s_bn.(i) 0 live 0 (Array.length live)) bn;
-    Optimizer.set_state opt s.s_opt;
-    Prng.set_state rng s.s_prng;
-    st.epoch <- s.s_epoch;
-    st.done_in_epoch <- s.s_done;
-    st.global_batch <- s.s_global;
-    let a, b = s.s_sums in
-    st.sum_pixel <- a;
-    st.sum_feat <- b;
-    st.order <- Array.copy s.s_order;
-    st.history <- s.s_history
-  in
-
-  (* --- on-disk snapshots (crash resume) --- *)
-  let snapshot_state () =
-    bn
-    @ List.map (fun (k, v) -> ("opt.s." ^ k, v)) (Optimizer.state opt)
-    @ [
-        ( "distill.pos",
-          [|
-            float_of_int st.epoch;
-            float_of_int st.done_in_epoch;
-            float_of_int st.global_batch;
-          |] );
-        ("distill.sums", [| st.sum_pixel; st.sum_feat |]);
-        ("distill.order", Array.map float_of_int st.order);
-        ("distill.history", flatten_history st.history);
-      ]
-  in
-  let write_snapshot dir =
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let path = Filename.concat dir (snapshot_name st.global_batch) in
-    Checkpoint.save path
-      ~meta:
-        [
-          ("schema", "cachebox-distill-snapshot/1");
-          ("options", fp);
-          ("prng", Int64.to_string (Prng.state rng));
-        ]
-      ~params:all_params ~state:(snapshot_state ());
-    jevent "snapshot"
-      [ ("path", Runlog.S path); ("epoch", Runlog.I st.epoch); ("batch", Runlog.I st.global_batch) ];
-    list_snapshots dir
-    |> List.iteri (fun i (_, p) ->
-           if i >= max 1 options.keep_snapshots then try Sys.remove p with Sys_error _ -> ())
-  in
-  let restore_disk (c : Checkpoint.container) =
-    (match List.assoc_opt "options" (Checkpoint.meta c) with
-    | Some fp' when fp' = fp -> ()
-    | Some _ ->
-      failwith
-        "Distill.train: snapshot was written with different distillation options or dataset; \
-         refusing to resume"
-    | None -> failwith "Distill.train: snapshot has no options fingerprint");
-    let req name =
-      match Checkpoint.find_array c name with
-      | Some a -> a
-      | None -> failwith ("Distill.train: snapshot missing " ^ name)
-    in
-    let pos = req "distill.pos" in
-    let sums = req "distill.sums" in
-    if Array.length pos <> 3 || Array.length sums <> 2 then
-      failwith "Distill.train: malformed snapshot position";
-    let order = Array.map int_of_float (req "distill.order") in
-    if Array.length order <> n then
-      failwith "Distill.train: snapshot permutation does not match the dataset";
-    let history = unflatten_history (req "distill.history") in
-    let opt_state = Optimizer.state opt in
-    Checkpoint.restore c ~params:all_params
-      ~state:(bn @ List.map (fun (k, v) -> ("opt.s." ^ k, v)) opt_state);
-    Optimizer.set_state opt opt_state;
-    (match List.assoc_opt "prng" (Checkpoint.meta c) with
-    | Some s -> Prng.set_state rng (Int64.of_string s)
-    | None -> failwith "Distill.train: snapshot has no PRNG state");
-    st.epoch <- int_of_float pos.(0);
-    st.done_in_epoch <- int_of_float pos.(1);
-    st.global_batch <- int_of_float pos.(2);
-    st.sum_pixel <- sums.(0);
-    st.sum_feat <- sums.(1);
-    st.order <- order;
-    st.history <- history
-  in
-  let try_resume dir =
-    let rec attempt = function
-      | [] -> jevent "resume_fresh" [ ("dir", Runlog.S dir) ]
-      | (_, path) :: rest -> (
-        match Checkpoint.read path with
-        | exception Failure msg ->
-          jevent "snapshot_corrupt" [ ("path", Runlog.S path); ("error", Runlog.S msg) ];
-          attempt rest
-        | c ->
-          restore_disk c;
-          jevent "resume"
-            [
-              ("path", Runlog.S path);
-              ("epoch", Runlog.I st.epoch);
-              ("batch", Runlog.I st.global_batch);
-            ];
-          log
-            (Printf.sprintf "resumed from %s (epoch %d, batch %d)" path st.epoch st.global_batch))
-    in
-    attempt (list_snapshots dir)
-  in
-
-  (* --- per-batch work with the divergence sentinel --- *)
-  let check who v = if not (Float.is_finite v) then raise (Diverged (who, v)) in
+  let opt = Optimizer.adam ~lr:options.lr ~beta1:options.beta1 params in
   (* The teacher never trains: eval-mode forward, no dropout, no gradient
      flow (its output enters the loss as a constant tensor). *)
   let teacher_rng = Prng.create 0 in
-  let process_batch batch ~bidx =
+  let step batch ~bidx =
     let access, target, cp =
-      batch_tensors spec ~use_cond:scfg.Student.st_use_cond batch
+      Cbox_train.batch_tensors spec ~use_cond:scfg.Student.st_use_cond batch
     in
     let teacher_out =
       if options.temperature > 0.0 then
@@ -402,125 +183,36 @@ let train_loop ~log ~resume ~teacher student spec options samples =
       | None -> (loss_pixel, 0.0)
     in
     Value.backward loss;
-    Faultinject.poison_grads ~batch:bidx all_params;
-    check "distill_pixel" (scalar loss_pixel);
-    check "distill_feat" feat_value;
-    check "distill_grad_norm" (Optimizer.grad_norm opt);
+    Faultinject.poison_grads ~batch:bidx params;
+    Cbox_train.check "distill_pixel" (scalar loss_pixel);
+    Cbox_train.check "distill_feat" feat_value;
+    Cbox_train.check "distill_grad_norm" (Optimizer.grad_norm opt);
     Optimizer.step opt;
-    st.sum_pixel <- st.sum_pixel +. scalar loss_pixel;
-    st.sum_feat <- st.sum_feat +. feat_value
+    [| scalar loss_pixel; feat_value |]
   in
-
-  (* --- driver --- *)
-  let run () =
-    jevent "run_start"
-      [
-        ("epochs", Runlog.I options.epochs);
-        ("batch_size", Runlog.I options.batch_size);
-        ("samples", Runlog.I n);
-        ("temperature", Runlog.F options.temperature);
-        ("resume", Runlog.B resume);
-      ];
-    (match (resume, options.snapshot_dir) with
-    | true, Some dir -> try_resume dir
-    | true, None -> invalid_arg "Distill.train: ~resume:true requires snapshot_dir"
-    | false, _ -> ());
-    let good = ref (capture ()) in
-    let take_snapshot () =
-      good := capture ();
-      Option.iter write_snapshot options.snapshot_dir
-    in
-    while st.epoch <= options.epochs do
-      if st.done_in_epoch = 0 then begin
-        st.order <- Array.init n Fun.id;
-        Prng.shuffle rng st.order;
-        st.sum_pixel <- 0.0;
-        st.sum_feat <- 0.0
-      end;
-      let shuffled = List.map (fun i -> samples_arr.(i)) (Array.to_list st.order) in
-      let batches = Array.of_list (chunks options.batch_size shuffled) in
-      let nb = Array.length batches in
-      match
-        while st.done_in_epoch < nb do
-          let bidx = st.global_batch + 1 in
-          process_batch batches.(st.done_in_epoch) ~bidx;
-          st.done_in_epoch <- st.done_in_epoch + 1;
-          st.global_batch <- bidx;
-          (match options.snapshot_every with
-          | Some k when k > 0 && st.global_batch mod k = 0 -> take_snapshot ()
-          | _ -> ());
-          Faultinject.kill_point ~batch:st.global_batch
-        done
-      with
-      | () ->
-        let nf = float_of_int (max 1 nb) in
-        let stats =
-          {
-            epoch = st.epoch;
-            pixel = st.sum_pixel /. nf;
-            feat = st.sum_feat /. nf;
-            batches = nb;
-          }
-        in
-        log
-          (Printf.sprintf "epoch %d/%d: pixel %.4f feat %.4f (%d batches)" st.epoch
-             options.epochs stats.pixel stats.feat stats.batches);
-        jevent "epoch_end"
-          [
-            ("epoch", Runlog.I st.epoch);
-            ("pixel", Runlog.F stats.pixel);
-            ("feat", Runlog.F stats.feat);
-            ("batches", Runlog.I nb);
-          ];
-        st.history <- stats :: st.history;
-        st.epoch <- st.epoch + 1;
-        st.done_in_epoch <- 0;
-        good := capture ()
-      | exception Diverged (who, v) ->
-        jevent "divergence"
-          [
-            ("source", Runlog.S who);
-            ("value", Runlog.F v);
-            ("epoch", Runlog.I st.epoch);
-            ("batch", Runlog.I (st.global_batch + 1));
-            ("retries", Runlog.I st.retries);
-          ];
-        if st.retries >= options.max_retries then begin
-          jevent "abort" [ ("reason", Runlog.S "divergence retries exhausted") ];
-          failwith
-            (Printf.sprintf
-               "Distill.train: %s diverged (%g) at batch %d; %d rollbacks exhausted" who v
-               (st.global_batch + 1) st.retries)
-        end;
-        let r = st.retries + 1 in
-        restore_mem !good;
-        st.retries <- r;
-        let new_lr = Optimizer.lr opt /. 2.0 in
-        Optimizer.set_lr opt new_lr;
-        jevent "rollback"
-          [
-            ("epoch", Runlog.I st.epoch);
-            ("batch", Runlog.I st.global_batch);
-            ("lr", Runlog.F new_lr);
-            ("retries", Runlog.I r);
-          ]
-    done;
-    jevent "run_end" [ ("epochs", Runlog.I options.epochs); ("batches", Runlog.I st.global_batch) ];
-    List.rev st.history
-  in
-  Fun.protect ~finally:(fun () -> Option.iter Runlog.close journal) run
-
-let train ?(log = fun _ -> ()) ?(resume = false) ~teacher student spec options samples =
-  if samples = [] then invalid_arg "Distill.train: empty dataset";
-  if
-    (not (Float.is_finite options.temperature))
-    || options.temperature < 0.0
-    || options.temperature > 1.0
-  then invalid_arg "Distill.train: temperature must be in [0, 1]";
-  if options.l1_weight < 0.0 || options.l2_weight < 0.0 || options.feat_weight < 0.0
-  then invalid_arg "Distill.train: loss weights must be non-negative";
-  match options.domains with
-  | Some d ->
-    Dpool.with_domains d (fun () ->
-        train_loop ~log ~resume ~teacher student spec options samples)
-  | None -> train_loop ~log ~resume ~teacher student spec options samples
+  Cbox_train.drive ?log ~resume
+    {
+      Cbox_train.epochs = options.epochs;
+      batch_size = options.batch_size;
+      domains = options.domains;
+      snapshot_every = options.snapshot_every;
+      snapshot_dir = options.snapshot_dir;
+      keep_snapshots = options.keep_snapshots;
+      max_retries = options.max_retries;
+      journal = options.journal;
+    }
+    {
+      Cbox_train.who = "Distill.train";
+      section = "distill";
+      schema = "cachebox-distill-snapshot/1";
+      fingerprint = fingerprint options ~samples:(List.length samples);
+      run_fields = [ ("temperature", Runlog.F options.temperature) ];
+      terms = [ ("pixel", "pixel"); ("feat", "feat") ];
+      stats = (fun ~epoch ~batches m -> { epoch; pixel = m.(0); feat = m.(1); batches });
+      rng;
+      params;
+      bn = Student.state student;
+      optimizers = [ ("opt.s.", opt) ];
+      step;
+    }
+    samples

@@ -15,11 +15,12 @@
     learned linear adapter trained alongside the student (the adapter is a
     training-time artifact; the saved student checkpoint stands alone).
 
-    The run-resilience layer mirrors {!Cbox_train}: periodic atomic
-    checksummed snapshots (schema [cachebox-distill-snapshot/1]) with exact
-    bit-identical resume, a NaN/Inf divergence sentinel that rolls back to
-    the last good snapshot and halves the learning rate up to [max_retries]
-    times, and an optional append-only {!Runlog} JSONL journal. *)
+    The run is {!Cbox_train.drive}, the one resilient training loop:
+    periodic atomic checksummed snapshots (schema
+    [cachebox-distill-snapshot/1]) with exact bit-identical resume, a
+    NaN/Inf divergence sentinel that rolls back to the last good snapshot and
+    halves the learning rate in effect up to [max_retries] times, and an
+    optional append-only {!Runlog} JSONL journal. *)
 
 type options = {
   epochs : int;

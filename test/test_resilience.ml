@@ -221,56 +221,99 @@ let tiny_samples () =
     (Cbox_dataset.build_l1 tiny_spec ~configs:[ tiny_cache ] ~trace_len:600
        [ tiny_workload "r1" 5; tiny_workload "r2" 6 ])
 
-let model_bits model =
-  List.map
-    (fun (p : Param.t) -> Array.map Int64.bits_of_float (Tensor.to_array p.Param.value))
-    (Cbgan.generator_params model @ Cbgan.discriminator_params model)
+let bits =
+  List.map (fun (p : Param.t) -> Array.map Int64.bits_of_float (Tensor.to_array p.Param.value))
 
-let stats_equal (a : Cbox_train.epoch_stats list) (b : Cbox_train.epoch_stats list) =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (x : Cbox_train.epoch_stats) (y : Cbox_train.epoch_stats) ->
-         x.Cbox_train.epoch = y.Cbox_train.epoch
-         && Int64.bits_of_float x.Cbox_train.g_adv = Int64.bits_of_float y.Cbox_train.g_adv
-         && Int64.bits_of_float x.Cbox_train.g_l1 = Int64.bits_of_float y.Cbox_train.g_l1
-         && Int64.bits_of_float x.Cbox_train.d_loss = Int64.bits_of_float y.Cbox_train.d_loss
-         && x.Cbox_train.batches = y.Cbox_train.batches)
-       a b
+(* A trainer under test, run on [tiny_samples]: [run] builds its model from
+   [model_seed], trains it and returns every epoch's stats and the final
+   weights, all as bits so runs compare exactly. [nan_source] is the
+   sentinel check a poisoned gradient trips first. *)
+type trainer = {
+  run :
+    ?resume:bool ->
+    ?snapshot_every:int ->
+    ?snapshot_dir:string ->
+    ?journal:string ->
+    model_seed:int ->
+    epochs:int ->
+    seed:int ->
+    unit ->
+    int64 array list * int64 array list;
+  nan_source : string;
+}
+
+let stats_bits rows = List.map (Array.map Int64.bits_of_float) rows
+
+let cbox_train =
+  let run ?resume ?snapshot_every ?snapshot_dir ?journal ~model_seed ~epochs ~seed () =
+    let model = Cbgan.create ~seed:model_seed tiny_model_config in
+    let options =
+      {
+        (Cbox_train.default_options ~epochs ~batch_size:2 ?snapshot_every ?snapshot_dir ?journal ())
+        with
+        Cbox_train.lr = 1e-3;
+        seed;
+      }
+    in
+    let stats = Cbox_train.train ?resume model tiny_spec options (tiny_samples ()) in
+    ( stats_bits
+        (List.map
+           (fun (s : Cbox_train.epoch_stats) ->
+             [| float_of_int s.epoch; s.g_adv; s.g_l1; s.d_loss; float_of_int s.batches |])
+           stats),
+      bits (Cbgan.generator_params model @ Cbgan.discriminator_params model) )
+  in
+  { run; nan_source = "g_grad_norm" }
+
+(* Distillation with feature matching on, so the adapter's weights and its
+   Adam state go through every snapshot; the untrained teacher is fine. *)
+let distill =
+  let run ?resume ?snapshot_every ?snapshot_dir ?journal ~model_seed ~epochs ~seed () =
+    let teacher = Cbgan.create ~seed:51 tiny_model_config in
+    let student = Student.create ~seed:model_seed (Distill.student_config tiny_model_config) in
+    let options =
+      {
+        (Distill.default_options ~epochs ~batch_size:2 ~temperature:0.5 ~feat_weight:0.5
+           ?snapshot_every ?snapshot_dir ?journal ())
+        with
+        Distill.lr = 1e-3;
+        seed;
+      }
+    in
+    let stats = Distill.train ?resume ~teacher student tiny_spec options (tiny_samples ()) in
+    ( stats_bits
+        (List.map
+           (fun (s : Distill.epoch_stats) ->
+             [| float_of_int s.epoch; s.pixel; s.feat; float_of_int s.batches |])
+           stats),
+      bits (Student.params student) )
+  in
+  { run; nan_source = "distill_grad_norm" }
 
 let batches_per_epoch samples batch_size =
   (List.length samples + batch_size - 1) / batch_size
 
 (* Train 4 epochs straight vs 2 epochs + kill mid-3rd + resume: epoch stats
    and every final parameter must agree bit-for-bit. *)
-let run_exact_resume ~corrupt_latest () =
-  let samples = tiny_samples () in
-  let nb = batches_per_epoch samples 2 in
+let run_exact_resume trainer ~corrupt_latest () =
+  let nb = batches_per_epoch (tiny_samples ()) 2 in
   Alcotest.(check bool) "enough batches for a mid-epoch kill" true (nb >= 2);
-  let opts dir journal =
-    {
-      (Cbox_train.default_options ~epochs:4 ~batch_size:2 ~snapshot_every:2 ~snapshot_dir:dir
-         ?journal ())
-      with
-      Cbox_train.lr = 1e-3;
-      seed = 4242;
-    }
+  let run ?resume dir journal =
+    trainer.run ?resume ~snapshot_every:2 ~snapshot_dir:dir ?journal ~model_seed:21 ~epochs:4
+      ~seed:4242 ()
   in
   (* Straight run (snapshots to a throwaway dir so the code path is the
      same; they are never read back). *)
   let straight_dir = temp_dir () in
-  let straight = Cbgan.create ~seed:21 tiny_model_config in
-  let straight_stats =
-    Cbox_train.train straight tiny_spec (opts straight_dir None) samples
-  in
+  let straight_stats, straight_weights = run straight_dir None in
   (* Interrupted run: kill at an arbitrary batch mid-3rd-epoch (an odd
      global index, so the latest snapshot is strictly older than the kill
      point and resume must replay batches). *)
   let dir = temp_dir () in
   let journal = Filename.concat dir "run.jsonl" in
-  let killed = Cbgan.create ~seed:21 tiny_model_config in
   Faultinject.arm Faultinject.Kill ~at_batch:((2 * nb) + 1);
   (try
-     ignore (Cbox_train.train killed tiny_spec (opts dir (Some journal)) samples);
+     ignore (run dir (Some journal));
      Alcotest.fail "expected Faultinject.Killed"
    with Faultinject.Killed b -> Alcotest.(check int) "killed at the armed batch" ((2 * nb) + 1) b);
   Faultinject.disarm ();
@@ -287,13 +330,9 @@ let run_exact_resume ~corrupt_latest () =
     Faultinject.corrupt_byte (Filename.concat dir (List.hd snaps)) ~offset:64
   end;
   (* Resume in a fresh model (fresh process simulation). *)
-  let resumed = Cbgan.create ~seed:21 tiny_model_config in
-  let resumed_stats =
-    Cbox_train.train ~resume:true resumed tiny_spec (opts dir (Some journal)) samples
-  in
-  Alcotest.(check bool) "epoch stats bit-identical" true (stats_equal straight_stats resumed_stats);
-  Alcotest.(check bool) "final weights bit-identical" true
-    (model_bits straight = model_bits resumed);
+  let resumed_stats, resumed_weights = run ~resume:true dir (Some journal) in
+  Alcotest.(check bool) "epoch stats bit-identical" true (straight_stats = resumed_stats);
+  Alcotest.(check bool) "final weights bit-identical" true (straight_weights = resumed_weights);
   Alcotest.(check bool) "journal records the resume" true
     (Runlog.events ~kind:"resume" journal <> []);
   if corrupt_latest then
@@ -307,50 +346,52 @@ let run_exact_resume ~corrupt_latest () =
   rm_rf straight_dir;
   rm_rf dir
 
-let test_exact_resume () = run_exact_resume ~corrupt_latest:false ()
-let test_resume_skips_corrupt_snapshot () = run_exact_resume ~corrupt_latest:true ()
+let test_exact_resume () = run_exact_resume cbox_train ~corrupt_latest:false ()
+let test_resume_skips_corrupt_snapshot () = run_exact_resume cbox_train ~corrupt_latest:true ()
+let test_distill_exact_resume () = run_exact_resume distill ~corrupt_latest:false ()
+let test_distill_resume_skips_corrupt_snapshot () = run_exact_resume distill ~corrupt_latest:true ()
 
-let test_nan_triggers_rollback_and_lr_halving () =
-  let samples = tiny_samples () in
-  let nb = batches_per_epoch samples 2 in
+(* Poison a gradient mid-2nd-epoch [shots] times in a row: each trip rolls
+   back to the epoch-1 boundary and halves the learning rate in effect, so
+   the rollbacks journal lr/2, lr/4, ... and the run still completes. *)
+let run_nan_rollback trainer ~shots =
+  let nb = batches_per_epoch (tiny_samples ()) 2 in
   let dir = temp_dir () in
   let journal = Filename.concat dir "nan.jsonl" in
-  let model = Cbgan.create ~seed:22 tiny_model_config in
-  let options =
-    {
-      (Cbox_train.default_options ~epochs:3 ~batch_size:2 ~journal ())
-      with
-      Cbox_train.lr = 1e-3;
-      seed = 777;
-    }
-  in
-  (* Poison a generator gradient mid-2nd-epoch; the sentinel must roll back
-     to the epoch-1 boundary, halve the LR and complete the run. *)
-  Faultinject.arm Faultinject.Nan_grad ~at_batch:(nb + 2);
-  let history = Cbox_train.train model tiny_spec options samples in
+  Faultinject.arm ~count:shots Faultinject.Nan_grad ~at_batch:(nb + 2);
+  let history, _ = trainer.run ~journal ~model_seed:22 ~epochs:3 ~seed:777 () in
   Faultinject.disarm ();
   Alcotest.(check int) "all epochs completed despite the NaN" 3 (List.length history);
   let divergences = Runlog.events ~kind:"divergence" journal in
   let rollbacks = Runlog.events ~kind:"rollback" journal in
-  Alcotest.(check int) "one divergence journalled" 1 (List.length divergences);
-  Alcotest.(check int) "one rollback journalled" 1 (List.length rollbacks);
-  (match divergences with
-  | [ line ] ->
-    Alcotest.(check (option string)) "sentinel saw the NaN gradient norm"
-      (Some "g_grad_norm") (Runlog.field line "source")
-  | _ -> ());
-  (match rollbacks with
-  | [ line ] ->
-    (* lr is numeric JSON; check the halved value appears on the line. *)
-    let expected = Printf.sprintf "%.17g" 5e-4 in
-    let contains hay needle =
-      let nl = String.length needle and hl = String.length hay in
-      let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-      go 0
-    in
-    Alcotest.(check bool) "rollback halved the learning rate" true (contains line expected)
-  | _ -> ());
+  Alcotest.(check int) "divergences journalled" shots (List.length divergences);
+  Alcotest.(check int) "rollbacks journalled" shots (List.length rollbacks);
+  List.iter
+    (fun line ->
+      Alcotest.(check (option string)) "sentinel saw the NaN gradient norm"
+        (Some trainer.nan_source) (Runlog.field line "source"))
+    divergences;
+  List.iteri
+    (fun i line ->
+      (* lr is numeric JSON; check the halved value appears on the line. *)
+      let lr = 1e-3 /. Float.pow 2.0 (float_of_int (i + 1)) in
+      let expected = Printf.sprintf "\"lr\": %.17g," lr in
+      let contains hay needle =
+        let nl = String.length needle and hl = String.length hay in
+        let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool) (expected ^ " journalled") true (contains line expected))
+    rollbacks;
   rm_rf dir
+
+let test_nan_triggers_rollback_and_lr_halving () =
+  run_nan_rollback cbox_train ~shots:1;
+  run_nan_rollback cbox_train ~shots:2
+
+let test_distill_nan_rollback () =
+  run_nan_rollback distill ~shots:1;
+  run_nan_rollback distill ~shots:2
 
 let test_divergence_retries_exhausted () =
   let samples = tiny_samples () in
@@ -390,5 +431,9 @@ let suite =
       Alcotest.test_case "exact resume after kill" `Slow test_exact_resume;
       Alcotest.test_case "resume skips corrupt snapshot" `Slow test_resume_skips_corrupt_snapshot;
       Alcotest.test_case "nan -> rollback + lr halving" `Slow test_nan_triggers_rollback_and_lr_halving;
+      Alcotest.test_case "distill exact resume after kill" `Slow test_distill_exact_resume;
+      Alcotest.test_case "distill resume skips corrupt snapshot" `Slow
+        test_distill_resume_skips_corrupt_snapshot;
+      Alcotest.test_case "distill nan -> rollback + lr halving" `Slow test_distill_nan_rollback;
       Alcotest.test_case "divergence retries exhausted" `Quick test_divergence_retries_exhausted;
     ] )
