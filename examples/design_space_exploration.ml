@@ -50,6 +50,7 @@ let () =
   let model = Cbgan.create ~seed:11 (Cbgan.default_config ()) in
   let options = { (Cbox_train.default_options ~epochs ~batch_size:4 ()) with Cbox_train.lr = 1e-3 } in
   ignore (Cbox_train.train ~log:print_endline model spec options (Cbox_dataset.to_samples train_data));
+  let g = Cbox_infer.of_cbgan model in
 
   Printf.printf "\nsweeping %d candidate L1 configurations for %s:\n\n"
     (List.length sweep) probe_benchmark.Workload.name;
@@ -59,7 +60,7 @@ let () =
       let data = Cbox_dataset.build_l1 spec ~configs:[ cfg ] ~trace_len [ probe_benchmark ] in
       match data with
       | [ d ] ->
-        let p = Cbox_infer.predict (Cbox_infer.of_cbgan model) spec d in
+        let p = Cbox_infer.predict g spec d in
         let seen = List.exists (fun c -> c = cfg) train_configs in
         Printf.printf "  %-14s %-6d %10.4f %10.4f %8.2f  %s\n"
           (Cache.config_name cfg)
@@ -77,7 +78,7 @@ let () =
       (fun cfg ->
         match Cbox_dataset.build_l1 spec ~configs:[ cfg ] ~trace_len [ probe_benchmark ] with
         | [ d ] ->
-          let p = Cbox_infer.predict (Cbox_infer.of_cbgan model) spec d in
+          let p = Cbox_infer.predict g spec d in
           Some (cfg, p.Cbox_infer.predicted_hit_rate)
         | _ -> None)
       sweep

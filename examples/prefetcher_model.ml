@@ -30,13 +30,14 @@ let () =
   let model = Cbgan.create ~seed:13 (Cbgan.default_config ()) in
   let options = { (Cbox_train.default_options ~epochs ~batch_size:4 ()) with Cbox_train.lr = 1e-3 } in
   ignore (Cbox_train.train ~log:print_endline model spec options (Cbox_dataset.to_samples train_data));
+  let g = Cbox_infer.of_cbgan model in
 
   print_endline "\nevaluating on unseen benchmarks (MSE lower is better, SSIM higher):\n";
   let window = float_of_int spec.Heatmap.window in
   List.iter
     (fun (d : Cbox_dataset.benchmark_data) ->
       let access = List.map fst d.pairs and real = List.map snd d.pairs in
-      let synthetic = Cbox_infer.synthesize model spec ~cache:d.cache access in
+      let synthetic = List.hd (Cbox_infer.run g spec [ (d.cache, access) ]) in
       let scores =
         List.map2
           (fun r s ->

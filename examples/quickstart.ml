@@ -59,9 +59,10 @@ let () =
   in
 
   print_endline "\nrunning inference on the unseen benchmark...";
+  let g = Cbox_infer.of_cbgan model in
   List.iter
     (fun d ->
-      let p = Cbox_infer.predict (Cbox_infer.of_cbgan model) spec d in
+      let p = Cbox_infer.predict g spec d in
       (match p.Cbox_infer.synthetic with
       | synth :: _ ->
         print_endline "Synthetic miss heatmap (CB-GAN output):";

@@ -143,9 +143,9 @@ let create ~seed cfg =
 
 let model_config t = t.cfg
 
-(* Read-only structure views for the quantized-inference compiler (Qgen):
-   it walks the generator's layers to fold batch norms and quantize weights
-   without this module having to know about quantization. *)
+(* Read-only structure views for the inference compiler (Qgen):
+   it walks the generator's layers to pack, fold and quantize weights
+   without this module having to know about them. *)
 let generator_downs t = Array.map (fun b -> (b.d_conv, b.d_bn)) t.gen.downs
 let generator_ups t = Array.map (fun b -> (b.u_conv, b.u_bn, b.u_dropout)) t.gen.ups
 let generator_cond t = t.gen.cond
@@ -305,25 +305,6 @@ let bn_states t =
   @ List.concat_map of_disc (Array.to_list t.disc.blocks)
 
 let state = bn_states
-
-let clone t =
-  (* Same config, any seed: every weight and every batch-norm running
-     statistic is then overwritten from [t], so the copy is functionally
-     identical. Param/state orderings are deterministic for a fixed config
-     (both are built by the same structural traversal). *)
-  let c = create ~seed:0 t.cfg in
-  List.iter2
-    (fun (src : Param.t) (dst : Param.t) ->
-      Tensor.blit ~src:src.Param.value ~dst:dst.Param.value)
-    (generator_params t @ discriminator_params t)
-    (generator_params c @ discriminator_params c);
-  List.iter2
-    (fun (name_src, (src : float array)) (name_dst, dst) ->
-      if name_src <> name_dst || Array.length src <> Array.length dst then
-        invalid_arg "Cbgan.clone: state mismatch";
-      Array.blit src 0 dst 0 (Array.length src))
-    (bn_states t) (bn_states c);
-  c
 
 let save t path =
   Checkpoint.save path

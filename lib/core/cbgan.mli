@@ -66,9 +66,9 @@ val discriminator_forward :
     back into the generator). *)
 
 val generator_downs : t -> (Layers.conv2d * Layers.batch_norm option) array
-(** Encoder blocks in order — a read-only structure view for the quantized
-    inference compiler ({!Qgen} folds each block's batch norm into the
-    convolution and quantizes the result). *)
+(** Encoder blocks in order — a read-only structure view for the inference
+    compiler ({!Qgen} packs each block's weight and snapshots its batch
+    norm, or folds the batch norm in and quantizes the result). *)
 
 val generator_ups : t -> (Layers.conv_transpose2d * Layers.batch_norm option * bool) array
 (** Decoder blocks in order: (transposed conv, batch norm, dropout flag). *)
@@ -85,11 +85,6 @@ val state : t -> (string * float array) list
 (** The model's non-parameter state (batch-norm running statistics) as the
     {e live} named arrays: mutating them mutates the model. Used by
     checkpointing and by the training loop's snapshot/rollback machinery. *)
-
-val clone : t -> t
-(** Deep copy: same configuration, independent parameter and batch-norm
-    state storage, identical values. Replica pools clone the loaded model so
-    concurrent batches never share mutable forward-pass state. *)
 
 val save : t -> string -> unit
 val load : t -> string -> unit

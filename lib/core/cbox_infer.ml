@@ -13,19 +13,9 @@ type generator = {
   uses_cache_params : bool;
 }
 
-(* Eval mode: running-stats batch norm and no dropout, so the rng the
-   forward signature requires is never drawn from. *)
-let of_cbgan model =
-  let cfg = Cbgan.model_config model in
-  {
-    forward =
-      (fun ?cache_params x ->
-        Value.value
-          (Cbgan.generator_forward model ~rng:(Prng.create 0) ~training:false ?cache_params x));
-    image_size = cfg.Cbgan.image_size;
-    uses_cache_params = cfg.Cbgan.use_cache_params;
-  }
-
+(* Every learned backend runs a compiled program through the one
+   interpreter: the float models compile to float32 programs (bit-identical
+   to their eval-mode tape forwards), the int8 backends are int8 programs. *)
 let of_qgen q =
   {
     forward = (fun ?cache_params x -> Qgen.forward q ?cache_params x);
@@ -33,13 +23,8 @@ let of_qgen q =
     uses_cache_params = Qgen.uses_cache_params q;
   }
 
-let of_student s =
-  {
-    forward =
-      (fun ?cache_params x -> Value.value (Student.forward s ~training:false ?cache_params x));
-    image_size = Student.image_size s;
-    uses_cache_params = Student.uses_cache_params s;
-  }
+let of_cbgan model = of_qgen (Qgen.float_of_model model)
+let of_student s = of_qgen (Qgen.float_of_student s)
 
 let rec chunks n = function
   | [] -> []
@@ -47,10 +32,10 @@ let rec chunks n = function
 
 (* Flatten every request's windows into one (cache, image) stream; the
    conditioning tensor carries one row per sample, so windows of requests
-   with different cache geometries share a forward pass. Every generator
-   is per-sample independent at inference (running-stats batch norm,
-   stateless int8 GEMMs), so the results are bit-identical to scoring each
-   request alone, at any batch size and on any number of domains. *)
+   with different cache geometries share a forward pass. Every program is
+   per-sample independent (running-stats batch norm, one GEMM per sample),
+   so the results are bit-identical to scoring each request alone, at any
+   batch size and on any number of domains. *)
 let run g spec ?(batch_size = 8) ?domains items =
   if batch_size <= 0 then invalid_arg "Cbox_infer.run: batch_size must be positive";
   let h = g.image_size in

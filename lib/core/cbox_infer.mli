@@ -3,12 +3,19 @@
 
     Every learned backend — the float32 CB-GAN, its int8 compile, the
     distilled student and the student's int8 compile — is one
-    {!generator}: a forward from normalised access heatmaps to synthetic
-    miss heatmaps. {!run} batches any generator the same way: a request's
-    access heatmaps are grouped into batches of a configurable size and
-    pushed through the forward in eval mode (no dropout; batch norm uses
-    its running statistics). Larger batches amortise per-call overheads —
-    the mechanism behind RQ5. *)
+    {!generator}: a compiled {!Qgen} program run by the one interpreter,
+    from normalised access heatmaps to synthetic miss heatmaps. {!run}
+    batches any generator the same way: a request's access heatmaps are
+    grouped into batches of a configurable size and pushed through the
+    forward in eval mode (no dropout; batch norm uses its running
+    statistics). Larger batches amortise per-call overheads — the
+    mechanism behind RQ5.
+
+    A generator snapshots the weights when it is compiled: {!of_cbgan}
+    and {!of_student} pack every weight and copy every batch-norm
+    statistic, so training the model further does not change a generator
+    built before. Build one per model version, outside any loop that
+    reuses it; {!synthesize} and {!ssynthesize} compile on every call. *)
 
 type prediction = {
   benchmark : string;
@@ -30,13 +37,18 @@ type generator = {
 }
 
 val of_cbgan : Cbgan.t -> generator
-(** The CB-GAN generator in eval mode. *)
+(** Compiles the CB-GAN generator to its float32 program
+    ({!Qgen.float_of_model}): bit-identical to
+    [Cbgan.generator_forward ~training:false]. *)
 
 val of_qgen : Qgen.t -> generator
-(** An int8 compile (of the teacher or of a student). *)
+(** A compiled program: an int8 compile of the teacher or of a student, or
+    a float32 program. *)
 
 val of_student : Student.t -> generator
-(** A distilled student in eval mode. *)
+(** Compiles a distilled student to its float32 program
+    ({!Qgen.float_of_student}): bit-identical to
+    [Student.forward ~training:false]. *)
 
 val run :
   generator ->
@@ -64,7 +76,7 @@ val synthesize :
   cache:Cache.config ->
   Tensor.t list ->
   Tensor.t list
-(** {!run} on [of_cbgan model] for a single request. *)
+(** {!run} on [of_cbgan model] for a single request: compiles, then runs. *)
 
 val qsynthesize :
   Qgen.t ->
@@ -84,7 +96,7 @@ val ssynthesize :
   cache:Cache.config ->
   Tensor.t list ->
   Tensor.t list
-(** {!run} on [of_student s] for a single request. *)
+(** {!run} on [of_student s] for a single request: compiles, then runs. *)
 
 val validate_hit_rate : ?lo:float -> ?hi:float -> float -> (float, string) result
 (** Validity gate for a raw model prediction: NaN, infinities and values

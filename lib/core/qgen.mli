@@ -1,17 +1,34 @@
-(** Int8 quantized generator for inference.
+(** Compiled generators: the one inference compiler and interpreter for
+    every learned backend.
 
-    Compiles a trained {!Cbgan} generator into a direct tensor program:
-    batch norms are folded into their convolutions (exact at inference),
-    the folded weights are quantized symmetrically with per-output-channel
-    scales, and per-tensor activation scales are calibrated by running the
-    folded float network over a calibration batch. The resulting model runs
-    through the {!Blas.Int8} GEMM kernel with no Value-graph overhead and
-    serializes to a dtype-tagged v3 checkpoint, so quantized artifacts load
-    without the float originals.
+    A compile turns a {!Cbgan} or {!Student} generator into a flat program
+    of convolution, transposed-convolution and conditioning-MLP ops, each
+    float32 or int8, and {!forward} is the one interpreter that runs any
+    such program. Training keeps the Value tape; inference never builds a
+    node.
 
-    [forward] is deterministic and bit-identical at any domain count: the
-    integer GEMMs accumulate exactly and the dequantization epilogue runs in
-    a fixed per-element order (see {!Blas.Int8}). *)
+    - {!float_of_model} / {!float_of_student} pack each weight once into
+      GEMM panels ({!Blas.Packed}) and apply bias and batch norm (from its
+      running statistics, not folded) in the tape's own order of float32
+      operations. The program is bit-identical to
+      [Cbgan.generator_forward ~training:false] / [Student.forward
+      ~training:false] on any model.
+    - {!of_model} / {!of_student} fold every batch norm into its
+      convolution (exact at inference), calibrate one per-tensor
+      activation scale per GEMM by running the folded float program over a
+      calibration batch, and quantize the folded weights symmetrically with
+      per-output-channel scales for {!Blas.Int8}. The int8 program
+      serializes to a dtype-tagged v3 checkpoint, so quantized artifacts
+      load without the float originals.
+
+    Activations are applied where the next op loads its operand (LeakyReLU
+    in im2col, ReLU while a GEMM packs B, tanh in the last op's epilogue),
+    so no op copies a whole activation tensor.
+
+    A program is a snapshot: compiling copies every weight and statistic,
+    and later changes to the model do not reach it. It holds no mutable
+    state, and {!forward} is deterministic and bit-identical at any domain
+    count and any batch composition. *)
 
 type t
 
@@ -22,9 +39,9 @@ val of_model :
   ?calib_caches:Cache.config list ->
   Cbgan.t ->
   t
-(** [of_model ~spec model] folds, calibrates and quantizes the generator.
-    [calib] (access heatmaps, as produced by {!Heatmap.of_trace}) defaults
-    to a deterministic mix of strided and pseudo-random traces;
+(** [of_model ~spec model] folds, calibrates and quantizes the generator
+    to int8. [calib] (access heatmaps, as produced by {!Heatmap.of_trace})
+    defaults to a deterministic mix of strided and pseudo-random traces;
     [calib_caches] (cycled across the batch for the conditioning MLP)
     defaults to a spread of cache geometries. [pow2] rounds every scale up
     to a power of two. *)
@@ -42,10 +59,16 @@ val of_student :
     conditioning vector is broadcast over it exactly as in the float
     forward — the composed "student-int8" backend. *)
 
+val float_of_model : Cbgan.t -> t
+(** The float32 program of the generator: one pass over the weights to
+    pack them, plus copies of biases and batch-norm statistics. *)
+
+val float_of_student : Student.t -> t
+(** As {!float_of_model}, for a distilled {!Student}. *)
+
 val forward : t -> ?cache_params:Tensor.t -> Tensor.t -> Tensor.t
 (** [forward t ?cache_params x] maps normalised access heatmaps
-    [x : \[n; 1; s; s\]] to synthetic miss heatmaps in [\[-1, 1\]] — the
-    quantized counterpart of [Cbgan.generator_forward ~training:false].
+    [x : \[n; 1; s; s\]] to synthetic miss heatmaps in [\[-1, 1\]].
     [cache_params] (shape [\[n; 2\]]) is required iff the source model used
     cache-parameter conditioning. *)
 
@@ -53,11 +76,13 @@ val image_size : t -> int
 val uses_cache_params : t -> bool
 
 val save : t -> string -> unit
-(** Writes the quantized model as a v3 checkpoint (int8 weight bytes plus
-    exact float64 scales and biases; atomic, checksummed). *)
+(** Writes an int8 program as a v3 checkpoint (int8 weight bytes plus
+    exact float64 scales and biases; atomic, checksummed). Raises
+    [Invalid_argument] on a float32 program, whose artifact is the model's
+    own checkpoint. *)
 
 val load : string -> t
-(** Rebuilds a quantized model from {!save} output without the float
+(** Rebuilds an int8 program from {!save} output without the float
     originals; scales round-trip bit-identically. Raises [Failure] on
     malformed input. *)
 

@@ -32,12 +32,11 @@
     reply counts answers per backend.
 
     Concurrency: the engine is multi-entrant across {e replicas}. Each
-    replica is an independent deep copy of each float model guarded by its
-    own mutex, so up to [config.replicas] batches run concurrently through
-    {!infer_batch}; the breaker, stats, journal, request counter and
-    latency EWMA are shared and internally synchronised. A single model
-    instance is still not reentrant — two calls targeting the same replica
-    index serialise on its mutex. *)
+    backend is one compiled, stateless {!Qgen} program shared by all of
+    its replicas; a replica is a mutex, so up to [config.replicas] batches
+    run concurrently through {!infer_batch}, and two calls targeting the
+    same replica index serialise. The breaker, stats, journal, request
+    counter and latency EWMA are shared and internally synchronised. *)
 
 type config = {
   fallback : Cbox_infer.fallback;
@@ -119,9 +118,10 @@ val generation :
   ?student_path:string ->
   unit ->
   generation
-(** Build a generation: warm (when [warmup]) and replicate [model], compile
-    its int8 quantization, and likewise load, warm, replicate and compile
-    the student at [student_path]. A compile that fails leaves its backend
+(** Build a generation: compile [model] to its float32 program, warm it
+    (when [warmup]), compile its int8 quantization, and likewise load,
+    compile and warm the student at [student_path]. Each backend's
+    [replicas] share one program. A compile that fails leaves its backend
     unloaded. A student checkpoint that fails to load is reported to
     [on_reject path why] and, like an absent [student_path], keeps [prev]'s
     student backends (none without [prev]). With [only] (a caller that
@@ -206,8 +206,8 @@ val reloads : t -> int
     batchable infer item; {!infer_batch} then executes a coalesced batch of
     items through one shared forward pass per backend. Replies are
     bit-identical to running {!handle_line} per request (inference
-    batch-norm uses running statistics, and the wide-batch conv lowering
-    preserves accumulation order), except for the [latency_ms] field. *)
+    batch-norm uses running statistics, and every sample runs its own
+    GEMMs), except for the [latency_ms] field. *)
 
 type infer_item
 

@@ -13,9 +13,9 @@ val set_wide_batch : bool -> unit
     the whole batch into one wide column matrix and run a single GEMM instead
     of one small GEMM per sample. Values are bit-identical to the per-sample
     path (per-element accumulation order is unchanged); only the speed
-    differs — the wide path amortises per-GEMM overhead and is what makes
-    batched serving beat batch-1. Off by default; the serving engine turns
-    it on. Backward passes always use the per-sample path. *)
+    differs. Off by default. It affects the float tape only: backward passes
+    and the compiled inference programs ({!conv2d_with},
+    {!conv_transpose2d_with}) always lower per sample. *)
 
 val wide_batch : unit -> bool
 (** Current wide-batch mode. *)
@@ -32,11 +32,12 @@ val im2col :
     [x] into a [\[c*kernel*kernel; oh*ow\]] matrix (zero padding). *)
 
 val im2col_into :
-  Tensor.t -> n:int -> kernel:int -> stride:int -> pad:int -> Tensor.t -> unit
+  ?act:Blas.act -> Tensor.t -> n:int -> kernel:int -> stride:int -> pad:int -> Tensor.t -> unit
 (** Like {!im2col} but writes into a caller-owned column matrix (typically a
-    {!Workspace} borrow). Only in-bounds positions are written and that set
-    depends on the geometry alone, so a buffer zeroed once may be reused
-    across samples of the same shape without re-zeroing. *)
+    {!Workspace} borrow), applying [act] (default none) to each value as it
+    is loaded. Only in-bounds positions are written and that set depends on
+    the geometry alone, so a buffer zeroed once may be reused across
+    samples of the same shape without re-zeroing. *)
 
 val col2im :
   Tensor.t ->
@@ -122,36 +123,36 @@ val conv_transpose2d_backward_into :
     overwritten (unlike {!conv2d_backward_into} it does not accumulate), so
     pre-zeroing is permitted but not required. *)
 
-(** {1 Int8 quantized forwards}
+(** {1 Per-sample lowerings}
 
-    Same lowering (im2col/col2im, wide-batch split, blocking) as the float
-    forwards with the GEMM swapped for {!Blas.Int8.gemm}; activations are
-    quantized on the fly at [act_scale]. Results are bit-identical across
-    the wide/per-sample paths and any domain count. *)
+    One GEMM per sample, with the product passed in: [gemm b c] must
+    overwrite [c] with the layer's weight matrix times [b]. {!conv2d} and
+    {!conv_transpose2d} pass {!Blas.gemm}; the compiled inference programs
+    pass a {!Blas.Packed} or {!Blas.Int8} product. Samples run on separate
+    domains; results do not depend on the domain count. *)
 
-val conv2d_q :
+val conv2d_with :
+  gemm:(Tensor.t -> Tensor.t -> unit) ->
+  ?act:Blas.act ->
   x:Tensor.t ->
-  weight:Blas.Int8.qweight ->
-  act_scale:float ->
+  oc:int ->
+  kernel:int ->
+  stride:int ->
+  pad:int ->
+  unit ->
+  Tensor.t
+(** [\[n; oc; oh; ow\]] with sample [i] = [gemm cols_i] for
+    [cols_i = im2col (act x_i)] ([\[ic*k*k; oh*ow\]]). No bias. *)
+
+val conv_transpose2d_with :
+  gemm:(Tensor.t -> Tensor.t -> unit) ->
+  x:Tensor.t ->
+  oc:int ->
   kernel:int ->
   stride:int ->
   pad:int ->
   Tensor.t
-(** Quantized forward convolution. [weight] is the quantized
-    [\[oc; ic*kernel*kernel\]] im2col weight matrix with per-output-channel
-    scales; its fused bias (if any) rides in the GEMM epilogue. *)
-
-val conv_transpose2d_q :
-  x:Tensor.t ->
-  weight:Blas.Int8.qweight ->
-  act_scale:float ->
-  bias:Tensor.t option ->
-  kernel:int ->
-  stride:int ->
-  pad:int ->
-  Tensor.t
-(** Quantized forward transposed convolution. [weight] is the quantized
-    [\[oc*kernel*kernel; ic\]] matrix (the float path's [W^T] view, i.e.
-    [quantize ~trans:true] of [\[ic; oc*k*k\]]); col2im accumulates many
-    GEMM outputs per pixel, so [bias] is applied after the scatter rather
-    than fused. *)
+(** [\[n; oc; oh; ow\]] with sample [i] = [col2im (gemm x_i)], where
+    [x_i] is sample [i]'s [\[ic; h*w\]] plane read in place (an
+    activation of [x] is the GEMM's to apply) and [gemm] writes the
+    [\[oc*k*k; h*w\]] column matrix. No bias. *)

@@ -161,6 +161,82 @@ let test_reference_vs_tiled () =
     "reference and tiled agree" true
     (close ~tol:1e-4 (under Blas.Reference) (under Blas.Tiled))
 
+(* --- prepacked weights --- *)
+
+(* Blas.Packed against Blas.gemm ~alpha:1 ~beta:0 with the activation
+   applied to B first, exactly as the tape materialises it: bitwise, on
+   both sides of the small-product cutoff, at 1 and 4 domains. B carries
+   signed zeros and A a zero row pair, to reach the leaky activation's
+   zero-sign difference and the row kernel's zero skip. *)
+let packed_matches_gemm ~m ~k ~n ~trans ~act seed =
+  let rng = Prng.create seed in
+  let w = Tensor.randn rng (if trans then [| k; m |] else [| m; k |]) in
+  if m >= 2 then
+    for p = 0 to k - 1 do
+      for i = 0 to 1 do
+        Tensor.set w (if trans then (p * m) + i else (i * k) + p) 0.0
+      done
+    done;
+  let b = Tensor.randn rng [| k; n |] in
+  for j = 0 to Tensor.numel b - 1 do
+    if j mod 7 = 0 then Tensor.set b j (-0.0) else if j mod 11 = 0 then Tensor.set b j 0.0
+  done;
+  let tape_act =
+    match act with
+    | Blas.No_act -> Tensor.copy b
+    | Blas.Relu -> Tensor.map (fun x -> Float.max 0.0 x) b
+    | Blas.Leaky s -> Tensor.map (fun x -> if x > 0.0 then x else s *. x) b
+  in
+  let want = Tensor.create [| m; n |] in
+  Blas.gemm ~trans_a:trans ~alpha:1.0 ~a:w ~b:tape_act ~beta:0.0 want;
+  let p = Blas.Packed.pack ~trans w in
+  List.for_all
+    (fun d ->
+      let got = Tensor.randn rng [| m; n |] in
+      Dpool.with_domains d (fun () -> Blas.Packed.gemm ~act ~a:p ~b got);
+      Array.map Int32.bits_of_float (Tensor.to_array got)
+      = Array.map Int32.bits_of_float (Tensor.to_array want))
+    [ 1; 4 ]
+
+let acts = [ Blas.No_act; Blas.Relu; Blas.Leaky 0.2 ]
+
+let test_packed_ragged_shapes () =
+  List.iter
+    (fun (m, k, n) ->
+      List.iter
+        (fun trans ->
+          List.iteri
+            (fun ai act ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%dx%d by %dx%d, trans %b, act %d (%s path)" m k k n trans ai
+                   (if Blas.is_small ~m ~k ~n then "small" else "packed"))
+                true
+                (packed_matches_gemm ~m ~k ~n ~trans ~act (m + k + n)))
+            acts)
+        [ false; true ])
+    [
+      (* under the small-product cutoff, one of them deeper than a KC block *)
+      (3, 7, 5);
+      (6, 300, 2);
+      (* m not a multiple of 4, k > 256, n > 256, and 1-wide edges *)
+      (33, 300, 17);
+      (130, 20, 300);
+      (5, 600, 257);
+      (129, 513, 1);
+      (2048, 160, 1);
+      (16, 32, 1024);
+    ]
+
+let test_packed_random =
+  QCheck.Test.make ~name:"packed gemm = gemm bitwise (random shapes, trans, act)" ~count:40
+    QCheck.(
+      make
+        Gen.(
+          tup4
+            (tup3 (int_range 1 70) (int_range 1 300) (int_range 1 70))
+            bool (oneofl acts) (int_range 0 1_000_000)))
+    (fun ((m, k, n), trans, act, seed) -> packed_matches_gemm ~m ~k ~n ~trans ~act seed)
+
 let qc = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -174,4 +250,7 @@ let suite =
       Alcotest.test_case "bit identity (transposed, negative alpha)" `Quick
         test_bit_identity_transposed;
       Alcotest.test_case "reference vs tiled tolerance" `Quick test_reference_vs_tiled;
+      Alcotest.test_case "packed gemm = gemm bitwise (ragged shapes)" `Quick
+        test_packed_ragged_shapes;
+      qc test_packed_random;
     ] )

@@ -27,6 +27,7 @@ let () =
       Test_metrics.suite;
       Test_core.suite;
       Test_quant.suite;
+      Test_compiled.suite;
       Test_distill.suite;
       Test_dataset.suite;
       Test_resilience.suite;
