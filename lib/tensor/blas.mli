@@ -99,29 +99,34 @@ end
 
 (** Int8 quantized GEMM micro-path.
 
-    Same blocking grid and MR=NR=4 panel discipline as the float32 kernel,
-    but the weight operand is quantized symmetrically (per-output-row
-    scales, q in [-127, 127]) and prepacked ONCE into byte micro-panels,
-    while the activation operand is quantized per call with a single
-    per-tensor scale during packing. Packed activation columns travel in
-    pairs — two offset-encoded 32-bit lanes per native int — so a k-step
-    of the microkernel does 8 integer multiply-adds for a full 4x4 tile.
-    Integer accumulation over a KC block is exact (no lane can overflow or
-    carry); the epilogue recovers the signed dot products, dequantizes
-    with [weight_scale * act_scale] and fuses the optional per-row bias.
+    Same KC grid and MR=NR=4 panel discipline as the float32 kernel, but
+    the weight operand is quantized symmetrically (per-output-row scales,
+    q in [-127, 127]) and prepacked ONCE, while the activation operand is
+    quantized per call with a single per-tensor scale as it is packed.
+
+    The integers travel in doubles: a packed weight holds two rows in one
+    double, [q_r + q_(r+1) * 2^24], and a packed B panel holds each
+    column's q as a float32, so one multiply-add advances two rows' dot
+    products. Over a 256-deep block each dot product stays below 2^22 in
+    magnitude, so both lanes and every partial sum are exact. Per block
+    the epilogue stores [c <- f32((c + (s_w * s_a) * dot) + bias)], with
+    the bias on the first block only; the first block writes [c] without
+    reading it.
 
     Determinism contract: identical to the float kernel — bit-identical
     results at every domain count. *)
 module Int8 : sig
   type qweight
-  (** A quantized, prepacked weight matrix (plus scales, per-block row
-      sums, and an optional fused bias). *)
+  (** A quantized, prepacked weight matrix (plus its scales and an
+      optional fused bias). Four bytes per weight. *)
 
   val quantize : ?trans:bool -> ?pow2:bool -> ?bias:float array -> Tensor.t -> qweight
   (** [quantize w] quantizes op(w) (2-D; [trans] selects the transpose)
       with symmetric per-output-row scales [maxabs/127] ([pow2] rounds each
       scale up to the next power of two) and packs it. [bias] (length =
-      output rows) is fused into the {!gemm} epilogue. *)
+      output rows) is fused into the {!gemm} epilogue. Raises
+      [Invalid_argument] on a NaN or infinite weight, which has no int8
+      value. *)
 
   val quantize_packed : ?pow2:bool -> ?bias:float array -> Packed.t -> qweight
   (** As {!quantize}, reading the weight from its packed float form. *)
@@ -146,6 +151,28 @@ module Int8 : sig
       [dequant(a * quant(act(op(b)))) + bias]: op(b) is activated and
       quantized on the fly at the symmetric per-tensor scale [act_scale]
       while packing. [c] must be [rows a] x [cols op(b)]. *)
+
+  (** {2 A B operand quantized by the caller}
+
+      A convolution quantizes each sample's input once and packs B
+      straight from the quantized planes ({!Conv.conv2d_with}). The packed
+      B of a [k x n] operand is NR-wide ([NR = 4]) k-major panels over the
+      whole depth: element [(p, j)] sits at [(j / 4) * 4 * k + 4 * p +
+      j mod 4], and the columns that pad the last panel hold 0. *)
+
+  val panels_size : k:int -> n:int -> int
+  (** Floats in the packed B of a [k x n] operand. *)
+
+  val quantize_into : ?act:act -> act_scale:float -> src:Tensor.t -> Tensor.t -> unit
+  (** [quantize_into ~act ~act_scale ~src dst] writes the q of every
+      element of [act(src)], as floats, into the first [numel src]
+      elements of [dst]. Each activated value is rounded to float32 before
+      it is quantized, as a float column matrix would store it. *)
+
+  val gemm_panels : a:qweight -> act_scale:float -> b:Tensor.t -> Tensor.t -> unit
+  (** [gemm_panels ~a ~act_scale ~b c] is {!gemm} over a B already packed
+      (the first [panels_size ~k:(cols a) ~n:(cols c)] elements of [b]):
+      [c <- dequant(a * B) + bias]. *)
 
   val rows : qweight -> int
   val cols : qweight -> int

@@ -257,29 +257,113 @@ let bias_grad_nchw gout grad_bias =
 
 (* --- per-sample lowerings ---
 
-   One GEMM per sample, with the GEMM as an argument: [gemm b c] must
-   overwrite [c] with the layer's weight matrix times [b]. The float tape
-   passes [Blas.gemm], the compiled inference programs a prepacked float
-   or int8 product, so every forward shares this unfold/scatter plumbing
-   and only the product differs. Samples are independent and write
-   disjoint planes of y, so they run on separate domains; the GEMM inside
-   a lane detects the nesting and stays serial, while a single sample lets
-   it parallelise itself. *)
+   One product per sample, with the product as an argument. A [Gemm] must
+   overwrite its output with the layer's weight matrix times its B operand:
+   the float tape passes [Blas.gemm], the compiled inference programs a
+   prepacked float product, so every forward shares this unfold/scatter
+   plumbing and only the product differs. An int8 convolution ([Int8])
+   quantizes each sample's input once and packs B straight from the
+   quantized planes. Samples are independent and write disjoint planes of
+   y, so they run on separate domains; the GEMM inside a lane detects the
+   nesting and stays serial, while a single sample lets it parallelise
+   itself. *)
 
-(* y[n; oc; oh; ow] with sample ni = gemm (im2col (act x_ni)). Each lane
-   borrows one column buffer from its domain's workspace arena, zeroes it
-   once and reuses it for every sample it owns (see im2col_into). *)
-let conv2d_with ~gemm ?act ~x ~oc ~kernel ~stride ~pad () =
+type product = Gemm of (Tensor.t -> Tensor.t -> unit) | Int8 of Blas.Int8.qweight * float
+
+(* Pack the im2col column matrix of one sample's quantized planes [qd]
+   ([c; h; w]) as the int8 GEMM's B operand: 4-wide k-major panels over the
+   whole depth (Blas.Int8.panels_size), with 0 for positions outside the
+   input and for the columns that pad the last panel. A padding column's
+   window starts [kernel] rows above the input, so it is never in bounds.
+   The four values of a panel row are loaded before any is stored, so each
+   float32 load has a register of its own (see Blas.Int8.pack_b). *)
+let pack_unfolded (qd : Tensor.buffer) ~c ~h ~w ~kernel ~stride ~pad ~oh ~ow
+    (dst : Tensor.buffer) =
+  let k = c * kernel * kernel and ncols = oh * ow in
+  (* The input row and column where column j's window starts. *)
+  let row0 j = if j < ncols then (j / ow * stride) - pad else -kernel in
+  let col0 j = if j < ncols then (j mod ow * stride) - pad else 0 in
+  for pj = 0 to ((ncols + 3) / 4) - 1 do
+    let j = pj * 4 in
+    let r0 = row0 j and r1 = row0 (j + 1) and r2 = row0 (j + 2) and r3 = row0 (j + 3) in
+    let c0 = col0 j and c1 = col0 (j + 1) and c2 = col0 (j + 2) and c3 = col0 (j + 3) in
+    let o = ref (j * k) and plane = ref 0 and kh = ref 0 and kw = ref 0 in
+    for _p = 1 to k do
+      let y0 = r0 + !kh and y1 = r1 + !kh and y2 = r2 + !kh and y3 = r3 + !kh in
+      let x0 = c0 + !kw and x1 = c1 + !kw and x2 = c2 + !kw and x3 = c3 + !kw in
+      let v0 =
+        if y0 >= 0 && y0 < h && x0 >= 0 && x0 < w then
+          Bigarray.Array1.unsafe_get qd (!plane + (y0 * w) + x0)
+        else 0.0
+      and v1 =
+        if y1 >= 0 && y1 < h && x1 >= 0 && x1 < w then
+          Bigarray.Array1.unsafe_get qd (!plane + (y1 * w) + x1)
+        else 0.0
+      and v2 =
+        if y2 >= 0 && y2 < h && x2 >= 0 && x2 < w then
+          Bigarray.Array1.unsafe_get qd (!plane + (y2 * w) + x2)
+        else 0.0
+      and v3 =
+        if y3 >= 0 && y3 < h && x3 >= 0 && x3 < w then
+          Bigarray.Array1.unsafe_get qd (!plane + (y3 * w) + x3)
+        else 0.0
+      in
+      Bigarray.Array1.unsafe_set dst !o v0;
+      Bigarray.Array1.unsafe_set dst (!o + 1) v1;
+      Bigarray.Array1.unsafe_set dst (!o + 2) v2;
+      Bigarray.Array1.unsafe_set dst (!o + 3) v3;
+      o := !o + 4;
+      incr kw;
+      if !kw = kernel then begin
+        kw := 0;
+        incr kh;
+        if !kh = kernel then begin
+          kh := 0;
+          plane := !plane + (h * w)
+        end
+      end
+    done
+  done
+
+(* y[n; oc; oh; ow] with sample ni = the product over act(x_ni) unfolded.
+   Each lane borrows one buffer from its domain's workspace arena and
+   reuses it for every sample it owns: a [Gemm] lane's column matrix is
+   zeroed once (see im2col_into); an [Int8] lane's holds the quantized
+   planes, then the packed B, both fully rewritten per sample. *)
+let conv2d_with ~product ?act ~x ~oc ~kernel ~stride ~pad () =
   let n = Tensor.dim x 0 and ic = Tensor.dim x 1 in
   let h = Tensor.dim x 2 and w = Tensor.dim x 3 in
   let oh = out_size ~size:h ~kernel ~stride ~pad in
   let ow = out_size ~size:w ~kernel ~stride ~pad in
+  let kk = ic * kernel * kernel and ncols = oh * ow in
   let y = Tensor.create [| n; oc; oh; ow |] in
-  Dpool.parallel_for n (fun nlo nhi ->
-      Workspace.with_buf ~zero:true [| ic * kernel * kernel; oh * ow |] (fun cols ->
-          for ni = nlo to nhi do
+  let scratch, lane =
+    match product with
+    | Gemm gemm ->
+      ( [| kk; ncols |],
+        fun cols ->
+          Tensor.fill cols 0.0;
+          fun ni yi ->
             im2col_into ?act x ~n:ni ~kernel ~stride ~pad cols;
-            gemm cols (Tensor.sub_view y ~off:(ni * oc * oh * ow) ~shape:[| oc; oh * ow |])
+            gemm cols yi )
+    | Int8 (a, act_scale) ->
+      let plane = ic * h * w and panels = Blas.Int8.panels_size ~k:kk ~n:ncols in
+      ( [| plane + panels |],
+        fun buf ->
+          let q = Tensor.sub_view buf ~off:0 ~shape:[| plane |] in
+          let bp = Tensor.sub_view buf ~off:plane ~shape:[| panels |] in
+          fun ni yi ->
+            Blas.Int8.quantize_into ?act ~act_scale
+              ~src:(Tensor.sub_view x ~off:(ni * plane) ~shape:[| plane |])
+              q;
+            pack_unfolded q.Tensor.data ~c:ic ~h ~w ~kernel ~stride ~pad ~oh ~ow bp.Tensor.data;
+            Blas.Int8.gemm_panels ~a ~act_scale ~b:bp yi )
+  in
+  Dpool.parallel_for n (fun nlo nhi ->
+      Workspace.with_buf scratch (fun buf ->
+          let sample = lane buf in
+          for ni = nlo to nhi do
+            sample ni (Tensor.sub_view y ~off:(ni * oc * ncols) ~shape:[| oc; ncols |])
           done));
   y
 
@@ -340,7 +424,7 @@ let conv2d ~x ~weight ~bias ~stride ~pad =
     end
     else
       conv2d_with
-        ~gemm:(fun b c -> Blas.gemm ~alpha:1.0 ~a:wm ~b ~beta:0.0 c)
+        ~product:(Gemm (fun b c -> Blas.gemm ~alpha:1.0 ~a:wm ~b ~beta:0.0 c))
         ~x ~oc ~kernel ~stride ~pad ()
   in
   add_bias_nchw y bias;

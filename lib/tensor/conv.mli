@@ -125,14 +125,25 @@ val conv_transpose2d_backward_into :
 
 (** {1 Per-sample lowerings}
 
-    One GEMM per sample, with the product passed in: [gemm b c] must
-    overwrite [c] with the layer's weight matrix times [b]. {!conv2d} and
+    One product per sample, with the product passed in. {!conv2d} and
     {!conv_transpose2d} pass {!Blas.gemm}; the compiled inference programs
     pass a {!Blas.Packed} or {!Blas.Int8} product. Samples run on separate
     domains; results do not depend on the domain count. *)
 
+(** The product a convolution lowers onto. *)
+type product =
+  | Gemm of (Tensor.t -> Tensor.t -> unit)
+      (** [gemm cols c] must overwrite [c] with the layer's weight matrix
+          times the column matrix [cols]. *)
+  | Int8 of Blas.Int8.qweight * float
+      (** An int8 weight and its activation scale. Each sample's activated
+          input is quantized once ({!Blas.Int8.quantize_into}) and B is
+          packed straight from the quantized planes, with no column
+          matrix. The result is bit-identical to {!Blas.Int8.gemm} over
+          the columns of {!im2col_into} [~act]. *)
+
 val conv2d_with :
-  gemm:(Tensor.t -> Tensor.t -> unit) ->
+  product:product ->
   ?act:Blas.act ->
   x:Tensor.t ->
   oc:int ->
@@ -141,7 +152,7 @@ val conv2d_with :
   pad:int ->
   unit ->
   Tensor.t
-(** [\[n; oc; oh; ow\]] with sample [i] = [gemm cols_i] for
+(** [\[n; oc; oh; ow\]] with sample [i] the product over
     [cols_i = im2col (act x_i)] ([\[ic*k*k; oh*ow\]]). No bias. *)
 
 val conv_transpose2d_with :

@@ -110,74 +110,11 @@ let with_buf ?(zero = false) shape f =
 let with_buf2 ?zero sa sb f =
   with_buf ?zero sa (fun a -> with_buf ?zero sb (fun b -> f a b))
 
-(* Integer arena: same size-classed, per-domain, scoped-borrow discipline,
-   but handing out native-int Bigarrays. The int8 GEMM path packs B-panel
-   byte pairs into 63-bit words and keeps per-column sums here; floats
-   cannot hold those exactly, hence the parallel arena. Counters are shared
-   with the float arena — the steady-state invariant covers both. *)
-
-type ibuffer = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-type islot = { ibuf : ibuffer; mutable ibusy : bool }
-type iarena = { mutable islots : islot list }
-
-let iarena_key : iarena Domain.DLS.key = Domain.DLS.new_key (fun () -> { islots = [] })
-let create_ibuf cap = Bigarray.Array1.create Bigarray.int Bigarray.c_layout cap
-
-let find_islot arena n =
-  let best = ref None in
-  List.iter
-    (fun s ->
-      if (not s.ibusy) && Bigarray.Array1.dim s.ibuf >= n then
-        match !best with
-        | Some b when Bigarray.Array1.dim b.ibuf <= Bigarray.Array1.dim s.ibuf -> ()
-        | _ -> best := Some s)
-    arena.islots;
-  !best
-
-let with_ibuf ?(zero = false) n f =
-  if n <= 0 then invalid_arg "Workspace.with_ibuf: size must be positive";
-  if not !enabled_flag then begin
-    let b = create_ibuf n in
-    if zero then Bigarray.Array1.fill b 0;
-    f b
-  end
-  else begin
-    Atomic.incr borrows;
-    let arena = Domain.DLS.get iarena_key in
-    match find_islot arena n with
-    | Some s ->
-      s.ibusy <- true;
-      let b = Bigarray.Array1.sub s.ibuf 0 n in
-      if zero then Bigarray.Array1.fill b 0;
-      Fun.protect ~finally:(fun () -> s.ibusy <- false) (fun () -> f b)
-    | None ->
-      Atomic.incr allocs;
-      if List.length arena.islots < max_slots then begin
-        let s = { ibuf = create_ibuf (round_cap n); ibusy = true } in
-        arena.islots <- s :: arena.islots;
-        let b = Bigarray.Array1.sub s.ibuf 0 n in
-        if zero then Bigarray.Array1.fill b 0;
-        Fun.protect ~finally:(fun () -> s.ibusy <- false) (fun () -> f b)
-      end
-      else begin
-        let b = create_ibuf n in
-        if zero then Bigarray.Array1.fill b 0;
-        f b
-      end
-  end
-
-let with_ibuf2 ?zero na nb f =
-  with_ibuf ?zero na (fun a -> with_ibuf ?zero nb (fun b -> f a b))
-
 let retained_slots () =
   (* Current domain's arena only; a diagnostic, not a global census. *)
-  let d = Domain.DLS.get arena_key and i = Domain.DLS.get iarena_key in
-  List.length d.slots + List.length i.islots
+  List.length (Domain.DLS.get arena_key).slots
 
 let retained_elems () =
   List.fold_left
     (fun acc s -> acc + Bigarray.Array1.dim s.buf)
     0 (Domain.DLS.get arena_key).slots
-  + List.fold_left
-      (fun acc s -> acc + Bigarray.Array1.dim s.ibuf)
-      0 (Domain.DLS.get iarena_key).islots

@@ -22,18 +22,6 @@ val with_buf : ?zero:bool -> int array -> (Tensor.t -> 'a) -> 'a
 val with_buf2 : ?zero:bool -> int array -> int array -> (Tensor.t -> Tensor.t -> 'a) -> 'a
 (** Two nested borrows; both share the [zero] policy. *)
 
-type ibuffer = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** Native-int scratch buffer (63-bit lanes on 64-bit hosts). *)
-
-val with_ibuf : ?zero:bool -> int -> (ibuffer -> 'a) -> 'a
-(** [with_ibuf n f] borrows an int scratch buffer of at least [n] elements
-    from the current domain's integer arena, with the same scoping, size
-    classing, opt-out and counter semantics as {!with_buf}. Used by the int8
-    GEMM path for packed B-panel words and column sums. *)
-
-val with_ibuf2 : ?zero:bool -> int -> int -> (ibuffer -> ibuffer -> 'a) -> 'a
-(** Two nested int borrows. *)
-
 val enabled : unit -> bool
 
 val set_enabled : bool -> unit
