@@ -22,8 +22,9 @@
       load without the float originals.
 
     Activations are applied where the next op loads its operand (LeakyReLU
-    in im2col, ReLU while a GEMM packs B, tanh in the last op's epilogue),
-    so no op copies a whole activation tensor.
+    in im2col, or as an int8 convolution quantizes its input; ReLU while a
+    GEMM packs B; tanh in the last op's epilogue), so no op copies a whole
+    activation tensor.
 
     A program is a snapshot: compiling copies every weight and statistic,
     and later changes to the model do not reach it. It holds no mutable
