@@ -661,46 +661,18 @@ let call_cmd =
             (Sjson.Obj (fields @ [ ("backend", Sjson.Str (Cbox_infer.backend_name b)) ]))
         | _ -> request)
     in
-    let addr =
-      match (socket, port) with
-      | _, Some p -> Unix.ADDR_INET (Unix.inet_addr_loopback, p)
-      | Some path, None -> Unix.ADDR_UNIX path
-      | None, None -> Unix.ADDR_UNIX "cachebox.sock"
-    in
-    let fd =
-      Unix.socket
-        (match addr with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | _ -> Unix.PF_INET)
-        Unix.SOCK_STREAM 0
-    in
-    (match Unix.connect fd addr with
-    | () -> ()
-    | exception Unix.Unix_error (e, _, _) ->
-      Fmt.epr "cannot connect: %s@." (Unix.error_message e);
-      exit 1);
-    let oc = Unix.out_channel_of_descr fd in
-    let ic = Unix.in_channel_of_descr fd in
-    output_string oc request;
-    output_char oc '\n';
-    flush oc;
-    (match input_line ic with
-    | line -> (
+    match Client.call (listen_of ~socket ~port) request with
+    | Error e ->
+      Fmt.epr "%s@." e;
+      exit 1
+    | Ok line ->
       print_endline line;
       (* Exit status mirrors the reply: 0 for ok (degraded included), the
          stable taxonomy exit code for errors. *)
-      match Sjson.parse line with
-      | Ok json when Sjson.(member "ok" json |> Option.map to_bool) = Some (Some true) ->
-        exit 0
-      | Ok json -> (
-        match
-          Option.bind (Sjson.member "error" json) Sjson.to_str
-          |> Option.map Serve_error.code_of_string
-        with
-        | Some (Some code) -> exit (Serve_error.exit_code code)
-        | _ -> exit (Serve_error.exit_code Serve_error.Internal))
-      | Error _ -> exit (Serve_error.exit_code Serve_error.Internal))
-    | exception End_of_file ->
-      Fmt.epr "connection closed without a reply@.";
-      exit 1)
+      exit
+        (match Sjson.parse line with
+        | Ok json -> Client.exit_code json
+        | Error _ -> Serve_error.exit_code Serve_error.Internal)
   in
   Cmd.v
     (Cmd.info "call" ~doc:"Send one request line to a running serve daemon and print the reply")
@@ -748,53 +720,21 @@ let stream_cmd =
   in
   let run socket port trace_file benchmark trace_len sets ways chunk kill_after resume
       resume_from corrupt_at =
-    let addr =
-      match (socket, port) with
-      | _, Some p -> Unix.ADDR_INET (Unix.inet_addr_loopback, p)
-      | Some path, None -> Unix.ADDR_UNIX path
-      | None, None -> Unix.ADDR_UNIX "cachebox.sock"
+    let module S = Client.Stream in
+    let fail message code =
+      Fmt.epr "%s@." message;
+      exit code
     in
-    let fd =
-      Unix.socket
-        (match addr with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | _ -> Unix.PF_INET)
-        Unix.SOCK_STREAM 0
+    let conn =
+      match Client.connect ~timeout:60.0 (listen_of ~socket ~port) with
+      | Ok conn -> conn
+      | Error e -> fail ("cannot connect: " ^ e) 1
     in
-    (match Unix.connect fd addr with
-    | () -> ()
-    | exception Unix.Unix_error (e, _, _) ->
-      Fmt.epr "cannot connect: %s@." (Unix.error_message e);
-      exit 1);
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
-    let ic = Unix.in_channel_of_descr fd
-    and oc = Unix.out_channel_of_descr fd in
-    let send line =
-      output_string oc line;
-      output_char oc '\n';
-      flush oc
-    in
-    let recv () =
-      match input_line ic with
-      | exception End_of_file ->
-        Fmt.epr "connection closed without a reply@.";
-        exit 1
-      | exception Sys_error m ->
-        Fmt.epr "read failed: %s@." m;
-        exit 1
-      | line -> (
-        match Sjson.parse line with
-        | Ok j -> j
-        | Error e ->
-          Fmt.epr "server sent bad JSON: %s@." e;
-          exit (Serve_error.exit_code Serve_error.Internal))
-    in
-    let int_f name j = Option.bind (Sjson.member name j) Sjson.to_int in
-    let str_f name j = Option.bind (Sjson.member name j) Sjson.to_str in
-    let is_ok j = Sjson.(member "ok" j |> Option.map to_bool) = Some (Some true) in
-    let fail_reply j =
-      Fmt.epr "%s@." (Sjson.to_string j);
-      match Option.map Serve_error.code_of_string (str_f "error" j) with
-      | Some (Some c) -> exit (Serve_error.exit_code c)
-      | _ -> exit (Serve_error.exit_code Serve_error.Internal)
+    let ok = function
+      | Ok v -> v
+      | Error (S.Rejected j) -> fail (Sjson.to_string j) (Client.exit_code j)
+      | Error (S.Broken e) -> fail (Client.error_message e) 1
+      | Error (S.Protocol m) -> fail m (Serve_error.exit_code Serve_error.Internal)
     in
     let trace =
       match trace_file with
@@ -802,120 +742,33 @@ let stream_cmd =
         match Validate.read_trace_file f with Ok t -> t | Error e -> die e)
       | None -> (find_workload benchmark).Workload.generate trace_len
     in
-    (* Windows are printed once, on first delivery — a resume may replay
-       un-acked results the dying run already printed. *)
-    let seen = Hashtbl.create 64 in
-    let emit_windows j =
-      match Sjson.member "windows" j with
-      | Some (Sjson.Arr ws) ->
-        List.iter
-          (fun w ->
-            match int_f "window" w with
-            | Some i when not (Hashtbl.mem seen i) ->
-              Hashtbl.replace seen i ();
-              (match Option.bind (Sjson.member "hit_rate" w) Sjson.to_float with
-              | Some h ->
-                Fmt.pr "window=%d hit_rate=%h degraded=%b@." i h
-                  (Sjson.(member "degraded" w |> Option.map to_bool) = Some (Some true))
-              | None ->
-                Fmt.pr "window=%d error=%s@." i
-                  (Option.value (str_f "error" w) ~default:"?"))
-            | _ -> ())
-          ws
-      | _ -> ()
+    let on_window i w =
+      match Option.bind (Sjson.member "hit_rate" w) Sjson.to_float with
+      | Some h ->
+        Fmt.pr "window=%d hit_rate=%h degraded=%b@." i h
+          (Sjson.(member "degraded" w |> Option.map to_bool) = Some (Some true))
+      | None ->
+        Fmt.pr "window=%d error=%s@." i
+          (Option.value (Option.bind (Sjson.member "error" w) Sjson.to_str) ~default:"?")
     in
-    let last_seen () = Hashtbl.fold (fun k () acc -> max k acc) seen (-1) in
-    let session, credit0, start =
+    let s =
       match resume with
       | None ->
-        send (Printf.sprintf "{\"op\": \"stream_open\", \"sets\": %d, \"ways\": %d}" sets ways);
-        let j = recv () in
-        if not (is_ok j) then fail_reply j;
-        let tok =
-          match str_f "session" j with
-          | Some t -> t
-          | None ->
-            Fmt.epr "open reply has no session token@.";
-            exit 1
-        in
-        Fmt.pr "session=%s@." tok;
-        (tok, Option.value (int_f "credit" j) ~default:0, 0)
-      | Some tok ->
-        (* Results of windows that were still in the batcher when the old
-           connection died land in the retention ring as they finish; poll
-           until the server reports none pending. *)
-        let rec attach ack =
-          send
-            (Printf.sprintf
-               "{\"op\": \"stream_resume\", \"session\": %S, \"last_window\": %d}" tok ack);
-          let j = recv () in
-          if not (is_ok j) then fail_reply j;
-          emit_windows j;
-          if Option.value (int_f "pending" j) ~default:0 > 0 then begin
-            Thread.delay 0.05;
-            attach (last_seen ())
-          end
-          else j
-        in
-        let j = attach resume_from in
-        let consumed = Option.value (int_f "consumed" j) ~default:0 in
-        Fmt.pr "resumed consumed=%d@." consumed;
-        (tok, Option.value (int_f "credit" j) ~default:0, consumed)
+        let s, _ = ok (S.open_ conn ~sets ~ways ~on_window) in
+        Fmt.pr "session=%s@." (S.token s);
+        s
+      | Some token ->
+        let s = ok (S.resume conn ~token ~last_window:resume_from ~on_window) in
+        Fmt.pr "resumed consumed=%d@." (S.consumed s);
+        s
     in
-    let len = Array.length trace in
-    let pos = ref start
-    and credit = ref credit0
-    and seq = ref 0
-    and killed = ref false in
-    let chunk_json n =
-      if corrupt_at = Some !seq then "[1, \"bogus\"]"
-      else begin
-        let b = Buffer.create ((n * 8) + 2) in
-        Buffer.add_char b '[';
-        for i = 0 to n - 1 do
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (string_of_int trace.(!pos + i))
-        done;
-        Buffer.add_char b ']';
-        Buffer.contents b
-      end
-    in
-    let feed_line n =
-      Printf.sprintf "{\"op\": \"stream_feed\", \"session\": %S, \"seq\": %d, \"ack\": %d, \"addrs\": %s}"
-        session !seq (last_seen ()) (chunk_json n)
-    in
-    while !pos < len && not !killed do
-      let n = min chunk (min !credit (len - !pos)) in
-      if n = 0 && !credit = 0 then
-        (* Retention full with results still in flight: an empty feed acks
-           what we have seen and fetches a fresh grant. *)
-        Thread.delay 0.02;
-      send (feed_line n);
-      incr seq;
-      let j = recv () in
-      if not (is_ok j) then fail_reply j;
-      emit_windows j;
-      credit := Option.value (int_f "credit" j) ~default:0;
-      pos := Option.value (int_f "consumed" j) ~default:!pos;
-      match kill_after with
-      | Some k when Hashtbl.length seen >= k && not !killed ->
-        (* Die with a feed in flight: pour one more chunk and vanish. *)
-        let extra = min chunk (min !credit (len - !pos)) in
-        if extra > 0 then send (feed_line extra);
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        Fmt.pr "killed windows=%d@." (Hashtbl.length seen);
-        killed := true
-      | _ -> ()
-    done;
-    if not !killed then begin
-      send (Printf.sprintf "{\"op\": \"stream_close\", \"session\": %S}" session);
-      let j = recv () in
-      if not (is_ok j) then fail_reply j;
+    match ok (S.pour ?kill_after ?corrupt_at s trace ~chunk) with
+    | Some j ->
       Fmt.pr "closed consumed=%d windows=%d@."
-        (Option.value (int_f "consumed" j) ~default:(-1))
-        (Hashtbl.length seen);
-      try Unix.close fd with Unix.Unix_error _ -> ()
-    end
+        (Option.value (Option.bind (Sjson.member "consumed" j) Sjson.to_int) ~default:(-1))
+        (S.delivered s);
+      Client.close conn
+    | None -> Fmt.pr "killed windows=%d@." (S.delivered s)
   in
   Cmd.v
     (Cmd.info "stream"
@@ -1073,258 +926,7 @@ let route_cmd =
       $ attempts_arg $ attempt_timeout_arg $ probe_interval_arg $ eject_after_arg
       $ memo_arg $ queue_arg $ deadline_arg $ fallback_arg $ journal_arg)
 
-(* --- loadgen: concurrency stress against a running daemon ---
-
-   N client threads each pipeline R line-delimited requests (a mix of valid
-   inferences and malformed lines) down one connection and then read R
-   replies back. The reactor guarantees per-connection FIFO replies, so
-   reply j on a connection answers request j: a valid request must come
-   back with its own echoed id (anything else is a reorder or duplicate), a
-   malformed one must come back as bad_request, and either may come back as
-   an id-less overloaded shed. Any missing reply (EOF or timeout) is a
-   drop. Afterwards the shed count every client observed is reconciled
-   against the daemon's own stats. Exits non-zero on any violation. *)
-
-(* Streaming load generator: N concurrent sessions pouring deterministic
-   traces, with exactly-once in-order window accounting, deliberate
-   over-credit probes, mid-stream disconnect + resume coverage, and a
-   reconciliation of the daemon's stream counters against what the clients
-   observed. *)
-let loadgen_stream_run ~addr ~clients ~windows ~shutdown_after =
-  let connect () =
-    let fd =
-      Unix.socket
-        (match addr with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | _ -> Unix.PF_INET)
-        Unix.SOCK_STREAM 0
-    in
-    Unix.connect fd addr;
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
-    fd
-  in
-  let int_f name j = Option.bind (Sjson.member name j) Sjson.to_int in
-  let str_f name j = Option.bind (Sjson.member name j) Sjson.to_str in
-  let is_ok j = Sjson.(member "ok" j |> Option.map to_bool) = Some (Some true) in
-  let got_windows = Array.make clients 0
-  and shed_probes = Array.make clients 0
-  and resumes = Array.make clients 0
-  and failures = Array.make clients [] in
-  let fail k fmt = Printf.ksprintf (fun m -> failures.(k) <- m :: failures.(k)) fmt in
-  (* Each client disconnects abruptly halfway and resumes (k mod 3 = 1), or
-     sends one deliberately over-credit chunk and expects the typed shed
-     (k mod 3 = 2), or just streams cleanly. *)
-  let client k () =
-    let exception Fatal in
-    try
-      let fd = ref (connect ()) in
-      let ic = ref (Unix.in_channel_of_descr !fd)
-      and oc = ref (Unix.out_channel_of_descr !fd) in
-      let send line =
-        output_string !oc line;
-        output_char !oc '\n';
-        flush !oc
-      in
-      let recv what =
-        match input_line !ic with
-        | exception (End_of_file | Sys_error _) ->
-          fail k "%s: connection died" what;
-          raise Fatal
-        | line -> (
-          match Sjson.parse line with
-          | Ok j -> j
-          | Error e ->
-            fail k "%s: bad JSON from server (%s)" what e;
-            raise Fatal)
-      in
-      send
-        (Printf.sprintf "{\"op\": \"stream_open\", \"sets\": %d, \"ways\": %d}"
-           (16 lsl (k mod 4))
-           (1 + (k mod 8)));
-      let openr = recv "open" in
-      if not (is_ok openr) then begin
-        fail k "open rejected: %s" (Sjson.to_string openr);
-        raise Fatal
-      end;
-      let session = Option.value (str_f "session" openr) ~default:"" in
-      let apw = Option.value (int_f "accesses_per_image" openr) ~default:0 in
-      let step = Option.value (int_f "step_accesses" openr) ~default:0 in
-      let len = apw + ((windows - 1) * step) in
-      (* Deterministic per-client trace: the resumed half regenerates the
-         same addresses from the server's consumed position. *)
-      let addr_at i = (i * 2654435761) lxor (k * 40503) land 0xFFFFF in
-      let next_expected = ref 0 in
-      let take_windows j =
-        match Sjson.member "windows" j with
-        | Some (Sjson.Arr ws) ->
-          List.iter
-            (fun w ->
-              match int_f "window" w with
-              | Some i ->
-                if i = !next_expected then begin
-                  incr next_expected;
-                  got_windows.(k) <- got_windows.(k) + 1
-                end
-                else if i > !next_expected then begin
-                  fail k "window %d arrived before %d — gap or reorder" i !next_expected;
-                  raise Fatal
-                end
-                (* i < next_expected: an un-acked result replayed by resume;
-                   exactly-once is on first delivery, so it is dropped. *)
-              | None -> fail k "window entry without an index")
-            ws
-        | _ -> ()
-      in
-      let credit = ref (Option.value (int_f "credit" openr) ~default:0) in
-      let pos = ref 0 in
-      let seq = ref 0 in
-      let probe_done = ref false in
-      let disconnected = ref false in
-      while !next_expected < windows do
-        if k mod 3 = 2 && (not !probe_done) && !seq = 1 then begin
-          (* Over-credit probe: must shed with a typed overloaded reply and
-             apply nothing. *)
-          probe_done := true;
-          let n = !credit + step + 1 in
-          let b = Buffer.create (n * 4) in
-          for i = 0 to n - 1 do
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_string b "1"
-          done;
-          send
-            (Printf.sprintf "{\"op\": \"stream_feed\", \"session\": %S, \"seq\": -1, \"addrs\": [%s]}"
-               session (Buffer.contents b));
-          let j = recv "probe" in
-          (match str_f "error" j with
-          | Some "overloaded" -> shed_probes.(k) <- shed_probes.(k) + 1
-          | _ -> fail k "over-credit chunk was not shed: %s" (Sjson.to_string j))
-        end
-        else if k mod 3 = 1 && (not !disconnected) && !next_expected >= windows / 2
-        then begin
-          (* Abrupt mid-stream death, then resume on a fresh connection. *)
-          disconnected := true;
-          (try Unix.close !fd with Unix.Unix_error _ -> ());
-          fd := connect ();
-          ic := Unix.in_channel_of_descr !fd;
-          oc := Unix.out_channel_of_descr !fd;
-          let rec attach () =
-            send
-              (Printf.sprintf
-                 "{\"op\": \"stream_resume\", \"session\": %S, \"last_window\": %d}"
-                 session (!next_expected - 1));
-            let j = recv "resume" in
-            if not (is_ok j) then begin
-              fail k "resume rejected: %s" (Sjson.to_string j);
-              raise Fatal
-            end;
-            take_windows j;
-            if Option.value (int_f "pending" j) ~default:0 > 0 then begin
-              Thread.delay 0.02;
-              attach ()
-            end
-            else j
-          in
-          let j = attach () in
-          resumes.(k) <- resumes.(k) + 1;
-          credit := Option.value (int_f "credit" j) ~default:0;
-          pos := Option.value (int_f "consumed" j) ~default:!pos
-        end
-        else begin
-          let n = min 512 (min !credit (len - !pos)) in
-          if n = 0 && !credit = 0 then Thread.delay 0.01;
-          let b = Buffer.create ((n * 8) + 2) in
-          for i = 0 to n - 1 do
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_string b (string_of_int (addr_at (!pos + i)))
-          done;
-          send
-            (Printf.sprintf
-               "{\"op\": \"stream_feed\", \"session\": %S, \"seq\": %d, \"ack\": %d, \"addrs\": [%s]}"
-               session !seq (!next_expected - 1) (Buffer.contents b));
-          incr seq;
-          let j = recv "feed" in
-          if not (is_ok j) then begin
-            fail k "feed rejected: %s" (Sjson.to_string j);
-            raise Fatal
-          end;
-          take_windows j;
-          credit := Option.value (int_f "credit" j) ~default:0;
-          pos := Option.value (int_f "consumed" j) ~default:!pos
-        end
-      done;
-      send (Printf.sprintf "{\"op\": \"stream_close\", \"session\": %S}" session);
-      let j = recv "close" in
-      if not (is_ok j) then fail k "close rejected: %s" (Sjson.to_string j);
-      try Unix.close !fd with Unix.Unix_error _ -> ()
-    with
-    | Fatal -> ()
-    | Unix.Unix_error (e, _, _) -> fail k "socket error: %s" (Unix.error_message e)
-  in
-  let control op =
-    match connect () with
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-    | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let ic = Unix.in_channel_of_descr fd
-          and oc = Unix.out_channel_of_descr fd in
-          output_string oc op;
-          output_char oc '\n';
-          flush oc;
-          match input_line ic with
-          | exception _ -> Error "no reply"
-          | line -> ( match Sjson.parse line with Ok j -> Ok j | Error e -> Error e))
-  in
-  let stream_counts () =
-    match control "{\"op\": \"stats\"}" with
-    | Error e -> Error e
-    | Ok json -> (
-      match Sjson.member "stream" json with
-      | None -> Error "stats reply has no stream section"
-      | Some s ->
-        let g name = Option.value (int_f name s) ~default:0 in
-        Ok (g "opened", g "closed", g "windows", g "shed_credit", g "resumed"))
-  in
-  let before = stream_counts () in
-  let threads = List.init clients (fun k -> Thread.create (client k) ()) in
-  List.iter Thread.join threads;
-  let sum a = Array.fold_left ( + ) 0 a in
-  let problems = ref (List.concat_map List.rev (Array.to_list failures)) in
-  if sum got_windows <> clients * windows then
-    problems :=
-      Printf.sprintf "received %d windows, expected %d" (sum got_windows)
-        (clients * windows)
-      :: !problems;
-  (match (before, stream_counts ()) with
-  | Error e, _ | _, Error e ->
-    problems := Printf.sprintf "stats query failed: %s" e :: !problems
-  | Ok (o0, c0, w0, s0, r0), Ok (o1, c1, w1, s1, r1) ->
-    let check name delta expect =
-      if delta <> expect then
-        problems :=
-          Printf.sprintf "daemon counted %d %s, clients observed %d" delta name expect
-          :: !problems
-    in
-    check "stream opens" (o1 - o0) clients;
-    check "stream closes" (c1 - c0) clients;
-    check "streamed windows" (w1 - w0) (sum got_windows);
-    check "credit sheds" (s1 - s0) (sum shed_probes);
-    check "resumes" (r1 - r0) (sum resumes));
-  if shutdown_after then (
-    match control "{\"op\": \"shutdown\"}" with
-    | Ok json when Sjson.(member "ok" json |> Option.map to_bool) = Some (Some true) ->
-      ()
-    | Ok json ->
-      problems := Printf.sprintf "shutdown refused: %s" (Sjson.to_string json) :: !problems
-    | Error e -> problems := Printf.sprintf "shutdown failed: %s" e :: !problems);
-  Fmt.pr
-    "loadgen --stream: %d sessions x %d windows: %d windows delivered in order (%d \
-     resumes, %d credit sheds)@."
-    clients windows (sum got_windows) (sum resumes) (sum shed_probes);
-  match !problems with
-  | [] -> Fmt.pr "loadgen: OK@."
-  | ps ->
-    List.iter (fun p -> Fmt.epr "loadgen: FAIL: %s@." p) (List.rev ps);
-    exit 1
+(* --- loadgen: concurrency stress against a running daemon (Client.loadgen) --- *)
 
 let loadgen_cmd =
   let clients_arg =
@@ -1378,7 +980,7 @@ let loadgen_cmd =
   in
   let run socket port clients requests invalid_every benchmark trace_len backend
       backend_mix shutdown_after stream stream_windows =
-    let backend = Option.map (fun s -> parse_backend s) backend in
+    let backend = Option.map parse_backend backend in
     let mix =
       match backend_mix with
       | None -> None
@@ -1387,265 +989,58 @@ let loadgen_cmd =
           Fmt.epr "--backend-mix: %s (expected NAME:W,... e.g. float32:2,int8:1)@." why;
           exit 2
         in
-        let entries = String.split_on_char ',' s in
         let expanded =
           List.concat_map
             (fun entry ->
-              match String.index_opt entry ':' with
-              | None -> bad (Printf.sprintf "entry %S has no :WEIGHT" entry)
-              | Some i -> (
-                let name = String.sub entry 0 i in
+              match String.split_on_char ':' entry with
+              | [ name; w ] -> (
                 let b = parse_backend name in
-                match
-                  int_of_string_opt (String.sub entry (i + 1) (String.length entry - i - 1))
-                with
-                | Some w when w > 0 ->
-                  List.init w (fun _ -> Cbox_infer.backend_name b)
-                | _ -> bad (Printf.sprintf "entry %S has a non-positive weight" entry)))
-            entries
+                match int_of_string_opt w with
+                | Some w when w > 0 -> List.init w (fun _ -> b)
+                | _ -> bad (Printf.sprintf "entry %S has a non-positive weight" entry))
+              | _ -> bad (Printf.sprintf "entry %S has no :WEIGHT" entry))
+            (String.split_on_char ',' s)
         in
         if expanded = [] then bad "empty mix";
-        Some (Array.of_list expanded)
+        Some expanded
     in
     if backend <> None && mix <> None then begin
       Fmt.epr "--backend and --backend-mix are mutually exclusive@.";
       exit 2
     end;
-    let addr =
-      match (socket, port) with
-      | _, Some p -> Unix.ADDR_INET (Unix.inet_addr_loopback, p)
-      | Some path, None -> Unix.ADDR_UNIX path
-      | None, None -> Unix.ADDR_UNIX "cachebox.sock"
+    let listen = listen_of ~socket ~port in
+    let verdict = function
+      | [] -> Fmt.pr "loadgen: OK@."
+      | ps ->
+        List.iter (Fmt.epr "loadgen: FAIL: %s@.") ps;
+        exit 1
     in
-    if stream then
-      loadgen_stream_run ~addr ~clients ~windows:stream_windows ~shutdown_after
-    else
-    let connect () =
-      let fd =
-        Unix.socket
-          (match addr with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | _ -> Unix.PF_INET)
-          Unix.SOCK_STREAM 0
+    if stream then begin
+      let r = Client.loadgen_stream listen ~clients ~windows:stream_windows ~shutdown_after in
+      Fmt.pr
+        "loadgen --stream: %d sessions x %d windows: %d windows delivered in order (%d \
+         resumes, %d credit sheds)@."
+        clients stream_windows r.Client.windows r.Client.resumes r.Client.credit_sheds;
+      verdict r.Client.stream_problems
+    end
+    else begin
+      let backends = Option.value mix ~default:(Option.to_list backend) in
+      let r =
+        Client.loadgen listen ~clients ~requests ~invalid_every ~benchmark ~trace_len ~backends
+          ~shutdown_after
       in
-      Unix.connect fd addr;
-      (* A lost reply must fail the run, not hang it. *)
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
-      fd
-    in
-    let is_valid j = invalid_every <= 0 || (j + 1) mod invalid_every <> 0 in
-    (* Geometry varies per client and per request so the traffic spreads
-       across shards when the target is a router (and exercises several
-       configs when it is a plain daemon) instead of collapsing onto one
-       memoizable key. *)
-    (* With a mix, each request deterministically draws its backend by
-       position, so the same invocation always generates the same
-       heterogeneous interleaving and the reconciliation is exact. *)
-    let backend_field k j =
-      match mix with
-      | Some names ->
-        Printf.sprintf ", \"backend\": %S" names.((k + j) mod Array.length names)
-      | None -> (
-        match backend with
-        | None -> ""
-        | Some b -> Printf.sprintf ", \"backend\": %S" (Cbox_infer.backend_name b))
-    in
-    let request k j =
-      if is_valid j then
-        Printf.sprintf
-          "{\"op\": \"infer\", \"id\": \"c%d-%d\", \"sets\": %d, \"ways\": %d, \
-           \"benchmark\": %S, \"trace_len\": %d%s}"
-          k j
-          (16 lsl (j mod 4))
-          (1 + (k mod 8))
-          benchmark trace_len (backend_field k j)
-      else Printf.sprintf "{\"op\": \"infer\", \"id\": \"c%d-%d\"" k j
-    in
-    let backend_names = [ "float32"; "int8"; "student"; "student-int8"; "hrd"; "stm" ] in
-    let answered = Array.make clients 0
-    and ok_replies = Array.make clients 0
-    and degraded_replies = Array.make clients 0
-    and shed_replies = Array.make clients 0
-    and late_replies = Array.make clients 0
-    and invalid_replies = Array.make clients 0
-    (* Per-client count of ok replies naming each backend, reconciled after
-       the run against the daemon's backend_* counter deltas. *)
-    and backend_replies = Array.make_matrix clients (List.length backend_names) 0
-    and failures = Array.make clients [] in
-    let fail k fmt = Printf.ksprintf (fun m -> failures.(k) <- m :: failures.(k)) fmt in
-    let str_field name json = Option.bind (Sjson.member name json) Sjson.to_str in
-    let client k () =
-      match connect () with
-      | exception Unix.Unix_error (e, _, _) -> fail k "connect: %s" (Unix.error_message e)
-      | fd ->
-        Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () ->
-            let ic = Unix.in_channel_of_descr fd
-            and oc = Unix.out_channel_of_descr fd in
-            for j = 0 to requests - 1 do
-              output_string oc (request k j);
-              output_char oc '\n';
-              (* A third of the clients dribble line by line instead of
-                 bursting, to vary the interleavings the reactor sees. *)
-              if k mod 3 = 2 then begin
-                flush oc;
-                Thread.delay 0.001
-              end
-            done;
-            flush oc;
-            (try
-               for j = 0 to requests - 1 do
-                 match input_line ic with
-                 | exception End_of_file ->
-                   fail k "reply %d: EOF — reply dropped" j;
-                   raise Exit
-                 | exception Sys_error m ->
-                   fail k "reply %d: read failed (%s)" j m;
-                   raise Exit
-                 | line -> (
-                   answered.(k) <- answered.(k) + 1;
-                   match Sjson.parse line with
-                   | Error e -> fail k "reply %d: server sent bad JSON (%s)" j e
-                   | Ok json -> (
-                     let expect = Printf.sprintf "c%d-%d" k j in
-                     match (str_field "id" json, str_field "error" json) with
-                     | Some got, _ when got <> expect ->
-                       fail k "reply %d: id %S, expected %S — reordered or duplicated" j
-                         got expect
-                     | Some _, None ->
-                       ok_replies.(k) <- ok_replies.(k) + 1;
-                       (match str_field "backend" json with
-                       | Some b -> (
-                         match List.find_index (String.equal b) backend_names with
-                         | Some i ->
-                           backend_replies.(k).(i) <- backend_replies.(k).(i) + 1
-                         | None -> fail k "reply %d: unknown backend %S" j b)
-                       | None -> ());
-                       (* Degraded answers (backend fallback, or the router
-                          covering for dead shards) are successes, counted
-                          separately so smoke tests can gate on them. *)
-                       if
-                         Sjson.(member "degraded" json |> Option.map to_bool)
-                         = Some (Some true)
-                       then degraded_replies.(k) <- degraded_replies.(k) + 1
-                     | Some _, Some "deadline_exceeded" ->
-                       (* Deadline-aware flushing under overload: an in-order,
-                          exactly-once answer, just an unhappy one. *)
-                       late_replies.(k) <- late_replies.(k) + 1
-                     | Some _, Some err ->
-                       fail k "reply %d: unexpected error %S on a valid request" j err
-                     | None, Some "overloaded" -> shed_replies.(k) <- shed_replies.(k) + 1
-                     | None, Some "bad_request" when not (is_valid j) ->
-                       invalid_replies.(k) <- invalid_replies.(k) + 1
-                     | None, err ->
-                       fail k "reply %d: unmatched reply (error %s)" j
-                         (Option.value err ~default:"<none>")))
-               done
-             with Exit -> ()))
-    in
-    let control op =
-      let fd = connect () in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let ic = Unix.in_channel_of_descr fd
-          and oc = Unix.out_channel_of_descr fd in
-          output_string oc op;
-          output_char oc '\n';
-          flush oc;
-          match input_line ic with
-          | exception _ -> Error "no reply"
-          | line -> ( match Sjson.parse line with Ok j -> Ok j | Error e -> Error e))
-    in
-    let stats_counts () =
-      match control "{\"op\": \"stats\"}" with
-      | Error e -> Error e
-      | Ok json ->
-        let num name = Option.bind (Sjson.member name json) Sjson.to_int in
-        (* Counter keys are JSON identifiers: "student-int8" -> backend_student_int8. *)
-        let key b = "backend_" ^ String.map (fun c -> if c = '-' then '_' else c) b in
-        Ok (num "shed", num "served", List.map (fun b -> num (key b)) backend_names)
-    in
-    (* The daemon may be long-lived (e.g. a router shared across several
-       smoke phases), so its counters are reconciled as deltas across this
-       run, not as absolutes. *)
-    let before = stats_counts () in
-    let threads = List.init clients (fun k -> Thread.create (client k) ()) in
-    List.iter Thread.join threads;
-    let sum a = Array.fold_left ( + ) 0 a in
-    let total = clients * requests in
-    let problems = ref (List.concat_map List.rev (Array.to_list failures)) in
-    let shed_total = sum shed_replies in
-    if sum answered <> total then
-      problems :=
-        Printf.sprintf "answered %d of %d requests — replies were dropped" (sum answered)
-          total
-        :: !problems;
-    let observed_backend i =
-      Array.fold_left (fun acc row -> acc + row.(i)) 0 backend_replies
-    in
-    (match (before, stats_counts ()) with
-    | Error e, _ | _, Error e ->
-      problems := Printf.sprintf "stats query failed: %s" e :: !problems
-    | Ok (shed0, served0, backends0), Ok (shed1, served1, backends1) ->
-      (match (shed0, shed1) with
-      | Some a, Some b when b - a <> shed_total ->
-        problems :=
-          Printf.sprintf "daemon counted %d shed requests, clients observed %d" (b - a)
-            shed_total
-          :: !problems
-      | Some _, Some _ -> ()
-      | _ -> problems := "stats reply has no shed count" :: !problems);
-      (match (served0, served1) with
-      | Some a, Some b when b - a < total - shed_total ->
-        problems :=
-          Printf.sprintf "daemon served %d < answered-minus-shed %d" (b - a)
-            (total - shed_total)
-          :: !problems
-      | Some _, Some _ -> ()
-      | _ -> problems := "stats reply has no served count" :: !problems);
-      (* Per-backend reconciliation: every successful answer credits exactly
-         one backend counter, so each counter's delta must equal the ok
-         replies the clients saw naming that backend. Absent counters only
-         fail the run when a backend was explicitly requested (an old
-         daemon without the registry is otherwise tolerated). *)
-      List.iteri
-        (fun i name ->
-          match (List.nth backends0 i, List.nth backends1 i) with
-          | Some a, Some b when b - a <> observed_backend i ->
-            problems :=
-              Printf.sprintf "daemon counted %d %s answers, clients observed %d"
-                (b - a) name (observed_backend i)
-              :: !problems
-          | Some _, Some _ -> ()
-          | _ ->
-            if backend <> None || mix <> None then
-              problems :=
-                Printf.sprintf "stats reply has no backend_%s counter" name :: !problems)
-        backend_names);
-    if shutdown_after then (
-      match control "{\"op\": \"shutdown\"}" with
-      | Ok json
-        when Sjson.(member "ok" json |> Option.map to_bool) = Some (Some true) ->
-        ()
-      | Ok json ->
-        problems :=
-          Printf.sprintf "shutdown refused: %s" (Sjson.to_string json) :: !problems
-      | Error e -> problems := Printf.sprintf "shutdown failed: %s" e :: !problems);
-    Fmt.pr
-      "loadgen: %d clients x %d requests: %d answered (%d ok of which %d degraded, %d \
-       bad_request, %d shed, %d past deadline)@."
-      clients requests (sum answered) (sum ok_replies) (sum degraded_replies)
-      (sum invalid_replies) shed_total (sum late_replies);
-    Fmt.pr "loadgen: backends: %s@."
-      (String.concat ", "
-         (List.mapi
-            (fun i name -> Printf.sprintf "%s %d" name (observed_backend i))
-            backend_names));
-    match !problems with
-    | [] -> Fmt.pr "loadgen: OK@."
-    | ps ->
-      List.iter (fun p -> Fmt.epr "loadgen: FAIL: %s@." p) (List.rev ps);
-      exit 1
+      Fmt.pr
+        "loadgen: %d clients x %d requests: %d answered (%d ok of which %d degraded, %d \
+         bad_request, %d shed, %d past deadline)@."
+        clients requests r.Client.answered r.Client.ok r.Client.degraded r.Client.bad_request
+        r.Client.shed r.Client.late;
+      Fmt.pr "loadgen: backends: %s@."
+        (String.concat ", "
+           (List.map
+              (fun (b, n) -> Printf.sprintf "%s %d" (Cbox_infer.backend_name b) n)
+              r.Client.per_backend));
+      verdict r.Client.problems
+    end
   in
   Cmd.v
     (Cmd.info "loadgen"

@@ -98,14 +98,11 @@ let backend_name = function
   | Backend_hrd -> "hrd"
   | Backend_stm -> "stm"
 
-let backend_of_string = function
-  | "float32" -> Some Backend_float32
-  | "int8" -> Some Backend_int8
-  | "student" -> Some Backend_student
-  | "student-int8" -> Some Backend_student_int8
-  | "hrd" -> Some Backend_hrd
-  | "stm" -> Some Backend_stm
-  | _ -> None
+let backends =
+  [ Backend_float32; Backend_int8; Backend_student; Backend_student_int8; Backend_hrd;
+    Backend_stm ]
+
+let backend_of_string s = List.find_opt (fun b -> backend_name b = s) backends
 
 type fallback = No_fallback | Fallback_hrd | Fallback_stm
 

@@ -127,6 +127,9 @@ val backend_name : backend -> string
 val backend_of_string : string -> backend option
 (** ["float32" | "int8" | "student" | "student-int8" | "hrd" | "stm"]. *)
 
+val backends : backend list
+(** All six, in the order above, which is a stats reply's order too. *)
+
 (** {1 Analytical fallbacks}
 
     When the learned model is unavailable or untrusted, serving degrades to

@@ -22,7 +22,7 @@
    Threading mirrors the serve daemon: one [Reactor] owns all client I/O
    and pushes admitted lines into a bounded [Squeue]; a small pool of
    forwarder threads drains it, each talking to backends over blocking
-   sockets with SO_RCVTIMEO/SO_SNDTIMEO as the per-attempt timeout. One
+   [Client] connections whose timeout is the per-attempt timeout. One
    connection carries one outstanding request, so replies can never alias
    across requests; idle connections are pooled per backend. A prober
    thread health-checks every backend each interval, so a dead shard is
@@ -76,10 +76,10 @@ let default_config ~listen ~backends =
 
 type backend = {
   b_name : string;
-  b_addr : Unix.sockaddr;
+  b_listen : Serve_daemon.listen;
   b_health : Backend_health.t;
   b_breaker : Breaker.t;
-  b_pool : Unix.file_descr list ref;  (* idle persistent upstream conns *)
+  b_pool : Client.t list ref;  (* idle persistent upstream conns *)
   b_pm : Mutex.t;
   mutable b_attempts : int;  (* request attempts routed here (not probes) *)
 }
@@ -108,33 +108,6 @@ let journal_event t kind fields =
       ~finally:(fun () -> Mutex.unlock t.jm)
       (fun () -> Runlog.event j kind fields)
 
-(* --- wire replies (same shapes the backend emits) --- *)
-
-let base_fields id = match id with None -> [] | Some id -> [ ("id", Sjson.Str id) ]
-
-let error_reply ?id (e : Serve_error.t) =
-  Sjson.Obj
-    (base_fields id
-    @ [
-        ("ok", Sjson.Bool false);
-        ("error", Sjson.Str (Serve_error.code_string e.Serve_error.code));
-        ("message", Sjson.Str e.Serve_error.message);
-      ])
-
-let hit_rate_reply ?id ~degraded ~source ~backend ~reason ~latency_ms hit_rate =
-  Sjson.Obj
-    (base_fields id
-    @ [
-        ("ok", Sjson.Bool true);
-        ("op", Sjson.Str "infer");
-        ("hit_rate", Sjson.Num hit_rate);
-        ("degraded", Sjson.Bool degraded);
-        ("source", Sjson.Str source);
-        ("backend", Sjson.Str backend);
-      ]
-    @ (match reason with None -> [] | Some r -> [ ("reason", Sjson.Str r) ])
-    @ [ ("latency_ms", Sjson.Num latency_ms) ])
-
 let record ?backend t ~arrival ~ok ~degraded ~code =
   Serve_stats.record ?backend t.stats ~ok ~degraded ~code
     ~latency_s:(t.now () -. arrival)
@@ -145,7 +118,7 @@ let answer ?backend t job ~arrival ~ok ~degraded ~code reply =
 
 let answer_error t job ?id ~arrival e =
   answer t job ~arrival ~ok:false ~degraded:false ~code:(Some e.Serve_error.code)
-    (error_reply ?id e)
+    (Serve_engine.error_reply ?id e)
 
 (* --- shard + memo keys (the Simcache descriptor convention) --- *)
 
@@ -187,104 +160,43 @@ let strip_fields json keys =
 
 (* --- upstream I/O --- *)
 
-exception Upstream_timeout
-exception Upstream_eof
-
-let set_timeouts fd secs =
-  let secs = Float.max 0.01 secs in
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO secs;
-  Unix.setsockopt_float fd Unix.SO_SNDTIMEO secs
-
-let send_line fd line =
-  let data = Bytes.of_string (line ^ "\n") in
-  let len = Bytes.length data in
-  let pos = ref 0 in
-  while !pos < len do
-    match Unix.write fd data !pos (len - !pos) with
-    | 0 -> raise Upstream_eof
-    | n -> pos := !pos + n
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      raise Upstream_timeout
-  done
-
-(* One reply is one line; a connection never carries two outstanding
-   requests, so everything up to the first newline is ours. *)
-let recv_line fd =
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
-  let rec go () =
-    match Unix.read fd chunk 0 4096 with
-    | 0 -> raise Upstream_eof
-    | n -> (
-      let s = Bytes.sub_string chunk 0 n in
-      match String.index_opt s '\n' with
-      | Some i ->
-        Buffer.add_string buf (String.sub s 0 i);
-        Buffer.contents buf
-      | None ->
-        Buffer.add_string buf s;
-        if Buffer.length buf > 1 lsl 20 then raise Upstream_eof else go ())
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      raise Upstream_timeout
-  in
-  go ()
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 let take_pooled b =
   Mutex.lock b.b_pm;
-  let fd = match !(b.b_pool) with
-    | fd :: rest ->
+  let conn = match !(b.b_pool) with
+    | conn :: rest ->
       b.b_pool := rest;
-      Some fd
+      Some conn
     | [] -> None
   in
   Mutex.unlock b.b_pm;
-  fd
+  conn
 
-let give_back b fd =
+let give_back b conn =
   Mutex.lock b.b_pm;
-  b.b_pool := fd :: !(b.b_pool);
+  b.b_pool := conn :: !(b.b_pool);
   Mutex.unlock b.b_pm
 
 let flush_pool b =
   Mutex.lock b.b_pm;
-  let fds = !(b.b_pool) in
+  let conns = !(b.b_pool) in
   b.b_pool := [];
   Mutex.unlock b.b_pm;
-  List.iter close_quietly fds
+  List.iter Client.close conns
 
-let connect_fresh b =
-  let fd = Unix.socket (Unix.domain_of_sockaddr b.b_addr) Unix.SOCK_STREAM 0 in
-  match Unix.connect fd b.b_addr with
-  | () -> fd
-  | exception e ->
-    close_quietly fd;
-    raise e
-
-let run_attempt b fd line ~timeout =
-  match
-    set_timeouts fd timeout;
-    send_line fd line;
-    recv_line fd
-  with
-  | reply ->
-    give_back b fd;
+let run_attempt b conn line ~timeout =
+  Client.set_timeout conn timeout;
+  match Client.request conn line with
+  | Ok reply ->
+    give_back b conn;
     `Reply reply
-  | exception Upstream_timeout ->
-    (* The late reply may still arrive on this conn; never reuse it, or it
-       would alias against the next request. *)
-    close_quietly fd;
-    `Timeout
-  | exception Upstream_eof ->
-    close_quietly fd;
-    `Down "connection closed by backend"
-  | exception Unix.Unix_error (e, _, _) ->
-    close_quietly fd;
-    `Down (Unix.error_message e)
-  | exception e ->
-    close_quietly fd;
-    `Down (Printexc.to_string e)
+  | Error e -> (
+    (* After a timeout the late reply may still arrive on this conn; never
+       reuse it, or it would alias against the next request. *)
+    Client.close conn;
+    match e with
+    | Client.Timeout -> `Timeout
+    | Client.Eof -> `Down "connection closed by backend"
+    | Client.Io why -> `Down why)
 
 (* One bounded-time request/reply exchange. An idle pooled connection may
    have died while parked (backend restart): a transport error on a pooled
@@ -292,10 +204,9 @@ let run_attempt b fd line ~timeout =
    restarted backend is not mistaken for a dead one. *)
 let upstream_call b line ~timeout =
   let fresh () =
-    match connect_fresh b with
-    | fd -> run_attempt b fd line ~timeout
-    | exception Unix.Unix_error (e, _, _) -> `Down (Unix.error_message e)
-    | exception e -> `Down (Printexc.to_string e)
+    match Client.connect b.b_listen with
+    | Ok conn -> run_attempt b conn line ~timeout
+    | Error why -> `Down why
   in
   match take_pooled b with
   | None -> fresh ()
@@ -341,7 +252,7 @@ let degrade t job ~id ~arrival ~cache ~source reason =
       Serve_stats.record_degraded_router t.stats;
       let fb = Cbox_infer.fallback_name t.cfg.fallback in
       answer ~backend:fb t job ~arrival ~ok:true ~degraded:true ~code:None
-        (hit_rate_reply ?id ~degraded:true ~source:("router-" ^ fb) ~backend:fb
+        (Serve_engine.hit_rate_reply ?id ~degraded:true ~source:("router-" ^ fb) ~backend:fb
            ~reason:(Some reason)
            ~latency_ms:(1000.0 *. (t.now () -. arrival))
            hit_rate)
@@ -352,28 +263,14 @@ let degrade t job ~id ~arrival ~cache ~source reason =
     | exception e -> answer_error t job ?id ~arrival (Serve_error.of_exn e))
 
 let reply_is_shed json =
-  match Sjson.member "ok" json with
-  | Some (Sjson.Bool true) -> false
-  | _ -> (
-    match Option.bind (Sjson.member "error" json) Sjson.to_str with
-    | Some "overloaded" -> true
-    | _ -> false)
+  (not (Client.is_ok json)) && Client.error_code json = Some Serve_error.Overloaded
 
 (* Forward the final upstream reply verbatim, recording it exactly once in
    client-visible stats — attempts that were shed or failed along the way
    left no mark here (only in retries/hedges and per-backend counters). *)
 let finalize t job ~arrival ~memo_key json line =
-  let ok =
-    match Sjson.member "ok" json with Some (Sjson.Bool b) -> b | _ -> false
-  in
-  let degraded =
-    match Sjson.member "degraded" json with Some (Sjson.Bool b) -> b | _ -> false
-  in
-  let code =
-    Option.bind
-      (Option.bind (Sjson.member "error" json) Sjson.to_str)
-      Serve_error.code_of_string
-  in
+  let ok = Client.is_ok json and code = Client.error_code json in
+  let degraded = Option.bind (Sjson.member "degraded" json) Sjson.to_bool = Some true in
   let backend =
     if ok then Option.bind (Sjson.member "backend" json) Sjson.to_str else None
   in
@@ -391,7 +288,7 @@ let answer_from_memo t job ~id ~arrival cached =
   let backend = Option.bind (Sjson.member "backend" cached) Sjson.to_str in
   answer ?backend t job ~arrival ~ok:true ~degraded:false ~code:None
     (Sjson.Obj
-       (base_fields id @ fields
+       (Serve_engine.base_fields id @ fields
        @ [
            ("latency_ms", Sjson.Num (1000.0 *. (t.now () -. arrival)));
            ("memo", Sjson.Bool true);
@@ -566,20 +463,8 @@ let stats_reply t =
        ("backends_up", Sjson.Num (float_of_int (backends_up t)));
        ("backends", Sjson.Arr (Array.to_list (Array.map backend_json t.backends)));
      ]
-    (* Per-serving-backend success counters, mirroring the daemon's stats
-       reply (the router credits whichever backend the upstream reply
-       names), always all six so clients can reconcile deltas. JSON keys
-       map '-' to '_' exactly like the daemon's (backend_student_int8). *)
-    @ List.map
-        (fun b ->
-          let n =
-            match List.assoc_opt b s.Serve_stats.backends with
-            | Some n -> n
-            | None -> 0
-          in
-          let key = String.map (fun c -> if c = '-' then '_' else c) b in
-          ("backend_" ^ key, Sjson.Num (float_of_int n)))
-        [ "float32"; "int8"; "student"; "student-int8"; "hrd"; "stm" ]
+    (* The router credits whichever backend the upstream reply names. *)
+    @ Serve_engine.backend_counters s
     @ List.map
         (fun (code, n) -> ("err_" ^ code, Sjson.Num (float_of_int n)))
         s.Serve_stats.errors)
@@ -607,12 +492,14 @@ let broadcast_reload t job ~id ~checkpoint =
                match Sjson.parse l with
                | Ok json -> strip_fields json [ "id" ]
                | Error _ ->
-                 error_reply (Serve_error.v Serve_error.Internal "garbage reply"))
+                 Serve_engine.error_reply
+                   (Serve_error.v Serve_error.Internal "garbage reply"))
              | `Timeout ->
-               error_reply
+               Serve_engine.error_reply
                  (Serve_error.v Serve_error.Deadline_exceeded "reload timed out")
              | `Down why ->
-               error_reply (Serve_error.v Serve_error.Upstream_unavailable "%s" why)
+               Serve_engine.error_reply
+                 (Serve_error.v Serve_error.Upstream_unavailable "%s" why)
            in
            ( b.b_name,
              match outcome with
@@ -621,27 +508,15 @@ let broadcast_reload t job ~id ~checkpoint =
          t.backends)
   in
   Predmemo.clear t.memo;
-  let all_ok =
-    List.for_all
-      (fun (_, j) ->
-        match Sjson.member "ok" j with Some (Sjson.Bool b) -> b | _ -> false)
-      results
-  in
+  let all_ok = List.for_all (fun (_, j) -> Client.is_ok j) results in
   journal_event t "reload_broadcast"
     [ ("ok", Runlog.B all_ok); ("backends", Runlog.I (List.length results)) ];
   let code =
-    if all_ok then None
-    else
-      List.find_map
-        (fun (_, j) ->
-          Option.bind
-            (Option.bind (Sjson.member "error" j) Sjson.to_str)
-            Serve_error.code_of_string)
-        results
+    if all_ok then None else List.find_map (fun (_, j) -> Client.error_code j) results
   in
   answer t job ~arrival ~ok:all_ok ~degraded:false ~code
     (Sjson.Obj
-       (base_fields id
+       (Serve_engine.base_fields id
        @ [ ("ok", Sjson.Bool all_ok); ("op", Sjson.Str "reload") ]
        @ (match code with
          | Some c when not all_ok ->
@@ -655,7 +530,7 @@ let broadcast_reload t job ~id ~checkpoint =
 
 let shed_reply t ~why =
   Serve_stats.shed t.stats;
-  error_reply (Serve_error.v Serve_error.Overloaded "%s" why)
+  Serve_engine.error_reply (Serve_error.v Serve_error.Overloaded "%s" why)
 
 let process t rng queue job =
   if Atomic.get t.draining then
@@ -734,18 +609,12 @@ let prober_loop t stop () =
     done
   done
 
-let sockaddr_of_listen = function
-  | Serve_daemon.Unix_socket path -> Unix.ADDR_UNIX path
-  | Serve_daemon.Tcp (host, port) -> (
-    match (Unix.gethostbyname host).Unix.h_addr_list.(0) with
-    | addr -> Unix.ADDR_INET (addr, port)
-    | exception (Not_found | Invalid_argument _) ->
-      Serve_error.fail Serve_error.Invalid_config "cannot resolve host %S" host)
-
 let make_backend cfg (name, listen) =
+  (* An unresolvable host is a config error at startup, not a dead shard. *)
+  ignore (Serve_daemon.sockaddr listen);
   {
     b_name = name;
-    b_addr = sockaddr_of_listen listen;
+    b_listen = listen;
     b_health = Backend_health.create ~eject_after:cfg.eject_after ();
     b_breaker =
       Breaker.create ~threshold:cfg.breaker_threshold ~cooldown:cfg.breaker_cooldown_s

@@ -24,6 +24,14 @@ let default_config listen =
    carry the reply back to the connection, in per-connection order. *)
 type job = { line : string; arrival : float; ticket : Reactor.ticket }
 
+let sockaddr = function
+  | Unix_socket path -> Unix.ADDR_UNIX path
+  | Tcp (host, port) -> (
+    match (Unix.gethostbyname host).Unix.h_addr_list.(0) with
+    | addr -> Unix.ADDR_INET (addr, port)
+    | exception (Not_found | Invalid_argument _) ->
+      Serve_error.fail Serve_error.Invalid_config "cannot resolve host %S" host)
+
 let bind_listener = function
   | Unix_socket path ->
     if Sys.file_exists path then begin
@@ -53,15 +61,10 @@ let bind_listener = function
          (Unix.error_message e));
     fd
   | Tcp (host, port) ->
-    let addr =
-      match (Unix.gethostbyname host).Unix.h_addr_list.(0) with
-      | addr -> addr
-      | exception (Not_found | Invalid_argument _) ->
-        Serve_error.fail Serve_error.Invalid_config "cannot resolve host %S" host
-    in
+    let addr = sockaddr (Tcp (host, port)) in
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    (try Unix.bind fd (Unix.ADDR_INET (addr, port))
+    (try Unix.bind fd addr
      with Unix.Unix_error (e, _, _) ->
        Unix.close fd;
        Serve_error.fail Serve_error.Internal "cannot bind %s:%d: %s" host port

@@ -46,6 +46,10 @@ val default_config : listen -> config
     {!Serve_engine.default_config}; {!Stream_session.default_config}
     quotas, no idle reaping. *)
 
+val sockaddr : listen -> Unix.sockaddr
+(** The socket address of [listen], resolving a TCP host. Raises
+    {!Serve_error.Error} [invalid_config] when the host does not resolve. *)
+
 val bind_listener : listen -> Unix.file_descr
 (** Bind (but not listen on) a server socket for [listen], with the stale
     unix-socket reclaim / live-socket refusal policy described above.

@@ -303,6 +303,19 @@ let hit_rate_reply ?id ~degraded ~source ~backend ~reason ~latency_ms hit_rate =
     @ (match reason with None -> [] | Some r -> [ ("reason", Sjson.Str r) ])
     @ [ ("latency_ms", Sjson.Num latency_ms) ])
 
+let backend_counter b = "backend_" ^ key_of b
+
+(* All six, so clients can take deltas without existence checks. *)
+let backend_counters (s : Serve_stats.summary) =
+  List.map
+    (fun b ->
+      let n =
+        Option.value ~default:0
+          (List.assoc_opt (Cbox_infer.backend_name b) s.Serve_stats.backends)
+      in
+      (backend_counter b, Sjson.Num (float_of_int n)))
+    Cbox_infer.backends
+
 let health_reply t =
   let breaker = Breaker.state t.breaker in
   let healthy = model_loaded t && breaker = Breaker.Closed in
@@ -344,17 +357,7 @@ let stats_reply t =
        ("reloads", Sjson.Num (float_of_int t.reloads));
        ("reload_failures", Sjson.Num (float_of_int t.reload_failures));
      ]
-    (* Per-backend serve counts: all six registry entries are always
-       present so clients can compute deltas without existence checks. *)
-    @ List.map
-        (fun b ->
-          let n =
-            Option.value ~default:0
-              (List.assoc_opt (Cbox_infer.backend_name b) s.Serve_stats.backends)
-          in
-          ("backend_" ^ key_of b, Sjson.Num (float_of_int n)))
-        Cbox_infer.[ Backend_float32; Backend_int8; Backend_student; Backend_student_int8;
-                     Backend_hrd; Backend_stm ]
+    @ backend_counters s
     @ t.extra_stats ()
     @ List.map
         (fun (code, n) -> ("err_" ^ code, Sjson.Num (float_of_int n)))

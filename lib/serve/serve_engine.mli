@@ -264,6 +264,29 @@ val infer_batch : ?replica:int -> t -> infer_item list -> Sjson.t list
 val replica_count : t -> int
 (** Size of the replica pool (1 when no model is loaded). *)
 
+(** {2 Reply shapes, which the router shares} *)
+
+val base_fields : string option -> (string * Sjson.t) list
+(** The echoed ["id"], when the request had one. *)
+
+val error_reply : ?id:string -> Serve_error.t -> Sjson.t
+
+val hit_rate_reply :
+  ?id:string ->
+  degraded:bool ->
+  source:string ->
+  backend:string ->
+  reason:string option ->
+  latency_ms:float ->
+  float ->
+  Sjson.t
+
+val backend_counter : Cbox_infer.backend -> string
+(** A stats reply's count of one backend's answers: ["backend_student_int8"]. *)
+
+val backend_counters : Serve_stats.summary -> (string * Sjson.t) list
+(** Every {!backend_counter}, zeros included. *)
+
 (** {2 Stream-session hooks}
 
     {!Stream_session} answers many requests on its own (quota sheds,

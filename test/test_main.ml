@@ -37,4 +37,5 @@ let () =
       Test_reload.suite;
       Test_stream.suite;
       Test_integration.suite;
+      Test_client.suite;
     ]

@@ -155,59 +155,6 @@ let test_engine_reload_without_spec () =
 
 (* --- live daemon --- *)
 
-let daemon_config sock =
-  {
-    Serve_daemon.listen = Serve_daemon.Unix_socket sock;
-    queue_depth = 32;
-    batcher = Batcher.default_config;
-    engine =
-      { (Serve_engine.default_config ~fallback:Cbox_infer.Fallback_hrd ()) with
-        Serve_engine.grace_lo = -1e9; grace_hi = 1e9 };
-    stream = Stream_session.default_config;
-    idle_timeout_s = None;
-  }
-
-let start_daemon ~model ~reload sock =
-  let ready_m = Mutex.create () and ready_c = Condition.create () in
-  let is_ready = ref false in
-  let thread =
-    Thread.create
-      (fun () ->
-        Serve_daemon.run ~reload
-          ~ready:(fun () ->
-            Mutex.lock ready_m;
-            is_ready := true;
-            Condition.signal ready_c;
-            Mutex.unlock ready_m)
-          ~spec:tiny_spec ~model (daemon_config sock))
-      ()
-  in
-  Mutex.lock ready_m;
-  while not !is_ready do
-    Condition.wait ready_c ready_m
-  done;
-  Mutex.unlock ready_m;
-  thread
-
-let connect_client sock =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX sock);
-  (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
-
-let close_client fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let one_call sock line =
-  let fd, ic, oc = connect_client sock in
-  Fun.protect
-    ~finally:(fun () -> close_client fd)
-    (fun () ->
-      output_string oc line;
-      output_char oc '\n';
-      flush oc;
-      match Sjson.parse (input_line ic) with
-      | Ok j -> j
-      | Error e -> Alcotest.failf "daemon sent a non-JSON reply: %s" e)
-
 let with_reloadable_daemon f =
   let dir = temp_dir () in
   let sock = Filename.concat dir "d.sock" in
@@ -226,12 +173,12 @@ let with_reloadable_daemon f =
       reload_student_path = None;
     }
   in
-  let thread = start_daemon ~model ~reload sock in
+  let thread = Daemons.start ~model ~reload (Daemons.config ~queue_depth:32 sock) in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       f ~sock;
-      let sd = one_call sock {|{"op": "shutdown"}|} in
+      let sd = Daemons.call sock {|{"op": "shutdown"}|} in
       check_bool sd "ok" true;
       Thread.join thread)
 
@@ -242,21 +189,14 @@ let with_reloadable_daemon f =
    change. *)
 let test_daemon_reload_under_traffic () =
   with_reloadable_daemon (fun ~sock ->
-      let fd, ic, oc = connect_client sock in
+      let c = Daemons.connect sock in
       Fun.protect
-        ~finally:(fun () -> close_client fd)
+        ~finally:(fun () -> Client.close c)
         (fun () ->
-          let ask id =
-            output_string oc (infer_line ~id ());
-            output_char oc '\n';
-            flush oc;
-            match Sjson.parse (input_line ic) with
-            | Ok j -> j
-            | Error e -> Alcotest.failf "bad reply mid-reload: %s" e
-          in
+          let ask id = Daemons.request c (infer_line ~id ()) in
           let baseline = hit_rate (ask "t0") in
           let reloader =
-            Thread.create (fun () -> one_call sock {|{"op": "reload"}|}) ()
+            Thread.create (fun () -> Daemons.call sock {|{"op": "reload"}|}) ()
           in
           for i = 1 to 30 do
             let r = ask (Printf.sprintf "t%d" i) in
@@ -268,18 +208,18 @@ let test_daemon_reload_under_traffic () =
               (hit_rate r)
           done;
           Thread.join reloader;
-          let s = one_call sock {|{"op": "stats"}|} in
+          let s = Daemons.call sock {|{"op": "stats"}|} in
           Alcotest.(check (option (float 1e-9))) "exactly one reload" (Some 1.0)
             (num_field s "reloads")))
 
 let test_daemon_sighup_reload () =
   with_reloadable_daemon (fun ~sock ->
-      let r1 = one_call sock (infer_line ~id:"pre" ()) in
+      let r1 = Daemons.call sock (infer_line ~id:"pre" ()) in
       check_str r1 "source" "model";
       Unix.kill (Unix.getpid ()) Sys.sighup;
       let deadline = Unix.gettimeofday () +. 10.0 in
       let rec wait () =
-        let s = one_call sock {|{"op": "stats"}|} in
+        let s = Daemons.call sock {|{"op": "stats"}|} in
         if num_field s "reloads" = Some 1.0 then ()
         else if Unix.gettimeofday () > deadline then
           Alcotest.failf "SIGHUP reload never landed; stats: %s" (Sjson.to_string s)
@@ -289,7 +229,7 @@ let test_daemon_sighup_reload () =
         end
       in
       wait ();
-      let r2 = one_call sock (infer_line ~id:"post" ()) in
+      let r2 = Daemons.call sock (infer_line ~id:"post" ()) in
       check_str r2 "source" "model";
       Alcotest.(check (float 0.0)) "same checkpoint, same prediction" (hit_rate r1)
         (hit_rate r2))

@@ -215,39 +215,7 @@ let infer_line ~id ~sets ~ways () =
          );
        ])
 
-let backend_config sock =
-  {
-    Serve_daemon.listen = Serve_daemon.Unix_socket sock;
-    queue_depth = 32;
-    batcher = Batcher.default_config;
-    engine =
-      { (Serve_engine.default_config ~fallback:Cbox_infer.Fallback_hrd ()) with
-        Serve_engine.grace_lo = -1e9; grace_hi = 1e9 };
-    stream = Stream_session.default_config;
-    idle_timeout_s = None;
-  }
-
-let start_backend ?(model = None) sock =
-  let ready_m = Mutex.create () and ready_c = Condition.create () in
-  let is_ready = ref false in
-  let thread =
-    Thread.create
-      (fun () ->
-        Serve_daemon.run
-          ~ready:(fun () ->
-            Mutex.lock ready_m;
-            is_ready := true;
-            Condition.signal ready_c;
-            Mutex.unlock ready_m)
-          ~spec:tiny_spec ~model (backend_config sock))
-      ()
-  in
-  Mutex.lock ready_m;
-  while not !is_ready do
-    Condition.wait ready_c ready_m
-  done;
-  Mutex.unlock ready_m;
-  thread
+let start_backend ?model sock = Daemons.start ?model (Daemons.config ~queue_depth:32 sock)
 
 let router_config ~sock ~backends =
   {
@@ -263,49 +231,8 @@ let router_config ~sock ~backends =
     memo_capacity = 32;
   }
 
-let start_router config =
-  let ready_m = Mutex.create () and ready_c = Condition.create () in
-  let is_ready = ref false in
-  let thread =
-    Thread.create
-      (fun () ->
-        Router.run
-          ~ready:(fun () ->
-            Mutex.lock ready_m;
-            is_ready := true;
-            Condition.signal ready_c;
-            Mutex.unlock ready_m)
-          config)
-      ()
-  in
-  Mutex.lock ready_m;
-  while not !is_ready do
-    Condition.wait ready_c ready_m
-  done;
-  Mutex.unlock ready_m;
-  thread
-
-let connect_client sock =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX sock);
-  (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
-
-let close_client fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let one_call sock line =
-  let fd, ic, oc = connect_client sock in
-  Fun.protect
-    ~finally:(fun () -> close_client fd)
-    (fun () ->
-      output_string oc line;
-      output_char oc '\n';
-      flush oc;
-      match Sjson.parse (input_line ic) with
-      | Ok j -> j
-      | Error e -> Alcotest.failf "router sent a non-JSON reply: %s" e)
-
 let shut_down_backend sock thread =
-  let r = one_call sock {|{"op": "shutdown"}|} in
+  let r = Daemons.call sock {|{"op": "shutdown"}|} in
   check_bool r "ok" true;
   Thread.join thread
 
@@ -314,7 +241,7 @@ let shut_down_backend sock thread =
 let wait_stats sock pred ~what =
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec go () =
-    let s = one_call sock {|{"op": "stats"}|} in
+    let s = Daemons.call sock {|{"op": "stats"}|} in
     if pred s then s
     else if Unix.gettimeofday () > deadline then
       Alcotest.failf "timed out waiting for %s; last stats: %s" what (Sjson.to_string s)
@@ -333,7 +260,7 @@ let infer_all rsock ~tag =
   List.iteri
     (fun i (sets, ways) ->
       let id = Printf.sprintf "%s-%d" tag i in
-      let r = one_call rsock (infer_line ~id ~sets ~ways ()) in
+      let r = Daemons.call rsock (infer_line ~id ~sets ~ways ()) in
       check_bool r "ok" true;
       check_str r "id" id)
     configs
@@ -345,13 +272,13 @@ let test_router_failover_and_degradation () =
   and rs = Filename.concat dir "r.sock" in
   let t1 = ref (start_backend b1) and t2 = ref (start_backend b2) in
   let rt =
-    start_router
+    Daemons.start_router
       (router_config ~sock:rs
          ~backends:
            [ ("b1", Serve_daemon.Unix_socket b1); ("b2", Serve_daemon.Unix_socket b2) ])
   in
   (* Healthy cluster: every shard answers, ids echo in order. *)
-  let h = one_call rs {|{"op": "health"}|} in
+  let h = Daemons.call rs {|{"op": "health"}|} in
   check_str h "status" "ok";
   check_str h "role" "router";
   infer_all rs ~tag:"warm";
@@ -384,16 +311,16 @@ let test_router_failover_and_degradation () =
   shut_down_backend b1 !t1;
   shut_down_backend b2 !t2;
   ignore (wait_stats rs (fun s -> num_field s "backends_up" = Some 0.0) ~what:"all down");
-  let r = one_call rs (infer_line ~id:"dark" ~sets:64 ~ways:8 ()) in
+  let r = Daemons.call rs (infer_line ~id:"dark" ~sets:64 ~ways:8 ()) in
   check_bool r "ok" true;
   check_bool r "degraded" true;
   check_str r "source" "router-hrd";
   check_str r "id" "dark";
-  let s = one_call rs {|{"op": "stats"}|} in
+  let s = Daemons.call rs {|{"op": "stats"}|} in
   (match num_field s "degraded_router" with
   | Some n -> Alcotest.(check bool) "router degradation counted" true (n >= 1.0)
   | None -> Alcotest.fail "stats missing degraded_router");
-  let sd = one_call rs {|{"op": "shutdown"}|} in
+  let sd = Daemons.call rs {|{"op": "shutdown"}|} in
   check_bool sd "ok" true;
   Thread.join rt;
   Alcotest.(check bool) "router socket removed" false (Sys.file_exists rs);
@@ -405,31 +332,31 @@ let test_router_memo_live () =
   let model = Some (Cbgan.create ~seed:51 tiny_model_config) in
   let t1 = start_backend ~model b1 in
   let rt =
-    start_router
+    Daemons.start_router
       (router_config ~sock:rs ~backends:[ ("b1", Serve_daemon.Unix_socket b1) ])
   in
   let line = infer_line ~id:"m0" ~sets:8 ~ways:2 () in
-  let r1 = one_call rs line in
+  let r1 = Daemons.call rs line in
   check_bool r1 "ok" true;
   check_str r1 "source" "model";
   Alcotest.(check bool) "first answer is not memoized" true
     (bool_field r1 "memo" = None);
-  let r2 = one_call rs (infer_line ~id:"m1" ~sets:8 ~ways:2 ()) in
+  let r2 = Daemons.call rs (infer_line ~id:"m1" ~sets:8 ~ways:2 ()) in
   check_bool r2 "memo" true;
   check_str r2 "id" "m1";
   Alcotest.(check (option (float 1e-9))) "memo hit is bit-identical"
     (num_field r1 "hit_rate") (num_field r2 "hit_rate");
-  let s = one_call rs {|{"op": "stats"}|} in
+  let s = Daemons.call rs {|{"op": "stats"}|} in
   Alcotest.(check (option (float 1e-9))) "one memo hit" (Some 1.0)
     (num_field s "memo_hits");
   (* A reload broadcast invalidates the memo (new model, stale answers). *)
-  let rl = one_call rs {|{"op": "reload"}|} in
+  let rl = Daemons.call rs {|{"op": "reload"}|} in
   check_bool rl "ok" false;  (* backend has no reload spec: rejected... *)
-  let s = one_call rs {|{"op": "stats"}|} in
+  let s = Daemons.call rs {|{"op": "stats"}|} in
   Alcotest.(check (option (float 1e-9))) "memo flushed by reload broadcast"
     (Some 0.0) (num_field s "memo_entries");
   shut_down_backend b1 t1;
-  let sd = one_call rs {|{"op": "shutdown"}|} in
+  let sd = Daemons.call rs {|{"op": "shutdown"}|} in
   check_bool sd "ok" true;
   Thread.join rt;
   rm_rf dir

@@ -556,67 +556,12 @@ let test_junk_request_property =
 
 (* --- daemon over a real Unix socket --- *)
 
-let daemon_config sock =
-  {
-    Serve_daemon.listen = Serve_daemon.Unix_socket sock;
-    queue_depth = 8;
-    batcher = Batcher.default_config;
-    engine =
-      { (Serve_engine.default_config ~fallback:Cbox_infer.Fallback_hrd ()) with
-        Serve_engine.grace_lo = -1e9; grace_hi = 1e9 };
-    stream = Stream_session.default_config;
-    idle_timeout_s = None;
-  }
-
-(* Starts the daemon in a thread and blocks until its socket accepts. *)
-let start_daemon ?(model = None) config =
-  let ready_m = Mutex.create () and ready_c = Condition.create () in
-  let is_ready = ref false in
-  let server =
-    Thread.create
-      (fun () ->
-        Serve_daemon.run
-          ~ready:(fun () ->
-            Mutex.lock ready_m;
-            is_ready := true;
-            Condition.signal ready_c;
-            Mutex.unlock ready_m)
-          ~spec:tiny_spec ~model config)
-      ()
-  in
-  Mutex.lock ready_m;
-  while not !is_ready do
-    Condition.wait ready_c ready_m
-  done;
-  Mutex.unlock ready_m;
-  server
-
-let connect_client sock =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX sock);
-  (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
-
-let send_req oc line =
-  output_string oc line;
-  output_char oc '\n';
-  flush oc
-
-let read_reply ic =
-  match Sjson.parse (input_line ic) with
-  | Ok j -> j
-  | Error e -> Alcotest.failf "daemon sent a non-JSON reply: %s" e
-
-let close_client fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 let test_daemon_roundtrip () =
   let dir = temp_dir () in
   let sock = Filename.concat dir "s.sock" in
-  let server = start_daemon (daemon_config sock) in
-  let fd, ic, oc = connect_client sock in
-  let call line =
-    send_req oc line;
-    read_reply ic
-  in
+  let server = Daemons.start (Daemons.config sock) in
+  let c = Daemons.connect sock in
+  let call line = Daemons.request c line in
   let h = call {|{"op": "health"}|} in
   check_bool h "ok" true;
   check_str h "status" "degraded";
@@ -636,10 +581,10 @@ let test_daemon_roundtrip () =
   (* The connection is deliberately left open across the join: shutdown
      must wake the idle reader itself (EOF), not wait for the client. *)
   Thread.join server;
-  (match input_line ic with
-  | exception End_of_file -> ()
+  (match Client.recv c with
+  | Error Client.Eof -> ()
   | _ -> Alcotest.fail "client expected EOF after shutdown");
-  close_client fd;
+  Client.close c;
   Alcotest.(check bool) "socket file removed on shutdown" false (Sys.file_exists sock);
   rm_rf dir
 
@@ -652,29 +597,29 @@ let test_daemon_shutdown_drains_and_wakes () =
   with_model (fun model ->
       let dir = temp_dir () in
       let sock = Filename.concat dir "s.sock" in
-      let server = start_daemon ~model:(Some model) (daemon_config sock) in
-      let idle_fd, idle_ic, _ = connect_client sock in
-      let slow_fd, slow_ic, slow_oc = connect_client sock in
-      let ctl_fd, ctl_ic, ctl_oc = connect_client sock in
-      let late_fd, late_ic, late_oc = connect_client sock in
+      let server = Daemons.start ~model:(Some model) (Daemons.config sock) in
+      let idle = Daemons.connect sock in
+      let slow = Daemons.connect sock in
+      let ctl = Daemons.connect sock in
+      let late = Daemons.connect sock in
       Faultinject.arm (Faultinject.Slow 0.5) ~at_batch:1;
-      send_req slow_oc (infer_line ~id:"slow" ());
+      Daemons.send slow (infer_line ~id:"slow" ());
       Thread.delay 0.15;
-      send_req ctl_oc {|{"op": "shutdown"}|};
+      Daemons.send ctl {|{"op": "shutdown"}|};
       Thread.delay 0.1;
-      send_req late_oc (infer_line ~id:"late" ());
-      let slow_r = read_reply slow_ic in
+      Daemons.send late (infer_line ~id:"late" ());
+      let slow_r = Daemons.recv slow in
       check_bool slow_r "ok" true;
-      let ctl_r = read_reply ctl_ic in
+      let ctl_r = Daemons.recv ctl in
       check_str ctl_r "op" "shutdown";
-      let late_r = read_reply late_ic in
+      let late_r = Daemons.recv late in
       check_bool late_r "ok" false;
       check_str late_r "error" "overloaded";
-      (match input_line idle_ic with
-      | exception End_of_file -> ()
+      (match Client.recv idle with
+      | Error Client.Eof -> ()
       | _ -> Alcotest.fail "idle client expected EOF on shutdown");
       Thread.join server;
-      List.iter close_client [ idle_fd; slow_fd; ctl_fd; late_fd ];
+      List.iter Client.close [ idle; slow; ctl; late ];
       Alcotest.(check bool) "socket file removed" false (Sys.file_exists sock);
       rm_rf dir)
 
@@ -683,33 +628,29 @@ let test_daemon_shutdown_drains_and_wakes () =
 let test_daemon_socket_in_use_and_stale () =
   let dir = temp_dir () in
   let sock = Filename.concat dir "s.sock" in
-  let config = daemon_config sock in
-  let server = start_daemon config in
+  let config = Daemons.config sock in
+  let server = Daemons.start config in
   (match Serve_daemon.run ~spec:tiny_spec ~model:None config with
   | () -> Alcotest.fail "second daemon started over a live one"
   | exception Serve_error.Error e ->
     Alcotest.(check string) "live socket refused as invalid_config" "invalid_config"
       (Serve_error.code_string e.Serve_error.code));
-  let fd, ic, oc = connect_client sock in
-  send_req oc {|{"op": "health"}|};
-  check_bool (read_reply ic) "ok" true;
-  send_req oc {|{"op": "shutdown"}|};
-  ignore (read_reply ic);
+  let c = Daemons.connect sock in
+  check_bool (Daemons.request c {|{"op": "health"}|}) "ok" true;
+  ignore (Daemons.request c {|{"op": "shutdown"}|});
   Thread.join server;
-  close_client fd;
+  Client.close c;
   (* Stale file: bound but nobody listening behind it (simulated crash). *)
   let stale = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind stale (Unix.ADDR_UNIX sock);
   Unix.close stale;
   Alcotest.(check bool) "stale socket file left behind" true (Sys.file_exists sock);
-  let server2 = start_daemon config in
-  let fd2, ic2, oc2 = connect_client sock in
-  send_req oc2 {|{"op": "health"}|};
-  check_bool (read_reply ic2) "ok" true;
-  send_req oc2 {|{"op": "shutdown"}|};
-  ignore (read_reply ic2);
+  let server2 = Daemons.start config in
+  let c2 = Daemons.connect sock in
+  check_bool (Daemons.request c2 {|{"op": "health"}|}) "ok" true;
+  ignore (Daemons.request c2 {|{"op": "shutdown"}|});
   Thread.join server2;
-  close_client fd2;
+  Client.close c2;
   rm_rf dir
 
 let test_daemon_unresolvable_host () =

@@ -189,19 +189,10 @@ let test_linebuf_chunking_property =
 let start_reactor ?max_line ~on_line () =
   let dir = temp_dir () in
   let sock = Filename.concat dir "r.sock" in
-  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listener (Unix.ADDR_UNIX sock);
-  Unix.listen listener 16;
-  Unix.set_nonblock listener;
-  let r = Reactor.create ?max_line ~listener () in
-  Reactor.set_on_line r (on_line r);
-  let th = Thread.create (fun () -> Reactor.run r) () in
-  (r, th, listener, sock, dir)
+  (Daemons.start_reactor ?max_line ~on_line sock, sock, dir)
 
-let stop_reactor (r, th, listener, _sock, dir) =
-  Reactor.stop r;
-  Thread.join th;
-  (try Unix.close listener with Unix.Unix_error _ -> ());
+let stop_reactor (stub, _sock, dir) =
+  Daemons.stop_reactor stub;
   rm_rf dir
 
 let echo _r ticket line = Reactor.resolve ticket ("echo:" ^ line)
@@ -214,7 +205,7 @@ let connect sock =
 let send fd s = ignore (Unix.write_substring fd s 0 (String.length s))
 
 let test_reactor_framing () =
-  let ((_, _, _, sock, _) as h) = start_reactor ~on_line:echo () in
+  let ((_, sock, _) as h) = start_reactor ~on_line:echo () in
   (* Byte-by-byte delivery. *)
   let fd1, ic1 = connect sock in
   String.iter (fun c -> send fd1 (String.make 1 c)) "hello\nworld\n";
@@ -247,7 +238,7 @@ let test_reactor_reply_order () =
     pending := (ticket, line) :: !pending;
     Mutex.unlock pm
   in
-  let ((_, _, _, sock, _) as h) = start_reactor ~on_line:collect () in
+  let ((_, sock, _) as h) = start_reactor ~on_line:collect () in
   let fd, ic = connect sock in
   send fd "first\nsecond\n";
   let deadline = Unix.gettimeofday () +. 5.0 in
@@ -273,7 +264,7 @@ let test_reactor_reply_order () =
   stop_reactor h
 
 let test_reactor_oversized_line () =
-  let ((_, _, _, sock, _) as h) = start_reactor ~max_line:16 ~on_line:echo () in
+  let ((_, sock, _) as h) = start_reactor ~max_line:16 ~on_line:echo () in
   let fd, ic = connect sock in
   send fd ("ok\n" ^ String.make 64 'x' ^ "\n");
   Alcotest.(check string) "line before overflow answered" "echo:ok" (input_line ic);
@@ -291,7 +282,7 @@ let test_reactor_oversized_line () =
   stop_reactor h
 
 let test_reactor_disconnect_mid_request () =
-  let ((_, _, _, sock, _) as h) = start_reactor ~on_line:echo () in
+  let ((_, sock, _) as h) = start_reactor ~on_line:echo () in
   let fd, ic = connect sock in
   send fd "one\ntwo";
   (* Disconnect with the second request cut off mid-line: the partial is

@@ -538,61 +538,6 @@ let test_handle_rejects_non_stream () =
 
 (* --- daemon end-to-end over a real Unix socket --- *)
 
-let daemon_config sock =
-  {
-    Serve_daemon.listen = Serve_daemon.Unix_socket sock;
-    queue_depth = 8;
-    batcher = Batcher.default_config;
-    engine =
-      { (Serve_engine.default_config ~fallback:Cbox_infer.Fallback_hrd ()) with
-        Serve_engine.grace_lo = -1e9; grace_hi = 1e9 };
-    stream = Stream_session.default_config;
-    idle_timeout_s = None;
-  }
-
-let start_daemon ?(model = None) config =
-  let ready_m = Mutex.create () and ready_c = Condition.create () in
-  let is_ready = ref false in
-  let server =
-    Thread.create
-      (fun () ->
-        Serve_daemon.run
-          ~ready:(fun () ->
-            Mutex.lock ready_m;
-            is_ready := true;
-            Condition.signal ready_c;
-            Mutex.unlock ready_m)
-          ~spec:tiny_spec ~model config)
-      ()
-  in
-  Mutex.lock ready_m;
-  while not !is_ready do
-    Condition.wait ready_c ready_m
-  done;
-  Mutex.unlock ready_m;
-  server
-
-let connect_client sock =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX sock);
-  (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
-
-let send_req oc line =
-  output_string oc line;
-  output_char oc '\n';
-  flush oc
-
-let read_reply ic =
-  match Sjson.parse (input_line ic) with
-  | Ok j -> j
-  | Error e -> Alcotest.failf "daemon sent a non-JSON reply: %s" e
-
-let close_client fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let wire_call ic oc line =
-  send_req oc line;
-  read_reply ic
-
 let feed_line ~token ?ack addrs =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf {|{"op": "stream_feed", "session": "%s"|} token);
@@ -628,52 +573,48 @@ let collect_windows reply next out =
   | _ -> ()
 
 let shutdown_daemon sock server =
-  let fd, ic, oc = connect_client sock in
-  ignore (wire_call ic oc {|{"op": "shutdown"}|});
-  close_client fd;
+  ignore (Daemons.call sock {|{"op": "shutdown"}|});
   Thread.join server
 
 let test_daemon_stream_resume_bitidentical () =
   with_model (fun model ->
       let dir = temp_dir () in
       let sock = Filename.concat dir "s.sock" in
-      let server = start_daemon ~model:(Some model) (daemon_config sock) in
+      let server = Daemons.start ~model:(Some model) (Daemons.config sock) in
       let trace = Lazy.force tiny_trace in
       (* Reference client: the whole trace in one credited feed. *)
-      let fd_a, ic_a, oc_a = connect_client sock in
-      let o_a = wire_call ic_a oc_a {|{"op": "stream_open", "sets": 4, "ways": 2}|} in
+      let a = Daemons.connect sock in
+      let o_a = Daemons.request a {|{"op": "stream_open", "sets": 4, "ways": 2}|} in
       check_bool o_a "ok" true;
       let tok_a = Option.get (str_field o_a "session") in
       Alcotest.(check bool) "credit covers the whole tiny trace" true
         (geti o_a "credit" >= Array.length trace);
       let next_a = ref 0 and ws_a = ref [] in
-      let r_a = wire_call ic_a oc_a (feed_line ~token:tok_a trace) in
+      let r_a = Daemons.request a (feed_line ~token:tok_a trace) in
       check_bool r_a "ok" true;
       collect_windows r_a next_a ws_a;
       Alcotest.(check int) "reference stream complete" tiny_windows !next_a;
-      close_client fd_a;
+      Client.close a;
       (* Killed client: feed part of the trace, fire one more chunk and
          drop the connection without reading the reply. *)
-      let fd_b, ic_b, oc_b = connect_client sock in
-      let o_b = wire_call ic_b oc_b {|{"op": "stream_open", "sets": 4, "ways": 2}|} in
+      let b = Daemons.connect sock in
+      let o_b = Daemons.request b {|{"op": "stream_open", "sets": 4, "ways": 2}|} in
       let tok_b = Option.get (str_field o_b "session") in
       let next_b = ref 0 and ws_b = ref [] in
-      let r1 = wire_call ic_b oc_b (feed_line ~token:tok_b (Array.sub trace 0 (apw + step))) in
+      let r1 = Daemons.request b (feed_line ~token:tok_b (Array.sub trace 0 (apw + step))) in
       check_bool r1 "ok" true;
       collect_windows r1 next_b ws_b;
-      send_req oc_b (feed_line ~token:tok_b (Array.sub trace (apw + step) step));
-      close_client fd_b;
+      Daemons.send b (feed_line ~token:tok_b (Array.sub trace (apw + step) step));
+      Client.close b;
       (* The daemon must shrug the dead connection off. *)
-      let fd_h, ic_h, oc_h = connect_client sock in
-      check_bool (wire_call ic_h oc_h {|{"op": "health"}|}) "ok" true;
-      close_client fd_h;
+      check_bool (Daemons.call sock {|{"op": "health"}|}) "ok" true;
       (* Re-attach, drain in-flight windows, and replay the remainder: the
          combined stream must be bit-identical to the reference client. *)
-      let fd_c, ic_c, oc_c = connect_client sock in
+      let c = Daemons.connect sock in
       let rec resume_poll tries =
         if tries > 200 then Alcotest.fail "resume: pending windows never drained";
         let r =
-          wire_call ic_c oc_c
+          Daemons.request c
             (Printf.sprintf {|{"op": "stream_resume", "session": "%s", "last_window": %d}|}
                tok_b (!next_b - 1))
         in
@@ -691,38 +632,38 @@ let test_daemon_stream_resume_bitidentical () =
         (consumed >= apw + step && consumed <= Array.length trace);
       let rest = Array.sub trace consumed (Array.length trace - consumed) in
       if Array.length rest > 0 then begin
-        let r2 = wire_call ic_c oc_c (feed_line ~token:tok_b ~ack:(!next_b - 1) rest) in
+        let r2 = Daemons.request c (feed_line ~token:tok_b ~ack:(!next_b - 1) rest) in
         check_bool r2 "ok" true;
         collect_windows r2 next_b ws_b
       end;
       Alcotest.(check int) "resumed stream complete" tiny_windows !next_b;
       Alcotest.(check (list string)) "windows bit-identical across kill+resume"
         (List.rev !ws_a) (List.rev !ws_b);
-      let c = wire_call ic_c oc_c (Printf.sprintf {|{"op": "stream_close", "session": "%s"}|} tok_b) in
-      check_bool c "ok" true;
-      close_client fd_c;
+      let cl =
+        Daemons.request c (Printf.sprintf {|{"op": "stream_close", "session": "%s"}|} tok_b)
+      in
+      check_bool cl "ok" true;
+      Client.close c;
       shutdown_daemon sock server;
       rm_rf dir)
 
 let test_daemon_overflow_and_partial_line_containment () =
   let dir = temp_dir () in
   let sock = Filename.concat dir "s.sock" in
-  let server = start_daemon (daemon_config sock) in
+  let server = Daemons.start (Daemons.config sock) in
   let trace = Lazy.force tiny_trace in
   (* A streaming session on connection A... *)
-  let fd_a, ic_a, oc_a = connect_client sock in
-  let o = wire_call ic_a oc_a {|{"op": "stream_open", "sets": 4, "ways": 2}|} in
+  let a = Daemons.connect sock in
+  let o = Daemons.request a {|{"op": "stream_open", "sets": 4, "ways": 2}|} in
   let token = Option.get (str_field o "session") in
-  let r1 = wire_call ic_a oc_a (feed_line ~token (Array.sub trace 0 100)) in
+  let r1 = Daemons.request a (feed_line ~token (Array.sub trace 0 100)) in
   check_bool r1 "ok" true;
   (* ...an oversized line on connection B (over the reactor's 1 MiB frame
      cap, no newline — it can never be re-framed)... *)
-  let fd_b, ic_b, oc_b = connect_client sock in
-  (try
-     output_string oc_b (String.make ((1 lsl 20) + 2) 'a');
-     flush oc_b
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  (match read_reply ic_b with
+  let fd_b = Daemons.raw_connect sock in
+  let ic_b = Unix.in_channel_of_descr fd_b in
+  Daemons.write_raw fd_b (String.make ((1 lsl 20) + 2) 'a');
+  (match Daemons.parse (input_line ic_b) with
   | r ->
     check_bool r "ok" false;
     check_str r "error" "bad_request"
@@ -730,49 +671,43 @@ let test_daemon_overflow_and_partial_line_containment () =
   (match input_line ic_b with
   | _ -> Alcotest.fail "overflowed connection not closed"
   | exception End_of_file -> ());
-  close_client fd_b;
+  Unix.close fd_b;
   (* ...and a half-written line on connection C, dropped mid-request. *)
-  let fd_c, _, oc_c = connect_client sock in
-  (try
-     output_string oc_c {|{"op": "stream_feed", "session|};
-     flush oc_c
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  close_client fd_c;
+  let fd_c = Daemons.raw_connect sock in
+  Daemons.write_raw fd_c {|{"op": "stream_feed", "session|};
+  Unix.close fd_c;
   Thread.delay 0.05;
   (* Session A never noticed either neighbour. *)
-  let r2 = wire_call ic_a oc_a (feed_line ~token (Array.sub trace 100 (apw - 100))) in
+  let r2 = Daemons.request a (feed_line ~token (Array.sub trace 100 (apw - 100))) in
   check_bool r2 "ok" true;
   Alcotest.(check int) "stream unaffected by misbehaving neighbours" 1
     (match Sjson.member "windows" r2 with Some (Sjson.Arr ws) -> List.length ws | _ -> 0);
-  close_client fd_a;
+  Client.close a;
   shutdown_daemon sock server;
   rm_rf dir
 
 let test_daemon_idle_reaper_spares_streams () =
   let dir = temp_dir () in
   let sock = Filename.concat dir "s.sock" in
-  let config = { (daemon_config sock) with Serve_daemon.idle_timeout_s = Some 0.15 } in
-  let server = start_daemon config in
+  let config = { (Daemons.config sock) with Serve_daemon.idle_timeout_s = Some 0.15 } in
+  let server = Daemons.start config in
   let trace = Lazy.force tiny_trace in
   (* A streaming session (exempted at open)... *)
-  let fd_s, ic_s, oc_s = connect_client sock in
-  let o = wire_call ic_s oc_s {|{"op": "stream_open", "sets": 4, "ways": 2}|} in
+  let st = Daemons.connect sock in
+  let o = Daemons.request st {|{"op": "stream_open", "sets": 4, "ways": 2}|} in
   check_bool o "ok" true;
   let token = Option.get (str_field o "session") in
   (* ...and a pack of slow-loris connections, each stuck mid-line. *)
   let lorises =
     List.init 20 (fun _ ->
-        let fd, ic, oc = connect_client sock in
-        (try
-           output_string oc {|{"op": "hea|};
-           flush oc
-         with Sys_error _ | Unix.Unix_error _ -> ());
-        (fd, ic))
+        let fd = Daemons.raw_connect sock in
+        Daemons.write_raw fd {|{"op": "hea|};
+        fd)
   in
   Thread.delay 0.6;
   (* Every loris was reaped: its socket reads EOF. *)
   List.iter
-    (fun (fd, _) ->
+    (fun fd ->
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
       (match Unix.read fd (Bytes.create 1) 0 1 with
       | 0 -> ()
@@ -780,18 +715,16 @@ let test_daemon_idle_reaper_spares_streams () =
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         Alcotest.fail "slow-loris connection was not reaped"
       | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> ());
-      close_client fd)
+      Unix.close fd)
     lorises;
   (* The idle stream survived far past the timeout and still works. *)
-  let r = wire_call ic_s oc_s (feed_line ~token (Array.sub trace 0 apw)) in
+  let r = Daemons.request st (feed_line ~token (Array.sub trace 0 apw)) in
   check_bool r "ok" true;
   Alcotest.(check int) "stream window after idling" 1
     (match Sjson.member "windows" r with Some (Sjson.Arr ws) -> List.length ws | _ -> 0);
   (* And freed slots accept fresh clients. *)
-  let fd_n, ic_n, oc_n = connect_client sock in
-  check_bool (wire_call ic_n oc_n {|{"op": "health"}|}) "ok" true;
-  close_client fd_n;
-  close_client fd_s;
+  check_bool (Daemons.call sock {|{"op": "health"}|}) "ok" true;
+  Client.close st;
   shutdown_daemon sock server;
   rm_rf dir
 
