@@ -218,6 +218,20 @@ let resilience_term =
   in
   Term.(const combine $ snapshot_every $ snapshot_dir $ resume $ journal)
 
+(* A bad trainer flag is a typed invalid_config error (exit 2), reported
+   before any model is loaded or dataset built. *)
+let require ok fmt =
+  Printf.ksprintf
+    (fun message -> if not ok then die { Serve_error.code = Invalid_config; message })
+    fmt
+
+(* Each trainer needs at least one benchmark with at least one image. *)
+let check_dataset_flags spec ~count ~trace_len =
+  require (count >= 1) "--benchmarks must be at least 1 (got %d)" count;
+  let per_image = Heatmap.accesses_per_image spec in
+  require (trace_len >= per_image) "--trace-len must be at least %d, one heatmap image (got %d)"
+    per_image trace_len
+
 (* The first [count] workloads of the train split, simulated on [cfg]. *)
 let train_split_samples spec cfg ~count ~trace_len =
   let split = Suite.split (Suite.all ()) in
@@ -232,7 +246,9 @@ let train_cmd =
     apply_domains domains;
     apply_simcache simcache;
     let spec = Heatmap.spec () in
-    let samples = train_split_samples spec (cache_config ~sets ~ways) ~count ~trace_len in
+    let cfg = cache_config ~sets ~ways in
+    check_dataset_flags spec ~count ~trace_len;
+    let samples = train_split_samples spec cfg ~count ~trace_len in
     let model = Cbgan.create ~seed:42 (Cbgan.default_config ()) in
     let options =
       {
@@ -274,6 +290,13 @@ let distill_cmd =
     apply_simcache simcache;
     let spec = Heatmap.spec () in
     let cfg = cache_config ~sets ~ways in
+    check_dataset_flags spec ~count ~trace_len;
+    require (depth_div >= 1) "--depth-div must be at least 1 (got %d)" depth_div;
+    require (width_div >= 1) "--width-div must be at least 1 (got %d)" width_div;
+    require (temperature >= 0.0 && temperature <= 1.0) "--temperature must be in [0, 1] (got %g)"
+      temperature;
+    require (feat_weight >= 0.0 && Float.is_finite feat_weight)
+      "--feat-weight must be a finite non-negative number (got %g)" feat_weight;
     let teacher =
       match
         Serve_engine.model_of_checkpoint ~seed:42 (Cbgan.default_config ()) ~path:ckpt
@@ -290,8 +313,8 @@ let distill_cmd =
     in
     let student = Student.create ~seed:7 scfg in
     Fmt.pr "student: %d levels, ngf %d — %d parameters (teacher %d)@."
-      scfg.Student.st_levels scfg.Student.st_ngf
-      (Student.parameter_count student)
+      scfg.Unet.levels scfg.Unet.ngf
+      (Unet.parameter_count student)
       (Cbgan.parameter_count teacher);
     let options =
       {
@@ -309,7 +332,7 @@ let distill_cmd =
     | [] -> ());
     Student.save student out;
     Fmt.pr "student checkpoint written to %s (%d parameters)@." out
-      (Student.parameter_count student)
+      (Unet.parameter_count student)
   in
   Cmd.v
     (Cmd.info "distill"

@@ -29,88 +29,11 @@ let default_config ?(image_size = 64) ?(ngf = 16) ?(ndf = 16) () =
     dropout_rate = 0.5;
   }
 
-type down_block = { d_conv : Layers.conv2d; d_bn : Layers.batch_norm option }
-
-type up_block = {
-  u_conv : Layers.conv_transpose2d;
-  u_bn : Layers.batch_norm option;
-  u_dropout : bool;
-}
-
-type generator = {
-  downs : down_block array;
-  ups : up_block array;
-  cond : (Layers.linear * Layers.linear * Layers.linear) option;
-}
-
 type disc_block = { p_conv : Layers.conv2d; p_bn : Layers.batch_norm option }
 
 type discriminator = { blocks : disc_block array; head : Layers.conv2d }
 
-type t = { cfg : config; gen : generator; disc : discriminator }
-
-(* Encoder channel plan: ngf, 2ngf, 4ngf, then 8ngf for all deeper levels
-   (the pix2pix progression). *)
-let channel_plan cfg =
-  Array.init cfg.levels (fun i -> cfg.ngf * min 8 (1 lsl min i 3))
-
-let build_generator rng cfg =
-  let ch = channel_plan cfg in
-  let levels = cfg.levels in
-  let downs =
-    Array.init levels (fun i ->
-        let in_channels = if i = 0 then 1 else ch.(i - 1) in
-        let name = Printf.sprintf "gen.down%d" i in
-        let d_conv =
-          Layers.conv2d rng ~name ~in_channels ~out_channels:ch.(i) ~kernel:4
-            ~stride:2 ~pad:1 ~bias:true
-        in
-        (* No norm on the outermost block (pix2pix) nor on the 1x1
-           bottleneck. *)
-        let d_bn =
-          if i = 0 || i = levels - 1 then None
-          else Some (Layers.batch_norm rng ~name:(name ^ ".bn") ~channels:ch.(i))
-        in
-        { d_conv; d_bn })
-  in
-  let cond =
-    if not cfg.use_cache_params then None
-    else
-      Some
-        ( Layers.linear rng ~name:"gen.cond0" ~in_dim:2 ~out_dim:cfg.cond_hidden ~bias:true,
-          Layers.linear rng ~name:"gen.cond1" ~in_dim:cfg.cond_hidden
-            ~out_dim:cfg.cond_hidden ~bias:true,
-          Layers.linear rng ~name:"gen.cond2" ~in_dim:cfg.cond_hidden
-            ~out_dim:cfg.cond_dim ~bias:true )
-  in
-  let bottleneck_ch = ch.(levels - 1) + if cfg.use_cache_params then cfg.cond_dim else 0 in
-  let dropout_blocks = min 3 (max 0 (levels - 2)) in
-  let ups =
-    Array.init levels (fun i ->
-        (* Up block i consumes the previous decoder output concatenated with
-           encoder level [levels-1-i] (except the first, which consumes the
-           conditioned bottleneck) and produces encoder level
-           [levels-2-i]'s channel count, ending at 1 output channel. *)
-        let in_channels = if i = 0 then bottleneck_ch else 2 * ch.(levels - 1 - i) in
-        let out_channels = if i = levels - 1 then 1 else ch.(levels - 2 - i) in
-        let name = Printf.sprintf "gen.up%d" i in
-        let u_conv =
-          Layers.conv_transpose2d rng ~name ~in_channels ~out_channels ~kernel:4
-            ~stride:2 ~pad:1 ~bias:true
-        in
-        let u_bn =
-          if i = levels - 1 then None
-          else Some (Layers.batch_norm rng ~name:(name ^ ".bn") ~channels:out_channels)
-        in
-        (* Bias the output layer towards "no misses": heatmaps are sparse,
-           so starting the tanh near -1 (empty) makes the early training
-           signal the misses to *add* rather than a uniform background to
-           remove. *)
-        if i = levels - 1 then
-          Option.iter (fun (b : Param.t) -> Tensor.fill b.value (-1.5)) u_conv.Layers.tbias;
-        { u_conv; u_bn; u_dropout = i < dropout_blocks })
-  in
-  { downs; ups; cond }
+type t = { cfg : config; gen : Unet.t; disc : discriminator }
 
 let build_discriminator rng cfg =
   let blocks =
@@ -135,20 +58,26 @@ let build_discriminator rng cfg =
   in
   { blocks; head }
 
+(* The discriminator's weights are drawn before the generator's: every
+   seeded checkpoint depends on this order. *)
 let create ~seed cfg =
-  if cfg.levels < 2 || 1 lsl cfg.levels > cfg.image_size then
-    invalid_arg "Cbgan.create: levels incompatible with image_size";
   let rng = Prng.create seed in
-  { cfg; gen = build_generator rng cfg; disc = build_discriminator rng cfg }
+  let disc = build_discriminator rng cfg in
+  let gen =
+    Unet.create rng ~prefix:"gen"
+      {
+        Unet.image_size = cfg.image_size;
+        levels = cfg.levels;
+        ngf = cfg.ngf;
+        use_cond = cfg.use_cache_params;
+        cond_hidden = cfg.cond_hidden;
+        cond_dim = cfg.cond_dim;
+      }
+  in
+  { cfg; gen; disc }
 
 let model_config t = t.cfg
-
-(* Read-only structure views for the inference compiler (Qgen):
-   it walks the generator's layers to pack, fold and quantize weights
-   without this module having to know about them. *)
-let generator_downs t = Array.map (fun b -> (b.d_conv, b.d_bn)) t.gen.downs
-let generator_ups t = Array.map (fun b -> (b.u_conv, b.u_bn, b.u_dropout)) t.gen.ups
-let generator_cond t = t.gen.cond
+let generator t = t.gen
 
 let normalize_cache_params (c : Cache.config) =
   (float_of_int (log2 c.sets) /. 12.0, float_of_int c.ways /. 16.0)
@@ -165,85 +94,9 @@ let cache_params_tensor configs =
   t
 
 let generator_forward t ~rng ~training ?cache_params x =
-  let cfg = t.cfg in
-  let gen = t.gen in
-  let levels = cfg.levels in
-  let n = Tensor.dim x 0 in
-  if Tensor.dim x 2 <> cfg.image_size || Tensor.dim x 3 <> cfg.image_size then
-    invalid_arg "Cbgan.generator_forward: image size mismatch";
-  (* Encoder *)
-  let enc = Array.make levels (Value.const x) in
-  for i = 0 to levels - 1 do
-    let input = if i = 0 then Value.const x else Value.leaky_relu 0.2 enc.(i - 1) in
-    let y = Layers.apply_conv2d gen.downs.(i).d_conv input in
-    let y =
-      match gen.downs.(i).d_bn with
-      | Some bn -> Layers.apply_batch_norm bn ~training y
-      | None -> y
-    in
-    enc.(i) <- y
-  done;
-  (* Cache-parameter conditioning at the bottleneck *)
-  let bottleneck =
-    match (gen.cond, cache_params) with
-    | None, None -> enc.(levels - 1)
-    | None, Some _ ->
-      invalid_arg "Cbgan.generator_forward: model built without cache parameters"
-    | Some _, None ->
-      invalid_arg "Cbgan.generator_forward: cache parameters required"
-    | Some (fc0, fc1, fc2), Some cp ->
-      if Tensor.dim cp 0 <> n || Tensor.dim cp 1 <> 2 then
-        invalid_arg "Cbgan.generator_forward: cache_params must be [n; 2]";
-      let h = Value.relu (Layers.apply_linear fc0 (Value.const cp)) in
-      let h = Value.relu (Layers.apply_linear fc1 h) in
-      let h = Layers.apply_linear fc2 h in
-      let h = Value.reshape h [| n; cfg.cond_dim; 1; 1 |] in
-      Value.concat_channels enc.(levels - 1) h
-  in
-  (* Decoder with skip connections *)
-  let d = ref bottleneck in
-  for i = 0 to levels - 1 do
-    let input = Value.relu !d in
-    let y = Layers.apply_conv_transpose2d t.gen.ups.(i).u_conv input in
-    if i = levels - 1 then d := Value.tanh_ y
-    else begin
-      let y =
-        match t.gen.ups.(i).u_bn with
-        | Some bn -> Layers.apply_batch_norm bn ~training y
-        | None -> y
-      in
-      let y =
-        if t.gen.ups.(i).u_dropout then
-          Value.dropout rng ~rate:cfg.dropout_rate ~training y
-        else y
-      in
-      d := Value.concat_channels y enc.(levels - 2 - i)
-    end
-  done;
-  !d
-
-(* Eval-mode encoder tap: the bottleneck activations (pre-conditioning)
-   the feature-matching distillation loss compares against. Running-stats
-   batch norm makes each sample's features independent of its batch mates,
-   so precomputed teacher features are bit-identical at any batching. *)
-let generator_encode t x =
-  let cfg = t.cfg in
-  let gen = t.gen in
-  let levels = cfg.levels in
-  if Tensor.dim x 2 <> cfg.image_size || Tensor.dim x 3 <> cfg.image_size then
-    invalid_arg "Cbgan.generator_encode: image size mismatch";
-  let y = ref (Value.const x) in
-  for i = 0 to levels - 1 do
-    let input = if i = 0 then !y else Value.leaky_relu 0.2 !y in
-    let z = Layers.apply_conv2d gen.downs.(i).d_conv input in
-    let z =
-      match gen.downs.(i).d_bn with
-      | Some bn -> Layers.apply_batch_norm bn ~training:false z
-      | None -> z
-    in
-    y := z
-  done;
-  Value.value !y
+  fst
+    (Unet.forward t.gen ~who:"Cbgan.generator_forward" ~dropout:(rng, t.cfg.dropout_rate)
+       ~training ?cache_params x)
 
 let discriminator_forward t ~training ~access ~miss =
   let pair = Value.concat_channels (Value.const access) miss in
@@ -260,26 +113,7 @@ let discriminator_forward t ~training ~access ~miss =
     t.disc.blocks;
   Layers.apply_conv2d t.disc.head !y
 
-let generator_params t =
-  let down_params =
-    Array.to_list t.gen.downs
-    |> List.concat_map (fun b ->
-           Layers.conv2d_params b.d_conv
-           @ (match b.d_bn with Some bn -> Layers.batch_norm_params bn | None -> []))
-  in
-  let up_params =
-    Array.to_list t.gen.ups
-    |> List.concat_map (fun b ->
-           Layers.conv_transpose2d_params b.u_conv
-           @ (match b.u_bn with Some bn -> Layers.batch_norm_params bn | None -> []))
-  in
-  let cond_params =
-    match t.gen.cond with
-    | None -> []
-    | Some (a, b, c) ->
-      Layers.linear_params a @ Layers.linear_params b @ Layers.linear_params c
-  in
-  Param.group [ down_params; up_params; cond_params ]
+let generator_params t = Unet.params t.gen
 
 let discriminator_params t =
   let blocks =
@@ -296,22 +130,12 @@ let parameter_count t =
     0
     (generator_params t @ discriminator_params t)
 
-let bn_states t =
-  let of_down b = match b.d_bn with Some bn -> Layers.batch_norm_state bn | None -> [] in
-  let of_up b = match b.u_bn with Some bn -> Layers.batch_norm_state bn | None -> [] in
+let state t =
   let of_disc b = match b.p_bn with Some bn -> Layers.batch_norm_state bn | None -> [] in
-  List.concat_map of_down (Array.to_list t.gen.downs)
-  @ List.concat_map of_up (Array.to_list t.gen.ups)
-  @ List.concat_map of_disc (Array.to_list t.disc.blocks)
-
-let state = bn_states
+  Unet.state t.gen @ List.concat_map of_disc (Array.to_list t.disc.blocks)
 
 let save t path =
-  Checkpoint.save path
-    ~params:(generator_params t @ discriminator_params t)
-    ~state:(bn_states t)
+  Checkpoint.save path ~params:(generator_params t @ discriminator_params t) ~state:(state t)
 
 let load t path =
-  Checkpoint.load path
-    ~params:(generator_params t @ discriminator_params t)
-    ~state:(bn_states t)
+  Checkpoint.load path ~params:(generator_params t @ discriminator_params t) ~state:(state t)

@@ -1,18 +1,19 @@
 (** CB-GAN: the paper's conditional image-to-image GAN (§3.2).
 
-    The generator is a U-Net encoder-decoder over access heatmaps, modified
-    to accept numerical cache parameters: the (sets, ways) pair passes
-    through three fully-connected layers whose reshaped output is
-    concatenated to the bottleneck before the first up-sampling block
-    (Fig 5a). The discriminator is a PatchGAN that classifies patches of the
-    (input, output) channel concatenation as real or synthetic (Fig 5b).
+    The generator is the {!Unet} (Fig 5a): an encoder-decoder over access
+    heatmaps whose bottleneck is concatenated with the (sets, ways) pair
+    passed through three fully-connected layers. The discriminator is a
+    PatchGAN that classifies patches of the (input, output) channel
+    concatenation as real or synthetic (Fig 5b).
 
     Image tensors are NCHW with one channel; pixel values are normalised to
     [-1, 1] (see {!Cbox_dataset}), matching the generator's tanh output. *)
 
 type config = {
   image_size : int;  (** heatmap height = width; must be a power of two *)
-  levels : int;  (** U-Net depth; [2^levels = image_size] gives a 1x1 bottleneck *)
+  levels : int;
+      (** U-Net depth; [2^levels = image_size] gives a 1x1 bottleneck, and a
+          shallower net tiles the conditioning vector over a wider one *)
   ngf : int;  (** generator filters in the outermost block (paper: 128) *)
   ndf : int;  (** discriminator filters (paper: 64) *)
   disc_layers : int;
@@ -31,7 +32,15 @@ val default_config : ?image_size:int -> ?ngf:int -> ?ndf:int -> unit -> config
 type t
 
 val create : seed:int -> config -> t
+(** Draws the discriminator's weights, then the generator's, from one
+    random stream seeded with [seed]. Raises [Invalid_argument] on an
+    inconsistent config. *)
+
 val model_config : t -> config
+
+val generator : t -> Unet.t
+(** The generator network itself: the inference compiler ({!Qgen}) reads its
+    layers and distillation ({!Distill}) its bottleneck. *)
 
 val normalize_cache_params : Cache.config -> float * float
 (** Maps (sets, ways) to the unit-scale pair fed to the conditioning MLP
@@ -53,28 +62,11 @@ val generator_forward :
     iff the model was built with [use_cache_params]. [rng] drives decoder
     dropout. *)
 
-val generator_encode : t -> Tensor.t -> Tensor.t
-(** Eval-mode encoder only: the bottleneck activations
-    [\[n; ch; 1; 1\]] before conditioning, for feature-matching
-    distillation. Running-stats batch norm makes each sample's features
-    independent of its batch mates. *)
-
 val discriminator_forward :
   t -> training:bool -> access:Tensor.t -> miss:Value.t -> Value.t
 (** Patch logits for the (access, miss) pair; [miss] may be a constant (real
     sample) or a live generator output (fake sample, letting gradients flow
     back into the generator). *)
-
-val generator_downs : t -> (Layers.conv2d * Layers.batch_norm option) array
-(** Encoder blocks in order — a read-only structure view for the inference
-    compiler ({!Qgen} packs each block's weight and snapshots its batch
-    norm, or folds the batch norm in and quantizes the result). *)
-
-val generator_ups : t -> (Layers.conv_transpose2d * Layers.batch_norm option * bool) array
-(** Decoder blocks in order: (transposed conv, batch norm, dropout flag). *)
-
-val generator_cond : t -> (Layers.linear * Layers.linear * Layers.linear) option
-(** The cache-parameter conditioning MLP, when the model has one. *)
 
 val generator_params : t -> Param.t list
 val discriminator_params : t -> Param.t list

@@ -67,21 +67,16 @@ type epoch_stats = {
   batches : int;
 }
 
-(* Shared channel progression (ngf, 2ngf, 4ngf, 8ngf capped) — the same
-   formula as Cbgan/Student's channel plans; used to size the bottleneck
-   feature adapter without exposing either module's internals. *)
-let bottleneck_channels ~ngf ~levels = ngf * min 8 (1 lsl min (levels - 1) 3)
-
 let student_config ?(depth_div = 2) ?(width_div = 2) (t : Cbgan.config) =
   if depth_div < 1 || width_div < 1 then
     invalid_arg "Distill.student_config: divisors must be >= 1";
   {
-    Student.st_image_size = t.Cbgan.image_size;
-    st_levels = max 2 (t.Cbgan.levels / depth_div);
-    st_ngf = max 1 (t.Cbgan.ngf / width_div);
-    st_use_cond = t.Cbgan.use_cache_params;
-    st_cond_hidden = max 2 (t.Cbgan.cond_hidden / width_div);
-    st_cond_dim = max 1 (t.Cbgan.cond_dim / width_div);
+    Unet.image_size = t.Cbgan.image_size;
+    levels = max 2 (t.Cbgan.levels / depth_div);
+    ngf = max 1 (t.Cbgan.ngf / width_div);
+    use_cond = t.Cbgan.use_cache_params;
+    cond_hidden = max 2 (t.Cbgan.cond_hidden / width_div);
+    cond_dim = max 1 (t.Cbgan.cond_dim / width_div);
   }
 
 (* The supervised/distillation pixel term: weighted L1 + L2 against a fixed
@@ -127,11 +122,11 @@ let train ?log ?(resume = false) ~teacher student spec options samples =
   if options.l1_weight < 0.0 || options.l2_weight < 0.0 || options.feat_weight < 0.0
   then invalid_arg "Distill.train: loss weights must be non-negative";
   let rng = Prng.create options.seed in
-  let scfg = Student.model_config student in
+  let scfg = Unet.config student in
   let tcfg = Cbgan.model_config teacher in
-  if scfg.Student.st_image_size <> tcfg.Cbgan.image_size then
+  if scfg.Unet.image_size <> tcfg.Cbgan.image_size then
     invalid_arg "Distill.train: student and teacher image sizes differ";
-  if scfg.Student.st_use_cond <> tcfg.Cbgan.use_cache_params then
+  if scfg.Unet.use_cond <> tcfg.Cbgan.use_cache_params then
     invalid_arg "Distill.train: student and teacher conditioning disagree";
   (* The bottleneck adapter projects the student's pooled bottleneck
      features onto the teacher's channel width; it trains with the student
@@ -140,13 +135,13 @@ let train ?log ?(resume = false) ~teacher student spec options samples =
     if options.feat_weight > 0.0 then
       Some
         (Layers.linear rng ~name:"distill.adapter"
-           ~in_dim:(bottleneck_channels ~ngf:scfg.Student.st_ngf ~levels:scfg.Student.st_levels)
-           ~out_dim:(bottleneck_channels ~ngf:tcfg.Cbgan.ngf ~levels:tcfg.Cbgan.levels)
+           ~in_dim:(Unet.bottleneck_channels student)
+           ~out_dim:(Unet.bottleneck_channels (Cbgan.generator teacher))
            ~bias:true)
     else None
   in
   let params =
-    Student.params student
+    Unet.params student
     @ (match adapter with Some a -> Layers.linear_params a | None -> [])
   in
   let opt = Optimizer.adam ~lr:options.lr ~beta1:options.beta1 params in
@@ -155,7 +150,7 @@ let train ?log ?(resume = false) ~teacher student spec options samples =
   let teacher_rng = Prng.create 0 in
   let step batch ~bidx =
     let access, target, cp =
-      Cbox_train.batch_tensors spec ~use_cond:scfg.Student.st_use_cond batch
+      Cbox_train.batch_tensors spec ~use_cond:scfg.Unet.use_cond batch
     in
     let teacher_out =
       if options.temperature > 0.0 then
@@ -166,9 +161,7 @@ let train ?log ?(resume = false) ~teacher student spec options samples =
       else None
     in
     Optimizer.zero_grad opt;
-    let out, s_bneck =
-      Student.forward_with_bottleneck student ~training:true ?cache_params:cp access
-    in
+    let out, s_bneck = Unet.forward student ~training:true ?cache_params:cp access in
     let loss_pixel =
       step_loss ~temperature:options.temperature ~l1_weight:options.l1_weight
         ~l2_weight:options.l2_weight ~out ~truth:target ~teacher:teacher_out
@@ -176,7 +169,7 @@ let train ?log ?(resume = false) ~teacher student spec options samples =
     let loss, feat_value =
       match adapter with
       | Some ad ->
-        let t_feat = Tensor.spatial_mean (Cbgan.generator_encode teacher access) in
+        let t_feat = Tensor.spatial_mean (Unet.bottleneck (Cbgan.generator teacher) access) in
         let s_feat = Value.spatial_mean s_bneck in
         let feat = Value.mse_loss (Layers.apply_linear ad s_feat) t_feat in
         (Value.add loss_pixel (Value.scale feat options.feat_weight), scalar feat)
@@ -211,7 +204,7 @@ let train ?log ?(resume = false) ~teacher student spec options samples =
       stats = (fun ~epoch ~batches m -> { epoch; pixel = m.(0); feat = m.(1); batches });
       rng;
       params;
-      bn = Student.state student;
+      bn = Unet.state student;
       optimizers = [ ("opt.s.", opt) ];
       step;
     }

@@ -1,11 +1,11 @@
 (* Compiled generators: the one inference compiler and the one
    interpreter for every learned backend.
 
-   A compile turns a {!Cbgan} or {!Student} generator into a flat program
-   — encoder convolutions, the conditioning MLP, decoder transposed
-   convolutions — whose ops are each float32 or int8, and [forward] walks
-   any such program. The Value tape is not involved: training keeps it,
-   inference never builds a node.
+   A compile turns one {!Unet} (a {!Cbgan}'s generator or a {!Student})
+   into a flat program — encoder convolutions, the conditioning MLP,
+   decoder transposed convolutions — whose ops are each float32 or int8,
+   and [forward] walks any such program. The Value tape is not involved:
+   training keeps it, inference never builds a node.
 
    - A float32 op carries its weight packed once into GEMM panels
      ({!Blas.Packed}), its bias and its batch norm's running statistics.
@@ -62,8 +62,8 @@ type t = {
   q_image_size : int;
   q_levels : int;
   q_cond_dim : int;
-  q_bneck : int;  (* bottleneck spatial side: 1 for the full-depth teacher,
-                     image_size / 2^levels for a half-depth student *)
+  q_bneck : int;  (* bottleneck spatial side, image_size / 2^levels: 1 at
+                     full depth *)
   q_downs : conv array;
   q_ups : conv array;
   q_cond : mlp option;
@@ -257,65 +257,32 @@ type layer = {
   lbn : Layers.batch_norm option;
 }
 
-(* Dimensions and layer views of a Cbgan or Student generator. Dropout is
-   off at inference and needs no op. *)
-type source = {
-  image_size : int;
-  levels : int;
-  cond_dim : int;
-  bneck : int;
-  downs : layer array;
-  ups : layer array;
-  cond : (Layers.linear * Layers.linear * Layers.linear) option;
-}
-
-let source ~image_size ~levels ~cond_dim ~bneck ~downs ~ups ~cond =
-  let down ((cv : Layers.conv2d), lbn) =
-    { weight = cv.Layers.weight.Param.value; lbias = cv.Layers.bias; stride = cv.Layers.stride;
-      pad = cv.Layers.pad; lbn }
-  in
-  let up ((tc : Layers.conv_transpose2d), lbn, _dropout) =
-    { weight = tc.Layers.tweight.Param.value; lbias = tc.Layers.tbias;
-      stride = tc.Layers.tstride; pad = tc.Layers.tpad; lbn }
-  in
-  {
-    image_size;
-    levels;
-    cond_dim;
-    bneck;
-    downs = Array.map down downs;
-    ups = Array.map up ups;
-    cond;
-  }
-
-let source_of_model model =
-  let cfg = Cbgan.model_config model in
-  source ~image_size:cfg.Cbgan.image_size ~levels:cfg.Cbgan.levels ~cond_dim:cfg.Cbgan.cond_dim
-    ~bneck:(cfg.Cbgan.image_size lsr cfg.Cbgan.levels)
-    ~downs:(Cbgan.generator_downs model) ~ups:(Cbgan.generator_ups model)
-    ~cond:(Cbgan.generator_cond model)
-
-let source_of_student student =
-  let cfg = Student.model_config student in
-  source ~image_size:cfg.Student.st_image_size ~levels:cfg.Student.st_levels
-    ~cond_dim:cfg.Student.st_cond_dim ~bneck:(Student.bottleneck_size cfg)
-    ~downs:(Student.student_downs student) ~ups:(Student.student_ups student)
-    ~cond:(Student.student_cond student)
-
-(* The program skeleton: [op ~trans] compiles one convolution block
-   (transposed in the decoder); the MLP is compiled to float32. *)
-let program src ~op =
+(* The program skeleton of a generator: [op ~trans] compiles one
+   convolution block (transposed in the decoder); the MLP is compiled to
+   float32. Dropout is off at inference and needs no op. *)
+let program g ~op =
+  let cfg = Unet.config g in
   let copy (p : Param.t) = Tensor.copy p.Param.value in
   let linear (l : Layers.linear) = (copy l.Layers.lweight, Option.map copy l.Layers.lbias) in
+  let down ((cv : Layers.conv2d), lbn) =
+    op ~trans:false
+      { weight = cv.Layers.weight.Param.value; lbias = cv.Layers.bias; stride = cv.Layers.stride;
+        pad = cv.Layers.pad; lbn }
+  in
+  let up ((tc : Layers.conv_transpose2d), lbn) =
+    op ~trans:true
+      { weight = tc.Layers.tweight.Param.value; lbias = tc.Layers.tbias;
+        stride = tc.Layers.tstride; pad = tc.Layers.tpad; lbn }
+  in
   {
-    q_image_size = src.image_size;
-    q_levels = src.levels;
-    q_cond_dim = src.cond_dim;
-    q_bneck = src.bneck;
-    q_downs = Array.map (op ~trans:false) src.downs;
-    q_ups = Array.map (op ~trans:true) src.ups;
+    q_image_size = cfg.Unet.image_size;
+    q_levels = cfg.Unet.levels;
+    q_cond_dim = cfg.Unet.cond_dim;
+    q_bneck = cfg.Unet.image_size lsr cfg.Unet.levels;
+    q_downs = Array.map down (Unet.downs g);
+    q_ups = Array.map up (Unet.ups g);
     q_cond =
-      Option.map (fun (l0, l1, l2) -> Mlp_f32 [| linear l0; linear l1; linear l2 |]) src.cond;
+      Option.map (fun (l0, l1, l2) -> Mlp_f32 [| linear l0; linear l1; linear l2 |]) (Unet.cond g);
   }
 
 let channel_values (p : Param.t) =
@@ -469,17 +436,15 @@ let quantize ~pow2 ~spec ~calib ~calib_caches folded =
         folded.q_cond;
   }
 
-let int8 ?(pow2 = false) ~spec ?calib ?calib_caches src =
-  quantize ~pow2 ~spec ~calib ~calib_caches (program src ~op:folded_op)
+let int8 ?(pow2 = false) ~spec ?calib ?calib_caches g =
+  quantize ~pow2 ~spec ~calib ~calib_caches (program g ~op:folded_op)
 
 let of_model ?pow2 ~spec ?calib ?calib_caches model =
-  int8 ?pow2 ~spec ?calib ?calib_caches (source_of_model model)
+  int8 ?pow2 ~spec ?calib ?calib_caches (Cbgan.generator model)
 
-let of_student ?pow2 ~spec ?calib ?calib_caches student =
-  int8 ?pow2 ~spec ?calib ?calib_caches (source_of_student student)
-
-let float_of_model model = program (source_of_model model) ~op:float_op
-let float_of_student student = program (source_of_student student) ~op:float_op
+let of_student = int8
+let float_of_model model = program (Cbgan.generator model) ~op:float_op
+let float_of_student student = program student ~op:float_op
 
 (* --- serialization (v3 checkpoint) --- *)
 

@@ -1,8 +1,9 @@
 (** Compiled generators: the one inference compiler and interpreter for
     every learned backend.
 
-    A compile turns a {!Cbgan} or {!Student} generator into a flat program
-    of convolution, transposed-convolution and conditioning-MLP ops, each
+    A compile reads one {!Unet} (a {!Cbgan}'s generator, or a {!Student})
+    through its read-only layer views and turns it into a flat program of
+    convolution, transposed-convolution and conditioning-MLP ops, each
     float32 or int8, and {!forward} is the one interpreter that runs any
     such program. Training keeps the Value tape; inference never builds a
     node.
@@ -54,11 +55,11 @@ val of_student :
   ?calib_caches:Cache.config list ->
   Student.t ->
   t
-(** As {!of_model}, for a distilled {!Student} generator: the same fold /
-    calibrate / quantize pipeline over the student's structure views. A
-    half-depth student's bottleneck is wider than 1x1, so the quantized
-    conditioning vector is broadcast over it exactly as in the float
-    forward — the composed "student-int8" backend. *)
+(** As {!of_model}, for a distilled {!Student}: the same fold / calibrate /
+    quantize pipeline over the same {!Unet} layer views. A half-depth
+    student's bottleneck is wider than 1x1, so the quantized conditioning
+    vector is tiled over it exactly as in the float forward — the composed
+    "student-int8" backend. *)
 
 val float_of_model : Cbgan.t -> t
 (** The float32 program of the generator: one pass over the weights to

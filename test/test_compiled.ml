@@ -1,9 +1,9 @@
 (* Compiled inference programs: the float32 program is the tape forward,
    bit for bit, for the teacher and the student — seeded and after a few
-   training steps (non-trivial running statistics), at batch 1 and 8, on 1
-   and 4 domains; a program is a snapshot of its model; and no learned
-   backend's forward allocates in proportion to the activations it
-   computes. *)
+   training steps (non-trivial running statistics), at half depth and
+   without conditioning, at batch 1 and 8, on 1 and 4 domains; a program is
+   a snapshot of its model; and no learned backend's forward allocates in
+   proportion to the activations it computes. *)
 
 let bits t = Array.map Int32.bits_of_float (Tensor.to_array t)
 
@@ -29,10 +29,29 @@ let samples spec =
        ~trace_len:(3 * Heatmap.accesses_per_image spec)
        [ workload "c1" 5; workload "c2" 6 ])
 
+(* (name, image size, tape forward, float32 program) *)
+let teacher name size m =
+  ( Printf.sprintf "%s teacher %dx%d" name size size,
+    size,
+    (fun ?cache_params x ->
+      Value.value (Cbgan.generator_forward m ~rng:(Prng.create 0) ~training:false ?cache_params x)),
+    Qgen.float_of_model m )
+
+let student name size s =
+  ( Printf.sprintf "%s student %dx%d" name size size,
+    size,
+    (fun ?cache_params x -> Value.value (Student.forward s ~training:false ?cache_params x)),
+    Qgen.float_of_student s )
+
 (* Two sizes: 16x16 keeps most GEMMs under the small-product cutoff, 32x32
    puts most on the packed path with several KC blocks. The trained models
-   have moved weights and running statistics away from their seeds. *)
+   have moved weights and running statistics away from their seeds. Three
+   more seeded generators at 16x16: a conditioned teacher at half depth,
+   whose 4x4 bottleneck the conditioning vector is tiled over, and a teacher
+   and a student without conditioning, whose programs have no MLP. *)
 let models () =
+  let cfg16 = Cbgan.default_config ~image_size:16 ~ngf:4 ~ndf:4 () in
+  let plain = { cfg16 with Cbgan.use_cache_params = false } in
   List.concat_map
     (fun (size, ngf) ->
       let spec = spec_of size in
@@ -55,27 +74,18 @@ let models () =
         ignore (Distill.train ~teacher:trained_teacher s spec options (samples spec));
         s
       in
-      let teacher name m =
-        ( Printf.sprintf "%s teacher %dx%d" name size size,
-          size,
-          (fun ~cache_params x ->
-            Value.value
-              (Cbgan.generator_forward m ~rng:(Prng.create 0) ~training:false ~cache_params x)),
-          Qgen.float_of_model m )
-      in
-      let student name s =
-        ( Printf.sprintf "%s student %dx%d" name size size,
-          size,
-          (fun ~cache_params x -> Value.value (Student.forward s ~training:false ~cache_params x)),
-          Qgen.float_of_student s )
-      in
       [
-        teacher "seeded" (seeded ());
-        teacher "trained" trained_teacher;
-        student "seeded" (seeded_student ());
-        student "trained" trained_student;
+        teacher "seeded" size (seeded ());
+        teacher "trained" size trained_teacher;
+        student "seeded" size (seeded_student ());
+        student "trained" size trained_student;
       ])
     [ (16, 4); (32, 8) ]
+  @ [
+      teacher "half-depth" 16 (Cbgan.create ~seed:5 { cfg16 with Cbgan.levels = 2 });
+      teacher "unconditioned" 16 (Cbgan.create ~seed:6 plain);
+      student "unconditioned" 16 (Student.create ~seed:7 (Distill.student_config plain));
+    ]
 
 let test_float_program_is_tape () =
   let caches = [ Cache.config ~sets:4 ~ways:2 (); Cache.config ~sets:64 ~ways:8 () ] in
@@ -85,11 +95,15 @@ let test_float_program_is_tape () =
         (fun n ->
           let rng = Prng.create (size + n) in
           let x = Tensor.randn rng [| n; 1; size; size |] in
-          let cp = Cbgan.cache_params_tensor (List.init n (fun i -> List.nth caches (i mod 2))) in
-          let want = bits (tape ~cache_params:cp x) in
+          let cache_params =
+            if Qgen.uses_cache_params program then
+              Some (Cbgan.cache_params_tensor (List.init n (fun i -> List.nth caches (i mod 2))))
+            else None
+          in
+          let want = bits (tape ?cache_params x) in
           List.iter
             (fun d ->
-              let got = Dpool.with_domains d (fun () -> Qgen.forward program ~cache_params:cp x) in
+              let got = Dpool.with_domains d (fun () -> Qgen.forward program ?cache_params x) in
               Alcotest.(check bool)
                 (Printf.sprintf "%s, batch %d, %d domains: program = tape" name n d)
                 true

@@ -223,6 +223,126 @@ let test_synthesize_batch_invariance () =
 
 let qc = QCheck_alcotest.to_alcotest
 
+(* The generator's parameter layout: the name, shape and value sum of every
+   parameter of a tiny seeded teacher (generator, then discriminator) and of
+   its student, in checkpoint order, and every state name. A checkpoint
+   written earlier loads only while names, order and shapes stay put, and a
+   seeded one is reproduced only while the random draw order does. Sums
+   compare with a relative tolerance of 1e-9, so the test does not depend
+   on libm's last bit. *)
+let teacher_layout =
+  [
+    ("gen.down0.weight", [| 4; 1; 4; 4 |], -0.17589798721019179);
+    ("gen.down0.bias", [| 4 |], 0.0);
+    ("gen.down1.weight", [| 8; 4; 4; 4 |], 0.69920859792910051);
+    ("gen.down1.bias", [| 8 |], 0.0);
+    ("gen.down1.bn.gamma", [| 8 |], 7.9656836986541748);
+    ("gen.down1.bn.beta", [| 8 |], 0.0);
+    ("gen.down2.weight", [| 16; 8; 4; 4 |], -0.27212845540634589);
+    ("gen.down2.bias", [| 16 |], 0.0);
+    ("gen.down2.bn.gamma", [| 16 |], 16.105063676834106);
+    ("gen.down2.bn.beta", [| 16 |], 0.0);
+    ("gen.down3.weight", [| 32; 16; 4; 4 |], 0.046883046519042182);
+    ("gen.down3.bias", [| 32 |], 0.0);
+    ("gen.up0.weight", [| 40; 16; 4; 4 |], 0.23140517893511969);
+    ("gen.up0.bias", [| 16 |], 0.0);
+    ("gen.up0.bn.gamma", [| 16 |], 16.014885365962982);
+    ("gen.up0.bn.beta", [| 16 |], 0.0);
+    ("gen.up1.weight", [| 32; 8; 4; 4 |], 1.531499759241342);
+    ("gen.up1.bias", [| 8 |], 0.0);
+    ("gen.up1.bn.gamma", [| 8 |], 8.0884368419647217);
+    ("gen.up1.bn.beta", [| 8 |], 0.0);
+    ("gen.up2.weight", [| 16; 4; 4; 4 |], -0.19223226633802426);
+    ("gen.up2.bias", [| 4 |], 0.0);
+    ("gen.up2.bn.gamma", [| 4 |], 3.9749335646629333);
+    ("gen.up2.bn.beta", [| 4 |], 0.0);
+    ("gen.up3.weight", [| 8; 1; 4; 4 |], -0.019923926418414339);
+    ("gen.up3.bias", [| 1 |], -1.5);
+    ("gen.cond0.weight", [| 32; 2 |], -15.896842760965228);
+    ("gen.cond0.bias", [| 32 |], 0.0);
+    ("gen.cond1.weight", [| 32; 32 |], 11.601620849163737);
+    ("gen.cond1.bias", [| 32 |], 0.0);
+    ("gen.cond2.weight", [| 8; 32 |], -3.3773192191329144);
+    ("gen.cond2.bias", [| 8 |], 0.0);
+    ("disc.conv0.weight", [| 4; 2; 4; 4 |], -0.033709502189594787);
+    ("disc.conv0.bias", [| 4 |], 0.0);
+    ("disc.conv1.weight", [| 8; 4; 4; 4 |], -0.60028474358841777);
+    ("disc.conv1.bias", [| 8 |], 0.0);
+    ("disc.conv1.bn.gamma", [| 8 |], 8.0079813599586487);
+    ("disc.conv1.bn.beta", [| 8 |], 0.0);
+    ("disc.head.weight", [| 1; 8; 4; 4 |], 0.23965712295967023);
+    ("disc.head.bias", [| 1 |], 0.0);
+  ]
+
+let student_layout =
+  [
+    ("student.down0.weight", [| 2; 1; 4; 4 |], 0.11761110115185147);
+    ("student.down0.bias", [| 2 |], 0.0);
+    ("student.down1.weight", [| 4; 2; 4; 4 |], -0.019805847658062703);
+    ("student.down1.bias", [| 4 |], 0.0);
+    ("student.up0.weight", [| 8; 2; 4; 4 |], -0.53066261446929275);
+    ("student.up0.bias", [| 2 |], 0.0);
+    ("student.up0.bn.gamma", [| 2 |], 2.0766332149505615);
+    ("student.up0.bn.beta", [| 2 |], 0.0);
+    ("student.up1.weight", [| 4; 1; 4; 4 |], 0.031484609935432673);
+    ("student.up1.bias", [| 1 |], -1.5);
+    ("student.cond0.weight", [| 16; 2 |], -4.4836251018568873);
+    ("student.cond0.bias", [| 16 |], 0.0);
+    ("student.cond1.weight", [| 16; 16 |], 2.6893404536676826);
+    ("student.cond1.bias", [| 16 |], 0.0);
+    ("student.cond2.weight", [| 4; 16 |], -1.513859363476513);
+    ("student.cond2.bias", [| 4 |], 0.0);
+  ]
+
+let teacher_state_names =
+  [
+    "gen.down1.bn.gamma.running_mean";
+    "gen.down1.bn.gamma.running_var";
+    "gen.down2.bn.gamma.running_mean";
+    "gen.down2.bn.gamma.running_var";
+    "gen.up0.bn.gamma.running_mean";
+    "gen.up0.bn.gamma.running_var";
+    "gen.up1.bn.gamma.running_mean";
+    "gen.up1.bn.gamma.running_var";
+    "gen.up2.bn.gamma.running_mean";
+    "gen.up2.bn.gamma.running_var";
+    "disc.conv1.bn.gamma.running_mean";
+    "disc.conv1.bn.gamma.running_var";
+  ]
+
+let student_state_names =
+  [
+    "student.up0.bn.gamma.running_mean";
+    "student.up0.bn.gamma.running_var";
+  ]
+
+let check_layout what want (params : Param.t list) =
+  Alcotest.(check (list string))
+    (what ^ " parameter names")
+    (List.map (fun (name, _, _) -> name) want)
+    (List.map (fun (p : Param.t) -> p.Param.name) params);
+  List.iter2
+    (fun (name, shape, sum) (p : Param.t) ->
+      Alcotest.(check (array int)) (name ^ " shape") shape (Tensor.shape p.Param.value);
+      let got = Array.fold_left ( +. ) 0.0 (Tensor.to_array p.Param.value) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s sum %.17g, want %.17g" name got sum)
+        true
+        (Float.abs (got -. sum) <= 1e-9 *. Float.abs sum))
+    want params
+
+let test_parameter_layout () =
+  let cfg = Cbgan.default_config ~image_size:16 ~ngf:4 ~ndf:4 () in
+  let teacher = Cbgan.create ~seed:11 cfg in
+  let student = Student.create ~seed:12 (Distill.student_config cfg) in
+  check_layout "teacher" teacher_layout
+    (Cbgan.generator_params teacher @ Cbgan.discriminator_params teacher);
+  check_layout "student" student_layout (Unet.params student);
+  Alcotest.(check (list string)) "teacher state names" teacher_state_names
+    (List.map fst (Cbgan.state teacher));
+  Alcotest.(check (list string)) "student state names" student_state_names
+    (List.map fst (Unet.state student))
+
 let suite =
   ( "cachebox core",
     [
@@ -244,4 +364,5 @@ let suite =
       Alcotest.test_case "inference predictions" `Quick test_inference_predictions;
       Alcotest.test_case "batch-size invariance" `Quick test_synthesize_batch_invariance;
       qc test_normalize_roundtrip;
+      Alcotest.test_case "generator parameter layout" `Quick test_parameter_layout;
     ] )

@@ -106,7 +106,7 @@ let distill_run ~domains ~temperature ~feat_weight =
   let bits =
     List.map
       (fun (p : Param.t) -> Array.map Int64.bits_of_float (Tensor.to_array p.Param.value))
-      (Student.params student)
+      (Unet.params student)
   in
   (stats, bits)
 

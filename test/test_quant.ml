@@ -209,7 +209,7 @@ let test_int8_rejects_non_finite () =
     [ ("nan", Float.nan); ("+inf", Float.infinity); ("-inf", Float.neg_infinity) ];
   let cfg = Distill.student_config (Cbgan.default_config ~image_size:16 ~ngf:4 ~ndf:4 ()) in
   let student = Student.create ~seed:7 cfg in
-  let w = (fst (Student.student_downs student).(1)).Layers.weight.Param.value in
+  let w = (fst (Unet.downs student).(1)).Layers.weight.Param.value in
   Tensor.set w 3 Float.nan;
   let spec = Heatmap.spec ~height:16 ~width:16 ~window:8 ~overlap:0.3 ~granularity:64 () in
   Alcotest.(check bool) "student with a NaN weight: of_student raises" true

@@ -286,7 +286,7 @@ let distill =
            (fun (s : Distill.epoch_stats) ->
              [| float_of_int s.epoch; s.pixel; s.feat; float_of_int s.batches |])
            stats),
-      bits (Student.params student) )
+      bits (Unet.params student) )
   in
   { run; nan_source = "distill_grad_norm" }
 
