@@ -727,7 +727,7 @@ let stream_cmd =
     Arg.(value & opt int 4 & info [ "ways" ] ~docv:"N" ~doc:"Cache ways for the session.")
   in
   let chunk_arg =
-    Arg.(value & opt int 1024 & info [ "chunk" ] ~docv:"N" ~doc:"Accesses per feed chunk (clipped to the server's credit).")
+    Arg.(value & opt int 1024 & info [ "chunk" ] ~docv:"N" ~doc:"Accesses per feed chunk, at least 1 (clipped to the server's credit).")
   in
   let kill_after_arg =
     Arg.(value & opt (some int) None & info [ "kill-after-windows" ] ~docv:"K" ~doc:"After K windows, send one more chunk and close the socket without reading — simulates a client dying mid-stream. The session survives for $(b,--resume).")
@@ -743,6 +743,8 @@ let stream_cmd =
   in
   let run socket port trace_file benchmark trace_len sets ways chunk kill_after resume
       resume_from corrupt_at =
+    if chunk < 1 then
+      die (Serve_error.v Serve_error.Invalid_config "--chunk must be at least 1 (got %d)" chunk);
     let module S = Client.Stream in
     let fail message code =
       Fmt.epr "%s@." message;

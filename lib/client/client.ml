@@ -253,6 +253,7 @@ module Stream = struct
   let delivered s = s.delivered
 
   let pour ?kill_after ?corrupt_at s trace ~chunk =
+    if chunk < 1 then invalid_arg "Client.Stream.pour: chunk must be >= 1";
     let rec go () =
       if s.consumed >= Array.length trace then
         Result.map Option.some

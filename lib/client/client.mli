@@ -103,7 +103,8 @@ module Stream : sig
       fresh grant. Feed number [corrupt_at] sends a non-integer element.
       Once [kill_after] windows are in, die mid-stream instead: send one
       more chunk, close the connection unread and return [None]; the
-      session lives on for {!resume}. *)
+      session lives on for {!resume}. Raises [Invalid_argument] when
+      [chunk < 1], before sending anything. *)
 end
 
 (** {1 Load generation}

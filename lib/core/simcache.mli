@@ -31,6 +31,11 @@ val set_dir : string option -> unit
 val with_dir : string option -> (unit -> 'a) -> 'a
 (** Run with the directory temporarily overridden, restoring on exit. *)
 
+val config_tag : Cache.config -> string
+(** The canonical descriptor of one cache config, e.g. ["64s12w64b-lru"]:
+    part of every {!descriptor}, and the shard router's placement and memo
+    key, so both agree on what "the same config" means. *)
+
 val descriptor :
   kind:string ->
   workload:string ->

@@ -235,141 +235,6 @@ module Accum = struct
   let completed t = t.completed
   let fed t = (t.gwin * t.window) + t.wincount
 
-  (* --- mid-stream checkpointing ---
-
-     Streaming sessions snapshot the accumulator between chunks so a
-     dropped connection can resume bit-identically, and so a chunk that
-     turns out to be poisoned mid-apply can be rolled back to the last
-     good state. Same container discipline as checkpoints and binary
-     traces: magic, payload, CRC-32 trailer — any mismatch rejects the
-     whole blob. Completed images are NOT serialized (the consumer owns
-     them once cut); [restore] drops any it holds, keeping only the
-     [completed] count so later image indices stay consistent. *)
-
-  let snapshot_magic = "CBAS1"
-
-  let snapshot t =
-    let b = Buffer.create (4096 + (t.planes * (t.width + 1) * t.height * 8)) in
-    Buffer.add_string b snapshot_magic;
-    let add_i n = Buffer.add_int64_le b (Int64.of_int n) in
-    let add_f x = Buffer.add_int64_le b (Int64.bits_of_float x) in
-    add_i t.s.height;
-    add_i t.s.width;
-    add_i t.s.window;
-    add_f t.s.overlap;
-    add_i t.s.granularity;
-    add_i t.planes;
-    add_i t.wincount;
-    add_i t.gwin;
-    add_i t.completed;
-    for p = 0 to t.planes - 1 do
-      add_i t.wintot.(p);
-      add_i t.mass.(p);
-      Array.iter add_f t.winbuf.(p);
-      Array.iter add_f t.ring.(p)
-    done;
-    add_i (List.length t.pending);
-    List.iter
-      (fun pd ->
-        add_i pd.start;
-        Array.iter add_i pd.own)
-      t.pending;
-    let payload = Buffer.contents b in
-    Buffer.add_int32_le b (Int32.of_int (Crc32.digest payload));
-    Buffer.contents b
-
-  let restore t blob =
-    let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-    let mlen = String.length snapshot_magic in
-    let len = String.length blob in
-    if len < mlen + 4 + (9 * 8) || String.sub blob 0 mlen <> snapshot_magic then
-      fail "accum snapshot: bad magic"
-    else begin
-      let body = len - 4 in
-      let stored = Int32.to_int (String.get_int32_le blob body) land 0xFFFFFFFF in
-      let actual = Crc32.digest (String.sub blob 0 body) in
-      if stored <> actual then
-        fail "accum snapshot: CRC mismatch (stored %08x, computed %08x)" stored actual
-      else begin
-        let pos = ref mlen in
-        let get_i () =
-          let v = Int64.to_int (String.get_int64_le blob !pos) in
-          pos := !pos + 8;
-          v
-        in
-        let get_f () =
-          let v = Int64.float_of_bits (String.get_int64_le blob !pos) in
-          pos := !pos + 8;
-          v
-        in
-        match
-          let height = get_i () in
-          let width = get_i () in
-          let window = get_i () in
-          let overlap = get_f () in
-          let granularity = get_i () in
-          let planes = get_i () in
-          if
-            height <> t.s.height || width <> t.s.width || window <> t.s.window
-            || Int64.bits_of_float overlap <> Int64.bits_of_float t.s.overlap
-            || granularity <> t.s.granularity
-          then
-            Error
-              (Printf.sprintf
-                 "accum snapshot: spec mismatch (snapshot %dx%d/w%d/g%d, accumulator \
-                  %dx%d/w%d/g%d)"
-                 height width window granularity t.s.height t.s.width t.s.window
-                 t.s.granularity)
-          else if planes <> t.planes then
-            fail "accum snapshot: plane count mismatch (snapshot %d, accumulator %d)"
-              planes t.planes
-          else begin
-            let wincount = get_i () in
-            let gwin = get_i () in
-            let completed = get_i () in
-            let wintot = Array.make planes 0 and mass = Array.make planes 0 in
-            let winbuf = Array.init planes (fun _ -> Array.make height 0.0) in
-            let ring = Array.init planes (fun _ -> Array.make (width * height) 0.0) in
-            for p = 0 to planes - 1 do
-              wintot.(p) <- get_i ();
-              mass.(p) <- get_i ();
-              for r = 0 to height - 1 do
-                winbuf.(p).(r) <- get_f ()
-              done;
-              for i = 0 to (width * height) - 1 do
-                ring.(p).(i) <- get_f ()
-              done
-            done;
-            let npend = get_i () in
-            if npend < 0 || npend > width then
-              fail "accum snapshot: implausible pending count %d" npend
-            else begin
-              let pending =
-                List.init npend (fun _ ->
-                    let start = get_i () in
-                    let own = Array.init planes (fun _ -> get_i ()) in
-                    { start; own })
-              in
-              t.wincount <- wincount;
-              t.gwin <- gwin;
-              t.completed <- completed;
-              t.pending <- pending;
-              t.completed_rev <- [];
-              for p = 0 to planes - 1 do
-                t.wintot.(p) <- wintot.(p);
-                t.mass.(p) <- mass.(p);
-                Array.blit winbuf.(p) 0 t.winbuf.(p) 0 height;
-                Array.blit ring.(p) 0 t.ring.(p) 0 (width * height)
-              done;
-              Ok ()
-            end
-          end
-        with
-        | r -> r
-        | exception Invalid_argument _ -> fail "accum snapshot: truncated payload"
-      end
-    end
-
   let images t ~plane =
     if plane < 0 || plane >= t.planes then invalid_arg "Heatmap.Accum.images: bad plane";
     List.rev_map (fun a -> a.(plane)) t.completed_rev

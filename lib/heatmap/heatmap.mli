@@ -65,7 +65,9 @@ val pair_of_trace :
     is set in [mask]. Completed images are bit-identical to
     {!of_trace}/{!of_trace_filtered}/{!pair_of_trace} over the same
     stream; a trace shorter than one image simply completes zero images
-    (no exception, unlike {!image_count}). *)
+    (no exception, unlike {!image_count}). Feeding cannot be undone: a
+    caller that may reject part of its input (a streaming session's
+    range check) checks all of it before feeding any. *)
 module Accum : sig
   type t
 
@@ -84,23 +86,6 @@ module Accum : sig
   val fed : t -> int
   (** Accesses fed so far ({!add} calls), counting masked-out ones — the
       stream position, from which window/image boundaries are derivable. *)
-
-  val snapshot : t -> string
-  (** Serialize the full mid-stream state (open-window histograms, column
-      ring, de-overlap counters, pending images) as a checksummed binary
-      blob: magic + payload + CRC-32 trailer, the same container
-      discipline as model checkpoints and binary traces. Completed images
-      are not serialized — only their count, so image indices stay
-      consistent after {!restore}. *)
-
-  val restore : t -> string -> (unit, string) result
-  (** Overwrite the accumulator's state from a {!snapshot} blob. Feeding
-      the same suffix of the stream afterwards produces images
-      bit-identical to an uninterrupted run. Held completed images are
-      dropped ({!images} returns [] until the next completion);
-      {!completed} reflects the snapshot. [Error] (bad magic, CRC
-      mismatch, truncation, or a spec/plane mismatch with this
-      accumulator) leaves the accumulator unchanged. *)
 
   val images : t -> plane:int -> Tensor.t list
   (** Completed [\[height; width\]] images of one plane, oldest first. *)

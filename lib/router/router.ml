@@ -122,19 +122,6 @@ let answer_error t job ?id ~arrival e =
 
 (* --- shard + memo keys (the Simcache descriptor convention) --- *)
 
-let policy_tag = function
-  | Cache.Lru -> "lru"
-  | Cache.Fifo -> "fifo"
-  | Cache.Plru -> "plru"
-  | Cache.Srrip -> "srrip"
-  | Cache.Random_policy seed -> Printf.sprintf "rnd%d" seed
-
-(* Identical to Simcache's config_tag: the router's placement digest and
-   the sim cache's entry key agree on what "the same config" means. *)
-let config_tag (c : Cache.config) =
-  Printf.sprintf "%ds%dw%db-%s" c.Cache.sets c.Cache.ways c.Cache.block_bytes
-    (policy_tag c.Cache.policy)
-
 let shard_key tag = Printf.sprintf "cachebox-shard/1|%s" tag
 
 let trace_digest arr =
@@ -229,22 +216,12 @@ let health_failure t b ~why =
 
 (* --- routing --- *)
 
-let resolve_trace t source =
-  match source with
-  | Validate.Inline arr -> Ok arr
-  | Validate.Benchmark { name; length } -> (
-    match Suite.find name with
-    | w -> Ok (w.Workload.generate length)
-    | exception Not_found ->
-      Error (Serve_error.v Serve_error.Bad_request "unknown benchmark %S" name))
-  | Validate.File path -> Validate.read_trace_file ~max_len:t.cfg.max_trace_len path
-
 (* All replicas for the key are down/unusable: answer from the in-process
    baseline, tagged so clients and stats can tell router-level degradation
    from backend-level degradation. *)
 let degrade t job ~id ~arrival ~cache ~source reason =
   journal_event t "degraded_router" [ ("reason", Runlog.S reason) ];
-  match resolve_trace t source with
+  match Validate.resolve_trace ~max_len:t.cfg.max_trace_len source with
   | Error e -> answer_error t job ?id ~arrival e
   | Ok trace -> (
     match Cbox_infer.baseline_hit_rate t.cfg.fallback cache trace with
@@ -301,7 +278,7 @@ let route_infer t rng job ~id ~sets ~ways ~source ~deadline_s ~backend =
   | Ok cache -> (
     let budget = Option.value deadline_s ~default:t.cfg.default_deadline_s in
     let deadline = arrival +. budget in
-    let tag = config_tag cache in
+    let tag = Simcache.config_tag cache in
     (* The raw line (and its "backend" field) is forwarded verbatim, so the
        memo key must be backend-scoped: an int8 answer may not satisfy a
        float32 request for the same config/trace. An absent field stays
@@ -635,19 +612,26 @@ let run ?journal ?(ready = fun () -> ()) (config : config) =
   (* Upstream writes race with backend crashes by design; a broken pipe
      must surface as EPIPE on the write, not kill the router. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let t =
-    {
-      cfg = config;
-      ring = Hash_ring.create ~vnodes:config.vnodes names;
-      backends = Array.of_list (List.map (make_backend config) config.backends);
-      by_name = Hashtbl.create 8;
-      stats = Serve_stats.create ();
-      memo = Predmemo.create ~capacity:config.memo_capacity;
-      journal;
-      jm = Mutex.create ();
-      now = Unix.gettimeofday;
-      draining = Atomic.make false;
-    }
+  (* As in the daemon: whatever a configured number can make a constructor
+     reject is built before the socket is bound. *)
+  let t, queue =
+    try
+      let t =
+        {
+          cfg = config;
+          ring = Hash_ring.create ~vnodes:config.vnodes names;
+          backends = Array.of_list (List.map (make_backend config) config.backends);
+          by_name = Hashtbl.create 8;
+          stats = Serve_stats.create ();
+          memo = Predmemo.create ~capacity:config.memo_capacity;
+          journal;
+          jm = Mutex.create ();
+          now = Unix.gettimeofday;
+          draining = Atomic.make false;
+        }
+      in
+      (t, (Squeue.create ~capacity:config.queue_depth : job Squeue.t))
+    with Invalid_argument m -> Serve_error.fail Serve_error.Invalid_config "%s" m
   in
   Array.iter (fun b -> Hashtbl.replace t.by_name b.b_name b) t.backends;
   let listener = Serve_daemon.bind_listener config.listen in
@@ -659,7 +643,6 @@ let run ?journal ?(ready = fun () -> ()) (config : config) =
       ("workers", Runlog.I config.workers);
       ("vnodes", Runlog.I config.vnodes);
     ];
-  let queue : job Squeue.t = Squeue.create ~capacity:config.queue_depth in
   let reactor = Reactor.create ~listener () in
   Reactor.set_on_line reactor (fun ticket line ->
       if Atomic.get t.draining then

@@ -54,4 +54,6 @@ val run : ?journal:Runlog.t -> ?ready:(unit -> unit) -> config -> unit
     forwarder pool and prober, call [ready] once accepting. Installs a
     SIGPIPE-ignore handler (upstream sockets die mid-write by design).
     Raises {!Serve_error.Error} ([Invalid_config]) on an empty or
-    duplicate-named backend list, or an unbindable/unresolvable address. *)
+    duplicate-named backend list, a configured number out of range
+    (checked before binding, so no socket file is left), or an
+    unbindable/unresolvable address. *)

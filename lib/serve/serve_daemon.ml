@@ -85,14 +85,7 @@ let bind_listener = function
      queue entries as shed;
    + stop the reactor, which flushes every reply and closes connections —
      idle clients see EOF. *)
-let batcher_loop engine sessions cfg queue reactor draining =
-  (* Each batched item carries its own completion callback: a plain infer
-     resolves its reactor ticket, a streamed window reports into its feed's
-     completion group (which resolves the feed's ticket once every window
-     the chunk closed has landed). *)
-  let b : (Serve_engine.infer_item * (Sjson.t -> unit)) Batcher.t =
-    Batcher.create ~now:(fun () -> Serve_engine.now engine) cfg.batcher
-  in
+let batcher_loop engine sessions b queue reactor draining =
   (* Deferred (reload) work runs on its own threads so a multi-second model
      load never stalls the batcher; shutdown joins them so every ticket is
      resolved before the reactor stops. *)
@@ -260,8 +253,24 @@ let run ?journal ?reload ?student_path ?(ready = fun () -> ()) ~spec ~model conf
      connection while a reply is in flight; the write must surface as EPIPE
      for the reactor to clean up, not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let engine =
-    Serve_engine.create ?journal ?reload ?student_path ~spec ~model config.engine
+  (* Everything a configured number can make a constructor reject is built
+     before the socket is bound: a bad number is an [invalid_config] error,
+     with no socket file left behind and no thread dying after startup. *)
+  let engine, queue, batcher, sessions =
+    try
+      let engine =
+        Serve_engine.create ?journal ?reload ?student_path ~spec ~model config.engine
+      in
+      let queue : job Squeue.t = Squeue.create ~capacity:config.queue_depth in
+      (* Each batched item carries its own completion callback: a plain
+         infer resolves its reactor ticket, a streamed window reports into
+         its feed's completion group (which resolves the feed's ticket once
+         every window the chunk closed has landed). *)
+      let batcher : (Serve_engine.infer_item * (Sjson.t -> unit)) Batcher.t =
+        Batcher.create ~now:(fun () -> Serve_engine.now engine) config.batcher
+      in
+      (engine, queue, batcher, Stream_session.create ~config:config.stream engine)
+    with Invalid_argument m -> Serve_error.fail Serve_error.Invalid_config "%s" m
   in
   let listener = bind_listener config.listen in
   Unix.listen listener 64;
@@ -279,9 +288,7 @@ let run ?journal ?reload ?student_path ?(ready = fun () -> ()) ~spec ~model conf
         ("model_loaded", Runlog.B (Serve_engine.model_loaded engine));
         ("replicas", Runlog.I (Serve_engine.replica_count engine));
       ]);
-  let queue : job Squeue.t = Squeue.create ~capacity:config.queue_depth in
   let reactor = Reactor.create ?idle_timeout_s:config.idle_timeout_s ~listener () in
-  let sessions = Stream_session.create ~config:config.stream engine in
   Serve_engine.set_extra_stats engine (Stream_session.stats_fields sessions);
   let draining = Atomic.make false in
   Reactor.set_on_line reactor (fun ticket line ->
@@ -314,7 +321,7 @@ let run ?journal ?reload ?student_path ?(ready = fun () -> ()) ~spec ~model conf
       fun () -> Sys.set_signal Sys.sighup prev
   in
   let batcher =
-    Thread.create (fun () -> batcher_loop engine sessions config queue reactor draining) ()
+    Thread.create (fun () -> batcher_loop engine sessions batcher queue reactor draining) ()
   in
   ready ();
   Reactor.run reactor;

@@ -70,7 +70,8 @@ val run :
     for the duration of [run] and restored on exit). [student_path] loads a
     distilled student checkpoint for the [student]/[student-int8] backends
     (see {!Serve_engine.create}). Raises
-    {!Serve_error.Error}: [invalid_config] when the Unix socket path is
-    already served by a live daemon (a stale socket file left by a crash is
-    reclaimed) or a TCP host does not resolve, [internal] when the socket
-    cannot be bound. *)
+    {!Serve_error.Error}: [invalid_config] when a configured number is out
+    of range (checked before binding, so no socket file is left), when the
+    Unix socket path is already served by a live daemon (a stale socket
+    file left by a crash is reclaimed) or a TCP host does not resolve,
+    [internal] when the socket cannot be bound. *)

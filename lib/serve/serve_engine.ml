@@ -375,16 +375,6 @@ let draining_reply t =
 
 (* --- inference --- *)
 
-let resolve_trace t source =
-  match source with
-  | Validate.Inline arr -> Ok arr
-  | Validate.Benchmark { name; length } -> (
-    match Suite.find name with
-    | w -> Ok (w.Workload.generate length)
-    | exception Not_found ->
-      Error (Serve_error.v Serve_error.Bad_request "unknown benchmark %S" name))
-  | Validate.File path -> Validate.read_trace_file ~max_len:t.cfg.max_trace_len path
-
 let record_and_reply ?backend t ~arrival ~ok ~degraded ~code reply =
   Serve_stats.record ?backend t.stats ~ok ~degraded ~code
     ~latency_s:(t.now () -. arrival);
@@ -559,7 +549,7 @@ let classify_request t ~arrival req =
       match Validate.cache_config ~sets ~ways () with
       | Error e -> fail_with e
       | Ok cache -> (
-        match resolve_trace t source with
+        match Validate.resolve_trace ~max_len:t.cfg.max_trace_len source with
         | Error e -> fail_with e
         | Ok trace -> (
           match Validate.trace_for_spec t.spec ~max_len:t.cfg.max_trace_len trace with

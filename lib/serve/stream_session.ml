@@ -1,5 +1,6 @@
 (* Live trace streaming sessions: bounded buffering with explicit credit,
-   global quotas, checkpointed rollback and per-session fault containment.
+   global quotas, check-then-apply chunks and per-session fault
+   containment.
 
    One manager owns every session behind a daemon. All entry points run on
    the daemon's batcher thread ({!handle}) or on executor threads (window
@@ -40,14 +41,6 @@ type session = {
          contents at the moment of completion, so the window's own trace
          (for the HRD/STM degradation path) is recoverable without keeping
          the stream. *)
-  tail_snap : int array;
-      (* ring contents at the last applied chunk boundary. An aborted chunk
-         has already written positions >= fed before the fault, and those
-         slots alias live history (position p shares a slot with p - apw),
-         so rollback must restore the ring too — the replay only rewrites a
-         clobbered slot when it re-reaches that position, which can be
-         after an earlier window's extraction reads it. *)
-  mutable snapshot : string;  (* accum state at the last applied chunk boundary *)
   mutable retained : (int * Sjson.t) list;  (* un-acked window results, ascending *)
   mutable poisoned : Serve_error.t option;
   mutable conn : int;  (* reactor connection this session is bound to *)
@@ -254,12 +247,12 @@ let open_session mgr ~conn ~arrival ~resolve ~exempt ~id ~sets ~ways =
           | Ok cache ->
             let spec = Serve_engine.spec mgr.engine in
             let apw = Heatmap.accesses_per_image spec in
-            let accum = Heatmap.Accum.create spec in
-            let snapshot = Heatmap.Accum.snapshot accum in
-            (* Footprint: the live accumulator plus its checkpoint blob
-               (about the same size), the tail ring and its rollback copy,
-               and slack for the retention ring's scalar records. *)
-            let bytes = (2 * String.length snapshot) + (16 * apw) + 4096 in
+            (* Footprint: the accumulator's column ring and open-window
+               histogram, the tail ring, and slack for the retention ring's
+               scalar records. *)
+            let bytes =
+              (8 * (((spec.Heatmap.width + 1) * spec.Heatmap.height) + apw)) + 4096
+            in
             if mgr.bytes + bytes > mgr.cfg.max_bytes then begin
               mgr.shed_quota <- mgr.shed_quota + 1;
               `Err
@@ -279,10 +272,8 @@ let open_session mgr ~conn ~arrival ~resolve ~exempt ~id ~sets ~ways =
                 {
                   token;
                   cache;
-                  accum;
+                  accum = Heatmap.Accum.create spec;
                   tail = Array.make apw 0;
-                  tail_snap = Array.make apw 0;
-                  snapshot;
                   retained = [];
                   poisoned = None;
                   conn;
@@ -316,68 +307,50 @@ let open_session mgr ~conn ~arrival ~resolve ~exempt ~id ~sets ~ways =
     resolve json
   | `Err json -> resolve json
 
-let poison_locked mgr s e =
+(* An error reply that still tells the client where its session stands. *)
+let session_error mgr s ?id ~arrival e =
+  `Resolve
+    (with_fields
+       (Serve_engine.error_reply_counted ?id mgr.engine ~arrival e)
+       (session_fields mgr s))
+
+let poison_locked mgr s ?id ~arrival e =
   s.poisoned <- Some e;
   mgr.poison_count <- mgr.poison_count + 1;
-  journal mgr "stream_poisoned" s [ ("reason", Runlog.S e.Serve_error.message) ]
+  journal mgr "stream_poisoned" s [ ("reason", Runlog.S e.Serve_error.message) ];
+  session_error mgr s ?id ~arrival e
 
-(* Apply one admitted chunk. Single pass: each address is range-checked as
-   it is fed; a bad one aborts the chunk, restores the accumulator from the
-   pre-chunk checkpoint (CRC-verified) and the tail ring from its rollback
-   copy, and poisons the session — neighbours never see the fault, and
-   [consumed] in the reply tells the client exactly where to replay from
-   after resuming. Windows the chunk closes are collected during the pass
-   and only dispatched once the whole chunk commits, so a poisoned chunk
-   contributes nothing. Lock held. *)
+(* Apply one admitted chunk, checking before applying: every address is
+   range-checked before any is fed, so a bad one poisons the session with
+   nothing applied — neighbours never see the fault, and [consumed] in the
+   reply is the chunk boundary the client replays from after resuming.
+   Windows the chunk closes are collected while it is fed and dispatched
+   once all of it is in. Lock held. *)
 let apply_chunk mgr s ~arrival ~resolve ~id ~seq addrs =
-  let spec = Serve_engine.spec mgr.engine in
-  let apw = Heatmap.accesses_per_image spec in
-  let step = Heatmap.step_accesses spec in
-  let closed = ref [] in
-  let fault = ref None in
-  (try
-     Array.iteri
-       (fun i a ->
-         if a < 0 || a > Trace_io.max_address then begin
-           fault := Some (i, a);
-           raise Exit
-         end;
-         s.tail.(Heatmap.Accum.fed s.accum mod apw) <- a;
-         let before = Heatmap.Accum.completed s.accum in
-         Heatmap.Accum.add s.accum ~addr:a ~mask:1;
-         if Heatmap.Accum.completed s.accum > before then begin
-           (* Extract the window's own trace NOW — a later window in the
-              same chunk overwrites these ring positions. *)
-           let trace =
-             Array.init apw (fun k -> s.tail.(((before * step) + k) mod apw))
-           in
-           match Heatmap.Accum.take_completed s.accum with
-           | [ planes ] -> closed := (before, trace, planes.(0)) :: !closed
-           | _ -> ()
-         end)
-       addrs
-   with Exit -> ());
-  match !fault with
-  | Some (i, a) ->
-    (match Heatmap.Accum.restore s.accum s.snapshot with
-    | Ok () -> ()
-    | Error m ->
-      (* The snapshot came from this very accumulator; failing to restore
-         it is a bug, not an input fault. *)
-      Serve_engine.journal mgr.engine "stream_restore_bug" [ ("err", Runlog.S m) ]);
-    Array.blit s.tail_snap 0 s.tail 0 (Array.length s.tail);
-    let e =
-      Serve_error.v Serve_error.Corrupt_input
-        "address %d at chunk offset %d out of range [0, 2^52]" a i
-    in
-    poison_locked mgr s e;
-    `Resolve
-      (with_fields
-         (Serve_engine.error_reply_counted ?id mgr.engine ~arrival e)
-         (session_fields mgr s))
+  match Array.find_index (fun a -> a < 0 || a > Trace_io.max_address) addrs with
+  | Some i ->
+    poison_locked mgr s ?id ~arrival
+      (Serve_error.v Serve_error.Corrupt_input
+         "address %d at chunk offset %d out of range [0, 2^52]" addrs.(i) i)
   | None ->
-    s.snapshot <- Heatmap.Accum.snapshot s.accum;
-    Array.blit s.tail 0 s.tail_snap 0 (Array.length s.tail);
+    let spec = Serve_engine.spec mgr.engine in
+    let apw = Heatmap.accesses_per_image spec in
+    let step = Heatmap.step_accesses spec in
+    let closed = ref [] in
+    Array.iter
+      (fun a ->
+        s.tail.(Heatmap.Accum.fed s.accum mod apw) <- a;
+        let before = Heatmap.Accum.completed s.accum in
+        Heatmap.Accum.add s.accum ~addr:a ~mask:1;
+        if Heatmap.Accum.completed s.accum > before then begin
+          (* Extract the window's own trace NOW — a later window in the
+             same chunk overwrites these ring positions. *)
+          let trace = Array.init apw (fun k -> s.tail.(((before * step) + k) mod apw)) in
+          match Heatmap.Accum.take_completed s.accum with
+          | [ planes ] -> closed := (before, trace, planes.(0)) :: !closed
+          | _ -> ()
+        end)
+      addrs;
     let closed = List.rev !closed in
     mgr.windows <- mgr.windows + List.length closed;
     if closed = [] then
@@ -448,21 +421,12 @@ let feed mgr ~conn ~arrival ~resolve ~submit ~id ~token ~seq ~ack ~payload =
             | Some e ->
               (* Sticky: the fault stays contained to this session until
                  the client acknowledges it by resuming. *)
-              `Resolve
-                (with_fields
-                   (Serve_engine.error_reply_counted ?id mgr.engine ~arrival e)
-                   (session_fields mgr s))
+              session_error mgr s ?id ~arrival e
             | None -> (
               match payload with
               | Validate.Corrupt msg ->
-                let e =
-                  Serve_error.v Serve_error.Corrupt_input "corrupt stream chunk: %s" msg
-                in
-                poison_locked mgr s e;
-                `Resolve
-                  (with_fields
-                     (Serve_engine.error_reply_counted ?id mgr.engine ~arrival e)
-                     (session_fields mgr s))
+                poison_locked mgr s ?id ~arrival
+                  (Serve_error.v Serve_error.Corrupt_input "corrupt stream chunk: %s" msg)
               | Validate.Addrs addrs ->
                 let credit = credit_locked mgr s in
                 if Array.length addrs > credit then begin
@@ -489,9 +453,8 @@ let resume mgr ~conn ~arrival ~resolve ~exempt ~id ~token ~last_window =
         | None -> `Err (unknown_session mgr ?id ~arrival token)
         | Some s ->
           s.last_seen <- Serve_engine.now mgr.engine;
-          (* Re-bind to the new connection; clear any poison — the
-             accumulator was already rolled back to the pre-fault chunk
-             boundary when the poison landed, so [consumed] below is the
+          (* Re-bind to the new connection; clear any poison — the chunk
+             that raised it applied nothing, so [consumed] below is the
              exact replay point. *)
           s.conn <- conn;
           s.poisoned <- None;

@@ -22,19 +22,18 @@
       windows in flight across all sessions — over-quota windows degrade
       immediately to the analytical baseline (the engine's existing ladder
       rung) instead of deepening the backlog.
-    - {b Checkpointed resume.} After every applied chunk the session's
-      accumulator state is checkpointed ({!Heatmap.Accum.snapshot}, the
-      CRC-32 container discipline). A client that lost its connection
-      re-attaches with [stream_resume]: the session re-binds to the new
-      connection, un-acked window results are replayed, and [consumed]
-      names the exact stream position to continue from. Results of windows
-      still in the batcher land in the retention ring as they finish —
-      poll resume until [pending] is 0.
-    - {b Fault containment.} A corrupt chunk (unparseable payload or an
-      out-of-range address mid-chunk) rolls the session back to its last
-      checkpoint and poisons {e only} that session with a sticky, typed
-      [corrupt_input]; resuming clears the poison. Injected model faults
-      degrade only the window they hit (the engine's per-item gate) —
+    - {b Resume.} A session lives in the daemon, not on the connection. A
+      client that lost its connection re-attaches with [stream_resume]:
+      the session re-binds to the new connection, un-acked window results
+      are replayed, and [consumed] names the exact stream position to
+      continue from. Results of windows still in the batcher land in the
+      retention ring as they finish — poll resume until [pending] is 0.
+    - {b Fault containment.} A chunk is checked before it is applied: an
+      unparseable payload, or an out-of-range address anywhere in the
+      chunk, applies nothing and poisons {e only} that session with a
+      sticky, typed [corrupt_input], leaving [consumed] at the chunk
+      boundary; resuming clears the poison. Injected model faults degrade
+      only the window they hit (the engine's per-item gate) —
       neighbouring sessions' windows are never lost or reordered.
 
     Thread-safety: one internal lock; {!handle} runs on the daemon's

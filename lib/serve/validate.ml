@@ -119,11 +119,19 @@ type trace_source =
   | Benchmark of { name : string; length : int }
   | File of string
 
+let resolve_trace ~max_len = function
+  | Inline arr -> Ok arr
+  | Benchmark { name; length } -> (
+    match Suite.find name with
+    | w -> Ok (w.Workload.generate length)
+    | exception Not_found -> err Serve_error.Bad_request "unknown benchmark %S" name)
+  | File path -> read_trace_file ~max_len path
+
 (* A stream chunk's payload survives validation even when it is broken:
    the session layer must see the fault (to poison that one session with a
    typed [corrupt_input]) rather than have the whole line bounce as a
-   sessionless [bad_request]. Address range checks are likewise deferred to
-   the session so a bad address mid-chunk can roll the session back. *)
+   sessionless [bad_request]. Address range checks are likewise left to the
+   session, which checks a whole chunk before applying any of it. *)
 type feed_payload = Addrs of int array | Corrupt of string
 
 type request =

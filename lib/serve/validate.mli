@@ -56,6 +56,11 @@ type trace_source =
   | Benchmark of { name : string; length : int }  (** generate on the server *)
   | File of string  (** read a trace file server-side *)
 
+val resolve_trace : max_len:int -> trace_source -> (int array, Serve_error.t) result
+(** The source's addresses: carried inline, generated from the named
+    benchmark ({!Serve_error.Bad_request} when unknown), or read by
+    {!read_trace_file} under [max_len]. *)
+
 type feed_payload =
   | Addrs of int array
   | Corrupt of string
@@ -64,7 +69,7 @@ type feed_payload =
           validation error: the session layer must see the fault so it can
           poison that one session with a typed [corrupt_input] instead of
           the line bouncing as a sessionless [bad_request]. Address range
-          checks are likewise deferred to the session. *)
+          checks are likewise left to the session. *)
 
 type request =
   | Infer of {

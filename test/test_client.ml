@@ -286,6 +286,39 @@ let test_unreachable_reported () =
         Alcotest.(check bool) "call reports the connect" true
           (String.starts_with ~prefix:"cannot connect: " e))
 
+(* A chunk below 1 never advances the stream, so [pour] refuses it before
+   sending a feed. The stub grants credit but rejects a fourth feed: a
+   [pour] that looped on empty feeds fails instead of hanging. *)
+let test_pour_rejects_empty_chunk () =
+  let feeds = ref 0 in
+  let infer ticket line =
+    if String.starts_with ~prefix:{|{"op": "stream_open"|} line then
+      Reactor.resolve ticket {|{"ok": true, "session": "s1", "consumed": 0, "credit": 64}|}
+    else begin
+      incr feeds;
+      Reactor.resolve ticket
+        (if !feeds > 3 then {|{"ok": false, "error": "bad_request", "message": "looping"}|}
+         else {|{"ok": true, "consumed": 0, "credit": 64, "windows": []}|})
+    end
+  in
+  with_stub ~stats:(fun () -> "") ~infer (fun listen ->
+      match Client.connect listen with
+      | Error e -> Alcotest.fail e
+      | Ok c ->
+        Fun.protect
+          ~finally:(fun () -> Client.close c)
+          (fun () ->
+            match S.open_ c ~sets:64 ~ways:4 ~on_window:(fun _ _ -> ()) with
+            | Error f -> Alcotest.fail (S.failure_message f)
+            | Ok (s, _) ->
+              List.iter
+                (fun chunk ->
+                  match S.pour s (Array.make 10 64) ~chunk with
+                  | _ -> Alcotest.failf "pour accepted chunk %d" chunk
+                  | exception Invalid_argument _ -> ())
+                [ 0; -1 ];
+              Alcotest.(check int) "no feed sent" 0 !feeds))
+
 let suite =
   ( "client",
     [
@@ -301,4 +334,5 @@ let suite =
         test_unreachable_reported;
       Alcotest.test_case "router never reuses a timed-out connection" `Quick
         test_router_drops_timed_out_connection;
+      Alcotest.test_case "pour refuses a chunk below 1" `Quick test_pour_rejects_empty_chunk;
     ] )

@@ -361,6 +361,33 @@ let test_router_memo_live () =
   Thread.join rt;
   rm_rf dir
 
+(* A number the ring, health records, breakers, memo or queue rejects is
+   an invalid_config error raised before the socket is bound. *)
+let test_router_rejects_bad_numbers () =
+  let dir = temp_dir () in
+  let rs = Filename.concat dir "r.sock" in
+  let base =
+    router_config ~sock:rs
+      ~backends:[ ("b1", Serve_daemon.Unix_socket (Filename.concat dir "b1.sock")) ]
+  in
+  List.iter
+    (fun (what, config) ->
+      (match Router.run ~ready:(fun () -> Alcotest.failf "%s: router started" what) config with
+      | () -> Alcotest.failf "%s: router ran" what
+      | exception Serve_error.Error e ->
+        Alcotest.(check string) (what ^ " is invalid_config") "invalid_config"
+          (Serve_error.code_string e.Serve_error.code));
+      Alcotest.(check bool) (what ^ ": no socket file") false (Sys.file_exists rs))
+    [
+      ("vnodes 0", { base with Router.vnodes = 0 });
+      ("eject_after 0", { base with Router.eject_after = 0 });
+      ("breaker_threshold 0", { base with Router.breaker_threshold = 0 });
+      ("breaker_cooldown_s -1", { base with Router.breaker_cooldown_s = -1.0 });
+      ("memo_capacity -1", { base with Router.memo_capacity = -1 });
+      ("queue_depth 0", { base with Router.queue_depth = 0 });
+    ];
+  rm_rf dir
+
 let suite =
   ( "router",
     [
@@ -377,4 +404,6 @@ let suite =
       Alcotest.test_case "live failover, ejection, readmission, degradation" `Quick
         test_router_failover_and_degradation;
       Alcotest.test_case "live memo + reload invalidation" `Quick test_router_memo_live;
+      Alcotest.test_case "bad numbers rejected before binding" `Quick
+        test_router_rejects_bad_numbers;
     ] )

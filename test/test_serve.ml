@@ -663,6 +663,50 @@ let test_daemon_unresolvable_host () =
     Alcotest.(check string) "unresolvable host is invalid_config" "invalid_config"
       (Serve_error.code_string e.Serve_error.code)
 
+(* A number the batcher, queue, engine or session manager rejects is an
+   invalid_config error raised before the socket is bound. [ready] fails
+   the test rather than waiting on [run], which never returns for a daemon
+   whose batcher thread died at startup. *)
+let test_daemon_rejects_bad_numbers () =
+  let dir = temp_dir () in
+  let sock = Filename.concat dir "s.sock" in
+  let base = Daemons.config sock in
+  let batcher = base.Serve_daemon.batcher
+  and engine = base.Serve_daemon.engine
+  and stream = base.Serve_daemon.stream in
+  List.iter
+    (fun (what, config) ->
+      (match
+         Serve_daemon.run
+           ~ready:(fun () -> Alcotest.failf "%s: daemon started" what)
+           ~spec:tiny_spec ~model:None config
+       with
+      | () -> Alcotest.failf "%s: daemon ran" what
+      | exception Serve_error.Error e ->
+        Alcotest.(check string) (what ^ " is invalid_config") "invalid_config"
+          (Serve_error.code_string e.Serve_error.code));
+      Alcotest.(check bool) (what ^ ": no socket file") false (Sys.file_exists sock))
+    [
+      ("queue_depth 0", { base with Serve_daemon.queue_depth = 0 });
+      ("max_batch 0", { base with batcher = { batcher with Batcher.max_batch = 0 } });
+      ( "max_linger_s -0.001",
+        { base with batcher = { batcher with Batcher.max_linger_s = -0.001 } } );
+      ("replicas 0", { base with engine = { engine with Serve_engine.replicas = 0 } });
+      ( "breaker_threshold 0",
+        { base with engine = { engine with Serve_engine.breaker_threshold = 0 } } );
+      ( "breaker_cooldown_s -0.001",
+        { base with engine = { engine with Serve_engine.breaker_cooldown_s = -0.001 } } );
+      ( "max_sessions 0",
+        { base with stream = { stream with Stream_session.max_sessions = 0 } } );
+      ( "retain_windows 0",
+        { base with stream = { stream with Stream_session.retain_windows = 0 } } );
+      ( "max_pending_windows 0",
+        { base with stream = { stream with Stream_session.max_pending_windows = 0 } } );
+      ( "session_ttl_s 0",
+        { base with stream = { stream with Stream_session.session_ttl_s = 0.0 } } );
+    ];
+  rm_rf dir
+
 let suite =
   ( "serve",
     [
@@ -701,4 +745,6 @@ let suite =
         test_daemon_socket_in_use_and_stale;
       Alcotest.test_case "daemon rejects unresolvable host" `Quick
         test_daemon_unresolvable_host;
+      Alcotest.test_case "daemon rejects bad numbers before binding" `Quick
+        test_daemon_rejects_bad_numbers;
     ] )

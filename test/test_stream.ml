@@ -1,8 +1,7 @@
-(* Live trace streaming: Accum checkpoint round-trips, the session manager's
-   credit/quota/poison/resume invariants, bit-identity of streamed windows
-   against the offline pipeline, fault containment across sessions, the
-   idle-connection reaper, and the Linebuf/Squeue framing layers the stream
-   path rides on. *)
+(* Live trace streaming: the session manager's credit/quota/poison/resume
+   invariants, bit-identity of streamed windows against the offline
+   pipeline, fault containment across sessions, the idle-connection reaper,
+   and the Linebuf/Squeue framing layers the stream path rides on. *)
 
 let temp_dir () =
   let d = Filename.temp_file "cbox_stream" "" in
@@ -63,98 +62,6 @@ let engine ?now ~model () =
     }
   in
   Serve_engine.create ?now ~spec:tiny_spec ~model cfg
-
-(* --- Accum checkpoint container --- *)
-
-let tensor_bits t = List.map Int64.bits_of_float (Array.to_list (Tensor.to_array t))
-let mask_of addr = if addr mod 3 = 0 then 3 else 1
-
-let feed_accum acc trace lo hi =
-  for i = lo to hi - 1 do
-    Heatmap.Accum.add acc ~addr:trace.(i) ~mask:(mask_of trace.(i))
-  done
-
-let test_accum_snapshot_roundtrip_property =
-  QCheck.Test.make ~name:"accum: snapshot/restore resumes bit-identically" ~count:40
-    QCheck.(triple (int_range 0 600) (int_range 0 100_000) (int_range 0 1000))
-    (fun (extra, cut_raw, seed) ->
-      let len = apw + extra in
-      let cut = cut_raw mod (len + 1) in
-      let trace = mk_trace ~seed len in
-      let straight = Heatmap.Accum.create ~planes:2 tiny_spec in
-      feed_accum straight trace 0 len;
-      let pre = Heatmap.Accum.create ~planes:2 tiny_spec in
-      feed_accum pre trace 0 cut;
-      let at_cut = Heatmap.Accum.completed pre in
-      let resumed = Heatmap.Accum.create ~planes:2 tiny_spec in
-      (match Heatmap.Accum.restore resumed (Heatmap.Accum.snapshot pre) with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "restore of a fresh snapshot failed: %s" m);
-      feed_accum resumed trace cut len;
-      Alcotest.(check int) "fed" len (Heatmap.Accum.fed resumed);
-      Alcotest.(check int) "completed" (Heatmap.Accum.completed straight)
-        (Heatmap.Accum.completed resumed);
-      (* The restored accumulator holds only post-cut images; they must be
-         bit-identical to the uninterrupted run's tail, plane by plane. *)
-      List.iter
-        (fun plane ->
-          let all = Heatmap.Accum.images straight ~plane in
-          let tail = List.filteri (fun i _ -> i >= at_cut) all in
-          let got = Heatmap.Accum.images resumed ~plane in
-          Alcotest.(check (list (list int64)))
-            (Printf.sprintf "plane %d images" plane)
-            (List.map tensor_bits tail) (List.map tensor_bits got))
-        [ 0; 1 ];
-      (* The streaming de-overlap counters agree with the pixel-pass sum. *)
-      Alcotest.(check (float 0.0)) "deoverlapped mass"
-        (Heatmap.deoverlapped_sum tiny_spec (Heatmap.Accum.images straight ~plane:0))
-        (Heatmap.Accum.deoverlapped_mass straight ~plane:0);
-      true)
-
-let test_accum_snapshot_corruption_property =
-  QCheck.Test.make ~name:"accum: corrupt snapshot byte -> Error, state unchanged" ~count:40
-    QCheck.(pair (int_range 0 100_000) (int_range 0 255))
-    (fun (pos_raw, delta) ->
-      let len = (2 * apw) + 31 in
-      let trace = mk_trace ~seed:91 len in
-      let pre = Heatmap.Accum.create ~planes:2 tiny_spec in
-      feed_accum pre trace 0 (apw + 13);
-      let snap = Heatmap.Accum.snapshot pre in
-      let pos = pos_raw mod String.length snap in
-      let flipped = Bytes.of_string snap in
-      Bytes.set flipped pos
-        (Char.chr (Char.code (Bytes.get flipped pos) lxor (1 + (delta mod 255))));
-      let target = Heatmap.Accum.create ~planes:2 tiny_spec in
-      (match Heatmap.Accum.restore target (Bytes.to_string flipped) with
-      | Ok () -> Alcotest.failf "corrupt snapshot (byte %d) accepted" pos
-      | Error _ -> ());
-      (* A rejected restore leaves the target untouched: feeding it from
-         scratch still matches an uninterrupted run bit for bit. *)
-      let straight = Heatmap.Accum.create ~planes:2 tiny_spec in
-      feed_accum straight trace 0 len;
-      feed_accum target trace 0 len;
-      Alcotest.(check (list (list int64))) "untouched target accumulates cleanly"
-        (List.map tensor_bits (Heatmap.Accum.images straight ~plane:0))
-        (List.map tensor_bits (Heatmap.Accum.images target ~plane:0));
-      true)
-
-let test_accum_snapshot_mismatch () =
-  let acc = Heatmap.Accum.create ~planes:2 tiny_spec in
-  feed_accum acc (Lazy.force tiny_trace) 0 (apw + 5);
-  let snap = Heatmap.Accum.snapshot acc in
-  let expect_error what target blob =
-    match Heatmap.Accum.restore target blob with
-    | Ok () -> Alcotest.failf "%s accepted" what
-    | Error _ -> ()
-  in
-  expect_error "truncated snapshot"
-    (Heatmap.Accum.create ~planes:2 tiny_spec)
-    (String.sub snap 0 (String.length snap - 3));
-  expect_error "spec-mismatched snapshot"
-    (Heatmap.Accum.create ~planes:2 (Heatmap.spec ~height:8 ~width:16 ~window:8 ()))
-    snap;
-  expect_error "plane-mismatched snapshot" (Heatmap.Accum.create ~planes:1 tiny_spec) snap;
-  expect_error "bad magic" (Heatmap.Accum.create ~planes:2 tiny_spec) ("XXXX" ^ snap)
 
 (* --- session manager (driven directly, no daemon) --- *)
 
@@ -381,36 +288,48 @@ let test_corrupt_payload_poisons_one_session () =
   Alcotest.(check int) "poison counted once, not per sticky replay" 1
     (stream_stat mgr "poisoned")
 
-let test_bad_address_rolls_back_to_chunk_boundary () =
-  let eng = engine ~model:None () in
-  let mgr = Stream_session.create eng in
+(* Range checks come before any address is fed: whatever the prefix, the
+   chunk's length, where in it the bad address sits and how far out of
+   range it is, the poisoned chunk applies nothing. *)
+let test_bad_address_rolls_back_to_chunk_boundary =
   let trace = Lazy.force tiny_trace in
-  let token, _ = open_session mgr eng in
-  (* First chunk stops mid-window. *)
-  let k = 100 in
-  let r1 = call mgr eng (feed_req ~token (Array.sub trace 0 k)) in
-  check_bool r1 "ok" true;
-  Alcotest.(check int) "no window yet" 0 (List.length (window_entries r1));
-  (* The second chunk would close a window before the fault: the whole
-     chunk must still roll back — consumed returns to the chunk boundary
-     and the closed window is never dispatched. *)
-  let bad = Array.sub trace k 250 in
-  bad.(150) <- Trace_io.max_address + 1;
-  let r2 = call mgr eng (feed_req ~token bad) in
-  check_bool r2 "ok" false;
-  check_str r2 "error" "corrupt_input";
-  Alcotest.(check int) "rolled back to the chunk boundary" k (geti r2 "consumed");
-  Alcotest.(check int) "next_window rolled back" 0 (geti r2 "next_window");
-  Alcotest.(check int) "nothing left in flight" 0 (Stream_session.pending_windows mgr);
-  (* Resume and replay the correct suffix: the stream must be bit-identical
-     to a run that never saw the fault. *)
-  let r = call mgr eng (resume_req ~token ()) in
-  check_bool r "ok" true;
-  let credit = geti r "credit" in
-  let rest = Array.sub trace k (Array.length trace - k) in
-  let got = pour mgr eng ~token ~credit rest in
-  Alcotest.(check (list string)) "replayed stream = uninterrupted stream"
-    (offline_entries eng trace) got
+  let len = Array.length trace in
+  QCheck.Test.make ~name:"bad address rolls back to chunk boundary" ~count:60
+    QCheck.(quad (int_range 0 (len - 1)) (int_range 1 len) (int_range 0 (len - 1)) bool)
+    (fun (k, n_raw, at_raw, negative) ->
+      let eng = engine ~model:None () in
+      let mgr = Stream_session.create eng in
+      let token, _ = open_session mgr eng in
+      (* First chunk: the prefix, ending anywhere (mid-window or not). *)
+      let r1 = call mgr eng (feed_req ~token (Array.sub trace 0 k)) in
+      check_bool r1 "ok" true;
+      let closed_by_prefix = if k < apw then 0 else 1 + ((k - apw) / step) in
+      Alcotest.(check int) "windows closed by the prefix" closed_by_prefix
+        (List.length (window_entries r1));
+      (* The bad chunk fits its credit and may close windows before the
+         fault: the whole chunk must still roll back — consumed stays at the
+         chunk boundary and no window it would close is dispatched. *)
+      let n = 1 + ((n_raw - 1) mod min (geti r1 "credit") (len - k)) in
+      let at = at_raw mod n in
+      let bad = Array.sub trace k n in
+      bad.(at) <- (if negative then -1 else Trace_io.max_address + 1);
+      let r2 = call mgr eng (feed_req ~token bad) in
+      check_bool r2 "ok" false;
+      check_str r2 "error" "corrupt_input";
+      Alcotest.(check int) "rolled back to the chunk boundary" k (geti r2 "consumed");
+      Alcotest.(check int) "next_window rolled back" closed_by_prefix
+        (geti r2 "next_window");
+      Alcotest.(check int) "nothing left in flight" 0 (Stream_session.pending_windows mgr);
+      (* Resume and replay the correct suffix: the stream must be bit-identical
+         to a run that never saw the fault. *)
+      let r = call mgr eng (resume_req ~token ()) in
+      check_bool r "ok" true;
+      let credit = geti r "credit" in
+      let rest = Array.sub trace k (len - k) in
+      let got = pour mgr eng ~token ~credit rest in
+      Alcotest.(check (list string)) "replayed stream = uninterrupted stream"
+        (offline_entries eng trace) (window_entries r1 @ got);
+      true)
 
 let test_conn_binding_and_resume_rebind () =
   let eng = engine ~model:None () in
@@ -814,9 +733,6 @@ let test_squeue_concurrent_shed_accounting () =
 let suite =
   ( "stream",
     [
-      QCheck_alcotest.to_alcotest test_accum_snapshot_roundtrip_property;
-      QCheck_alcotest.to_alcotest test_accum_snapshot_corruption_property;
-      Alcotest.test_case "accum snapshot mismatch rejected" `Quick test_accum_snapshot_mismatch;
       Alcotest.test_case "open reports geometry and credit" `Quick test_open_geometry_and_credit;
       Alcotest.test_case "streamed windows = offline (analytical)" `Quick
         test_streamed_windows_match_offline_hrd;
@@ -826,8 +742,7 @@ let suite =
         test_credit_exhaustion_atomic_reject;
       Alcotest.test_case "corrupt chunk poisons only its session" `Quick
         test_corrupt_payload_poisons_one_session;
-      Alcotest.test_case "bad address rolls back to chunk boundary" `Quick
-        test_bad_address_rolls_back_to_chunk_boundary;
+      QCheck_alcotest.to_alcotest test_bad_address_rolls_back_to_chunk_boundary;
       Alcotest.test_case "sessions bind to their connection" `Quick
         test_conn_binding_and_resume_rebind;
       Alcotest.test_case "session and byte quotas shed opens" `Quick test_session_and_bytes_quotas;
