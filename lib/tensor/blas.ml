@@ -145,8 +145,9 @@ let gemm_nn_ref ~alpha ~a ~b ~c ~m ~k ~n =
    each, B is packed one KC x NC panel at a time into NR-wide column
    micro-panels (k-major, zero-padded to a whole panel), and A is packed one
    MC x KC block at a time into MR-tall row micro-panels with alpha folded
-   in. The MR x NR register microkernel then accumulates a full KC block
-   into local accumulators and flushes to C once.
+   in. Register tiles then cover each MR x NR tile of C, two 4x2 tiles or
+   a 4x2 and a 4x1 or one of either: each accumulates a full KC block into
+   local accumulators and flushes to C once.
 
    Determinism: an element (i, j) of C receives exactly one contribution per
    (jc, pc) block, in pc order, each computed by the same scalar k-ordered
@@ -212,80 +213,148 @@ let pack_b ~trans ~act (bd : Tensor.buffer) ~bc ~p0 ~kcur ~j0 ~ncur (dst : Tenso
     done
   done
 
-(* 4x4 register microkernel: accumulate a full KC block in k order into 16
-   local accumulators, then flush [rows] x [cols] of them to C (the rest
-   belong to zero-padded edge rows/columns and are discarded). *)
-let kern4x4 (ap : Tensor.buffer) a0 (bp : Tensor.buffer) b0 ~kcur (cd : Tensor.buffer) ~c0
-    ~ldc ~rows ~cols =
-  let acc00 = ref 0.0 and acc01 = ref 0.0 and acc02 = ref 0.0 and acc03 = ref 0.0 in
-  let acc10 = ref 0.0 and acc11 = ref 0.0 and acc12 = ref 0.0 and acc13 = ref 0.0 in
-  let acc20 = ref 0.0 and acc21 = ref 0.0 and acc22 = ref 0.0 and acc23 = ref 0.0 in
-  let acc30 = ref 0.0 and acc31 = ref 0.0 and acc32 = ref 0.0 and acc33 = ref 0.0 in
+(* Register tiles. A tile reads an MR-tall packed A panel from [a0] and
+   one or two columns of an NR-wide packed B panel from [b0] (a stride of
+   NR per depth step), accumulates a full KC block in k order into local
+   accumulators, then adds its first [rows] rows into C (the rest belong
+   to zero-padded edge rows and are discarded). The 4x2 tile keeps
+   8 accumulators, 4 A operands and 2 B operands in 14 of amd64's 16 float
+   registers, so nothing spills inside the depth loop; a 4x4 tile would
+   need 24, and would reload and re-store an accumulator at every
+   multiply-add. The
+   depth loop is unrolled by two, and each accumulator still adds its
+   products one at a time in k order. The tiles stay out of line so that
+   test/check_kernel_spills.sh sees every copy of their loops. *)
+let[@inline never] kern4x2 (ap : Tensor.buffer) a0 (bp : Tensor.buffer) b0 ~kcur
+    (cd : Tensor.buffer) ~c0 ~ldc ~rows =
+  let c00 = ref 0.0 and c01 = ref 0.0 and c10 = ref 0.0 and c11 = ref 0.0 in
+  let c20 = ref 0.0 and c21 = ref 0.0 and c30 = ref 0.0 and c31 = ref 0.0 in
   let ai = ref a0 and bi = ref b0 in
-  for _p = 1 to kcur do
+  for _ = 1 to kcur / 2 do
     let x0 = Bigarray.Array1.unsafe_get ap !ai
     and x1 = Bigarray.Array1.unsafe_get ap (!ai + 1)
     and x2 = Bigarray.Array1.unsafe_get ap (!ai + 2)
     and x3 = Bigarray.Array1.unsafe_get ap (!ai + 3) in
-    let y0 = Bigarray.Array1.unsafe_get bp !bi
-    and y1 = Bigarray.Array1.unsafe_get bp (!bi + 1)
-    and y2 = Bigarray.Array1.unsafe_get bp (!bi + 2)
-    and y3 = Bigarray.Array1.unsafe_get bp (!bi + 3) in
-    acc00 := !acc00 +. (x0 *. y0);
-    acc01 := !acc01 +. (x0 *. y1);
-    acc02 := !acc02 +. (x0 *. y2);
-    acc03 := !acc03 +. (x0 *. y3);
-    acc10 := !acc10 +. (x1 *. y0);
-    acc11 := !acc11 +. (x1 *. y1);
-    acc12 := !acc12 +. (x1 *. y2);
-    acc13 := !acc13 +. (x1 *. y3);
-    acc20 := !acc20 +. (x2 *. y0);
-    acc21 := !acc21 +. (x2 *. y1);
-    acc22 := !acc22 +. (x2 *. y2);
-    acc23 := !acc23 +. (x2 *. y3);
-    acc30 := !acc30 +. (x3 *. y0);
-    acc31 := !acc31 +. (x3 *. y1);
-    acc32 := !acc32 +. (x3 *. y2);
-    acc33 := !acc33 +. (x3 *. y3);
-    ai := !ai + 4;
-    bi := !bi + 4
+    let y0 = Bigarray.Array1.unsafe_get bp !bi and y1 = Bigarray.Array1.unsafe_get bp (!bi + 1) in
+    c00 := !c00 +. (x0 *. y0);
+    c01 := !c01 +. (x0 *. y1);
+    c10 := !c10 +. (x1 *. y0);
+    c11 := !c11 +. (x1 *. y1);
+    c20 := !c20 +. (x2 *. y0);
+    c21 := !c21 +. (x2 *. y1);
+    c30 := !c30 +. (x3 *. y0);
+    c31 := !c31 +. (x3 *. y1);
+    let x0 = Bigarray.Array1.unsafe_get ap (!ai + 4)
+    and x1 = Bigarray.Array1.unsafe_get ap (!ai + 5)
+    and x2 = Bigarray.Array1.unsafe_get ap (!ai + 6)
+    and x3 = Bigarray.Array1.unsafe_get ap (!ai + 7) in
+    let y0 = Bigarray.Array1.unsafe_get bp (!bi + 4)
+    and y1 = Bigarray.Array1.unsafe_get bp (!bi + 5) in
+    c00 := !c00 +. (x0 *. y0);
+    c01 := !c01 +. (x0 *. y1);
+    c10 := !c10 +. (x1 *. y0);
+    c11 := !c11 +. (x1 *. y1);
+    c20 := !c20 +. (x2 *. y0);
+    c21 := !c21 +. (x2 *. y1);
+    c30 := !c30 +. (x3 *. y0);
+    c31 := !c31 +. (x3 *. y1);
+    ai := !ai + 8;
+    bi := !bi + 8
   done;
-  if rows = 4 && cols = 4 then begin
-    let r0 = c0 and r1 = c0 + ldc in
-    let r2 = r1 + ldc in
-    let r3 = r2 + ldc in
-    Bigarray.Array1.unsafe_set cd r0 (Bigarray.Array1.unsafe_get cd r0 +. !acc00);
-    Bigarray.Array1.unsafe_set cd (r0 + 1) (Bigarray.Array1.unsafe_get cd (r0 + 1) +. !acc01);
-    Bigarray.Array1.unsafe_set cd (r0 + 2) (Bigarray.Array1.unsafe_get cd (r0 + 2) +. !acc02);
-    Bigarray.Array1.unsafe_set cd (r0 + 3) (Bigarray.Array1.unsafe_get cd (r0 + 3) +. !acc03);
-    Bigarray.Array1.unsafe_set cd r1 (Bigarray.Array1.unsafe_get cd r1 +. !acc10);
-    Bigarray.Array1.unsafe_set cd (r1 + 1) (Bigarray.Array1.unsafe_get cd (r1 + 1) +. !acc11);
-    Bigarray.Array1.unsafe_set cd (r1 + 2) (Bigarray.Array1.unsafe_get cd (r1 + 2) +. !acc12);
-    Bigarray.Array1.unsafe_set cd (r1 + 3) (Bigarray.Array1.unsafe_get cd (r1 + 3) +. !acc13);
-    Bigarray.Array1.unsafe_set cd r2 (Bigarray.Array1.unsafe_get cd r2 +. !acc20);
-    Bigarray.Array1.unsafe_set cd (r2 + 1) (Bigarray.Array1.unsafe_get cd (r2 + 1) +. !acc21);
-    Bigarray.Array1.unsafe_set cd (r2 + 2) (Bigarray.Array1.unsafe_get cd (r2 + 2) +. !acc22);
-    Bigarray.Array1.unsafe_set cd (r2 + 3) (Bigarray.Array1.unsafe_get cd (r2 + 3) +. !acc23);
-    Bigarray.Array1.unsafe_set cd r3 (Bigarray.Array1.unsafe_get cd r3 +. !acc30);
-    Bigarray.Array1.unsafe_set cd (r3 + 1) (Bigarray.Array1.unsafe_get cd (r3 + 1) +. !acc31);
-    Bigarray.Array1.unsafe_set cd (r3 + 2) (Bigarray.Array1.unsafe_get cd (r3 + 2) +. !acc32);
-    Bigarray.Array1.unsafe_set cd (r3 + 3) (Bigarray.Array1.unsafe_get cd (r3 + 3) +. !acc33)
+  if kcur land 1 = 1 then begin
+    let x0 = Bigarray.Array1.unsafe_get ap !ai
+    and x1 = Bigarray.Array1.unsafe_get ap (!ai + 1)
+    and x2 = Bigarray.Array1.unsafe_get ap (!ai + 2)
+    and x3 = Bigarray.Array1.unsafe_get ap (!ai + 3) in
+    let y0 = Bigarray.Array1.unsafe_get bp !bi and y1 = Bigarray.Array1.unsafe_get bp (!bi + 1) in
+    c00 := !c00 +. (x0 *. y0);
+    c01 := !c01 +. (x0 *. y1);
+    c10 := !c10 +. (x1 *. y0);
+    c11 := !c11 +. (x1 *. y1);
+    c20 := !c20 +. (x2 *. y0);
+    c21 := !c21 +. (x2 *. y1);
+    c30 := !c30 +. (x3 *. y0);
+    c31 := !c31 +. (x3 *. y1)
+  end;
+  let o = c0 in
+  Bigarray.Array1.unsafe_set cd o (Bigarray.Array1.unsafe_get cd o +. !c00);
+  Bigarray.Array1.unsafe_set cd (o + 1) (Bigarray.Array1.unsafe_get cd (o + 1) +. !c01);
+  if rows > 1 then begin
+    let o = o + ldc in
+    Bigarray.Array1.unsafe_set cd o (Bigarray.Array1.unsafe_get cd o +. !c10);
+    Bigarray.Array1.unsafe_set cd (o + 1) (Bigarray.Array1.unsafe_get cd (o + 1) +. !c11)
+  end;
+  if rows > 2 then begin
+    let o = o + (2 * ldc) in
+    Bigarray.Array1.unsafe_set cd o (Bigarray.Array1.unsafe_get cd o +. !c20);
+    Bigarray.Array1.unsafe_set cd (o + 1) (Bigarray.Array1.unsafe_get cd (o + 1) +. !c21)
+  end;
+  if rows > 3 then begin
+    let o = o + (3 * ldc) in
+    Bigarray.Array1.unsafe_set cd o (Bigarray.Array1.unsafe_get cd o +. !c30);
+    Bigarray.Array1.unsafe_set cd (o + 1) (Bigarray.Array1.unsafe_get cd (o + 1) +. !c31)
   end
-  else begin
-    let accs =
-      [|
-        !acc00; !acc01; !acc02; !acc03; !acc10; !acc11; !acc12; !acc13;
-        !acc20; !acc21; !acc22; !acc23; !acc30; !acc31; !acc32; !acc33;
-      |]
-    in
-    for r = 0 to rows - 1 do
-      let row = c0 + (r * ldc) in
-      for c = 0 to cols - 1 do
-        Bigarray.Array1.unsafe_set cd (row + c)
-          (Bigarray.Array1.unsafe_get cd (row + c) +. accs.((r * 4) + c))
-      done
-    done
+
+(* The 4x1 tile: one column of a packed B panel, for a lone last column. *)
+let[@inline never] kern4x1 (ap : Tensor.buffer) a0 (bp : Tensor.buffer) b0 ~kcur
+    (cd : Tensor.buffer) ~c0 ~ldc ~rows =
+  let c0v = ref 0.0 and c1v = ref 0.0 and c2v = ref 0.0 and c3v = ref 0.0 in
+  let ai = ref a0 and bi = ref b0 in
+  for _ = 1 to kcur / 2 do
+    let x0 = Bigarray.Array1.unsafe_get ap !ai
+    and x1 = Bigarray.Array1.unsafe_get ap (!ai + 1)
+    and x2 = Bigarray.Array1.unsafe_get ap (!ai + 2)
+    and x3 = Bigarray.Array1.unsafe_get ap (!ai + 3) in
+    let y = Bigarray.Array1.unsafe_get bp !bi in
+    c0v := !c0v +. (x0 *. y);
+    c1v := !c1v +. (x1 *. y);
+    c2v := !c2v +. (x2 *. y);
+    c3v := !c3v +. (x3 *. y);
+    let x0 = Bigarray.Array1.unsafe_get ap (!ai + 4)
+    and x1 = Bigarray.Array1.unsafe_get ap (!ai + 5)
+    and x2 = Bigarray.Array1.unsafe_get ap (!ai + 6)
+    and x3 = Bigarray.Array1.unsafe_get ap (!ai + 7) in
+    let y = Bigarray.Array1.unsafe_get bp (!bi + 4) in
+    c0v := !c0v +. (x0 *. y);
+    c1v := !c1v +. (x1 *. y);
+    c2v := !c2v +. (x2 *. y);
+    c3v := !c3v +. (x3 *. y);
+    ai := !ai + 8;
+    bi := !bi + 8
+  done;
+  if kcur land 1 = 1 then begin
+    let x0 = Bigarray.Array1.unsafe_get ap !ai
+    and x1 = Bigarray.Array1.unsafe_get ap (!ai + 1)
+    and x2 = Bigarray.Array1.unsafe_get ap (!ai + 2)
+    and x3 = Bigarray.Array1.unsafe_get ap (!ai + 3) in
+    let y = Bigarray.Array1.unsafe_get bp !bi in
+    c0v := !c0v +. (x0 *. y);
+    c1v := !c1v +. (x1 *. y);
+    c2v := !c2v +. (x2 *. y);
+    c3v := !c3v +. (x3 *. y)
+  end;
+  Bigarray.Array1.unsafe_set cd c0 (Bigarray.Array1.unsafe_get cd c0 +. !c0v);
+  if rows > 1 then begin
+    let o = c0 + ldc in
+    Bigarray.Array1.unsafe_set cd o (Bigarray.Array1.unsafe_get cd o +. !c1v)
+  end;
+  if rows > 2 then begin
+    let o = c0 + (2 * ldc) in
+    Bigarray.Array1.unsafe_set cd o (Bigarray.Array1.unsafe_get cd o +. !c2v)
+  end;
+  if rows > 3 then begin
+    let o = c0 + (3 * ldc) in
+    Bigarray.Array1.unsafe_set cd o (Bigarray.Array1.unsafe_get cd o +. !c3v)
   end
+
+(* One MR x NR tile of C from an MR-tall packed A panel at [a0] and an
+   NR-wide packed B panel at [b0], [cols] of whose columns are real: a 4x2
+   tile on each full column pair, a 4x1 tile on a lone last column. *)
+let tile ap a0 bp b0 ~kcur cd ~c0 ~ldc ~rows ~cols =
+  if cols >= 2 then kern4x2 ap a0 bp b0 ~kcur cd ~c0 ~ldc ~rows;
+  if cols = 4 then kern4x2 ap a0 bp (b0 + 2) ~kcur cd ~c0:(c0 + 2) ~ldc ~rows
+  else if cols land 1 = 1 then
+    kern4x1 ap a0 bp (b0 + cols - 1) ~kcur cd ~c0:(c0 + cols - 1) ~ldc ~rows
 
 (* One lane's share: rows [row_lo .. row_hi] of C, full jc -> pc -> ic block
    sweep. [ap]/[bp] are this lane's packing buffers (>= mc_blk*kc_blk and
@@ -312,7 +381,7 @@ let gemm_tile_rows ~trans_a ~trans_b ~alpha ~(ad : Tensor.buffer) ~ac ~(bd : Ten
           let b0 = pj * nr * kcur and jcol = !jc + (pj * nr) in
           for pi = 0 to mpan - 1 do
             let rows = min mr (mcur - (pi * mr)) in
-            kern4x4 ap (pi * mr * kcur) bp b0 ~kcur cd
+            tile ap (pi * mr * kcur) bp b0 ~kcur cd
               ~c0:(((!ic + (pi * mr)) * n) + jcol)
               ~ldc:n ~rows ~cols
           done
@@ -416,7 +485,7 @@ let pack_index ~m ~k ~i ~p =
   let kcur = min kc_blk (k - p0) in
   (npanels m * mr * p0) + (i / mr * mr * kcur) + ((p - p0) * mr) + (i mod mr)
 
-(* A call packs only act(B) and runs the unchanged [kern4x4] over the
+(* A call packs only act(B) and runs the same register tiles over the
    stored panels, in [gemm_tiled]'s jc -> pc -> MC -> pj -> pi order. Every
    element of C meets the same packed A and B values (alpha = 1 folds
    exactly), the same KC grid and the same flush order as
@@ -486,7 +555,7 @@ module Packed = struct
             let cols = min nr (ncur - (pj * nr)) in
             let b0 = pj * nr * kcur and jcol = !jc + (pj * nr) in
             for pi = !ic to ic_hi do
-              kern4x4 ap (ablock + (pi * mr * kcur)) bp b0 ~kcur cd
+              tile ap (ablock + (pi * mr * kcur)) bp b0 ~kcur cd
                 ~c0:((pi * mr * n) + jcol)
                 ~ldc:n ~rows:(min mr (m - (pi * mr))) ~cols
             done
@@ -558,7 +627,8 @@ end
 
    The microkernel keeps 2 row pairs x 4 columns in 8 double accumulators.
    With two A and four B operands live it needs 14 of the 16 float
-   registers, so nothing spills inside the depth loop.
+   registers, so nothing spills inside the depth loop; like the float
+   tiles it stays out of line, where test/check_kernel_spills.sh checks it.
 
    Determinism: lanes own MR-aligned row panels, every output element
    receives one contribution per KC block in depth order, and the integer
@@ -740,7 +810,7 @@ module Int8 = struct
      into its destination register, so the four B operands are loaded
      together: each lands in its own register and depends only on the same
      load one step earlier, not on the load before it. *)
-  let kern (ap : lanes) a0 (bp : Tensor.buffer) b0 ~kcur (acc : float array) =
+  let[@inline never] kern (ap : lanes) a0 (bp : Tensor.buffer) b0 ~kcur (acc : float array) =
     let c00 = ref 0.0 and c01 = ref 0.0 and c02 = ref 0.0 and c03 = ref 0.0 in
     let c10 = ref 0.0 and c11 = ref 0.0 and c12 = ref 0.0 and c13 = ref 0.0 in
     let ai = ref a0 and bi = ref b0 in

@@ -6,8 +6,11 @@
     The production GEMM is cache-blocked and panel-packed: A and B are
     copied into contiguous MR-tall / NR-wide k-major micro-panels one
     MC x KC / KC x NC block at a time (packing buffers come from the
-    {!Workspace} arena, so steady state allocates nothing), and an MR x NR
-    register microkernel accumulates each KC block before flushing to C.
+    {!Workspace} arena, so steady state allocates nothing). Register tiles
+    cover each 4 x 4 tile of C: a 4x2 tile on each full column pair and a
+    4x1 tile on a lone last column. A tile accumulates each KC block in
+    registers, one product at a time in depth order, and adds it to C
+    once; a tile that overhangs the last row adds only its real rows.
     Transposes are absorbed by the packing — [trans_a]/[trans_b] never
     materialise a transposed copy on this path.
 
@@ -76,8 +79,8 @@ val gemv : a:Tensor.t -> x:Tensor.t -> Tensor.t
 
     [pack] copies op(W) once into MR-tall k-major panels grouped in
     KC-major blocks, the layout {!Int8.qweight} uses. A {!Packed.gemm}
-    call then packs only its B operand and runs the same register
-    microkernel over the stored panels, so
+    call then packs only its B operand and runs the same register tiles
+    over the stored panels, so
     [Packed.gemm ~a:(Packed.pack ~trans w) ~b c] is bit-identical to
     [gemm ~trans_a:trans ~alpha:1.0 ~a:w ~b ~beta:0.0 c] under the [Tiled]
     kernel, at every domain count and on every shape, including those

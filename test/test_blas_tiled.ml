@@ -4,7 +4,7 @@
 
    Shapes are deliberately ragged (primes, 1-wide edges) and the small-GEMM
    cutoff is forced to 0 so every case exercises the packed panels and the
-   partial-tile mask paths of the microkernel, not the serial fallback. *)
+   partial tiles of the register kernels, not the serial fallback. *)
 
 let with_forced_tiled f =
   let k0 = Blas.kernel () in
@@ -237,6 +237,168 @@ let test_packed_random =
             bool (oneofl acts) (int_range 0 1_000_000)))
     (fun ((m, k, n), trans, act, seed) -> packed_matches_gemm ~m ~k ~n ~trans ~act seed)
 
+(* --- the kernel's arithmetic, bit for bit ---
+
+   A scalar oracle of the tiled kernel's exact arithmetic. C is first set
+   from beta: 0 when beta = 0, otherwise f32(beta c) unless beta = 1 (and
+   alpha = 0 stops there). Then, for each 256-deep block, a double
+   accumulator starts at +0.0 and adds f32(alpha op(A)[i,p]) * op(B)[p,j]
+   in p order, and C[i,j] <- f32(C[i,j] + acc). The product of two float32
+   values is exact in a double, so what the oracle pins is the order of
+   the additions and where each block lands. *)
+
+let f32 x = Int32.float_of_bits (Int32.bits_of_float x)
+let bits t = Array.map Int32.bits_of_float (Tensor.to_array t)
+
+(* [a] is op(A) (m x k) and [b] op(B) (k x n), row-major. *)
+let oracle ~alpha a b ~beta c0 ~m ~k ~n =
+  let c =
+    Array.map (fun v -> if beta = 0.0 then 0.0 else if beta = 1.0 then v else f32 (beta *. v)) c0
+  in
+  if alpha <> 0.0 then
+    for i = 0 to m - 1 do
+      for j = 0 to n - 1 do
+        let p0 = ref 0 in
+        while !p0 < k do
+          let acc = ref 0.0 in
+          for p = !p0 to min k (!p0 + 256) - 1 do
+            acc := !acc +. (f32 (alpha *. a.((i * k) + p)) *. b.((p * n) + j))
+          done;
+          c.((i * n) + j) <- f32 (c.((i * n) + j) +. !acc);
+          p0 := !p0 + 256
+        done
+      done
+    done;
+  Array.map Int32.bits_of_float c
+
+(* Random op(A) and op(B) with cancelling spikes. At about one depth in
+   eight, depths p and p + 1 share a B row scaled by 2^40 and carry an A
+   column and its negation, so their two products cancel exactly, but
+   only after the running sum has been rounded at the spike's magnitude.
+   A kernel that adds the two products together before adding them to
+   the running sum keeps bits that the oracle's sum loses, and the
+   difference survives the float32 rounding; on plain random operands
+   the rounding hides it. The two B rows stay equal under any
+   activation. *)
+let spiked rng ~m ~k ~n =
+  let a = Tensor.to_array (Tensor.randn rng [| m; k |]) in
+  let b = Tensor.to_array (Tensor.randn rng [| k; n |]) in
+  let p = ref 0 in
+  while !p + 1 < k do
+    if Prng.int rng 8 = 0 then begin
+      for j = 0 to n - 1 do
+        let v = Float.ldexp b.((!p * n) + j) 40 in
+        b.((!p * n) + j) <- v;
+        b.(((!p + 1) * n) + j) <- v
+      done;
+      for i = 0 to m - 1 do
+        a.((i * k) + !p + 1) <- -.a.((i * k) + !p)
+      done;
+      p := !p + 2
+    end
+    else incr p
+  done;
+  (a, b)
+
+(* A row-major [rows x cols] matrix as a tensor, stored transposed when
+   [trans]. *)
+let stored ~trans x ~rows ~cols =
+  if trans then
+    Tensor.of_array [| cols; rows |]
+      (Array.init (rows * cols) (fun q -> x.(((q mod rows) * cols) + (q / rows))))
+  else Tensor.of_array [| rows; cols |] x
+
+let gemm_is_oracle ~m ~k ~n ~trans_a ~trans_b ~alpha ~beta seed =
+  let rng = Prng.create seed in
+  let a, b = spiked rng ~m ~k ~n in
+  let c0 = Tensor.randn rng [| m; n |] in
+  let want = oracle ~alpha a b ~beta (Tensor.to_array c0) ~m ~k ~n in
+  let a = stored ~trans:trans_a a ~rows:m ~cols:k and b = stored ~trans:trans_b b ~rows:k ~cols:n in
+  List.for_all
+    (fun d ->
+      let c = Tensor.copy c0 in
+      Dpool.with_domains d (fun () ->
+          with_forced_tiled (fun () -> Blas.gemm ~trans_a ~trans_b ~alpha ~a ~b ~beta c));
+      bits c = want)
+    [ 1; 4 ]
+
+(* [Packed.gemm ~act] is the oracle at alpha = 1, beta = 0 on f32(act(B)),
+   with the activations as the tape defines them. *)
+let packed_is_oracle ~m ~k ~n ~trans ~act seed =
+  let rng = Prng.create seed in
+  let w, b = spiked rng ~m ~k ~n in
+  let ab =
+    match act with
+    | Blas.No_act -> b
+    | Blas.Relu -> Array.map (fun x -> Float.max 0.0 x) b
+    | Blas.Leaky s -> Array.map (fun x -> f32 (if x > 0.0 then x else s *. x)) b
+  in
+  let want = oracle ~alpha:1.0 w ab ~beta:0.0 (Array.make (m * n) 0.0) ~m ~k ~n in
+  let p = Blas.Packed.pack ~trans (stored ~trans w ~rows:m ~cols:k) in
+  let b = Tensor.of_array [| k; n |] b in
+  List.for_all
+    (fun d ->
+      let c = Tensor.randn rng [| m; n |] in
+      Dpool.with_domains d (fun () ->
+          with_forced_tiled (fun () -> Blas.Packed.gemm ~act ~a:p ~b c));
+      bits c = want)
+    [ 1; 4 ]
+
+let alpha_betas = [| (1.0, 0.0); (1.0, 1.0); (0.0, 1.0); (0.7, 0.5); (-1.5, 1.0); (2.0, -0.5) |]
+
+(* Every n that picks a different set of tiles for the last panel (a 4x1,
+   a 4x2, a 4x2 and a 4x1, two 4x2s, a full panel then a 4x1, and a lone
+   column in a second NC block), m off the 4-row panels and past one
+   64-row MC block, k odd and on both sides of each block boundary. *)
+let edge_shapes =
+  let ms = [| 1; 2; 3; 5; 6; 7; 13; 67 |] in
+  List.concat_map
+    (fun n ->
+      List.map (fun k -> (n, k)) [ 1; 2; 3; 255; 256; 257; 511; 512; 513 ])
+    [ 1; 2; 3; 4; 5; 257 ]
+  |> List.mapi (fun i (n, k) -> (i, (ms.(i mod Array.length ms), k, n)))
+
+let test_gemm_oracle_edges () =
+  List.iter
+    (fun (i, (m, k, n)) ->
+      let trans_a = i land 1 = 1 and trans_b = i land 2 = 2 in
+      let alpha, beta = alpha_betas.(i mod Array.length alpha_betas) in
+      Alcotest.(check bool)
+        (Printf.sprintf "m=%d k=%d n=%d ta=%b tb=%b alpha=%g beta=%g" m k n trans_a trans_b alpha
+           beta)
+        true
+        (gemm_is_oracle ~m ~k ~n ~trans_a ~trans_b ~alpha ~beta (m + (13 * k) + (101 * n))))
+    edge_shapes
+
+let test_packed_oracle_edges () =
+  List.iter
+    (fun (i, (m, k, n)) ->
+      let trans = i land 1 = 1 and act = List.nth acts (i mod 3) in
+      Alcotest.(check bool)
+        (Printf.sprintf "m=%d k=%d n=%d trans=%b act %d" m k n trans (i mod 3))
+        true
+        (packed_is_oracle ~m ~k ~n ~trans ~act (m + (7 * k) + (31 * n))))
+    edge_shapes
+
+let oracle_shape_gen = QCheck.Gen.(tup3 (int_range 1 37) (int_range 1 600) (int_range 1 37))
+
+let test_gemm_oracle_random =
+  QCheck.Test.make ~name:"tiled gemm = scalar oracle bitwise (random shapes, 1 and 4 domains)"
+    ~count:100
+    (QCheck.make
+       QCheck.Gen.(tup4 oracle_shape_gen (tup2 bool bool) alpha_beta_gen (int_range 0 1_000_000))
+       ~print:(fun ((m, k, n), (ta, tb), (al, be), seed) ->
+         Printf.sprintf "m=%d k=%d n=%d ta=%b tb=%b alpha=%g beta=%g seed=%d" m k n ta tb al be
+           seed))
+    (fun ((m, k, n), (trans_a, trans_b), (alpha, beta), seed) ->
+      gemm_is_oracle ~m ~k ~n ~trans_a ~trans_b ~alpha ~beta seed)
+
+let test_packed_oracle_random =
+  QCheck.Test.make ~name:"packed gemm = scalar oracle bitwise (random shapes, trans, act)"
+    ~count:40
+    QCheck.(make Gen.(tup4 oracle_shape_gen bool (oneofl acts) (int_range 0 1_000_000)))
+    (fun ((m, k, n), trans, act, seed) -> packed_is_oracle ~m ~k ~n ~trans ~act seed)
+
 let qc = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -253,4 +415,10 @@ let suite =
       Alcotest.test_case "packed gemm = gemm bitwise (ragged shapes)" `Quick
         test_packed_ragged_shapes;
       qc test_packed_random;
+      qc test_gemm_oracle_random;
+      Alcotest.test_case "tiled gemm = scalar oracle bitwise (edge shapes)" `Quick
+        test_gemm_oracle_edges;
+      qc test_packed_oracle_random;
+      Alcotest.test_case "packed gemm = scalar oracle bitwise (edge shapes)" `Quick
+        test_packed_oracle_edges;
     ] )
