@@ -1109,7 +1109,11 @@ let replay_cmd =
       Fmt.epr "no such trace file: %s@." file;
       exit 2
     end;
-    let trace = Trace_io.read_auto file in
+    let trace =
+      match Trace_io.read_auto file with
+      | trace -> trace
+      | exception (Failure m | Sys_error m) -> die (Serve_error.v Serve_error.Corrupt_input "%s" m)
+    in
     let cache = Cache.create (cache_config ~sets ~ways) in
     Array.iter (fun a -> ignore (Cache.access cache a)) trace;
     let s = Cache.stats cache in

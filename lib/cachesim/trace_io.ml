@@ -99,9 +99,11 @@ let read_binary path =
       really_input ic buf 0 8;
       let count = Int64.to_int (Bytes.get_int64_le buf 0) in
       let header = mlen + 8 + if v2 then 4 else 0 in
-      let expected = header + (8 * count) in
-      if count < 0 || len < expected then
+      (* Compared with the addresses the file can hold, not multiplied:
+         [8 * count] wraps for a count of 2^60 or more. *)
+      if count < 0 || len < header || count > (len - header) / 8 then
         failwith "Trace_io.read_binary: truncated payload";
+      let expected = header + (8 * count) in
       if len > expected then
         failwith
           (Printf.sprintf

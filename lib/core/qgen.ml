@@ -28,9 +28,10 @@
    A program is a snapshot: compiling copies (packs or quantizes) every
    weight and statistic, and the program never reads the model again. It
    holds no mutable state, so any number of domains may run one program at
-   once. The int8 program serializes to a v3 checkpoint carrying int8
-   bytes and exact float64 scales/biases, so a quantized artifact loads
-   without the float originals and round-trips scales bit-identically. *)
+   once. No program is stored: the model's float checkpoint is the only
+   artifact, and the int8 compile is deterministic, so an int8 program
+   compiled from a reloaded checkpoint runs bit-identically to one
+   compiled from the model that wrote it. *)
 
 type weight =
   | F32 of Blas.Packed.t
@@ -362,7 +363,7 @@ let default_calib spec =
   let traces = [ strided 64; strided 320; strided 4096; lcg 1; lcg 7 ] in
   List.concat_map (fun tr -> Heatmap.of_trace spec tr) traces
 
-let default_calib_caches =
+let calib_geometries =
   [
     Cache.config ~sets:64 ~ways:8 ();
     Cache.config ~sets:16 ~ways:16 ();
@@ -370,24 +371,18 @@ let default_calib_caches =
     Cache.config ~sets:1024 ~ways:2 ();
   ]
 
-
-(* Calibrate the folded float program [folded] over the calibration batch
-   and quantize it. Each convolution's folded bias moves into its int8
-   weight, where the GEMM epilogue adds it; a transposed convolution
-   accumulates many GEMM outputs per pixel through col2im, so its bias
-   stays an epilogue op. *)
-let quantize ~pow2 ~spec ~calib ~calib_caches folded =
-  let images = match calib with Some l -> l | None -> default_calib spec in
-  if images = [] then invalid_arg "Qgen.of_model: empty calibration batch";
-  let x = Cbox_dataset.batch_images spec images in
+(* Calibrate the folded float program [folded] over the default
+   calibration batch and quantize it. Each convolution's folded bias moves
+   into its int8 weight, where the GEMM epilogue adds it; a transposed
+   convolution accumulates many GEMM outputs per pixel through col2im, so
+   its bias stays an epilogue op. *)
+let quantize ~spec folded =
+  let x = Cbox_dataset.batch_images spec (default_calib spec) in
   let n = Tensor.dim x 0 in
   let cp =
     if uses_cache_params folded then
-      let caches =
-        match calib_caches with Some l when l <> [] -> l | _ -> default_calib_caches
-      in
-      let arr = Array.of_list caches in
-      Some (Cbgan.cache_params_tensor (List.init n (fun i -> arr.(i mod Array.length arr))))
+      let caches = Array.of_list calib_geometries in
+      Some (Cbgan.cache_params_tensor (List.init n (fun i -> caches.(i mod Array.length caches))))
     else None
   in
   let observers = Hashtbl.create 32 in
@@ -400,7 +395,7 @@ let quantize ~pow2 ~spec ~calib ~calib_caches folded =
       o
   in
   ignore (run ~observe:(fun key a -> Quant.observe (obs key) a) folded ?cache_params:cp x);
-  let act key = Quant.observed_scale ~pow2 (obs key) in
+  let act key = Quant.observed_scale (obs key) in
   let packed op = match op.w with F32 p -> p | I8 _ -> invalid_arg "Qgen: already quantized" in
   let values t = Array.init (Tensor.numel t) (Tensor.get t) in
   {
@@ -411,14 +406,14 @@ let quantize ~pow2 ~spec ~calib ~calib_caches folded =
           let bias = Option.map values op.bias in
           {
             op with
-            w = I8 (Blas.Int8.quantize_packed ~pow2 ?bias (packed op), act ("down", i));
+            w = I8 (Blas.Int8.quantize_packed ?bias (packed op), act ("down", i));
             bias = None;
           })
         folded.q_downs;
     q_ups =
       Array.mapi
         (fun i op ->
-          { op with w = I8 (Blas.Int8.quantize_packed ~pow2 (packed op), act ("up", i)) })
+          { op with w = I8 (Blas.Int8.quantize_packed (packed op), act ("up", i)) })
         folded.q_ups;
     q_cond =
       Option.map
@@ -430,134 +425,15 @@ let quantize ~pow2 ~spec ~calib ~calib_caches folded =
                    let bias =
                      match b with Some b -> values b | None -> Array.make (Tensor.dim w 0) 0.0
                    in
-                   (Blas.Int8.quantize ~pow2 ~bias w, act ("cond", j)))
+                   (Blas.Int8.quantize ~bias w, act ("cond", j)))
                  layers)
           | Mlp_i8 _ as m -> m)
         folded.q_cond;
   }
 
-let int8 ?(pow2 = false) ~spec ?calib ?calib_caches g =
-  quantize ~pow2 ~spec ~calib ~calib_caches (program g ~op:folded_op)
-
-let of_model ?pow2 ~spec ?calib ?calib_caches model =
-  int8 ?pow2 ~spec ?calib ?calib_caches (Cbgan.generator model)
+let int8 ~spec g = quantize ~spec (program g ~op:folded_op)
+let of_model ~spec model = int8 ~spec (Cbgan.generator model)
 
 let of_student = int8
 let float_of_model model = program (Cbgan.generator model) ~op:float_op
 let float_of_student student = program student ~op:float_op
-
-(* --- serialization (v3 checkpoint) --- *)
-
-let geom_meta (op : conv) = Printf.sprintf "%d,%d,%d" op.kernel op.stride op.pad
-
-let parse_geom s =
-  match String.split_on_char ',' s with
-  | [ k; s'; p ] -> (int_of_string k, int_of_string s', int_of_string p)
-  | _ -> failwith "Qgen.load: malformed geometry"
-
-let quantized w =
-  match w with
-  | I8 (qw, act) -> (qw, act)
-  | F32 _ -> invalid_arg "Qgen.save: a float32 program has no quantized form"
-
-let save t path =
-  let meta =
-    [
-      ("qgen.image_size", string_of_int t.q_image_size);
-      ("qgen.levels", string_of_int t.q_levels);
-      ("qgen.cond_dim", string_of_int t.q_cond_dim);
-      ("qgen.bneck", string_of_int t.q_bneck);
-      ("qgen.cond", if t.q_cond = None then "0" else "1");
-    ]
-    @ List.concat
-        (List.init t.q_levels (fun i ->
-             [
-               (Printf.sprintf "qgen.down%d.geom" i, geom_meta t.q_downs.(i));
-               (Printf.sprintf "qgen.up%d.geom" i, geom_meta t.q_ups.(i));
-             ]))
-  in
-  let entries prefix (op : conv) =
-    let qw, act_scale = quantized op.w in
-    Quant.entries_of_qweight ~prefix ~act_scale qw
-  in
-  let down_entries =
-    List.concat
-      (List.init t.q_levels (fun i -> entries (Printf.sprintf "qgen.down%d" i) t.q_downs.(i)))
-  in
-  let up_entries =
-    List.concat
-      (List.init t.q_levels (fun i ->
-           let op = t.q_ups.(i) in
-           let prefix = Printf.sprintf "qgen.up%d" i in
-           let bias = Option.get op.bias in
-           entries prefix op
-           @ [
-               ( prefix ^ ".tbias",
-                 [| Tensor.numel bias |],
-                 Checkpoint.F64 (Array.init (Tensor.numel bias) (Tensor.get bias)) );
-             ]))
-  in
-  let cond_entries =
-    match t.q_cond with
-    | None -> []
-    | Some (Mlp_f32 _) -> invalid_arg "Qgen.save: a float32 program has no quantized form"
-    | Some (Mlp_i8 layers) ->
-      List.concat
-        (List.mapi
-           (fun j (qw, act_scale) ->
-             Quant.entries_of_qweight ~prefix:(Printf.sprintf "qgen.cond%d" j) ~act_scale qw)
-           (Array.to_list layers))
-  in
-  Checkpoint.save_packed ~meta path (down_entries @ up_entries @ cond_entries)
-
-let load path =
-  let c = Checkpoint.read path in
-  let meta = Checkpoint.meta c in
-  let meta_int name =
-    match List.assoc_opt name meta with
-    | Some v -> int_of_string v
-    | None -> failwith ("Qgen.load: missing meta " ^ name)
-  in
-  let image_size = meta_int "qgen.image_size" in
-  let levels = meta_int "qgen.levels" in
-  let cond_dim = meta_int "qgen.cond_dim" in
-  (* Artifacts from before the student backend carry no bneck; they are all
-     full-depth, where the bottleneck is 1x1. *)
-  let bneck =
-    match List.assoc_opt "qgen.bneck" meta with Some v -> int_of_string v | None -> 1
-  in
-  let has_cond = meta_int "qgen.cond" <> 0 in
-  let op prefix bias =
-    let qw, act = Quant.qweight_of_container c ~prefix in
-    let kernel, stride, pad =
-      match List.assoc_opt (prefix ^ ".geom") meta with
-      | Some v -> parse_geom v
-      | None -> failwith ("Qgen.load: missing meta " ^ prefix ^ ".geom")
-    in
-    { w = I8 (qw, act); bias; bn = None; kernel; stride; pad }
-  in
-  let q_downs = Array.init levels (fun i -> op (Printf.sprintf "qgen.down%d" i) None) in
-  let q_ups =
-    Array.init levels (fun i ->
-        let prefix = Printf.sprintf "qgen.up%d" i in
-        match Checkpoint.find_array c (prefix ^ ".tbias") with
-        | Some b -> op prefix (Some (Tensor.of_array [| Array.length b |] b))
-        | None -> failwith ("Qgen.load: missing " ^ prefix ^ ".tbias"))
-  in
-  let q_cond =
-    if not has_cond then None
-    else
-      Some
-        (Mlp_i8
-           (Array.init 3 (fun j ->
-                Quant.qweight_of_container c ~prefix:(Printf.sprintf "qgen.cond%d" j))))
-  in
-  {
-    q_image_size = image_size;
-    q_levels = levels;
-    q_cond_dim = cond_dim;
-    q_bneck = bneck;
-    q_downs;
-    q_ups;
-    q_cond;
-  }

@@ -16,11 +16,12 @@
       ~training:false] on any model.
     - {!of_model} / {!of_student} fold every batch norm into its
       convolution (exact at inference), calibrate one per-tensor
-      activation scale per GEMM by running the folded float program over a
-      calibration batch, and quantize the folded weights symmetrically with
-      per-output-channel scales for {!Blas.Int8}. The int8 program
-      serializes to a dtype-tagged v3 checkpoint, so quantized artifacts
-      load without the float originals.
+      activation scale per GEMM by running the folded float program over
+      {!default_calib}, and quantize the folded weights symmetrically with
+      per-output-channel scales for {!Blas.Int8}. No program is stored:
+      the float checkpoint is the only model artifact, and the compile is
+      deterministic, so an int8 program compiled after a save/load round
+      trip of the model runs bit-identically to one compiled before it.
 
     Activations are applied where the next op loads its operand (LeakyReLU
     in im2col, or as an int8 convolution quantizes its input; ReLU while a
@@ -34,27 +35,13 @@
 
 type t
 
-val of_model :
-  ?pow2:bool ->
-  spec:Heatmap.spec ->
-  ?calib:Tensor.t list ->
-  ?calib_caches:Cache.config list ->
-  Cbgan.t ->
-  t
+val of_model : spec:Heatmap.spec -> Cbgan.t -> t
 (** [of_model ~spec model] folds, calibrates and quantizes the generator
-    to int8. [calib] (access heatmaps, as produced by {!Heatmap.of_trace})
-    defaults to a deterministic mix of strided and pseudo-random traces;
-    [calib_caches] (cycled across the batch for the conditioning MLP)
-    defaults to a spread of cache geometries. [pow2] rounds every scale up
-    to a power of two. *)
+    to int8. The calibration batch is {!default_calib}, with the
+    conditioning MLP's inputs cycled over a fixed spread of cache
+    geometries. *)
 
-val of_student :
-  ?pow2:bool ->
-  spec:Heatmap.spec ->
-  ?calib:Tensor.t list ->
-  ?calib_caches:Cache.config list ->
-  Student.t ->
-  t
+val of_student : spec:Heatmap.spec -> Student.t -> t
 (** As {!of_model}, for a distilled {!Student}: the same fold / calibrate /
     quantize pipeline over the same {!Unet} layer views. A half-depth
     student's bottleneck is wider than 1x1, so the quantized conditioning
@@ -76,17 +63,6 @@ val forward : t -> ?cache_params:Tensor.t -> Tensor.t -> Tensor.t
 
 val image_size : t -> int
 val uses_cache_params : t -> bool
-
-val save : t -> string -> unit
-(** Writes an int8 program as a v3 checkpoint (int8 weight bytes plus
-    exact float64 scales and biases; atomic, checksummed). Raises
-    [Invalid_argument] on a float32 program, whose artifact is the model's
-    own checkpoint. *)
-
-val load : string -> t
-(** Rebuilds an int8 program from {!save} output without the float
-    originals; scales round-trip bit-identically. Raises [Failure] on
-    malformed input. *)
 
 val default_calib : Heatmap.spec -> Tensor.t list
 (** The deterministic default calibration heatmaps. *)

@@ -10,7 +10,8 @@
     float64 bits: a save/load round-trip is exact, which the resumable
     training loop relies on for bit-identical resume.
 
-    v1 files (pre-checksum, float32, no metadata) remain loadable. *)
+    This float checkpoint is the only model artifact: an int8 program is
+    compiled from it ({!Qgen}), never stored. *)
 
 val save :
   ?meta:(string * string) list ->
@@ -38,16 +39,15 @@ type container
 
 val read : string -> container
 (** Parses and checksum-verifies a checkpoint. Raises [Failure] on any
-    malformed or corrupt input, never any other exception. *)
-
-val version : container -> int
-(** 1, 2 or 3. *)
+    malformed or corrupt input, never any other exception: an entry whose
+    dimensions claim more data than the file holds fails before anything
+    is allocated for it. *)
 
 val meta : container -> (string * string) list
-(** Metadata pairs ([[]] for v1 files). *)
+(** Metadata pairs. *)
 
 val find_array : container -> string -> float array option
-(** A fresh copy of the named entry's payload, flattened. *)
+(** The named entry's payload, flattened. *)
 
 val restore :
   container -> params:Param.t list -> state:(string * float array) list -> unit
@@ -55,24 +55,3 @@ val restore :
 
 val entries : string -> (string * int array) list
 (** Names and shapes stored in a checkpoint (diagnostic). *)
-
-(** {1 Dtype-tagged containers (v3)}
-
-    Quantized models store int8 weight bytes next to exact float64 scales
-    and biases. [save_packed] writes a v3 file (same CRC-32 + atomic-write
-    discipline); {!read} accepts all versions. Through {!find_array} an
-    [I8] payload decodes to a float array of the signed byte values
-    (lossless), while {!find_payload} returns the raw bytes. *)
-
-type payload =
-  | F64 of float array  (** exact float64 round-trip *)
-  | I8 of string  (** signed int8 bytes, one per element *)
-
-val save_packed :
-  ?meta:(string * string) list -> string -> (string * int array * payload) list -> unit
-(** Writes a v3 checkpoint atomically: [(name, dims, payload)] entries whose
-    payload size must match the product of [dims]. *)
-
-val find_payload : container -> string -> (int array * payload) option
-(** Dims and raw payload of the named entry ([F64] for every entry of a
-    v1/v2 file). *)

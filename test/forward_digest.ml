@@ -3,15 +3,11 @@
 
      dune exec test/forward_digest.exe                 # seeded default models
      dune exec test/forward_digest.exe -- --trained    # after a few training steps
-     dune exec test/forward_digest.exe -- --save DIR   # also write the int8 programs
-     dune exec test/forward_digest.exe -- --load DIR   # also digest programs read from DIR
 
    Each backend's line is the MD5 of the float32 bits of its forward over
    [Qgen.default_calib], run at two cache geometries, at batch 1 and 8, on
    1 and 2 domains, in that order. Run it at two commits and compare the
-   lines. [--save] at one commit and [--load] at another checks that an int8
-   checkpoint written by the first runs bit-identically at the second: each
-   loaded program prints under its backend's name with " (loaded)". *)
+   lines. *)
 
 let spec = Heatmap.spec ()
 let caches = [ Cache.config ~sets:64 ~ways:12 (); Cache.config ~sets:16 ~ways:4 () ]
@@ -77,32 +73,22 @@ let trained () =
   (teacher, student)
 
 let () =
-  let trained_models = ref false and save = ref None and load = ref None in
+  let trained_models = ref false in
   Arg.parse
-    [
-      ("--trained", Arg.Set trained_models, " digest models after a few training steps");
-      ("--save", Arg.String (fun d -> save := Some d), "DIR write the int8 programs to DIR");
-      ("--load", Arg.String (fun d -> load := Some d), "DIR also digest the int8 programs in DIR");
-    ]
+    [ ("--trained", Arg.Set trained_models, " digest models after a few training steps") ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "forward_digest [--trained] [--save DIR] [--load DIR]";
+    "forward_digest [--trained]";
   let teacher, student =
     if !trained_models then trained ()
     else
       let cfg = Cbgan.default_config () in
       (Cbgan.create ~seed:42 cfg, Student.create ~seed:7 (Distill.student_config cfg))
   in
-  let int8 = [ ("int8", Qgen.of_model ~spec teacher); ("student-int8", Qgen.of_student ~spec student) ] in
-  let path dir name = Filename.concat dir (name ^ ".qgen") in
-  Option.iter (fun dir -> List.iter (fun (name, p) -> Qgen.save p (path dir name)) int8) !save;
-  let loaded =
-    match !load with
-    | None -> []
-    | Some dir -> List.map (fun (name, _) -> (name ^ " (loaded)", Qgen.load (path dir name))) int8
-  in
   List.iter
     (fun (name, p) -> Printf.printf "%-22s %s\n%!" name (digest p))
-    ([ ("float32", Qgen.float_of_model teacher) ]
-    @ [ List.hd int8 ]
-    @ [ ("student", Qgen.float_of_student student) ]
-    @ List.tl int8 @ loaded)
+    [
+      ("float32", Qgen.float_of_model teacher);
+      ("int8", Qgen.of_model ~spec teacher);
+      ("student", Qgen.float_of_student student);
+      ("student-int8", Qgen.of_student ~spec student);
+    ]

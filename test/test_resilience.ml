@@ -25,8 +25,8 @@ let test_checkpoint_v2_exact_roundtrip () =
   let dir = temp_dir () in
   let path = Filename.concat dir "m.ckpt" in
   let rng = Prng.create 7 in
-  (* Values with full double-precision mantissas: the v2 container must
-     round-trip them bit-for-bit (v1 stored float32 and could not). *)
+  (* Values with full double-precision mantissas: the container must
+     round-trip them bit-for-bit. *)
   let p = Param.create "w" (Tensor.randn rng [| 3; 5 |]) in
   let aux = Array.init 7 (fun _ -> Prng.float rng 1.0) in
   let meta = [ ("prng", "12345678901234"); ("note", "line1\nline2 \"quoted\"") ] in
@@ -35,7 +35,6 @@ let test_checkpoint_v2_exact_roundtrip () =
   let q = Param.create "w" (Tensor.zeros [| 3; 5 |]) in
   let aux' = Array.make 7 0.0 in
   let c = Checkpoint.read path in
-  Alcotest.(check int) "version" 2 (Checkpoint.version c);
   Alcotest.(check (list (pair string string))) "meta" meta (Checkpoint.meta c);
   Checkpoint.restore c ~params:[ q ] ~state:[ ("aux", aux') ];
   let bits t = Array.map Int64.bits_of_float (Tensor.to_array t) in
@@ -66,37 +65,6 @@ let test_checkpoint_corruption_property =
       in
       rm_rf dir;
       ok)
-
-let test_checkpoint_v1_compat () =
-  (* Hand-write a v1 file (magic CBOXCKPT1, u32 count, f32 payload, no
-     checksum) and check it still loads. *)
-  let dir = temp_dir () in
-  let path = Filename.concat dir "v1.ckpt" in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "CBOXCKPT1";
-  Buffer.add_int32_le buf 2l;
-  let entry name dims data =
-    Buffer.add_int32_le buf (Int32.of_int (String.length name));
-    Buffer.add_string buf name;
-    Buffer.add_int32_le buf (Int32.of_int (Array.length dims));
-    Array.iter (fun d -> Buffer.add_int32_le buf (Int32.of_int d)) dims;
-    Array.iter (fun v -> Buffer.add_int32_le buf (Int32.bits_of_float v)) data
-  in
-  entry "layer.weight" [| 2; 2 |] [| 1.5; -2.25; 0.5; 4.0 |];
-  entry "layer.running" [| 2 |] [| 0.25; -1.0 |];
-  let oc = open_out_bin path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  let c = Checkpoint.read path in
-  Alcotest.(check int) "v1 detected" 1 (Checkpoint.version c);
-  Alcotest.(check (list (pair string string))) "v1 has no meta" [] (Checkpoint.meta c);
-  let p = Param.create "layer.weight" (Tensor.zeros [| 2; 2 |]) in
-  let st = [| 0.0; 0.0 |] in
-  Checkpoint.restore c ~params:[ p ] ~state:[ ("layer.running", st) ];
-  Alcotest.(check (array (float 1e-6))) "v1 weights" [| 1.5; -2.25; 0.5; 4.0 |]
-    (Tensor.to_array p.Param.value);
-  Alcotest.(check (array (float 1e-6))) "v1 state" [| 0.25; -1.0 |] st;
-  rm_rf dir
 
 (* --- optimizer / PRNG state round-trips --- *)
 
@@ -147,6 +115,28 @@ let test_prng_state_roundtrip () =
 
 (* --- trace_io hardening --- *)
 
+(* Binary traces whose header declares 2^61 accesses (no payload, CRC 0)
+   and 2^61 + 1 (one address under its true CRC). [8 * count] wraps to the
+   payload's real size for both, so a reader that multiplies the count
+   accepts the header. *)
+let huge_count_traces dir =
+  List.map
+    (fun (name, count, addrs) ->
+      let payload = Buffer.create 8 in
+      List.iter (fun a -> Buffer.add_int64_le payload (Int64.of_int a)) addrs;
+      let payload = Buffer.contents payload in
+      let path = Filename.concat dir name in
+      let oc = open_out_bin path in
+      output_string oc "CBTRACE2";
+      let hdr = Bytes.create 12 in
+      Bytes.set_int64_le hdr 0 (Int64.of_int count);
+      Bytes.set_int32_le hdr 8 (Int32.of_int (Crc32.digest payload));
+      output_bytes oc hdr;
+      output_string oc payload;
+      close_out oc;
+      path)
+    [ ("count-2p61.bin", 1 lsl 61, []); ("count-2p61+1.bin", (1 lsl 61) + 1, [ 64 ]) ]
+
 let test_trace_io_trailing_garbage () =
   let dir = temp_dir () in
   let path = Filename.concat dir "t.bin" in
@@ -164,6 +154,15 @@ let test_trace_io_trailing_garbage () =
      Alcotest.(check bool) "message names the problem" true
        (String.length msg > 0
        && String.sub msg 0 (String.length "Trace_io.read_binary") = "Trace_io.read_binary"));
+  List.iter
+    (fun path ->
+      List.iter
+        (fun (what, read) ->
+          match read path with
+          | _ -> Alcotest.failf "%s accepted %s" what path
+          | exception Failure _ -> ())
+        [ ("read_binary", Trace_io.read_binary); ("read_auto", Trace_io.read_auto) ])
+    (huge_count_traces dir);
   rm_rf dir
 
 (* --- run journal --- *)
@@ -421,7 +420,6 @@ let suite =
     [
       Alcotest.test_case "checkpoint v2 exact roundtrip" `Quick test_checkpoint_v2_exact_roundtrip;
       QCheck_alcotest.to_alcotest test_checkpoint_corruption_property;
-      Alcotest.test_case "checkpoint v1 compatibility" `Quick test_checkpoint_v1_compat;
       Alcotest.test_case "adam state roundtrip" `Quick test_adam_state_roundtrip;
       Alcotest.test_case "adam state missing entry" `Quick test_adam_state_missing_entry;
       Alcotest.test_case "prng state roundtrip" `Quick test_prng_state_roundtrip;
