@@ -438,7 +438,7 @@ let infer_cmd =
         | _ -> None
       in
       let gen =
-        Serve_engine.generation ~only:backend ~spec ~warmup:false ~batch_size:8 ~replicas:1
+        Serve_engine.generation ~only:backend ~spec
           ~on_reject:(fun p why ->
             Fmt.epr "student backend unusable (%s: %s); degrading to float32@." p why)
           ~model:(Result.to_option teacher) ?student_path ()
@@ -515,9 +515,6 @@ let serve_cmd =
   let batch_linger_arg =
     Arg.(value & opt float 5.0 & info [ "batch-linger-ms" ] ~docv:"MS" ~doc:"Micro-batching: longest any request waits for batch mates before its batch is flushed.")
   in
-  let replicas_arg =
-    Arg.(value & opt int 1 & info [ "replicas" ] ~docv:"N" ~doc:"Model replica pool size; due batches are executed concurrently across replicas.")
-  in
   let senv name = Cmd.Env.info ("CACHEBOX_" ^ name) in
   let idle_timeout_arg =
     Arg.(value & opt int 0 & info [ "idle-timeout-ms" ] ~docv:"MS" ~env:(senv "IDLE_TIMEOUT_MS") ~doc:"Close connections idle this long with no reply owed (0 disables). Streaming connections are exempt while their session is live.")
@@ -542,7 +539,7 @@ let serve_cmd =
   in
   let run socket port ckpt student fallback backend queue_depth deadline_ms
       breaker_threshold breaker_cooldown_ms max_trace_len journal batch_max
-      batch_linger_ms replicas idle_timeout_ms stream_sessions stream_credit
+      batch_linger_ms idle_timeout_ms stream_sessions stream_credit
       stream_pending stream_bytes stream_ttl_ms domains =
     apply_domains domains;
     if Faultinject.arm_from_env () then
@@ -573,12 +570,7 @@ let serve_cmd =
       {
         Serve_daemon.listen;
         queue_depth;
-        batcher =
-          {
-            Batcher.default_config with
-            Batcher.max_batch = batch_max;
-            max_linger_s = batch_linger_ms /. 1000.0;
-          };
+        batcher = { Batcher.max_batch = batch_max; max_linger_s = batch_linger_ms /. 1000.0 };
         engine =
           {
             (Serve_engine.default_config ~fallback ~default_backend ()) with
@@ -586,7 +578,6 @@ let serve_cmd =
             breaker_threshold;
             breaker_cooldown_s = float_of_int breaker_cooldown_ms /. 1000.0;
             max_trace_len;
-            replicas;
           };
         stream =
           {
@@ -646,7 +637,7 @@ let serve_cmd =
               ~doc:"Analytical fallback for degraded answers: $(b,hrd), $(b,stm) or $(b,none).")
       $ backend_arg $ queue_arg $ deadline_arg $ breaker_threshold_arg $ breaker_cooldown_arg
       $ max_trace_arg $ journal_serve_arg $ batch_max_arg $ batch_linger_arg
-      $ replicas_arg $ idle_timeout_arg $ stream_sessions_arg $ stream_credit_arg
+      $ idle_timeout_arg $ stream_sessions_arg $ stream_credit_arg
       $ stream_pending_arg $ stream_bytes_arg $ stream_ttl_arg $ domains_arg)
 
 let call_cmd =

@@ -62,7 +62,8 @@ val run :
     forward passes of [batch_size] (default 8) — the conditioning tensor
     carries one row per sample, so requests with different geometries batch
     together. Returns one list of denormalised synthetic miss heatmaps per
-    item, order preserved. When [domains] (default {!Dpool.recommended})
+    item, order preserved. When [domains] (default {!Dpool.domains}: the
+    [--domains] flag, else [CACHEBOX_DOMAINS], else {!Dpool.recommended})
     exceeds 1, batches run on separate domains. Because every generator is
     per-sample independent at inference, the result is bit-identical to
     running each item alone, at any batch size or domain count (the

@@ -39,7 +39,7 @@ type config = {
   backoff_base_s : float;
   backoff_max_s : float;
   attempt_timeout_s : float;  (* hedge trigger; clamped to the deadline *)
-  reload_timeout_s : float;  (* reloads load+warm a model: generous *)
+  reload_timeout_s : float;  (* reloads load and compile a model: generous *)
   probe_interval_s : float;
   probe_timeout_s : float;
   eject_after : int;
@@ -447,7 +447,7 @@ let stats_reply t =
         s.Serve_stats.errors)
 
 (* Rolling reload across every backend, one at a time, so at most one shard
-   is warming a model at any moment while the others keep serving. The
+   is reloading a model at any moment while the others keep serving. The
    memo is cleared afterwards — the old model's predictions are stale. *)
 let broadcast_reload t job ~id ~checkpoint =
   let arrival = job.arrival in

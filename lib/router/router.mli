@@ -27,7 +27,7 @@ type config = {
   backoff_max_s : float;
   attempt_timeout_s : float;
       (** per-attempt (hedge) timeout, clamped to the request deadline *)
-  reload_timeout_s : float;  (** reloads load + warm a model: generous *)
+  reload_timeout_s : float;  (** reloads load and compile a model: generous *)
   probe_interval_s : float;  (** health-probe cadence per backend *)
   probe_timeout_s : float;
   eject_after : int;  (** consecutive failures before ejection *)

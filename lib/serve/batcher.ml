@@ -1,10 +1,7 @@
-type config = {
-  max_batch : int;
-  max_linger_s : float;
-  deadline_margin_s : float;
-}
+type config = { max_batch : int; max_linger_s : float }
 
-let default_config = { max_batch = 32; max_linger_s = 0.005; deadline_margin_s = 0.05 }
+let default_config = { max_batch = 32; max_linger_s = 0.005 }
+let deadline_margin_s = 0.05
 
 type 'a item = { payload : 'a; enqueued : float; flush_by : float }
 
@@ -20,8 +17,6 @@ type 'a t = {
 let create ?now cfg =
   if cfg.max_batch < 1 then invalid_arg "Batcher.create: max_batch must be >= 1";
   if cfg.max_linger_s < 0.0 then invalid_arg "Batcher.create: max_linger_s must be >= 0";
-  if cfg.deadline_margin_s < 0.0 then
-    invalid_arg "Batcher.create: deadline_margin_s must be >= 0";
   let now = Option.value now ~default:Unix.gettimeofday in
   { cfg; now; m = Mutex.create (); q = Queue.create (); flushes_full = 0; flushes_timed = 0 }
 
@@ -39,7 +34,7 @@ let push t ?deadline payload =
     let linger = enqueued +. t.cfg.max_linger_s in
     match deadline with
     | None -> linger
-    | Some d -> Float.max enqueued (Float.min linger (d -. t.cfg.deadline_margin_s))
+    | Some d -> Float.max enqueued (Float.min linger (d -. deadline_margin_s))
   in
   with_lock t (fun () -> Queue.push { payload; enqueued; flush_by } t.q)
 

@@ -4,8 +4,9 @@
     until the batch is worth flushing, which happens when either
     - the queue reaches [max_batch] (a full batch), or
     - any queued request reaches its flush obligation — its enqueue time
-      plus [max_linger_s], tightened to [deadline - deadline_margin_s] for a
-      request whose own deadline is near (deadline-aware flushing).
+      plus [max_linger_s], tightened to its deadline minus
+      {!deadline_margin_s} for a request whose own deadline is near
+      (deadline-aware flushing).
 
     The module only decides {e when} and {e what} to flush; the daemon's
     batcher thread owns the clock-driven loop and hands flushed batches to
@@ -16,13 +17,14 @@
 type config = {
   max_batch : int;  (** flush as soon as this many requests are queued *)
   max_linger_s : float;  (** longest any request may wait for batch mates *)
-  deadline_margin_s : float;
-      (** flush a request this close to its deadline even if the batch is
-          small, leaving headroom for the forward pass itself *)
 }
 
 val default_config : config
-(** max_batch 32, linger 5 ms, deadline margin 50 ms. *)
+(** max_batch 32, linger 5 ms. *)
+
+val deadline_margin_s : float
+(** 50 ms: a request this close to its deadline flushes even if the batch
+    is small, leaving headroom for the forward pass itself. *)
 
 type 'a t
 

@@ -25,8 +25,9 @@ let create ?(threshold = 3) ?(cooldown = 5.0) ~now () =
     opened = 0;
   }
 
-(* Every observation and transition runs under the mutex: replica batches
-   complete concurrently, and a torn read-modify-write of the failure streak
+(* Every observation and transition runs under the mutex: the engine is
+   multi-entrant, so batches may complete concurrently, and a torn
+   read-modify-write of the failure streak
    could miss a trip or double-open. The critical sections are a few loads
    and stores — contention is negligible next to a model forward pass. *)
 let with_lock t f =

@@ -7,8 +7,8 @@
 
     Time is injected at construction so tests drive transitions with a fake
     clock. Thread-safe: every observation and transition runs under an
-    internal mutex, because replica-pool batches complete concurrently and
-    each completion records per-request outcomes (the serve-batch suite
+    internal mutex, because concurrent {!Serve_engine.infer_batch} calls
+    each record per-request outcomes (the serve-batch suite
     hammers this from parallel threads and checks the open count). *)
 
 type state = Closed | Open | Half_open

@@ -72,8 +72,7 @@ let bind_listener = function
     fd
 
 (* The batcher thread: drains the admission queue, coalesces infer requests
-   in the {!Batcher}, and runs due batches through the engine — inline when
-   there is a single replica, through a pool of executor threads otherwise.
+   in the {!Batcher}, and runs each due batch through the engine inline.
 
    Shutdown protocol, on a [{"op": "shutdown"}] line:
    + flip [draining] so the reactor answers further lines with the shed
@@ -81,8 +80,7 @@ let bind_listener = function
    + answer the shutdown request itself;
    + requests already coalescing in the batcher were picked up before the
      shutdown, so they get real (batched) answers;
-   + close the executor pool and the admission queue, answering orphaned
-     queue entries as shed;
+   + close the admission queue, answering orphaned queue entries as shed;
    + stop the reactor, which flushes every reply and closes connections —
      idle clients see EOF. *)
 let batcher_loop engine sessions b queue reactor draining =
@@ -103,45 +101,10 @@ let batcher_loop engine sessions b queue reactor draining =
     Mutex.unlock dm;
     List.iter Thread.join ths
   in
-  let run_batch ?replica batch =
-    let replies = Serve_engine.infer_batch ?replica engine (List.map fst batch) in
-    List.iter2 (fun (_, complete) json -> complete json) batch replies
-  in
-  let replicas = Serve_engine.replica_count engine in
-  let exec_q =
-    if replicas > 1 then Some (Squeue.create ~capacity:(2 * replicas)) else None
-  in
-  let executors =
-    match exec_q with
-    | None -> []
-    | Some q ->
-      List.init replicas (fun k ->
-          Thread.create
-            (fun () ->
-              let rec go () =
-                match Squeue.pop q with
-                | None -> ()
-                | Some batch ->
-                  run_batch ~replica:k batch;
-                  go ()
-              in
-              go ())
-            ())
-  in
   let dispatch batch =
     if batch <> [] then
-      match exec_q with
-      | None -> run_batch batch
-      | Some q ->
-        (* The executor pool is small and bounded; back off until a slot
-           frees rather than shedding work already admitted. *)
-        let rec push () =
-          if not (Squeue.try_push q batch) then begin
-            Thread.delay 0.0005;
-            push ()
-          end
-        in
-        push ()
+      let replies = Serve_engine.infer_batch engine (List.map fst batch) in
+      List.iter2 (fun (_, complete) json -> complete json) batch replies
   in
   let process job =
     match Serve_engine.classify_line ~arrival:job.arrival engine job.line with
@@ -184,11 +147,6 @@ let batcher_loop engine sessions b queue reactor draining =
     Atomic.set draining true;
     Reactor.resolve ticket (Sjson.to_string json);
     dispatch (Batcher.drain b);
-    (match exec_q with
-    | None -> ()
-    | Some q ->
-      Squeue.close q;
-      List.iter Thread.join executors);
     Squeue.close queue;
     let rec drain_orphans () =
       match Squeue.pop queue with
@@ -286,7 +244,6 @@ let run ?journal ?reload ?student_path ?(ready = fun () -> ()) ~spec ~model conf
             | Unix_socket p -> "unix:" ^ p
             | Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p) );
         ("model_loaded", Runlog.B (Serve_engine.model_loaded engine));
-        ("replicas", Runlog.I (Serve_engine.replica_count engine));
       ]);
   let reactor = Reactor.create ?idle_timeout_s:config.idle_timeout_s ~listener () in
   Serve_engine.set_extra_stats engine (Stream_session.stats_fields sessions);
@@ -300,7 +257,7 @@ let run ?journal ?reload ?student_path ?(ready = fun () -> ()) ~spec ~model conf
           Reactor.resolve ticket (Sjson.to_string (Serve_engine.overload_reply engine))
       end);
   (* SIGHUP = operator-driven zero-downtime reload of the default
-     checkpoint path. The handler only spawns a thread; the load/warm/swap
+     checkpoint path. The handler only spawns a thread; the load/compile/swap
      runs entirely off the serving path, and a failed reload is journaled
      and leaves the old model serving. Restored on exit so in-process test
      daemons don't leak handlers. *)

@@ -8,9 +8,7 @@
     answered immediately, valid infer requests coalesce in a {!Batcher}
     until the batch is full or a linger/deadline obligation fires, then the
     whole batch runs through one shared model forward
-    ({!Serve_engine.infer_batch}). With [engine.replicas > 1] due batches
-    are handed to a pool of executor threads, one per model replica, so
-    batches overlap.
+    ({!Serve_engine.infer_batch}) inline on the batcher thread.
 
     A full queue sheds the request immediately with an [overloaded] reply —
     admission control, not buffering. Jobs are stamped with their admission
@@ -23,8 +21,8 @@
 
     Zero-downtime reload (when [run] is given a reload spec): a
     [{"op": "reload"}] request — or SIGHUP for the default checkpoint —
-    loads and warms the new model on a dedicated thread, then atomically
-    swaps the engine's replica pool; in-flight batches drain on the old
+    loads and compiles the new model on a dedicated thread, then atomically
+    swaps the engine's backend table; in-flight batches drain on the old
     model, and a corrupt checkpoint is rejected while the old model keeps
     serving. Clients see at most elevated latency, never an error. *)
 

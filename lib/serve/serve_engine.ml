@@ -2,15 +2,11 @@ type config = {
   fallback : Cbox_infer.fallback;
   default_backend : Cbox_infer.backend;
   default_deadline_s : float;
-  max_deadline_s : float;
   max_trace_len : int;
   breaker_threshold : int;
   breaker_cooldown_s : float;
-  batch_size : int;
   grace_lo : float;
   grace_hi : float;
-  warmup : bool;
-  replicas : int;
 }
 
 let default_config ?(fallback = Cbox_infer.Fallback_hrd)
@@ -19,16 +15,15 @@ let default_config ?(fallback = Cbox_infer.Fallback_hrd)
     fallback;
     default_backend;
     default_deadline_s = 5.0;
-    max_deadline_s = 60.0;
     max_trace_len = Validate.default_max_trace_len;
     breaker_threshold = 3;
     breaker_cooldown_s = 5.0;
-    batch_size = 8;
     grace_lo = -0.25;
     grace_hi = 1.25;
-    warmup = true;
-    replicas = 1;
   }
+
+(* A requested deadline is clamped to this budget. *)
+let max_deadline_s = 60.0
 
 type reload_spec = {
   reload_seed : int;
@@ -41,13 +36,13 @@ type reload_spec = {
 
 (* --- the backend table ---
 
-   One generation of learned backends: each rung's replica pool (empty
+   One generation of learned backends: each rung's compiled program (None
    means the backend is not loaded) and the rung a failure falls to. The
    list is in ladder order — every rung precedes the rung it falls to — so
    one left fold over it runs a whole batch down the ladder. *)
 
 type rung = {
-  pool : (Cbox_infer.generator * Mutex.t) array;
+  program : Cbox_infer.generator option;
   falls_to : Cbox_infer.backend option;
       (* a failure here re-runs on that rung, flagged, breaker untouched;
          None on the float32 rung, whose failures are model faults *)
@@ -56,7 +51,7 @@ type rung = {
 type generation = (Cbox_infer.backend * rung) list
 
 let rung gen b = List.assoc b gen
-let loaded gen b = Array.length (rung gen b).pool > 0
+let loaded gen b = Option.is_some (rung gen b).program
 
 (* The backend's name as a reason prefix and stats key: backend_student_int8. *)
 let key_of b = String.map (fun c -> if c = '-' then '_' else c) (Cbox_infer.backend_name b)
@@ -64,47 +59,28 @@ let key_of b = String.map (fun c -> if c = '-' then '_' else c) (Cbox_infer.back
 let resolve gen b =
   let rec go reason b =
     let r = rung gen b in
-    if Array.length r.pool > 0 then Some (fst r.pool.(0), b, reason)
-    else Option.bind r.falls_to (go (Some (key_of b ^ "_unavailable")))
+    match r.program with
+    | Some g -> Some (g, b, reason)
+    | None -> Option.bind r.falls_to (go (Some (key_of b ^ "_unavailable")))
   in
   go None b
 
-(* A tiny inference through the real serving pipeline so the first client
-   request doesn't pay the cold-start costs: workspace arenas reach their
-   steady slot population, the Dpool workers spin up, and code paths get
-   compiled/paged in. Best-effort by design — a model that cannot run a
-   warmup inference will fail identically on real requests and be handled
-   by the ladder there. *)
-let warm ~spec ~batch_size g =
-  try
-    match Validate.cache_config ~sets:64 ~ways:12 () with
-    | Error _ -> ()
-    | Ok cache ->
-      let access = Heatmap.of_trace spec (Array.init 256 (fun i -> i * 64)) in
-      ignore (Cbox_infer.run g spec ~batch_size [ (cache, access) ])
-  with _ -> ()
-
-let generation ?prev ?only ?(on_reject = fun _ _ -> ()) ~spec ~warmup ~batch_size
-    ~replicas ~model ?student_path () =
-  (* A float model's program and its int8 compile, compiled and warmed
-     entirely off to the side. Both compiles are eager, so no rung pays
-     packing or calibration on the serving path; an int8 compile that fails
-     leaves its rung empty and its requests fall to float32. Programs are
-     stateless, so a rung's replicas share one and differ only in their
-     locks. *)
+let generation ?prev ?only ?(on_reject = fun _ _ -> ()) ~spec ~model ?student_path () =
+  (* A float model's program and its int8 compile, both built entirely off
+     to the side. Both compiles are eager, so no rung pays packing or
+     calibration on the serving path; an int8 compile that fails leaves its
+     rung empty and its requests fall to float32. *)
   let family ~compile_float ~compile_int8 ~int8 m =
     let g = compile_float m in
-    if warmup then warm ~spec ~batch_size g;
     let q =
       if Option.fold ~none:false ~some:(( <> ) int8) only then None
       else try Some (Cbox_infer.of_qgen (compile_int8 m)) with _ -> None
     in
-    let pool g = Array.init replicas (fun _ -> (g, Mutex.create ())) in
-    (pool g, match q with None -> [||] | Some q -> pool q)
+    (Some g, q)
   in
   let teacher, int8 =
     match model with
-    | None -> ([||], [||])
+    | None -> (None, None)
     | Some m ->
       family ~compile_float:Cbox_infer.of_cbgan ~compile_int8:(Qgen.of_model ~spec)
         ~int8:Cbox_infer.Backend_int8 m
@@ -116,10 +92,10 @@ let generation ?prev ?only ?(on_reject = fun _ _ -> ()) ~spec ~warmup ~batch_siz
   let student, student_int8 =
     let keep () =
       match prev with
-      | None -> ([||], [||])
+      | None -> (None, None)
       | Some g ->
-        ( (rung g Cbox_infer.Backend_student).pool,
-          (rung g Cbox_infer.Backend_student_int8).pool )
+        ( (rung g Cbox_infer.Backend_student).program,
+          (rung g Cbox_infer.Backend_student_int8).program )
     in
     match student_path with
     | None -> keep ()
@@ -132,12 +108,12 @@ let generation ?prev ?only ?(on_reject = fun _ _ -> ()) ~spec ~warmup ~batch_siz
         on_reject p (Printexc.to_string e);
         keep ())
   in
-  let derived pool = { pool; falls_to = Some Cbox_infer.Backend_float32 } in
+  let derived program = { program; falls_to = Some Cbox_infer.Backend_float32 } in
   [
     (Cbox_infer.Backend_int8, derived int8);
     (Cbox_infer.Backend_student, derived student);
     (Cbox_infer.Backend_student_int8, derived student_int8);
-    (Cbox_infer.Backend_float32, { pool = teacher; falls_to = None });
+    (Cbox_infer.Backend_float32, { program = teacher; falls_to = None });
   ]
 
 type t = {
@@ -165,7 +141,6 @@ type t = {
 
 let create ?now ?journal ?reload ?student_path ~spec ~model cfg =
   let now = Option.value now ~default:Unix.gettimeofday in
-  if cfg.replicas < 1 then invalid_arg "Serve_engine.create: replicas must be >= 1";
   let on_reject p why =
     Option.iter
       (fun j ->
@@ -178,9 +153,7 @@ let create ?now ?journal ?reload ?student_path ~spec ~model cfg =
     now;
     journal;
     jm = Mutex.create ();
-    gen =
-      generation ~on_reject ~spec ~warmup:cfg.warmup ~batch_size:cfg.batch_size
-        ~replicas:cfg.replicas ~model ?student_path ();
+    gen = generation ~on_reject ~spec ~model ?student_path ();
     breaker =
       Breaker.create ~threshold:cfg.breaker_threshold ~cooldown:cfg.breaker_cooldown_s ~now
         ();
@@ -224,7 +197,7 @@ let set_extra_stats t f = t.extra_stats <- f
 
 (* --- zero-downtime reload ---
 
-   Load and warm the new checkpoint (and re-read the student's) entirely
+   Load and compile the new checkpoint (and re-read the student's) entirely
    off to the side, then hand the new generation over with one field write.
    In-flight batches read [t.gen] at batch start, so they drain on the old
    generation; the next batch picks up the new one. Nothing below ever
@@ -268,9 +241,7 @@ let reload t ?path () =
                   ~on_reject:(fun p why ->
                     journal_event t "student_reject"
                       [ ("path", Runlog.S p); ("why", Runlog.S why) ])
-                  ~spec:t.spec ~warmup:t.cfg.warmup ~batch_size:t.cfg.batch_size
-                  ~replicas:t.cfg.replicas ~model:(Some m)
-                  ?student_path:r.reload_student_path ();
+                  ~spec:t.spec ~model:(Some m) ?student_path:r.reload_student_path ();
               t.reloads <- t.reloads + 1;
               journal_event t "reload_ok"
                 [ ("path", Runlog.S path); ("generation", Runlog.I t.reloads) ];
@@ -344,7 +315,7 @@ let stats_reply t =
        ("p99_ms", Sjson.Num s.Serve_stats.p99_ms);
        ("breaker", Sjson.Str (Breaker.state_name (Breaker.state t.breaker)));
        ("breaker_opens", Sjson.Num (float_of_int (Breaker.times_opened t.breaker)));
-       (* Workspace-arena counters: ws_allocs should plateau after warmup;
+       (* Workspace-arena counters: ws_allocs should plateau after the first requests;
           steady growth under load means scratch buffers are not being
           reused (an allocation regression). *)
        ("ws_allocs", Sjson.Num (float_of_int (Workspace.alloc_count ())));
@@ -556,7 +527,7 @@ let classify_request t ~arrival req =
           | Error e -> fail_with e
           | Ok () ->
             let budget =
-              Float.min t.cfg.max_deadline_s
+              Float.min max_deadline_s
                 (Option.value deadline_s ~default:t.cfg.default_deadline_s)
             in
             Batchable
@@ -601,8 +572,6 @@ let classify_line ?arrival t line =
     | Error e -> Immediate (Reply (error_reply_counted t ~arrival e))
     | Ok req -> classify_request t ~arrival req)
 
-let replica_count t = max 1 (Array.length (rung t.gen Cbox_infer.Backend_float32).pool)
-
 (* Per-item execution plan, decided once at batch start: the admission
    decision (breaker state, headroom) is made for the whole batch, so a
    breaker that trips while the batch runs affects the NEXT batch, not
@@ -614,7 +583,7 @@ type plan =
   | P_fault of string  (* model fault raised before the forward *)
   | P_forward
 
-let infer_batch ?(replica = 0) t items =
+let infer_batch t items =
   match items with
   | [] -> []
   | _ ->
@@ -673,19 +642,13 @@ let infer_batch ?(replica = 0) t items =
            | Some img -> [ img ]
            | None -> Heatmap.of_trace t.spec it.item_trace )
        in
-       (* Score one rung's group — one homogeneous batched forward under
-          the replica's lock; backends never mix inside a forward pass — and
-          record each item's validated hit rate (or why it failed). A raised
+       (* Score one rung's group — one homogeneous batched forward of its
+          program; backends never mix inside a forward pass — and record
+          each item's validated hit rate (or why it failed). A raised
           forward is returned for the ladder to decide. *)
-       let score backend rung group =
-         let g, lock = rung.pool.(replica mod Array.length rung.pool) in
+       let score backend g group =
          let inputs = List.map (fun (it, _) -> input_of it) group in
-         match
-           Mutex.lock lock;
-           Fun.protect
-             ~finally:(fun () -> Mutex.unlock lock)
-             (fun () -> Cbox_infer.run g t.spec ~batch_size:t.cfg.batch_size inputs)
-         with
+         match Cbox_infer.run g t.spec inputs with
          | synth ->
            List.iter2
              (fun (it, reason) ((_, access), syn) ->
@@ -720,9 +683,10 @@ let infer_batch ?(replica = 0) t items =
            let fall why = List.map (fun (it, _) -> (lower, (it, Some why))) in
            let fault = key_of backend ^ "_fault" in
            let fallen =
-             if Array.length rung.pool = 0 then fall (key_of backend ^ "_unavailable") group
-             else
-               match score backend rung group with
+             match rung.program with
+             | None -> fall (key_of backend ^ "_unavailable") group
+             | Some g -> (
+               match score backend g group with
                | Error why ->
                  journal_event t fault [ ("why", Runlog.S why) ];
                  fall fault group
@@ -735,13 +699,14 @@ let infer_batch ?(replica = 0) t items =
                        true
                      | _ -> false)
                    group
-                 |> fall fault
+                 |> fall fault)
            in
            (others @ fallen, failed)
          | _, None -> (
            match
-             if Array.length rung.pool = 0 then Error "model not loaded"
-             else score backend rung group
+             match rung.program with
+             | None -> Error "model not loaded"
+             | Some g -> score backend g group
            with
            | Ok () -> (others, failed)
            | Error why ->

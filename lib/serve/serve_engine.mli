@@ -31,39 +31,34 @@
     ["backend"] field naming the backend that produced it, and the stats
     reply counts answers per backend.
 
-    Concurrency: the engine is multi-entrant across {e replicas}. Each
-    backend is one compiled, stateless {!Qgen} program shared by all of
-    its replicas; a replica is a mutex, so up to [config.replicas] batches
-    run concurrently through {!infer_batch}, and two calls targeting the
-    same replica index serialise. The breaker, stats, journal, request
-    counter and latency EWMA are shared and internally synchronised. *)
+    Concurrency: each backend is one compiled, stateless {!Qgen} program.
+    The daemon runs every batch on its one batcher thread, but the engine
+    is multi-entrant: a reload compiles beside it on another thread, and
+    concurrent {!infer_batch} calls may run forwards of one program at
+    once (their scratch comes from {!Workspace}, whose slot claim is
+    atomic). The breaker, stats, journal, request counter and latency EWMA
+    are shared and internally synchronised. *)
 
 type config = {
   fallback : Cbox_infer.fallback;
   default_backend : Cbox_infer.backend;
       (** backend for requests that name none ([float32] unless overridden
           at daemon start) *)
-  default_deadline_s : float;  (** when the request names none *)
-  max_deadline_s : float;  (** requested deadlines are clamped to this *)
+  default_deadline_s : float;
+      (** when the request names none; a requested deadline is clamped to
+          60 s *)
   max_trace_len : int;
   breaker_threshold : int;  (** consecutive model faults before opening *)
   breaker_cooldown_s : float;
-  batch_size : int;  (** model inference batch size *)
   grace_lo : float;  (** validity gate, passed to Cbox_infer.validate_hit_rate *)
   grace_hi : float;
-  warmup : bool;
-      (** run one small inference at {!create} so the first request doesn't
-          pay cold-start costs (workspace arena population, Dpool spin-up) *)
-  replicas : int;
-      (** model copies in the replica pool; batches dispatched to distinct
-          replicas run concurrently *)
 }
 
 val default_config :
   ?fallback:Cbox_infer.fallback -> ?default_backend:Cbox_infer.backend -> unit -> config
-(** HRD fallback, float32 default backend, 5 s default / 60 s max deadline,
-    2M-access trace cap, breaker 3 faults / 5 s cooldown, batch 8, grace
-    [\[-0.25, 1.25\]], warmup on, 1 replica. *)
+(** HRD fallback, float32 default backend, 5 s default deadline, 2M-access
+    trace cap, breaker 3 faults / 5 s cooldown, grace
+    [\[-0.25, 1.25\]]. *)
 
 type t
 
@@ -102,8 +97,8 @@ val create :
 
 type generation
 (** One immutable generation of the learned backends ([float32], [int8],
-    [student], [student-int8]): each one's replica pool (empty when not
-    loaded) and the backend it falls back to. An engine reads its
+    [student], [student-int8]): each one's compiled program (absent when
+    not loaded) and the backend it falls back to. An engine reads its
     generation once per batch and a reload replaces it with one write. *)
 
 val generation :
@@ -111,17 +106,13 @@ val generation :
   ?only:Cbox_infer.backend ->
   ?on_reject:(string -> string -> unit) ->
   spec:Heatmap.spec ->
-  warmup:bool ->
-  batch_size:int ->
-  replicas:int ->
   model:Cbgan.t option ->
   ?student_path:string ->
   unit ->
   generation
-(** Build a generation: compile [model] to its float32 program, warm it
-    (when [warmup]), compile its int8 quantization, and likewise load,
-    compile and warm the student at [student_path]. Each backend's
-    [replicas] share one program. A compile that fails leaves its backend
+(** Build a generation: compile [model] to its float32 program and its int8
+    quantization, and likewise load and compile the student at
+    [student_path]. A compile that fails leaves its backend
     unloaded. A student checkpoint that fails to load is reported to
     [on_reject path why] and, like an absent [student_path], keeps [prev]'s
     student backends (none without [prev]). With [only] (a caller that
@@ -132,7 +123,7 @@ val resolve :
   Cbox_infer.backend ->
   (Cbox_infer.generator * Cbox_infer.backend * string option) option
 (** Walk the ladder from a learned backend to the first loaded rung:
-    replica 0's generator, the backend it serves as, and the
+    its program, the backend it serves as, and the
     [<rung>_unavailable] reason when that is not the requested backend.
     [None] when no rung down the ladder is loaded. *)
 
@@ -193,7 +184,7 @@ val reload : t -> ?path:string -> unit -> (unit, Serve_error.t) result
     generation serving: no reload spec ([Invalid_config]), no path
     ([Bad_request]), unreadable/corrupt checkpoint ([Model_unavailable]),
     or a reload already in progress ([Overloaded]). Call from a dedicated
-    thread — loading and warming take seconds. *)
+    thread — loading and compiling take seconds. *)
 
 val reloads : t -> int
 (** Completed hot swaps (the model generation; 0 = startup model). *)
@@ -251,18 +242,14 @@ val set_item_pickup : infer_item -> float -> unit
 (** Stamp when the batcher popped the item from the admission queue
     (queue-wait vs batch-wait attribution in {!Serve_stats}). *)
 
-val infer_batch : ?replica:int -> t -> infer_item list -> Sjson.t list
+val infer_batch : t -> infer_item list -> Sjson.t list
 (** Execute a batch: one reply per item, in order. Expired, breaker-blocked
     and no-headroom items degrade per the ladder without touching the model;
     the rest run down the backend table in one fold, each backend's group
-    as one forward on replica [replica mod replicas] (concurrent calls on
-    distinct replicas run in parallel; same replica serialises). Faults
+    as one forward of its program. Faults
     injected per admission index fire for their item only — except [Slow],
     which stalls the whole batch by the summed delay. The breaker/headroom
     admission decision is made once at batch start. *)
-
-val replica_count : t -> int
-(** Size of the replica pool (1 when no model is loaded). *)
 
 (** {2 Reply shapes, which the router shares} *)
 

@@ -1,9 +1,9 @@
 (** Serving counters, stage timings and latency percentiles.
 
     Thread-safe: every mutation and the snapshot run under one internal
-    mutex, so counters stay consistent when replica-pool batches complete
-    concurrently (readers shed from the reactor, batch completions record
-    from pool threads). Latencies are kept in a fixed-size ring of the most
+    mutex, so counters stay consistent across the daemon's threads (the
+    reactor records sheds, the batcher thread records batch completions,
+    a reload thread records its reply). Latencies are kept in a fixed-size ring of the most
     recent samples; p50/p99 are computed over that window on demand. *)
 
 type t

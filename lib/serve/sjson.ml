@@ -11,6 +11,10 @@ type t =
 
 exception Bad of string
 
+(* The wire protocol nests three levels deep; a line of brackets must not
+   cost the batcher thread more than a few dozen steps to reject. *)
+let max_depth = 64
+
 let parse (s : string) : (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
@@ -137,10 +141,12 @@ let parse (s : string) : (t, string) result =
     | Some f -> Num f
     | None -> err "bad number %S at offset %d" lit start
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> err "unexpected end of input"
+    | Some ('{' | '[') when depth = max_depth ->
+      err "nesting deeper than %d at offset %d" max_depth !pos
     | Some '{' ->
       advance ();
       skip_ws ();
@@ -154,7 +160,7 @@ let parse (s : string) : (t, string) result =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -176,7 +182,7 @@ let parse (s : string) : (t, string) result =
       end
       else begin
         let rec items acc =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -197,7 +203,7 @@ let parse (s : string) : (t, string) result =
     | Some c -> err "unexpected character '%c' at offset %d" c !pos
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then err "trailing garbage at offset %d" !pos;
     v

@@ -15,7 +15,9 @@ type t =
   | Obj of (string * t) list
 
 val parse : string -> (t, string) result
-(** Whole-string parse (trailing garbage is an error). *)
+(** Whole-string parse (trailing garbage is an error). Arrays and objects
+    nest at most 64 deep: a deeper value is an [Error] at its 65th opening
+    bracket, so a line of brackets costs no more than 64 steps to reject. *)
 
 val to_string : t -> string
 (** Compact one-line rendering (no embedded newlines, so the result is

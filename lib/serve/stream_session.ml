@@ -3,10 +3,11 @@
    containment.
 
    One manager owns every session behind a daemon. All entry points run on
-   the daemon's batcher thread ({!handle}) or on executor threads (window
-   completion callbacks); a single manager mutex guards the registry and
-   all session state — the critical sections are small (no model work, no
-   I/O) so contention is negligible next to inference.
+   the daemon's batcher thread: {!handle}, the sweep, and the window
+   completion callbacks of the batches it runs. A single manager mutex
+   guards the registry and all session state — the critical sections are
+   small (no model work, no I/O) so contention is negligible next to
+   inference.
 
    Lock ordering: the manager lock may be taken first and engine/reactor
    locks acquired under it (stats recording, ticket resolution); nothing in
@@ -213,8 +214,8 @@ let complete_window_locked mgr g index wjson =
          @ [ ("windows", Sjson.Arr ws) ]))
   end
 
-(* Completion callback for a window that went through the batcher; runs on
-   an executor (or the batcher) thread. *)
+(* Completion callback for a window that went through the batcher; runs
+   when the batcher thread finishes the window's batch. *)
 let on_window_reply mgr g index reply =
   with_lock mgr (fun () ->
       mgr.pending <- mgr.pending - 1;

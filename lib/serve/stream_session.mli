@@ -36,8 +36,8 @@
       only the window they hit (the engine's per-item gate) —
       neighbouring sessions' windows are never lost or reordered.
 
-    Thread-safety: one internal lock; {!handle} runs on the daemon's
-    batcher thread, completion callbacks on executor threads. *)
+    Thread-safety: one internal lock; {!handle} and the completion
+    callbacks run on the daemon's batcher thread. *)
 
 type config = {
   max_sessions : int;  (** live sessions admitted *)

@@ -8,8 +8,10 @@
    Design:
    - One arena per domain, held in domain-local storage. Dpool workers are
      persistent, so each lane's arena survives across parallel regions and
-     reaches a steady state after the first few calls. Because a domain only
-     ever touches its own arena, no locking is needed.
+     reaches a steady state after the first few calls. A domain's threads
+     share its arena, and a thread may be switched out at any allocation,
+     so a slot is claimed (found, marked busy, or appended) under the
+     arena's lock. Releasing is a plain store by the thread that holds it.
    - Slots are size-classed: capacities are rounded up to powers of two so
      differently-shaped requests of similar size share one slot. A borrow
      takes the smallest free slot that fits; a miss allocates a fresh
@@ -28,7 +30,7 @@
    test_workspace.ml). *)
 
 type slot = { buf : Tensor.buffer; mutable busy : bool }
-type arena = { mutable slots : slot list }
+type arena = { lock : Mutex.t; mutable slots : slot list }
 
 let enabled_flag = ref true
 
@@ -43,7 +45,8 @@ let borrows = Atomic.make 0
 let alloc_count () = Atomic.get allocs
 let borrow_count () = Atomic.get borrows
 
-let arena_key : arena Domain.DLS.key = Domain.DLS.new_key (fun () -> { slots = [] })
+let arena_key : arena Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { lock = Mutex.create (); slots = [] })
 
 (* Beyond this many retained slots per domain, overflow borrows fall back to
    unretained fresh buffers instead of growing without bound. *)
@@ -62,17 +65,29 @@ let round_cap n =
 
 let create_buf cap = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout cap
 
-(* Smallest free slot with capacity >= n, if any. *)
-let find_slot arena n =
-  let best = ref None in
-  List.iter
-    (fun s ->
-      if (not s.busy) && Bigarray.Array1.dim s.buf >= n then
-        match !best with
-        | Some b when Bigarray.Array1.dim b.buf <= Bigarray.Array1.dim s.buf -> ()
-        | _ -> best := Some s)
-    arena.slots;
-  !best
+(* Claim the smallest free slot with capacity >= n, else append a fresh
+   busy one while the arena holds fewer than [max_slots]. [None] means an
+   unretained buffer, and counts as a miss like a fresh slot does. *)
+let claim arena n =
+  Mutex.protect arena.lock (fun () ->
+      let best = ref None in
+      List.iter
+        (fun s ->
+          if (not s.busy) && Bigarray.Array1.dim s.buf >= n then
+            match !best with
+            | Some b when Bigarray.Array1.dim b.buf <= Bigarray.Array1.dim s.buf -> ()
+            | _ -> best := Some s)
+        arena.slots;
+      (match !best with
+      | Some s -> s.busy <- true
+      | None ->
+        Atomic.incr allocs;
+        if List.length arena.slots < max_slots then begin
+          let s = { buf = create_buf (round_cap n); busy = true } in
+          arena.slots <- s :: arena.slots;
+          best := Some s
+        end);
+      !best)
 
 let with_buf ?(zero = false) shape f =
   let n = Array.fold_left ( * ) 1 shape in
@@ -84,27 +99,15 @@ let with_buf ?(zero = false) shape f =
   end
   else begin
     Atomic.incr borrows;
-    let arena = Domain.DLS.get arena_key in
-    match find_slot arena n with
+    match claim (Domain.DLS.get arena_key) n with
     | Some s ->
-      s.busy <- true;
       let t = Tensor.of_buffer (Bigarray.Array1.sub s.buf 0 n) shape in
       if zero then Tensor.fill t 0.0;
       Fun.protect ~finally:(fun () -> s.busy <- false) (fun () -> f t)
     | None ->
-      Atomic.incr allocs;
-      if List.length arena.slots < max_slots then begin
-        let s = { buf = create_buf (round_cap n); busy = true } in
-        arena.slots <- s :: arena.slots;
-        let t = Tensor.of_buffer (Bigarray.Array1.sub s.buf 0 n) shape in
-        if zero then Tensor.fill t 0.0;
-        Fun.protect ~finally:(fun () -> s.busy <- false) (fun () -> f t)
-      end
-      else begin
-        let t = Tensor.of_buffer (create_buf n) shape in
-        if zero then Tensor.fill t 0.0;
-        f t
-      end
+      let t = Tensor.of_buffer (create_buf n) shape in
+      if zero then Tensor.fill t 0.0;
+      f t
   end
 
 let with_buf2 ?zero sa sb f =

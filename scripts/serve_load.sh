@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # Concurrency stress of the batched serving reactor (run from the repo
 # root, after `dune build`): train a tiny checkpoint, serve it with
-# micro-batching and two model replicas, arm a Slow model fault through
-# CACHEBOX_FAULT, then slam the daemon with `cachebox loadgen` — N
-# concurrent pipelined clients mixing valid inferences, malformed lines
-# and deliberately slow senders. loadgen itself asserts zero dropped,
-# duplicated or reordered replies and reconciles the shed count against
-# the daemon's stats; this script additionally checks the clean-shutdown
-# drain (daemon exits, socket file removed) and that a post-shutdown
-# connect is refused.
+# micro-batching, arm a Slow model fault through CACHEBOX_FAULT, then
+# slam the daemon with `cachebox loadgen` — N concurrent pipelined
+# clients mixing valid inferences, malformed lines and deliberately slow
+# senders. loadgen itself asserts zero dropped, duplicated or reordered
+# replies and reconciles the shed count against the daemon's stats; this
+# script additionally checks the clean-shutdown drain (daemon exits,
+# socket file removed) and that a post-shutdown connect is refused.
 set -euo pipefail
 
 CB=${CB:-./_build/default/bin/cachebox.exe}
@@ -39,12 +38,12 @@ wait_ready() {
 echo "== train a tiny checkpoint"
 "$CB" train --benchmarks 1 --epochs 1 --trace-len 4000 --checkpoint "$CKPT"
 
-echo "== serve with micro-batching, 2 replicas and an armed Slow fault"
+echo "== serve with micro-batching and an armed Slow fault"
 # slow:0.05@4x3 stalls the forward pass 50 ms on three occasions starting
-# at the 4th model call — batches behind a stalled replica must still all
+# at the 4th model call — batches behind a stalled forward must still all
 # be answered, in order.
 CACHEBOX_FAULT="slow:0.05@4x3" "$CB" serve --socket "$SOCK" --checkpoint "$CKPT" \
-  --batch-max 16 --batch-linger-ms 2 --replicas 2 --queue-depth 64 &
+  --batch-max 16 --batch-linger-ms 2 --queue-depth 64 &
 SERVE_PID=$!
 wait_ready
 

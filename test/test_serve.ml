@@ -48,13 +48,19 @@ let test_sjson_roundtrip () =
     (Sjson.to_string (Sjson.Obj [ ("i", Sjson.Num 42.0) ]))
 
 let test_sjson_rejects_garbage () =
-  let bad = [ ""; "{"; "[1,]"; "{\"a\": 1} junk"; "nul"; "\"unterminated"; "{1: 2}"; "+5" ] in
+  let nested k = String.make k '[' ^ String.make k ']' in
+  let bad =
+    [ ""; "{"; "[1,]"; "{\"a\": 1} junk"; "nul"; "\"unterminated"; "{1: 2}"; "+5"; nested 65 ]
+  in
   List.iter
     (fun s ->
       match Sjson.parse s with
       | Ok _ -> Alcotest.failf "accepted malformed input %S" s
       | Error _ -> ())
-    bad
+    bad;
+  match Sjson.parse (nested 64) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "rejected a 64-deep array: %s" e
 
 let test_sjson_surrogates () =
   (match Sjson.parse {|"\ud83d\ude00"|} with
@@ -739,7 +745,6 @@ let test_daemon_rejects_bad_numbers () =
       ("max_batch 0", { base with batcher = { batcher with Batcher.max_batch = 0 } });
       ( "max_linger_s -0.001",
         { base with batcher = { batcher with Batcher.max_linger_s = -0.001 } } );
-      ("replicas 0", { base with engine = { engine with Serve_engine.replicas = 0 } });
       ( "breaker_threshold 0",
         { base with engine = { engine with Serve_engine.breaker_threshold = 0 } } );
       ( "breaker_cooldown_s -0.001",

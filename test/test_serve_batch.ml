@@ -21,8 +21,7 @@ let num_field json k = Option.bind (Sjson.member k json) Sjson.to_float
 
 (* --- batcher: coalescing policy under a virtual clock --- *)
 
-let batcher_cfg =
-  { Batcher.max_batch = 4; max_linger_s = 0.02; deadline_margin_s = 0.05 }
+let batcher_cfg = { Batcher.max_batch = 4; max_linger_s = 0.02 }
 
 let test_batcher_linger_flush () =
   let t = ref 100.0 in
@@ -107,7 +106,7 @@ let test_batcher_obligation_property =
             match deadline with
             | None -> linger
             | Some d ->
-              Float.max !t (Float.min linger (d -. batcher_cfg.Batcher.deadline_margin_s))
+              Float.max !t (Float.min linger (d -. Batcher.deadline_margin_s))
           in
           Batcher.push b ?deadline (i, obligation);
           while Batcher.due b do
@@ -328,14 +327,13 @@ let infer_line ?id ?deadline_ms () =
        | None -> []
        | Some ms -> [ ("deadline_ms", Sjson.Num (float_of_int ms)) ]))
 
-let engine ?now ?(replicas = 1) ~model () =
+let engine ?now ~model () =
   let cfg =
     {
       (Serve_engine.default_config ~fallback:Cbox_infer.Fallback_hrd ()) with
       Serve_engine.grace_lo = -1e9;
       grace_hi = 1e9;
       breaker_cooldown_s = 5.0;
-      replicas;
     }
   in
   Serve_engine.create ?now ~spec:tiny_spec ~model cfg
@@ -418,22 +416,6 @@ let test_wide_conv_identity =
           in
           bits narrow = bits wide))
 
-(* Replica pool: replica 1 (sharing replica 0's program under its own lock)
-   answers bit-identically to replica 0. *)
-let test_replica_clone_identity () =
-  let model = Lazy.force tiny_model in
-  let e = engine ~replicas:2 ~model:(Some model) () in
-  Alcotest.(check int) "pool size" 2 (Serve_engine.replica_count e);
-  let lines = List.init 4 (fun i -> infer_line ~id:(Printf.sprintf "r%d" i) ()) in
-  let r0 = Serve_engine.infer_batch ~replica:0 e (classify_all e lines) in
-  let r1 = Serve_engine.infer_batch ~replica:1 e (classify_all e lines) in
-  List.iteri
-    (fun i (a, b) ->
-      Alcotest.(check int64)
-        (Printf.sprintf "replica hit_rate bits %d" i)
-        (hit_rate_bits a) (hit_rate_bits b))
-    (List.combine r0 r1)
-
 (* Virtual clock through the batched path: expiry beats everything, and a
    missing model degrades (the ladder holds batch-side). *)
 let test_batch_deadline_virtual_clock () =
@@ -467,7 +449,7 @@ let test_batch_deadline_virtual_clock () =
 
 let test_stats_concurrent_batches () =
   let model = Lazy.force tiny_model in
-  let e = engine ~replicas:2 ~model:(Some model) () in
+  let e = engine ~model:(Some model) () in
   let items k =
     classify_all e (List.init 8 (fun i -> infer_line ~id:(Printf.sprintf "c%d_%d" k i) ()))
   in
@@ -475,7 +457,7 @@ let test_stats_concurrent_batches () =
   let before = Serve_engine.stats e in
   let out = Array.make 2 [] in
   let spawn k its =
-    Thread.create (fun () -> out.(k) <- Serve_engine.infer_batch ~replica:k e its) ()
+    Thread.create (fun () -> out.(k) <- Serve_engine.infer_batch e its) ()
   in
   let th0 = spawn 0 items0 and th1 = spawn 1 items1 in
   Thread.join th0;
@@ -548,8 +530,6 @@ let suite =
       Alcotest.test_case "batched replies bit-identical to batch-1" `Slow
         test_batched_replies_bit_identical;
       QCheck_alcotest.to_alcotest test_wide_conv_identity;
-      Alcotest.test_case "replica clone answers identically" `Slow
-        test_replica_clone_identity;
       Alcotest.test_case "batch deadlines on a virtual clock" `Quick
         test_batch_deadline_virtual_clock;
       Alcotest.test_case "stats atomic under concurrent batches" `Slow

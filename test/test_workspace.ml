@@ -139,6 +139,38 @@ let test_parallel_conv_aliasing () =
         (Array.for_all2 Float.equal fresh pooled))
     [ 1; 2; 4 ]
 
+(* Two threads of one domain share its arena, and the runtime may switch
+   threads at any allocation, including one between finding a free slot
+   and marking it busy. A 1 ms SIGALRM whose handler yields forces
+   frequent switches; each thread fills its borrow with its own id and
+   checks it before releasing, so a slot handed to both threads shows the
+   other thread's id. *)
+let test_threads_claim_distinct_slots () =
+  with_ws true (fun () ->
+      let clashes = Atomic.make 0 in
+      let worker until id () =
+        let v = float_of_int id in
+        while Unix.gettimeofday () < until do
+          Workspace.with_buf [| 64 |] (fun t ->
+              Tensor.fill t v;
+              for i = 0 to 63 do
+                if Tensor.get t i <> v then Atomic.incr clashes
+              done)
+        done
+      in
+      let prev = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> Thread.yield ())) in
+      let every s = { Unix.it_interval = s; it_value = s } in
+      Fun.protect
+        ~finally:(fun () ->
+          ignore (Unix.setitimer Unix.ITIMER_REAL (every 0.0));
+          Sys.set_signal Sys.sigalrm prev)
+        (fun () ->
+          ignore (Unix.setitimer Unix.ITIMER_REAL (every 0.001));
+          let worker = worker (Unix.gettimeofday () +. 0.5) in
+          List.iter Thread.join [ Thread.create (worker 1) (); Thread.create (worker 2) () ]);
+      Alcotest.(check int) "no borrowed element holds the other thread's id" 0
+        (Atomic.get clashes))
+
 (* --- steady state: a warmed-up training step allocates nothing --- *)
 
 let test_training_steady_state () =
@@ -181,6 +213,8 @@ let suite =
         test_interleaved_conv_shapes;
       Alcotest.test_case "conv backward aliasing" `Quick test_conv_backward_aliasing;
       Alcotest.test_case "parallel conv aliasing" `Quick test_parallel_conv_aliasing;
+      Alcotest.test_case "threads of one domain claim distinct slots" `Quick
+        test_threads_claim_distinct_slots;
       Alcotest.test_case "training step steady-state allocations" `Slow
         test_training_steady_state;
     ] )
