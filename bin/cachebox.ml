@@ -23,6 +23,22 @@ let die (e : Serve_error.t) =
 
 let or_die = function Ok v -> v | Error e -> die e
 
+(* A bad flag is a typed invalid_config error (exit 2), reported before any
+   model is loaded, trace generated or dataset built. *)
+let require ok fmt =
+  Printf.ksprintf
+    (fun message -> if not ok then die { Serve_error.code = Invalid_config; message })
+    fmt
+
+let require_trace_len ~min trace_len =
+  require (trace_len >= min) "--trace-len must be at least %d (got %d)" min trace_len
+
+(* Commands that cut heatmaps need at least one image's worth of accesses. *)
+let require_images spec ~trace_len =
+  let per_image = Heatmap.accesses_per_image spec in
+  require (trace_len >= per_image) "--trace-len must be at least %d, one heatmap image (got %d)"
+    per_image trace_len
+
 (* --- shared arguments --- *)
 
 let sets_arg =
@@ -50,19 +66,6 @@ let apply_domains = function
   | Some n ->
     Fmt.epr "--domains must be at least 1 (got %d)@." n;
     exit 2
-
-let simcache_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "simcache" ] ~docv:"DIR"
-      ~doc:
-        "Cache ground-truth simulation results under $(docv) (default: \
-         $(b,CACHEBOX_SIMCACHE)). Entries are keyed by workload, trace \
-         length, cache configs and heatmap spec; corrupt or stale entries \
-         are ignored and regenerated.")
-
-let apply_simcache = function None -> () | Some d -> Simcache.set_dir (Some d)
 
 let workload_arg idx =
   Arg.(required & pos idx (some string) None & info [] ~docv:"BENCHMARK" ~doc:"Benchmark name (see $(b,cachebox list)).")
@@ -140,8 +143,9 @@ let heatmap_cmd =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"DIR" ~doc:"Write PGM images into DIR.")
   in
   let run name sets ways trace_len out =
-    let w = find_workload name in
     let spec = Heatmap.spec () in
+    require_images spec ~trace_len;
+    let w = find_workload name in
     let trace = w.Workload.generate trace_len in
     let cache = Cache.create (cache_config ~sets ~ways) in
     let hits = Array.map (fun a -> Cache.access cache a) trace in
@@ -218,19 +222,10 @@ let resilience_term =
   in
   Term.(const combine $ snapshot_every $ snapshot_dir $ resume $ journal)
 
-(* A bad trainer flag is a typed invalid_config error (exit 2), reported
-   before any model is loaded or dataset built. *)
-let require ok fmt =
-  Printf.ksprintf
-    (fun message -> if not ok then die { Serve_error.code = Invalid_config; message })
-    fmt
-
 (* Each trainer needs at least one benchmark with at least one image. *)
 let check_dataset_flags spec ~count ~trace_len =
   require (count >= 1) "--benchmarks must be at least 1 (got %d)" count;
-  let per_image = Heatmap.accesses_per_image spec in
-  require (trace_len >= per_image) "--trace-len must be at least %d, one heatmap image (got %d)"
-    per_image trace_len
+  require_images spec ~trace_len
 
 (* The first [count] workloads of the train split, simulated on [cfg]. *)
 let train_split_samples spec cfg ~count ~trace_len =
@@ -241,10 +236,9 @@ let train_split_samples spec cfg ~count ~trace_len =
   Cbox_dataset.to_samples (Cbox_dataset.build_l1 spec ~configs:[ cfg ] ~trace_len train_ws)
 
 let train_cmd =
-  let run sets ways trace_len epochs ckpt count domains simcache
+  let run sets ways trace_len epochs ckpt count domains
       (snapshot_every, snapshot_dir, resume, journal) =
     apply_domains domains;
-    apply_simcache simcache;
     let spec = Heatmap.spec () in
     let cfg = cache_config ~sets ~ways in
     check_dataset_flags spec ~count ~trace_len;
@@ -264,7 +258,7 @@ let train_cmd =
   Cmd.v (Cmd.info "train" ~doc:"Train CB-GAN on the training split and save a checkpoint")
     Term.(
       const run $ sets_arg $ ways_arg $ trace_len_arg $ epochs_arg $ checkpoint_arg $ count_arg
-      $ domains_arg $ simcache_arg $ resilience_term)
+      $ domains_arg $ resilience_term)
 
 (* --- distill --- *)
 
@@ -285,9 +279,8 @@ let distill_cmd =
     Arg.(value & opt int 2 & info [ "width-div" ] ~docv:"D" ~doc:"Student width = teacher channels / D.")
   in
   let run sets ways trace_len epochs ckpt out count temperature feat_weight depth_div
-      width_div domains simcache (snapshot_every, snapshot_dir, resume, journal) =
+      width_div domains (snapshot_every, snapshot_dir, resume, journal) =
     apply_domains domains;
-    apply_simcache simcache;
     let spec = Heatmap.spec () in
     let cfg = cache_config ~sets ~ways in
     check_dataset_flags spec ~count ~trace_len;
@@ -342,7 +335,7 @@ let distill_cmd =
     Term.(
       const run $ sets_arg $ ways_arg $ trace_len_arg $ epochs_arg $ checkpoint_arg
       $ out_arg $ count_arg $ temperature_arg $ feat_weight_arg $ depth_div_arg
-      $ width_div_arg $ domains_arg $ simcache_arg $ resilience_term)
+      $ width_div_arg $ domains_arg $ resilience_term)
 
 (* --- infer --- *)
 
@@ -400,6 +393,7 @@ let infer_cmd =
     let fallback = parse_fallback fallback in
     let backend = parse_backend backend in
     let spec = Heatmap.spec () in
+    require_images spec ~trace_len;
     let cfg = cache_config ~sets ~ways in
     let w = find_workload name in
     let data = Cbox_dataset.build_l1 spec ~configs:[ cfg ] ~trace_len [ w ] in
@@ -1118,6 +1112,7 @@ let replay_cmd =
 
 let characterize_cmd =
   let run name trace_len =
+    require_trace_len ~min:1 trace_len;
     let w = find_workload name in
     let trace = w.Workload.generate trace_len in
     let s = Characterize.summarize trace in
@@ -1136,6 +1131,8 @@ let characterize_cmd =
 
 let baselines_cmd =
   let run name sets ways trace_len =
+    (* STM profiles strides, which takes two accesses. *)
+    require_trace_len ~min:2 trace_len;
     let cfg = cache_config ~sets ~ways in
     let w = find_workload name in
     let trace = w.Workload.generate trace_len in

@@ -24,6 +24,16 @@ let config ?(block_bytes = 64) ?(policy = Lru) ~sets ~ways () =
 let size_bytes c = c.sets * c.ways * c.block_bytes
 let config_name c = Printf.sprintf "%dset-%dway" c.sets c.ways
 
+let policy_tag = function
+  | Lru -> "lru"
+  | Fifo -> "fifo"
+  | Plru -> "plru"
+  | Srrip -> "srrip"
+  | Random_policy seed -> Printf.sprintf "rnd%d" seed
+
+let config_tag c =
+  Printf.sprintf "%ds%dw%db-%s" c.sets c.ways c.block_bytes (policy_tag c.policy)
+
 type stats = { accesses : int; hits : int; misses : int }
 
 let hit_rate s =

@@ -29,6 +29,12 @@ val size_bytes : config -> int
 val config_name : config -> string
 (** e.g. ["64set-12way"], the paper's naming. *)
 
+val config_tag : config -> string
+(** The canonical descriptor of a config, e.g. ["64s12w64b-lru"] or
+    ["64s12w64b-rnd7"]: every field, policy seed included. The shard
+    router's placement and prediction-memo keys are built from it, so a
+    change to this string reshards every router and empties its memo. *)
+
 type stats = { accesses : int; hits : int; misses : int }
 
 val hit_rate : stats -> float

@@ -62,8 +62,7 @@ let data_for ~workload ~cache ~level spec ~addresses ~hits =
    These are the original (pre-streaming) implementations, kept verbatim:
    record every per-level trace, decode it, then cut heatmaps out of the
    arrays. They are the bit-identity oracle for the streaming builders below
-   (property and golden tests compare against them). Always serial, never
-   cached. *)
+   (property and golden tests compare against them). Always serial. *)
 
 let build_l1_reference spec ~configs ~trace_len workloads =
   List.concat_map
@@ -148,88 +147,43 @@ let build_prefetch_reference spec ~config ~kind ~trace_len workloads =
    concatenated in roster order, so output is bit-identical to a serial
    run at any domain count. *)
 
-let section_data (a : Heatmap.Accum.t) =
-  let access = Heatmap.Accum.images a ~plane:0 in
-  let miss = Heatmap.Accum.images a ~plane:1 in
+let accum_hit_rate (a : Heatmap.Accum.t) =
   let total = Heatmap.Accum.deoverlapped_mass a ~plane:0 in
   let missed = Heatmap.Accum.deoverlapped_mass a ~plane:1 in
-  let rate = if total <= 0.0 then 0.0 else 1.0 -. (missed /. total) in
-  (List.combine access miss, rate)
+  if total <= 0.0 then 0.0 else 1.0 -. (missed /. total)
+
+let level_data ~workload ~cache ~level (a : Heatmap.Accum.t) =
+  let access = Heatmap.Accum.images a ~plane:0 in
+  let miss = Heatmap.Accum.images a ~plane:1 in
+  {
+    workload;
+    cache;
+    level;
+    pairs = List.combine access miss;
+    true_hit_rate = accum_hit_rate a;
+  }
 
 let parallel_build per_workload workloads =
   Dpool.parallel_map_array per_workload (Array.of_list workloads)
   |> Array.to_list |> List.concat
 
-let l1_sections spec ~configs ~trace_len (w : Workload.t) =
-  let trace = w.Workload.generate trace_len in
-  let n = Array.length trace in
-  List.mapi
-    (fun idx cfg ->
-      let cache = Cache.create cfg in
-      let acc = Heatmap.Accum.create ~planes:2 spec in
-      for i = 0 to n - 1 do
-        let addr = Array.unsafe_get trace i in
-        let hit = Cache.access cache addr in
-        Heatmap.Accum.add acc ~addr ~mask:(if hit then 1 else 3)
-      done;
-      let pairs, true_hit_rate = section_data acc in
-      { Simcache.tag = Printf.sprintf "C%d" idx; pairs; true_hit_rate })
-    configs
-
 let build_l1 spec ~configs ~trace_len workloads =
-  let cfg_arr = Array.of_list configs in
   parallel_build
-    (fun w ->
-      let descriptor =
-        Simcache.descriptor ~kind:"l1" ~workload:w.Workload.name ~trace_len ~configs ~spec
-      in
-      Simcache.with_sections ~descriptor (fun () -> l1_sections spec ~configs ~trace_len w)
-      |> List.filter_map (fun (s : Simcache.section) ->
-             match
-               if String.length s.tag >= 2 && s.tag.[0] = 'C' then
-                 int_of_string_opt (String.sub s.tag 1 (String.length s.tag - 1))
-               else None
-             with
-             | Some idx when idx >= 0 && idx < Array.length cfg_arr ->
-               Some
-                 {
-                   workload = w;
-                   cache = cfg_arr.(idx);
-                   level = Hierarchy.L1;
-                   pairs = s.pairs;
-                   true_hit_rate = s.true_hit_rate;
-                 }
-             | _ -> None))
+    (fun (w : Workload.t) ->
+      let trace = w.Workload.generate trace_len in
+      let n = Array.length trace in
+      List.map
+        (fun cfg ->
+          let cache = Cache.create cfg in
+          let acc = Heatmap.Accum.create ~planes:2 spec in
+          for i = 0 to n - 1 do
+            let addr = Array.unsafe_get trace i in
+            let hit = Cache.access cache addr in
+            Heatmap.Accum.add acc ~addr ~mask:(if hit then 1 else 3)
+          done;
+          level_data ~workload:w ~cache:cfg ~level:Hierarchy.L1 acc)
+        configs)
     workloads
-
-let level_of_tag = function
-  | "L1" -> Some Hierarchy.L1
-  | "L2" -> Some Hierarchy.L2
-  | "L3" -> Some Hierarchy.L3
-  | _ -> None
-
-let hierarchy_sections spec ~l1 ~l2 ~l3 ~trace_len (w : Workload.t) =
-  let trace = w.Workload.generate trace_len in
-  let h = Hierarchy.create ~l2 ~l3 ~l1 () in
-  let lvls = Hierarchy.levels h in
-  let accs = Array.map (fun _ -> Heatmap.Accum.create ~planes:2 spec) lvls in
-  Hierarchy.run_observed h
-    ~f:(fun i addr hit ->
-      Heatmap.Accum.add (Array.unsafe_get accs i) ~addr ~mask:(if hit then 1 else 3))
-    trace;
-  (* A deeper level whose stream never fills one image is excluded — the
-     recorded path's [< accesses_per_image] filter, expressed as "zero
-     completed images". *)
-  let out = ref [] in
-  for i = Array.length lvls - 1 downto 0 do
-    let a = accs.(i) in
-    if Heatmap.Accum.completed a > 0 then begin
-      let pairs, true_hit_rate = section_data a in
-      out :=
-        { Simcache.tag = Hierarchy.level_name lvls.(i); pairs; true_hit_rate } :: !out
-    end
-  done;
-  !out
 
 let build_hierarchy spec ~l1 ~l2 ~l3 ~trace_len workloads =
   let config_of_level = function
@@ -238,84 +192,62 @@ let build_hierarchy spec ~l1 ~l2 ~l3 ~trace_len workloads =
     | Hierarchy.L3 -> l3
   in
   parallel_build
-    (fun w ->
-      let descriptor =
-        Simcache.descriptor ~kind:"hierarchy" ~workload:w.Workload.name ~trace_len
-          ~configs:[ l1; l2; l3 ] ~spec
-      in
-      Simcache.with_sections ~descriptor (fun () ->
-          hierarchy_sections spec ~l1 ~l2 ~l3 ~trace_len w)
-      |> List.filter_map (fun (s : Simcache.section) ->
-             Option.map
-               (fun level ->
-                 {
-                   workload = w;
-                   cache = config_of_level level;
-                   level;
-                   pairs = s.pairs;
-                   true_hit_rate = s.true_hit_rate;
-                 })
-               (level_of_tag s.tag)))
+    (fun (w : Workload.t) ->
+      let trace = w.Workload.generate trace_len in
+      let h = Hierarchy.create ~l2 ~l3 ~l1 () in
+      let lvls = Hierarchy.levels h in
+      let accs = Array.map (fun _ -> Heatmap.Accum.create ~planes:2 spec) lvls in
+      Hierarchy.run_observed h
+        ~f:(fun i addr hit ->
+          Heatmap.Accum.add (Array.unsafe_get accs i) ~addr ~mask:(if hit then 1 else 3))
+        trace;
+      (* A deeper level whose stream never fills one image is excluded — the
+         recorded path's [< accesses_per_image] filter, expressed as "zero
+         completed images". *)
+      List.combine (Array.to_list lvls) (Array.to_list accs)
+      |> List.filter_map (fun (level, a) ->
+             if Heatmap.Accum.completed a = 0 then None
+             else Some (level_data ~workload:w ~cache:(config_of_level level) ~level a)))
     workloads
-
-let prefetch_kind_tag = function
-  | Prefetch.No_prefetch -> "none"
-  | Prefetch.Next_line -> "next"
-  | Prefetch.Stride { degree; table_size } -> Printf.sprintf "stride%dx%d" degree table_size
-
-let prefetch_sections spec ~config ~kind ~trace_len (w : Workload.t) =
-  let trace = w.Workload.generate trace_len in
-  let cache = Cache.create config in
-  let pf = Prefetch.create kind in
-  let buf = Array.make (max 1 (Prefetch.max_degree pf)) 0 in
-  let block_bytes = config.Cache.block_bytes in
-  (* Demand stream: plane 0 = accesses, plane 1 = misses. Prefetch stream:
-     its own accumulator, because its addresses differ per slot (first
-     proposal of the triggering access; mask 0 when none). *)
-  let acc = Heatmap.Accum.create ~planes:2 spec in
-  let pacc = Heatmap.Accum.create ~planes:1 spec in
-  let n = Array.length trace in
-  for i = 0 to n - 1 do
-    let addr = Array.unsafe_get trace i in
-    let npf = Prefetch.on_access_into pf ~addr ~block_bytes ~buf in
-    let hit = Cache.access cache addr in
-    Heatmap.Accum.add acc ~addr ~mask:(if hit then 1 else 3);
-    if npf = 0 then Heatmap.Accum.add pacc ~addr:0 ~mask:0
-    else begin
-      Heatmap.Accum.add pacc ~addr:(Array.unsafe_get buf 0) ~mask:1;
-      for k = 0 to npf - 1 do
-        Cache.insert cache (Array.unsafe_get buf k)
-      done
-    end
-  done;
-  let total = Heatmap.Accum.deoverlapped_mass acc ~plane:0 in
-  let missed = Heatmap.Accum.deoverlapped_mass acc ~plane:1 in
-  let rate = if total <= 0.0 then 0.0 else 1.0 -. (missed /. total) in
-  let access = Heatmap.Accum.images acc ~plane:0 in
-  let prefetch = Heatmap.Accum.images pacc ~plane:0 in
-  [ { Simcache.tag = "PF"; pairs = List.combine access prefetch; true_hit_rate = rate } ]
 
 let build_prefetch spec ~config ~kind ~trace_len workloads =
   parallel_build
-    (fun w ->
-      let descriptor =
-        Simcache.descriptor
-          ~kind:("prefetch:" ^ prefetch_kind_tag kind)
-          ~workload:w.Workload.name ~trace_len ~configs:[ config ] ~spec
-      in
-      Simcache.with_sections ~descriptor (fun () ->
-          prefetch_sections spec ~config ~kind ~trace_len w)
-      |> List.filter_map (fun (s : Simcache.section) ->
-             if s.Simcache.tag <> "PF" then None
-             else
-               Some
-                 {
-                   workload = w;
-                   cache = config;
-                   level = Hierarchy.L1;
-                   pairs = s.pairs;
-                   true_hit_rate = s.true_hit_rate;
-                 }))
+    (fun (w : Workload.t) ->
+      let trace = w.Workload.generate trace_len in
+      let cache = Cache.create config in
+      let pf = Prefetch.create kind in
+      let buf = Array.make (max 1 (Prefetch.max_degree pf)) 0 in
+      let block_bytes = config.Cache.block_bytes in
+      (* Demand stream: plane 0 = accesses, plane 1 = misses. Prefetch stream:
+         its own accumulator, because its addresses differ per slot (first
+         proposal of the triggering access; mask 0 when none). *)
+      let acc = Heatmap.Accum.create ~planes:2 spec in
+      let pacc = Heatmap.Accum.create ~planes:1 spec in
+      let n = Array.length trace in
+      for i = 0 to n - 1 do
+        let addr = Array.unsafe_get trace i in
+        let npf = Prefetch.on_access_into pf ~addr ~block_bytes ~buf in
+        let hit = Cache.access cache addr in
+        Heatmap.Accum.add acc ~addr ~mask:(if hit then 1 else 3);
+        if npf = 0 then Heatmap.Accum.add pacc ~addr:0 ~mask:0
+        else begin
+          Heatmap.Accum.add pacc ~addr:(Array.unsafe_get buf 0) ~mask:1;
+          for k = 0 to npf - 1 do
+            Cache.insert cache (Array.unsafe_get buf k)
+          done
+        end
+      done;
+      let access = Heatmap.Accum.images acc ~plane:0 in
+      let prefetch = Heatmap.Accum.images pacc ~plane:0 in
+      [
+        {
+          workload = w;
+          cache = config;
+          level = Hierarchy.L1;
+          pairs = List.combine access prefetch;
+          true_hit_rate = accum_hit_rate acc;
+        };
+      ])
     workloads
 
 let to_samples data =

@@ -36,13 +36,13 @@ val batch_images : Heatmap.spec -> Tensor.t list -> Tensor.t
 
     The builders stream every simulated access straight into
     {!Heatmap.Accum} columns (constant memory per level — no recorded
-    trace arrays, no decode, no second pass), fan workloads across the
-    {!Dpool} domain pool ([CACHEBOX_DOMAINS]), and consult the
-    content-addressed {!Simcache} when one is enabled. Workload traces
-    are self-seeded by name, each lane simulates a disjoint roster slice,
-    and results are concatenated in roster order — output is bit-identical
-    to a serial run at every domain count, and to the recorded-path
-    [_reference] builders below. *)
+    trace arrays, no decode, no second pass) and fan workloads across the
+    {!Dpool} domain pool ([CACHEBOX_DOMAINS]). Every call simulates;
+    nothing is stored between calls. Workload traces are self-seeded by
+    name, each lane simulates a disjoint roster slice, and results are
+    concatenated in roster order — output is bit-identical to a serial run
+    at every domain count, and to the recorded-path [_reference] builders
+    below. *)
 
 val build_l1 :
   Heatmap.spec ->
@@ -79,9 +79,9 @@ val build_prefetch :
 
 (** {1 Recorded-path references}
 
-    The original record-decode-then-cut implementations, kept verbatim:
-    always serial, never cached. They are the bit-identity oracle the test
-    suite compares the streaming builders against. *)
+    The original record-decode-then-cut implementations, kept verbatim
+    and always serial. They are the bit-identity oracle the test suite
+    compares the streaming builders against. *)
 
 val build_l1_reference :
   Heatmap.spec ->

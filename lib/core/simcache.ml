@@ -1,312 +1,1 @@
-(* Content-addressed cache of ground-truth simulation results.
-
-   Dataset construction re-simulates the same (workload, config, spec)
-   combinations across experiment sweeps; every result is a pure function of
-   that tuple, so it is cached on disk keyed by a digest of a canonical
-   descriptor string. An entry stores the per-level heatmap pairs plus the
-   true hit rate — everything [Cbox_dataset.benchmark_data] derives from a
-   simulation — in a checksummed binary container:
-
-     magic "CBSC1\n" | u64 LE payload length | u32 LE CRC-32 of payload | payload
-
-   The payload leads with the full descriptor (the digest only names the
-   file; equality of the stored descriptor is what validates a hit), then
-   the section list. Heatmap pixels are integral counts bounded by the
-   window size, so they are stored as u8 or u16 — exact, and small enough
-   that the warm path is dominated by the CRC, which uses the slicing-by-8
-   [Crc32.digest_sub].
-
-   Any malformed entry — short file, wrong magic, bad CRC, descriptor
-   mismatch (format-version bumps change the descriptor) — is treated as a
-   miss and silently regenerated; writes go through a temp file + rename so
-   concurrent readers only ever see complete entries. *)
-
-type section = {
-  tag : string;
-  pairs : (Tensor.t * Tensor.t) list;
-  true_hit_rate : float;
-}
-
-type stats = { hits : int; misses : int; stores : int; errors : int }
-
-let hit_count = Atomic.make 0
-let miss_count = Atomic.make 0
-let store_count = Atomic.make 0
-let error_count = Atomic.make 0
-
-let stats () =
-  {
-    hits = Atomic.get hit_count;
-    misses = Atomic.get miss_count;
-    stores = Atomic.get store_count;
-    errors = Atomic.get error_count;
-  }
-
-let reset_stats () =
-  Atomic.set hit_count 0;
-  Atomic.set miss_count 0;
-  Atomic.set store_count 0;
-  Atomic.set error_count 0
-
-(* The directory is resolved from CACHEBOX_SIMCACHE on first use; [set_dir]
-   (the --simcache flag, tests) overrides it either way. *)
-let dir_ref : string option option ref = ref None
-
-let dir () =
-  match !dir_ref with
-  | Some d -> d
-  | None ->
-    let d = Sys.getenv_opt "CACHEBOX_SIMCACHE" in
-    dir_ref := Some d;
-    d
-
-let set_dir d = dir_ref := Some d
-let enabled () = dir () <> None
-
-let with_dir d f =
-  let saved = !dir_ref in
-  set_dir d;
-  Fun.protect ~finally:(fun () -> dir_ref := saved) f
-
-(* --- descriptors --- *)
-
-let format_version = 1
-
-let policy_tag = function
-  | Cache.Lru -> "lru"
-  | Cache.Fifo -> "fifo"
-  | Cache.Plru -> "plru"
-  | Cache.Srrip -> "srrip"
-  | Cache.Random_policy seed -> Printf.sprintf "rnd%d" seed
-
-let config_tag (c : Cache.config) =
-  Printf.sprintf "%ds%dw%db-%s" c.Cache.sets c.Cache.ways c.Cache.block_bytes
-    (policy_tag c.Cache.policy)
-
-let spec_tag (s : Heatmap.spec) =
-  Printf.sprintf "h%dw%dn%dg%dov%.6g" s.Heatmap.height s.Heatmap.width s.Heatmap.window
-    s.Heatmap.granularity s.Heatmap.overlap
-
-let descriptor ~kind ~workload ~trace_len ~configs ~spec =
-  Printf.sprintf "cachebox-simcache/%d|%s|%s|%d|%s|%s" format_version kind workload
-    trace_len
-    (String.concat ";" (List.map config_tag configs))
-    (spec_tag spec)
-
-let entry_path ~dir ~descriptor =
-  Filename.concat dir (Printf.sprintf "cbx-%08x.sim" (Crc32.digest descriptor))
-
-(* --- binary container --- *)
-
-let magic = "CBSC1\n"
-
-let encode ~descriptor sections =
-  let max_pixel = ref 0.0 in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun (a, m) ->
-          max_pixel := Float.max !max_pixel (Tensor.max_value a);
-          max_pixel := Float.max !max_pixel (Tensor.max_value m))
-        s.pairs)
-    sections;
-  if !max_pixel > 65535.0 || List.length sections > 255 then None
-  else begin
-    let bpp = if !max_pixel <= 255.0 then 1 else 2 in
-    let buf = Buffer.create 65536 in
-    Buffer.add_uint16_le buf (String.length descriptor);
-    Buffer.add_string buf descriptor;
-    Buffer.add_uint8 buf (List.length sections);
-    List.iter
-      (fun s ->
-        Buffer.add_uint8 buf (String.length s.tag);
-        Buffer.add_string buf s.tag;
-        Buffer.add_int64_le buf (Int64.bits_of_float s.true_hit_rate);
-        Buffer.add_uint16_le buf (List.length s.pairs);
-        let h, w =
-          match s.pairs with
-          | (a, _) :: _ -> (Tensor.dim a 0, Tensor.dim a 1)
-          | [] -> (0, 0)
-        in
-        Buffer.add_uint16_le buf h;
-        Buffer.add_uint16_le buf w;
-        Buffer.add_uint8 buf bpp;
-        let put_plane t =
-          let px = Tensor.to_array t in
-          Array.iter
-            (fun v ->
-              let n = int_of_float v in
-              if bpp = 1 then Buffer.add_uint8 buf n else Buffer.add_uint16_le buf n)
-            px
-        in
-        List.iter
-          (fun (a, m) ->
-            put_plane a;
-            put_plane m)
-          s.pairs)
-      sections;
-    Some (Buffer.contents buf)
-  end
-
-exception Bad_entry
-
-let decode ~descriptor raw =
-  let pos = ref 0 in
-  let len = String.length raw in
-  let need n = if len - !pos < n then raise Bad_entry in
-  let u8 () =
-    need 1;
-    let v = Char.code raw.[!pos] in
-    incr pos;
-    v
-  in
-  let u16 () =
-    need 2;
-    let v = String.get_uint16_le raw !pos in
-    pos := !pos + 2;
-    v
-  in
-  let u64 () =
-    need 8;
-    let v = String.get_int64_le raw !pos in
-    pos := !pos + 8;
-    v
-  in
-  let str n =
-    need n;
-    let s = String.sub raw !pos n in
-    pos := !pos + n;
-    s
-  in
-  let dlen = u16 () in
-  if str dlen <> descriptor then raise Bad_entry;
-  let nsections = u8 () in
-  let sections =
-    List.init nsections (fun _ ->
-        let tag = str (u8 ()) in
-        let true_hit_rate = Int64.float_of_bits (u64 ()) in
-        let npairs = u16 () in
-        let h = u16 () and w = u16 () in
-        let bpp = u8 () in
-        if bpp <> 1 && bpp <> 2 then raise Bad_entry;
-        if npairs > 0 && (h <= 0 || w <= 0) then raise Bad_entry;
-        (* Hot warm-path loop: direct indexing straight into the tensor's
-           bigarray — no per-byte cursor calls, no intermediate array. *)
-        let plane () =
-          let n = h * w in
-          need (n * bpp);
-          let p0 = !pos in
-          let t = Tensor.zeros [| h; w |] in
-          let px = t.Tensor.data in
-          if bpp = 1 then
-            for i = 0 to n - 1 do
-              Bigarray.Array1.unsafe_set px i
-                (float_of_int (Char.code (String.unsafe_get raw (p0 + i))))
-            done
-          else
-            for i = 0 to n - 1 do
-              Bigarray.Array1.unsafe_set px i
-                (float_of_int (String.get_uint16_le raw (p0 + (2 * i))))
-            done;
-          pos := p0 + (n * bpp);
-          t
-        in
-        let pairs =
-          List.init npairs (fun _ ->
-              let a = plane () in
-              let m = plane () in
-              (a, m))
-        in
-        { tag; pairs; true_hit_rate })
-  in
-  if !pos <> len then raise Bad_entry;
-  sections
-
-(* --- filesystem --- *)
-
-let rec mkdirs d =
-  if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-    mkdirs (Filename.dirname d);
-    try Sys.mkdir d 0o755 with Sys_error _ -> ()
-  end
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let header_len = String.length magic + 12
-
-let parse_entry ~descriptor raw =
-  let n = String.length raw in
-  if n < header_len then raise Bad_entry;
-  if String.sub raw 0 (String.length magic) <> magic then raise Bad_entry;
-  let plen = Int64.to_int (String.get_int64_le raw (String.length magic)) in
-  let crc = String.get_int32_le raw (String.length magic + 8) in
-  if plen < 0 || plen <> n - header_len then raise Bad_entry;
-  let computed = Crc32.digest_sub (Bytes.unsafe_of_string raw) ~pos:header_len ~len:plen in
-  if Int32.to_int crc land 0xFFFFFFFF <> computed then raise Bad_entry;
-  decode ~descriptor (String.sub raw header_len plen)
-
-let lookup ~descriptor =
-  match dir () with
-  | None -> None
-  | Some d ->
-    let path = entry_path ~dir:d ~descriptor in
-    if not (Sys.file_exists path) then begin
-      Atomic.incr miss_count;
-      None
-    end
-    else begin
-      match parse_entry ~descriptor (read_file path) with
-      | sections ->
-        Atomic.incr hit_count;
-        Some sections
-      | exception _ ->
-        Atomic.incr error_count;
-        Atomic.incr miss_count;
-        None
-    end
-
-let store ~descriptor sections =
-  match dir () with
-  | None -> ()
-  | Some d -> (
-    match encode ~descriptor sections with
-    | None -> Atomic.incr error_count
-    | Some payload -> (
-      try
-        mkdirs d;
-        let path = entry_path ~dir:d ~descriptor in
-        let tmp = Filename.temp_file ~temp_dir:d ".simcache" ".tmp" in
-        let oc = open_out_bin tmp in
-        (match
-           Fun.protect
-             ~finally:(fun () -> close_out oc)
-             (fun () ->
-               output_string oc magic;
-               let hdr = Bytes.create 12 in
-               Bytes.set_int64_le hdr 0 (Int64.of_int (String.length payload));
-               Bytes.set_int32_le hdr 8
-                 (Int32.of_int
-                    (Crc32.digest_sub
-                       (Bytes.unsafe_of_string payload)
-                       ~pos:0 ~len:(String.length payload)));
-               output_bytes oc hdr;
-               output_string oc payload)
-         with
-        | () -> Sys.rename tmp path
-        | exception e ->
-          (try Sys.remove tmp with Sys_error _ -> ());
-          raise e);
-        Atomic.incr store_count
-      with Sys_error _ -> Atomic.incr error_count))
-
-let with_sections ~descriptor f =
-  match lookup ~descriptor with
-  | Some sections -> sections
-  | None ->
-    let sections = f () in
-    store ~descriptor sections;
-    sections
+let set_dir (_ : string option) = ()

@@ -2,9 +2,10 @@
 
    Each node contributes [vnodes] virtual points at
    mix(crc32(name ^ "#" ^ i)); a key lands on the first point clockwise
-   from mix(crc32(key)). The CRC is the same digest [Simcache] keys its
-   entries with, so a request's shard is a pure function of its canonical
-   config descriptor — deterministic across processes and across restarts.
+   from mix(crc32(key)). The router's keys are built from
+   [Cache.config_tag], so a request's shard is a pure function of its
+   canonical config descriptor — deterministic across processes and across
+   restarts.
    The extra avalanche mix matters: CRC-32 of near-identical strings
    ("b#1" vs "b#2") differs in few bits, and without finalization the
    points would clump. Ties (astronomically rare 32-bit collisions) break

@@ -1,9 +1,9 @@
-(* Content-addressed prediction memo — the serving twin of [Simcache].
+(* Content-addressed prediction memo.
 
    Keys are canonical descriptor strings covering everything a prediction
-   depends on (config tag + trace source digest); values are wire replies
-   with the per-request fields (id, latency_ms, memo) stripped, so a hit
-   can be re-dressed for any requester. Bounded LRU: a hashtable over an
+   depends on ([Cache.config_tag] + trace source digest); values are wire
+   replies with the per-request fields (id, latency_ms, memo) stripped, so
+   a hit can be re-dressed for any requester. Bounded LRU: a hashtable over an
    intrusive doubly-linked recency list, all under one mutex (forwarder
    threads share the memo). Capacity 0 disables the memo entirely. *)
 

@@ -1,7 +1,7 @@
 (** Bounded LRU memo of model predictions, keyed by content-addressed
-    descriptor strings (the serving twin of [Simcache]). Thread-safe.
-    Capacity 0 disables the memo ({!find} always misses, {!add} is a
-    no-op). *)
+    descriptor strings ([Cache.config_tag] plus a trace-source digest).
+    Thread-safe. Capacity 0 disables the memo ({!find} always misses,
+    {!add} is a no-op). *)
 
 type t
 

@@ -1,11 +1,11 @@
 (* The cachebox shard router: one front process consistent-hashing wire
    requests across N backend serve daemons.
 
-   Requests are keyed by the same canonical config descriptor (and CRC-32
-   digest) that [Simcache] uses to address simulation results, so every
-   request for one cache geometry lands on one shard — its predictions stay
-   hot in that backend's batches and in the router's memo. Fault tolerance
-   is end to end:
+   Requests are keyed by the canonical config descriptor
+   [Cache.config_tag] (and its CRC-32 digest), so every request for one
+   cache geometry lands on one shard — its predictions stay hot in that
+   backend's batches and in the router's memo. Fault tolerance is end to
+   end:
 
    + per-backend health probes with EWMA latency and consecutive-failure
      ejection ([Backend_health], fed by probes and real requests alike);
@@ -120,7 +120,7 @@ let answer_error t job ?id ~arrival e =
   answer t job ~arrival ~ok:false ~degraded:false ~code:(Some e.Serve_error.code)
     (Serve_engine.error_reply ?id e)
 
-(* --- shard + memo keys (the Simcache descriptor convention) --- *)
+(* --- shard + memo keys (built from [Cache.config_tag]) --- *)
 
 let shard_key tag = Printf.sprintf "cachebox-shard/1|%s" tag
 
@@ -278,7 +278,7 @@ let route_infer t rng job ~id ~sets ~ways ~source ~deadline_s ~backend =
   | Ok cache -> (
     let budget = Option.value deadline_s ~default:t.cfg.default_deadline_s in
     let deadline = arrival +. budget in
-    let tag = Simcache.config_tag cache in
+    let tag = Cache.config_tag cache in
     (* The raw line (and its "backend" field) is forwarded verbatim, so the
        memo key must be backend-scoped: an int8 answer may not satisfy a
        float32 request for the same config/trace. An absent field stays

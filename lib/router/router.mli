@@ -1,8 +1,8 @@
 (** Fault-tolerant shard router: one front process consistent-hashing wire
     requests across N backend serve daemons.
 
-    Placement is keyed by the canonical cache-config descriptor (the same
-    CRC-32'd tag [Simcache] uses), so requests for one geometry always hit
+    Placement is keyed by the canonical cache-config descriptor
+    ([Cache.config_tag], CRC-32'd), so requests for one geometry always hit
     the same shard. Failures are absorbed end to end: health-checked
     backends with consecutive-failure ejection, bounded retries with
     jittered exponential backoff onto successor replicas, per-backend

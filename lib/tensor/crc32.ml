@@ -17,55 +17,3 @@ let digest s =
     (fun ch -> crc := table.((!crc lxor Char.code ch) land 0xFF) lxor (!crc lsr 8))
     s;
   !crc lxor 0xFFFFFFFF
-
-(* Slicing-by-8: tables.(k) advances the CRC by one byte followed by k zero
-   bytes, so eight input bytes fold into eight independent table lookups per
-   iteration instead of a serial 8-step chain. *)
-let tables8 =
-  lazy
-    (let t0 = Lazy.force table in
-     let t = Array.init 8 (fun _ -> Array.make 256 0) in
-     for n = 0 to 255 do
-       t.(0).(n) <- t0.(n);
-       let c = ref t0.(n) in
-       for k = 1 to 7 do
-         c := t0.(!c land 0xFF) lxor (!c lsr 8);
-         t.(k).(n) <- !c
-       done
-     done;
-     t)
-
-let digest_sub b ~pos ~len =
-  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Crc32.digest_sub";
-  let t = Lazy.force tables8 in
-  let t0 = t.(0) and t1 = t.(1) and t2 = t.(2) and t3 = t.(3) in
-  let t4 = t.(4) and t5 = t.(5) and t6 = t.(6) and t7 = t.(7) in
-  let crc = ref 0xFFFFFFFF in
-  let i = ref pos in
-  let stop = pos + len in
-  let byte k = Char.code (Bytes.unsafe_get b k) in
-  while stop - !i >= 8 do
-    let j = !i in
-    let w0 =
-      byte j lor (byte (j + 1) lsl 8) lor (byte (j + 2) lsl 16) lor (byte (j + 3) lsl 24)
-    in
-    let w1 =
-      byte (j + 4) lor (byte (j + 5) lsl 8) lor (byte (j + 6) lsl 16) lor (byte (j + 7) lsl 24)
-    in
-    let x = !crc lxor w0 in
-    crc :=
-      Array.unsafe_get t7 (x land 0xFF)
-      lxor Array.unsafe_get t6 ((x lsr 8) land 0xFF)
-      lxor Array.unsafe_get t5 ((x lsr 16) land 0xFF)
-      lxor Array.unsafe_get t4 ((x lsr 24) land 0xFF)
-      lxor Array.unsafe_get t3 (w1 land 0xFF)
-      lxor Array.unsafe_get t2 ((w1 lsr 8) land 0xFF)
-      lxor Array.unsafe_get t1 ((w1 lsr 16) land 0xFF)
-      lxor Array.unsafe_get t0 ((w1 lsr 24) land 0xFF);
-    i := j + 8
-  done;
-  while !i < stop do
-    crc := t0.((!crc lxor byte !i) land 0xFF) lxor (!crc lsr 8);
-    incr i
-  done;
-  !crc lxor 0xFFFFFFFF

@@ -1,13 +1,9 @@
 (** CRC-32 (IEEE 802.3: reflected, polynomial 0xEDB88320).
 
-    Shared integrity primitive for every checksummed on-disk container in
-    the system (model checkpoints, binary traces): one implementation, one
-    set of test vectors. *)
+    One implementation and one set of test vectors for every CRC in the
+    system: the checksummed on-disk containers (model checkpoints, binary
+    traces), the shard router's ring points and prediction-memo trace
+    digests, and stream-session tokens. *)
 
 val digest : string -> int
 (** CRC-32 of the whole string, in [0, 0xFFFFFFFF]. *)
-
-val digest_sub : Bytes.t -> pos:int -> len:int -> int
-(** CRC-32 of [len] bytes starting at [pos] — same function as {!digest},
-    computed eight input bytes per step (slicing-by-8), for the large
-    checksummed payloads on the simulation-cache warm path. *)
