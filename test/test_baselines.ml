@@ -109,6 +109,20 @@ let test_stm_profile_and_clone () =
   done;
   Alcotest.(check bool) "clone preserves streaminess" true (!sequentialish > 350)
 
+(* [cachebox baselines] refuses a --trace-len below 2: STM profiles strides,
+   and a stride takes two accesses. *)
+let test_stm_needs_two_accesses () =
+  let cfg = Cache.config ~sets:4 ~ways:2 () in
+  List.iter
+    (fun trace ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d access(es)" (Array.length trace))
+        (Invalid_argument "Stm.profile: trace too short")
+        (fun () -> ignore (Stm.predict cfg trace)))
+    [ [||]; [| 0 |] ];
+  let p = Stm.predict cfg [| 0; 64 |] in
+  Alcotest.(check bool) "two accesses predict in [0,1]" true (p >= 0.0 && p <= 1.0)
+
 let test_stm_prediction_on_stream () =
   (* Streaming trace: true hit rate is high (8B stride in 64B blocks);
      STM's clone should land in the right regime. *)
@@ -185,6 +199,7 @@ let suite =
       Alcotest.test_case "hrd multi-level" `Quick test_hrd_multi_level_shape;
       Alcotest.test_case "stm profile/clone" `Quick test_stm_profile_and_clone;
       Alcotest.test_case "stm stream prediction" `Quick test_stm_prediction_on_stream;
+      Alcotest.test_case "stm needs two accesses" `Quick test_stm_needs_two_accesses;
       Alcotest.test_case "tab-rd distance profile" `Quick test_tab_rd_preserves_distance_profile;
       Alcotest.test_case "tab-ic delta preservation" `Quick test_tab_ic_preserves_deltas;
       Alcotest.test_case "predictions in range" `Quick test_predictions_in_range;

@@ -140,6 +140,28 @@ let test_dpool_matches_serial =
 let test_dpool_recommended () =
   Alcotest.(check bool) "at least one domain" true (Dpool.recommended () >= 1)
 
+(* CRC-32/IEEE check values: checkpoints, binary traces, the router's ring
+   points and stream tokens all carry this checksum. *)
+let test_crc32_check_values () =
+  List.iter
+    (fun (text, crc) -> Alcotest.(check int) (Printf.sprintf "%S" text) crc (Crc32.digest text))
+    [
+      ("", 0);
+      ("a", 0xE8B7BE43);
+      ("abc", 0x352441C2);
+      ("123456789", 0xCBF43926);
+      ("The quick brown fox jumps over the lazy dog", 0x414FA339);
+    ]
+
+let test_crc32_single_bit_flip =
+  QCheck.Test.make ~name:"Crc32 detects every single-bit flip" ~count:300
+    QCheck.(pair (string_of_size Gen.(1 -- 64)) small_nat)
+    (fun (s, k) ->
+      let bit = k mod (8 * String.length s) in
+      let b = Bytes.of_string s in
+      Bytes.set b (bit / 8) (Char.chr (Char.code s.[bit / 8] lxor (1 lsl (bit mod 8))));
+      Crc32.digest (Bytes.to_string b) <> Crc32.digest s)
+
 let qc = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -159,6 +181,8 @@ let suite =
       Alcotest.test_case "map/fold/map2" `Quick test_map_fold;
       Alcotest.test_case "randn determinism" `Quick test_randn_deterministic;
       Alcotest.test_case "dpool recommended" `Quick test_dpool_recommended;
+      Alcotest.test_case "crc32 check values" `Quick test_crc32_check_values;
       qc test_concat_split_roundtrip;
       qc test_dpool_matches_serial;
+      qc test_crc32_single_bit_flip;
     ] )
