@@ -106,21 +106,23 @@ let simulate_cmd =
     Arg.(value & opt string "none" & info [ "prefetcher" ] ~docv:"KIND" ~doc:"L1 prefetcher: none, next-line or stride.")
   in
   let run name sets ways trace_len levels prefetcher =
-    let w = find_workload name in
-    let trace = w.Workload.generate trace_len in
-    let l1 = cache_config ~sets ~ways in
-    let l2 = if levels >= 2 then Some (cache_config ~sets:(sets * 4) ~ways:8) else None in
-    let l3 = if levels >= 3 then Some (cache_config ~sets:(sets * 8) ~ways:16) else None in
-    or_die (Validate.hierarchy_configs (l1 :: (Option.to_list l2 @ Option.to_list l3)));
+    require (levels >= 1 && levels <= 3) "--levels must be 1, 2 or 3 (got %d)" levels;
     let pf =
       match prefetcher with
       | "none" -> Prefetch.No_prefetch
       | "next-line" -> Prefetch.Next_line
       | "stride" -> Prefetch.Stride { degree = 2; table_size = 64 }
       | other ->
-        Fmt.epr "unknown prefetcher %S@." other;
-        exit 2
+        die
+          (Serve_error.v Serve_error.Invalid_config
+             "unknown --prefetcher %S (none|next-line|stride)" other)
     in
+    let l1 = cache_config ~sets ~ways in
+    let l2 = if levels >= 2 then Some (cache_config ~sets:(sets * 4) ~ways:8) else None in
+    let l3 = if levels >= 3 then Some (cache_config ~sets:(sets * 8) ~ways:16) else None in
+    or_die (Validate.hierarchy_configs (l1 :: (Option.to_list l2 @ Option.to_list l3)));
+    let w = find_workload name in
+    let trace = w.Workload.generate trace_len in
     let h = Hierarchy.create ?l2 ?l3 ~l1_prefetcher:pf ~l1 () in
     Hierarchy.run h trace;
     Fmt.pr "benchmark: %s (%d accesses)@." name trace_len;
@@ -1072,14 +1074,15 @@ let export_cmd =
     Arg.(value & opt string "text" & info [ "format" ] ~docv:"FMT" ~doc:"text or binary.")
   in
   let run name out trace_len format =
+    let write =
+      match format with
+      | "text" -> Trace_io.write_text
+      | "binary" -> Trace_io.write_binary
+      | other ->
+        die (Serve_error.v Serve_error.Invalid_config "unknown --format %S (text|binary)" other)
+    in
     let w = find_workload name in
-    let trace = w.Workload.generate trace_len in
-    (match format with
-    | "text" -> Trace_io.write_text out trace
-    | "binary" -> Trace_io.write_binary out trace
-    | other ->
-      Fmt.epr "unknown format %S (text|binary)@." other;
-      exit 2);
+    write out (w.Workload.generate trace_len);
     Fmt.pr "wrote %d accesses to %s (%s)@." trace_len out format
   in
   Cmd.v (Cmd.info "export" ~doc:"Export a benchmark's address trace to a file")

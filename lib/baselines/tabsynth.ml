@@ -1,7 +1,5 @@
 type variant = Base | Rd | Ic
 
-let variant_name = function Base -> "Tab-Base" | Rd -> "Tab-RD" | Ic -> "Tab-IC"
-
 (* --- Tab-Base: i.i.d. empirical address sampling --- *)
 
 let synth_base rng block_bytes trace n =

@@ -14,8 +14,6 @@
 
 type variant = Base | Rd | Ic
 
-val variant_name : variant -> string
-
 val synthesize : ?seed:int -> variant:variant -> ?block_bytes:int -> int array -> int array
 (** Generate a clone trace of the same length as the input. *)
 

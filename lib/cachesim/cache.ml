@@ -72,8 +72,6 @@ let create cfg =
     rng = (match cfg.policy with Random_policy seed -> Some (Prng.create seed) | _ -> None);
   }
 
-let get_config t = t.cfg
-
 let set_and_tag t addr =
   let block = addr lsr t.block_shift in
   (block land t.set_mask, block lsr t.set_shift)
@@ -277,17 +275,6 @@ let insert t addr =
   let set, tag = set_and_tag t addr in
   let base = set * t.ways in
   if find_way t base tag < 0 then ignore (fill t base tag)
-
-let invalidate t addr =
-  let set, tag = set_and_tag t addr in
-  let base = set * t.ways in
-  let way = find_way t base tag in
-  if way < 0 then false
-  else begin
-    t.tags.(base + way) <- -1;
-    t.meta.(base + way) <- 0;
-    true
-  end
 
 let stats t = { accesses = t.accesses; hits = t.hits; misses = t.accesses - t.hits }
 

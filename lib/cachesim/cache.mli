@@ -43,7 +43,6 @@ val hit_rate : stats -> float
 type t
 
 val create : config -> t
-val get_config : t -> config
 
 val access : t -> int -> bool
 (** Demand access by byte address: returns [true] on hit, updates
@@ -52,7 +51,7 @@ val access : t -> int -> bool
 val access_evict : t -> int -> bool * int option
 (** Like {!access}, additionally reporting the byte address of the block
     evicted to make room (None on hit or when an invalid way was filled) —
-    the hook victim caches and exclusive hierarchies need. *)
+    the hook victim caches need. *)
 
 val probe : t -> int -> bool
 (** Presence check with no side effects. *)
@@ -60,10 +59,6 @@ val probe : t -> int -> bool
 val insert : t -> int -> unit
 (** Fill a block without touching demand statistics (prefetch fill). No-op
     if already present. *)
-
-val invalidate : t -> int -> bool
-(** Remove a block if present (back-invalidation for inclusive hierarchies,
-    or extraction for exclusive ones); returns whether it was present. *)
 
 val stats : t -> stats
 val reset : t -> unit

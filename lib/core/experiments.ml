@@ -200,7 +200,9 @@ let run_driver ?journal ~name f =
 
 (* --- RQ1 --- *)
 
-let rq1 ?(log = fun _ -> ()) scale =
+(* RQ1's pipeline, which the lambda and overlap ablations rerun at other
+   settings: train on mixed-suite benchmarks, predict the held-out ones. *)
+let rq1_with scale ~log =
   let split = Suite.split ~seed:scale.seed (Suite.all ()) in
   let train_ws = mixed_take scale.train_cap split.Suite.train in
   let test_ws = mixed_take scale.test_cap split.Suite.test in
@@ -210,7 +212,10 @@ let rq1 ?(log = fun _ -> ()) scale =
   let test_data = filter_threshold (build test_ws) in
   let model = train_model ~log scale ~use_cache_params:true train_data in
   let preds = Cbox_infer.predict_all (Cbox_infer.of_cbgan model) scale.spec test_data in
-  summarize "RQ1 mixed suites, L1 64set-12way" (rows_of_predictions preds)
+  rows_of_predictions preds
+
+let rq1 ?(log = fun _ -> ()) scale =
+  summarize "RQ1 mixed suites, L1 64set-12way" (rq1_with scale ~log)
 
 (* --- RQ2 / RQ3 / RQ5 / RQ6 share a model --- *)
 
@@ -489,17 +494,6 @@ let table1 ?(log = fun _ -> ()) scale =
     apps
 
 (* --- Ablations --- *)
-
-let rq1_with scale ~log =
-  let split = Suite.split ~seed:scale.seed (Suite.all ()) in
-  let train_ws = mixed_take scale.train_cap split.Suite.train in
-  let test_ws = mixed_take scale.test_cap split.Suite.test in
-  let build ws = Cbox_dataset.build_l1 scale.spec ~configs:[ l1_64s12w ] ~trace_len:scale.trace_len ws in
-  let train_data = filter_threshold (build train_ws) in
-  let test_data = filter_threshold (build test_ws) in
-  let model = train_model ~log scale ~use_cache_params:true train_data in
-  let preds = Cbox_infer.predict_all (Cbox_infer.of_cbgan model) scale.spec test_data in
-  rows_of_predictions preds
 
 let ablate_lambda ?(log = fun _ -> ()) scale =
   List.map

@@ -2,14 +2,16 @@
 
    Every event is one JSON object per line, flushed immediately, so a crash
    mid-run loses at most the event being written and a journal can be tailed
-   while the run is live. The reader side is deliberately minimal: we only
-   ever read back journals this module wrote, and only to answer "which
-   events of kind K happened, and with which fields" -- enough to make an
-   experiment sweep resumable per-driver. *)
+   while the run is live. A journal is shared by threads and domains (a
+   daemon's batcher, reactor and reload threads all write to it), so each
+   event is written whole under the journal's own lock. The reader side is
+   deliberately minimal: we only ever read back journals this module wrote,
+   and only to answer "which events of kind K happened, and with which
+   fields" -- enough to make an experiment sweep resumable per-driver. *)
 
 type value = S of string | I of int | F of float | B of bool
 
-type t = { path : string; oc : out_channel }
+type t = { path : string; oc : out_channel; m : Mutex.t }
 
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -38,23 +40,25 @@ let value_to_json = function
 
 let create path =
   let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-  { path; oc }
+  { path; oc; m = Mutex.create () }
 
 let path t = t.path
 
+(* The timestamp is taken under the lock too, so lines are in [ts] order. *)
 let event t kind fields =
-  let fields = ("ts", F (Unix.gettimeofday ())) :: ("event", S kind) :: fields in
-  let line =
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ value_to_json v) fields)
-    ^ "}"
-  in
-  output_string t.oc line;
-  output_char t.oc '\n';
-  flush t.oc
+  Mutex.protect t.m (fun () ->
+      let fields = ("ts", F (Unix.gettimeofday ())) :: ("event", S kind) :: fields in
+      let line =
+        "{"
+        ^ String.concat ", "
+            (List.map (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ value_to_json v) fields)
+        ^ "}"
+      in
+      output_string t.oc line;
+      output_char t.oc '\n';
+      flush t.oc)
 
-let close t = close_out t.oc
+let close t = Mutex.protect t.m (fun () -> close_out t.oc)
 
 let with_journal path f =
   let t = create path in

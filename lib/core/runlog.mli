@@ -17,7 +17,8 @@ val path : t -> string
 
 val event : t -> string -> (string * value) list -> unit
 (** Appends one event line and flushes. A timestamp and the event kind are
-    added automatically. *)
+    added automatically. Safe to call from several threads and domains at
+    once: each event is written whole, under the journal's own lock. *)
 
 val close : t -> unit
 

@@ -14,8 +14,6 @@ let spec ?(height = 64) ?(width = 64) ?(window = 50) ?(overlap = 0.3) ?(granular
   if granularity <= 0 then invalid_arg "Heatmap.spec: granularity must be positive";
   { height; width; window; overlap; granularity }
 
-let paper_spec = spec ~height:512 ~width:512 ~window:100 ~overlap:0.3 ~granularity:64 ()
-
 let accesses_per_image s = s.width * s.window
 
 let overlap_columns s = int_of_float (Float.round (s.overlap *. float_of_int s.width))

@@ -30,9 +30,6 @@ val spec :
 (** Defaults are the repro-scale settings (64 x 64, window 50, 30% overlap,
     block granularity); pass explicit values for other scales. *)
 
-val paper_spec : spec
-(** The paper's full-scale 512 x 512 / window-100 configuration. *)
-
 val accesses_per_image : spec -> int
 val step_accesses : spec -> int
 (** Accesses by which consecutive heatmap origins advance (i.e. image size

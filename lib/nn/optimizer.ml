@@ -1,26 +1,19 @@
-type algo =
-  | Sgd of { momentum : float; velocity : Tensor.t array }
-  | Adam of {
-      beta1 : float;
-      beta2 : float;
-      eps : float;
-      m : Tensor.t array;
-      v : Tensor.t array;
-      mutable step_count : int;
-    }
-
-type t = { mutable lr : float; params : Param.t array; algo : algo }
-
-let sgd ~lr ?(momentum = 0.0) params =
-  let params = Array.of_list params in
-  let velocity = Array.map (fun p -> Tensor.zeros (Tensor.shape p.Param.value)) params in
-  { lr; params; algo = Sgd { momentum; velocity } }
+type t = {
+  mutable lr : float;
+  params : Param.t array;
+  beta1 : float;
+  beta2 : float;
+  eps : float;
+  m : Tensor.t array;
+  v : Tensor.t array;
+  mutable step_count : int;
+}
 
 let adam ~lr ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8) params =
   let params = Array.of_list params in
   let m = Array.map (fun p -> Tensor.zeros (Tensor.shape p.Param.value)) params in
   let v = Array.map (fun p -> Tensor.zeros (Tensor.shape p.Param.value)) params in
-  { lr; params; algo = Adam { beta1; beta2; eps; m; v; step_count = 0 } }
+  { lr; params; beta1; beta2; eps; m; v; step_count = 0 }
 
 let zero_grad t = Array.iter Param.zero_grad t.params
 let set_lr t lr = t.lr <- lr
@@ -34,33 +27,16 @@ let grad_norm t =
     t.params;
   sqrt !acc
 
-let clip_grad_norm t ~max_norm =
-  let norm = grad_norm t in
-  if norm > max_norm && norm > 0.0 then begin
-    let factor = max_norm /. norm in
-    Array.iter (fun p -> Tensor.scale_ p.Param.grad factor) t.params
-  end
-
 (* Serializable optimizer state. Every entry is a named float array so it
    drops straight into a {!Checkpoint} state list; [set_state] is the exact
    inverse, fixing the historical silent reset-to-zero of Adam moments when a
    run was resumed from a weights-only checkpoint. *)
 let state t =
-  let common = [ ("lr", [| t.lr |]) ] in
-  match t.algo with
-  | Sgd { velocity; _ } ->
-    common
-    @ Array.to_list
-        (Array.mapi
-           (fun i p -> ("velocity." ^ p.Param.name, Tensor.to_array velocity.(i)))
-           t.params)
-  | Adam a ->
-    common
-    @ [ ("step", [| float_of_int a.step_count |]) ]
-    @ Array.to_list
-        (Array.mapi (fun i p -> ("m." ^ p.Param.name, Tensor.to_array a.m.(i))) t.params)
-    @ Array.to_list
-        (Array.mapi (fun i p -> ("v." ^ p.Param.name, Tensor.to_array a.v.(i))) t.params)
+  [ ("lr", [| t.lr |]); ("step", [| float_of_int t.step_count |]) ]
+  @ Array.to_list
+      (Array.mapi (fun i p -> ("m." ^ p.Param.name, Tensor.to_array t.m.(i))) t.params)
+  @ Array.to_list
+      (Array.mapi (fun i p -> ("v." ^ p.Param.name, Tensor.to_array t.v.(i))) t.params)
 
 let set_state t entries =
   let find name =
@@ -80,48 +56,28 @@ let set_state t entries =
     | _ -> failwith ("Optimizer.set_state: expected scalar entry " ^ name)
   in
   t.lr <- scalar "lr";
-  match t.algo with
-  | Sgd { velocity; _ } ->
-    Array.iteri
-      (fun i p -> restore_tensor ("velocity." ^ p.Param.name) velocity.(i))
-      t.params
-  | Adam a ->
-    a.step_count <- int_of_float (scalar "step");
-    Array.iteri
-      (fun i p ->
-        restore_tensor ("m." ^ p.Param.name) a.m.(i);
-        restore_tensor ("v." ^ p.Param.name) a.v.(i))
-      t.params
+  t.step_count <- int_of_float (scalar "step");
+  Array.iteri
+    (fun i p ->
+      restore_tensor ("m." ^ p.Param.name) t.m.(i);
+      restore_tensor ("v." ^ p.Param.name) t.v.(i))
+    t.params
 
 let step t =
-  match t.algo with
-  | Sgd { momentum; velocity } ->
-    Array.iteri
-      (fun i p ->
-        if momentum = 0.0 then
-          Tensor.axpy ~alpha:(-.t.lr) ~x:p.Param.grad ~y:p.Param.value
-        else begin
-          let vel = velocity.(i) in
-          Tensor.scale_ vel momentum;
-          Tensor.add_ vel p.Param.grad;
-          Tensor.axpy ~alpha:(-.t.lr) ~x:vel ~y:p.Param.value
-        end)
-      t.params
-  | Adam a ->
-    a.step_count <- a.step_count + 1;
-    let bc1 = 1.0 -. (a.beta1 ** float_of_int a.step_count) in
-    let bc2 = 1.0 -. (a.beta2 ** float_of_int a.step_count) in
-    Array.iteri
-      (fun i p ->
-        let g = p.Param.grad and m = a.m.(i) and v = a.v.(i) in
-        for j = 0 to Tensor.numel g - 1 do
-          let gj = Tensor.get g j in
-          let mj = (a.beta1 *. Tensor.get m j) +. ((1.0 -. a.beta1) *. gj) in
-          let vj = (a.beta2 *. Tensor.get v j) +. ((1.0 -. a.beta2) *. gj *. gj) in
-          Tensor.set m j mj;
-          Tensor.set v j vj;
-          let m_hat = mj /. bc1 and v_hat = vj /. bc2 in
-          Tensor.set p.Param.value j
-            (Tensor.get p.Param.value j -. (t.lr *. m_hat /. (sqrt v_hat +. a.eps)))
-        done)
-      t.params
+  t.step_count <- t.step_count + 1;
+  let bc1 = 1.0 -. (t.beta1 ** float_of_int t.step_count) in
+  let bc2 = 1.0 -. (t.beta2 ** float_of_int t.step_count) in
+  Array.iteri
+    (fun i p ->
+      let g = p.Param.grad and m = t.m.(i) and v = t.v.(i) in
+      for j = 0 to Tensor.numel g - 1 do
+        let gj = Tensor.get g j in
+        let mj = (t.beta1 *. Tensor.get m j) +. ((1.0 -. t.beta1) *. gj) in
+        let vj = (t.beta2 *. Tensor.get v j) +. ((1.0 -. t.beta2) *. gj *. gj) in
+        Tensor.set m j mj;
+        Tensor.set v j vj;
+        let m_hat = mj /. bc1 and v_hat = vj /. bc2 in
+        Tensor.set p.Param.value j
+          (Tensor.get p.Param.value j -. (t.lr *. m_hat /. (sqrt v_hat +. t.eps)))
+      done)
+    t.params

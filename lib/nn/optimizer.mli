@@ -1,9 +1,6 @@
-(** Gradient-descent optimizers over {!Param.t} lists. *)
+(** The Adam optimizer over {!Param.t} lists. *)
 
 type t
-
-val sgd : lr:float -> ?momentum:float -> Param.t list -> t
-(** Classical SGD with optional heavy-ball momentum. *)
 
 val adam :
   lr:float -> ?beta1:float -> ?beta2:float -> ?eps:float -> Param.t list -> t
@@ -21,10 +18,10 @@ val params : t -> Param.t list
 
 val state : t -> (string * float array) list
 (** Serializable optimizer state as named float arrays (fresh copies):
-    ["lr"], and per-parameter moment vectors — ["m.<name>"]/["v.<name>"]
-    plus ["step"] for Adam, ["velocity.<name>"] for SGD. Feed these (with a
-    distinguishing prefix) into {!Checkpoint.save} so moments survive a
-    restart instead of silently resetting to zero. *)
+    ["lr"], ["step"], and per-parameter moment vectors ["m.<name>"] and
+    ["v.<name>"]. Feed these (with a distinguishing prefix) into
+    {!Checkpoint.save} so moments survive a restart instead of silently
+    resetting to zero. *)
 
 val set_state : t -> (string * float array) list -> unit
 (** Exact inverse of {!state} for an optimizer built over the same parameter
@@ -32,6 +29,3 @@ val set_state : t -> (string * float array) list -> unit
 
 val grad_norm : t -> float
 (** L2 norm of the concatenated gradients (diagnostic). *)
-
-val clip_grad_norm : t -> max_norm:float -> unit
-(** Rescales all gradients if their joint L2 norm exceeds [max_norm]. *)

@@ -4,16 +4,6 @@
 type config = Unet.config
 type t = Unet.t
 
-let default_config ?(image_size = 64) ?(levels = 3) ?(ngf = 8) () =
-  {
-    Unet.image_size;
-    levels;
-    ngf;
-    use_cond = true;
-    cond_hidden = 16;
-    cond_dim = 2 * ngf;
-  }
-
 let create ~seed cfg = Unet.create (Prng.create seed) ~prefix:"student" cfg
 
 let forward t ~training ?cache_params x =

@@ -7,10 +7,6 @@
 type config = Unet.config
 type t = Unet.t
 
-val default_config : ?image_size:int -> ?levels:int -> ?ngf:int -> unit -> config
-(** Half-depth (3 of the teacher's 6 levels) and half-width (ngf 8 vs 16)
-    at the paper's 64x64 heatmaps. *)
-
 val create : seed:int -> config -> t
 (** Fresh student with parameters named [student.*]. Raises
     [Invalid_argument] on an inconsistent config. *)

@@ -50,7 +50,6 @@ let create ?(vnodes = 128) nodes =
   { points; nodes = Array.of_list nodes }
 
 let nodes t = Array.to_list t.nodes
-let node_count t = Array.length t.nodes
 
 (* Index of the first point with point >= p, wrapping past the top. *)
 let first_at_or_after t p =

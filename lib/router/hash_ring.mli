@@ -24,8 +24,6 @@ val successors : t -> key:string -> int -> string list
 val nodes : t -> string list
 (** Node names, in the order given to {!create}. *)
 
-val node_count : t -> int
-
 val point_of_key : string -> int
 (** The ring coordinate of a key (exposed for determinism tests). *)
 

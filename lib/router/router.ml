@@ -92,21 +92,13 @@ type t = {
   stats : Serve_stats.t;
   memo : Predmemo.t;
   journal : Runlog.t option;
-  jm : Mutex.t;
   now : unit -> float;
   draining : bool Atomic.t;
 }
 
 type job = { line : string; arrival : float; ticket : Reactor.ticket }
 
-let journal_event t kind fields =
-  match t.journal with
-  | None -> ()
-  | Some j ->
-    Mutex.lock t.jm;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.jm)
-      (fun () -> Runlog.event j kind fields)
+let journal t kind fields = Option.iter (fun j -> Runlog.event j kind fields) t.journal
 
 let record ?backend t ~arrival ~ok ~degraded ~code =
   Serve_stats.record ?backend t.stats ~ok ~degraded ~code
@@ -208,11 +200,11 @@ let upstream_call b line ~timeout =
 
 let health_success t b ~latency_s =
   if Backend_health.record_success b.b_health ~latency_s then
-    journal_event t "readmit" [ ("backend", Runlog.S b.b_name) ]
+    journal t "readmit" [ ("backend", Runlog.S b.b_name) ]
 
 let health_failure t b ~why =
   if Backend_health.record_failure b.b_health then
-    journal_event t "eject" [ ("backend", Runlog.S b.b_name); ("why", Runlog.S why) ]
+    journal t "eject" [ ("backend", Runlog.S b.b_name); ("why", Runlog.S why) ]
 
 (* --- routing --- *)
 
@@ -220,7 +212,7 @@ let health_failure t b ~why =
    baseline, tagged so clients and stats can tell router-level degradation
    from backend-level degradation. *)
 let degrade t job ~id ~arrival ~cache ~source reason =
-  journal_event t "degraded_router" [ ("reason", Runlog.S reason) ];
+  journal t "degraded_router" [ ("reason", Runlog.S reason) ];
   match Validate.resolve_trace ~max_len:t.cfg.max_trace_len source with
   | Error e -> answer_error t job ?id ~arrival e
   | Ok trace -> (
@@ -486,7 +478,7 @@ let broadcast_reload t job ~id ~checkpoint =
   in
   Predmemo.clear t.memo;
   let all_ok = List.for_all (fun (_, j) -> Client.is_ok j) results in
-  journal_event t "reload_broadcast"
+  journal t "reload_broadcast"
     [ ("ok", Runlog.B all_ok); ("backends", Runlog.I (List.length results)) ];
   let code =
     if all_ok then None else List.find_map (fun (_, j) -> Client.error_code j) results
@@ -526,7 +518,7 @@ let process t rng queue job =
       | Ok Validate.Stats_request ->
         answer t job ~arrival ~ok:true ~degraded:false ~code:None (stats_reply t)
       | Ok Validate.Shutdown ->
-        journal_event t "router_stop" [];
+        journal t "router_stop" [];
         Atomic.set t.draining true;
         answer t job ~arrival ~ok:true ~degraded:false ~code:None
           (Sjson.Obj [ ("ok", Sjson.Bool true); ("op", Sjson.Str "shutdown") ]);
@@ -625,7 +617,6 @@ let run ?journal ?(ready = fun () -> ()) (config : config) =
           stats = Serve_stats.create ();
           memo = Predmemo.create ~capacity:config.memo_capacity;
           journal;
-          jm = Mutex.create ();
           now = Unix.gettimeofday;
           draining = Atomic.make false;
         }
@@ -637,12 +628,15 @@ let run ?journal ?(ready = fun () -> ()) (config : config) =
   let listener = Serve_daemon.bind_listener config.listen in
   Unix.listen listener 64;
   Unix.set_nonblock listener;
-  journal_event t "router_start"
-    [
-      ("backends", Runlog.I (Array.length t.backends));
-      ("workers", Runlog.I config.workers);
-      ("vnodes", Runlog.I config.vnodes);
-    ];
+  Option.iter
+    (fun j ->
+      Runlog.event j "router_start"
+        [
+          ("backends", Runlog.I (Array.length t.backends));
+          ("workers", Runlog.I config.workers);
+          ("vnodes", Runlog.I config.vnodes);
+        ])
+    journal;
   let reactor = Reactor.create ~listener () in
   Reactor.set_on_line reactor (fun ticket line ->
       if Atomic.get t.draining then

@@ -121,7 +121,6 @@ type t = {
   spec : Heatmap.spec;
   now : unit -> float;
   journal : Runlog.t option;
-  jm : Mutex.t;  (* Runlog is not thread-safe; batch completions journal concurrently *)
   mutable gen : generation;
       (* read once per batch, replaced by one write per reload: a batch
          never pairs one generation's teacher with another's compile *)
@@ -152,7 +151,6 @@ let create ?now ?journal ?reload ?student_path ~spec ~model cfg =
     spec;
     now;
     journal;
-    jm = Mutex.create ();
     gen = generation ~on_reject ~spec ~model ?student_path ();
     breaker =
       Breaker.create ~threshold:cfg.breaker_threshold ~cooldown:cfg.breaker_cooldown_s ~now
@@ -177,13 +175,7 @@ let model_of_checkpoint ~seed model_cfg ~path =
         Cbgan.load model path;
         model)
 
-let journal_event t kind fields =
-  match t.journal with
-  | None -> ()
-  | Some j ->
-    Mutex.lock t.jm;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.jm) (fun () ->
-        Runlog.event j kind fields)
+let journal t kind fields = Option.iter (fun j -> Runlog.event j kind fields) t.journal
 
 let stats t = Serve_stats.snapshot t.stats
 let breaker_state t = Breaker.state t.breaker
@@ -228,22 +220,22 @@ let reload t ?path () =
         Fun.protect
           ~finally:(fun () -> Mutex.unlock t.rm)
           (fun () ->
-            journal_event t "reload_start" [ ("path", Runlog.S path) ];
+            journal t "reload_start" [ ("path", Runlog.S path) ];
             match model_of_checkpoint ~seed:r.reload_seed r.reload_model_cfg ~path with
             | Error e ->
               t.reload_failures <- t.reload_failures + 1;
-              journal_event t "reload_reject"
+              journal t "reload_reject"
                 [ ("path", Runlog.S path); ("why", Runlog.S e.Serve_error.message) ];
               Error e
             | Ok m ->
               t.gen <-
                 generation ~prev:t.gen
                   ~on_reject:(fun p why ->
-                    journal_event t "student_reject"
+                    journal t "student_reject"
                       [ ("path", Runlog.S p); ("why", Runlog.S why) ])
                   ~spec:t.spec ~model:(Some m) ?student_path:r.reload_student_path ();
               t.reloads <- t.reloads + 1;
-              journal_event t "reload_ok"
+              journal t "reload_ok"
                 [ ("path", Runlog.S path); ("generation", Runlog.I t.reloads) ];
               Ok ()))
 
@@ -336,12 +328,12 @@ let stats_reply t =
 
 let overload_reply t =
   Serve_stats.shed t.stats;
-  journal_event t "shed" [];
+  journal t "shed" [];
   error_reply (Serve_error.v Serve_error.Overloaded "request queue full")
 
 let draining_reply t =
   Serve_stats.shed t.stats;
-  journal_event t "shed" [ ("why", Runlog.S "shutdown") ];
+  journal t "shed" [ ("why", Runlog.S "shutdown") ];
   error_reply (Serve_error.v Serve_error.Overloaded "server shutting down")
 
 (* --- inference --- *)
@@ -367,7 +359,7 @@ let baseline t ~arrival ~id ~fallback ~reason cache trace =
     let name = Cbox_infer.fallback_name fallback in
     Option.iter
       (fun r ->
-        journal_event t "degraded" [ ("reason", Runlog.S r); ("source", Runlog.S name) ])
+        journal t "degraded" [ ("reason", Runlog.S r); ("source", Runlog.S name) ])
       reason;
     record_and_reply t ~backend:name ~arrival ~ok:true ~degraded ~code:None
       (hit_rate_reply ?id ~degraded ~source:name ~backend:name ~reason
@@ -395,7 +387,7 @@ let baseline t ~arrival ~id ~fallback ~reason cache trace =
 
 let shed_reply ?id ?(why = "stream") t e =
   Serve_stats.shed t.stats;
-  journal_event t "shed" [ ("why", Runlog.S why) ];
+  journal t "shed" [ ("why", Runlog.S why) ];
   error_reply ?id e
 
 let error_reply_counted ?id t ~arrival (e : Serve_error.t) =
@@ -408,12 +400,10 @@ let ok_counted t ~arrival json =
 let degraded_reply ?id t ~arrival ~reason cache trace =
   baseline t ~arrival ~id ~fallback:t.cfg.fallback ~reason:(Some reason) cache trace
 
-let journal t kind fields = journal_event t kind fields
-
 let journal_breaker_transition t before =
   let after = Breaker.state t.breaker in
   if after <> before then
-    journal_event t "breaker"
+    journal t "breaker"
       [
         ("from", Runlog.S (Breaker.state_name before));
         ("to", Runlog.S (Breaker.state_name after));
@@ -553,7 +543,7 @@ let classify_request t ~arrival req =
   | Validate.Health -> Immediate (Reply (ok_counted t ~arrival (health_reply t)))
   | Validate.Stats_request -> Immediate (Reply (ok_counted t ~arrival (stats_reply t)))
   | Validate.Shutdown ->
-    journal_event t "serve_stop" [];
+    journal t "serve_stop" [];
     Immediate
       (Shutdown_reply
          (ok_counted t ~arrival
@@ -688,14 +678,14 @@ let infer_batch t items =
              | Some g -> (
                match score backend g group with
                | Error why ->
-                 journal_event t fault [ ("why", Runlog.S why) ];
+                 journal t fault [ ("why", Runlog.S why) ];
                  fall fault group
                | Ok () ->
                  List.filter
                    (fun (it, _) ->
                      match Hashtbl.find_opt results it.item_index with
                      | Some (Error why) ->
-                       journal_event t fault [ ("why", Runlog.S why) ];
+                       journal t fault [ ("why", Runlog.S why) ];
                        true
                      | _ -> false)
                    group
@@ -739,7 +729,7 @@ let infer_batch t items =
           let before = Breaker.state t.breaker in
           Breaker.record_failure t.breaker;
           journal_breaker_transition t before;
-          journal_event t "model_fault" [ ("why", Runlog.S why) ];
+          journal t "model_fault" [ ("why", Runlog.S why) ];
           degraded_reply ?id t ~arrival ~reason:("model_fault: " ^ why) it.item_cache
             it.item_trace
         in
@@ -768,7 +758,7 @@ let infer_batch t items =
               let degraded = reason <> None in
               Option.iter
                 (fun r ->
-                  journal_event t "degraded"
+                  journal t "degraded"
                     [ ("reason", Runlog.S r); ("source", Runlog.S "model") ])
                 reason;
               record_and_reply t ~backend:served_backend ~arrival ~ok:true ~degraded

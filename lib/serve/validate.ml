@@ -74,22 +74,6 @@ let trace_for_spec spec ?max_len t =
         (Array.length t) need
     else Ok ()
 
-let finite_tensor ~what t =
-  let n = Tensor.numel t in
-  let bad = ref (-1) in
-  (try
-     for i = 0 to n - 1 do
-       let v = Tensor.get t i in
-       if Float.is_nan v || v = Float.infinity || v = Float.neg_infinity then begin
-         bad := i;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  if !bad >= 0 then
-    err Serve_error.Corrupt_input "%s contains a non-finite value at index %d" what !bad
-  else Ok ()
-
 let read_trace_file ?max_len path =
   if not (Sys.file_exists path) then
     err Serve_error.Corrupt_input "trace file %s does not exist" path

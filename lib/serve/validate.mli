@@ -34,10 +34,6 @@ val trace_for_spec :
 (** {!trace} plus the heatmap pipeline's own floor: the trace must fill at
     least one full heatmap image under [spec]. *)
 
-val finite_tensor : what:string -> Tensor.t -> (unit, Serve_error.t) result
-(** Rejects NaN/Inf pixels ({!Serve_error.Corrupt_input}), naming the first
-    offending index. *)
-
 val read_trace_file :
   ?max_len:int -> string -> (int array, Serve_error.t) result
 (** {!Trace_io.read_auto} with every failure mode mapped into the taxonomy

@@ -443,34 +443,6 @@ let gemm ?(trans_a = false) ?(trans_b = false) ~alpha ~a ~b ~beta c =
                   ~k ~n ~row_lo:0 ~row_hi:(m - 1)))
       else gemm_tiled ~trans_a ~trans_b ~alpha ~a ~b ~c ~m ~k ~n
 
-let matmul a b =
-  let m = Tensor.dim a 0 and n = Tensor.dim b 1 in
-  let c = Tensor.zeros [| m; n |] in
-  gemm ~alpha:1.0 ~a ~b ~beta:0.0 c;
-  c
-
-let gemv ~a ~x =
-  check_2d "Blas.gemv" a;
-  if Array.length (Tensor.shape x) <> 1 then invalid_arg "Blas.gemv: x must be 1-D";
-  let m = Tensor.dim a 0 and n = Tensor.dim a 1 in
-  if Tensor.dim x 0 <> n then invalid_arg "Blas.gemv: dimension mismatch";
-  let r = Tensor.zeros [| m |] in
-  let ad = a.Tensor.data and xd = x.Tensor.data and rd = r.Tensor.data in
-  let rows row_lo row_hi =
-    for i = row_lo to row_hi do
-      let row = i * n in
-      let acc = ref 0.0 in
-      for j = 0 to n - 1 do
-        acc := !acc +. (Bigarray.Array1.unsafe_get ad (row + j) *. Bigarray.Array1.unsafe_get xd j)
-      done;
-      Bigarray.Array1.unsafe_set rd i !acc
-    done
-  in
-  (* Each row's dot product is self-contained, so row slices are bit-identical
-     to the serial loop. *)
-  if m * n < par_flops then rows 0 (m - 1) else Dpool.parallel_for m rows;
-  r
-
 (* --- prepacked weights ---
 
    Inference multiplies one weight matrix by a fresh activation matrix on

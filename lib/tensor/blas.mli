@@ -62,18 +62,12 @@ val gemm :
     where [op] optionally transposes. All of [a], [b], [c] are 2-D; inner
     dimensions must agree. *)
 
-val matmul : Tensor.t -> Tensor.t -> Tensor.t
-(** [matmul a b] allocates [a * b] for 2-D [a], [b]. *)
-
 val transpose : Tensor.t -> Tensor.t
 (** Fresh transposed copy of a 2-D tensor. *)
 
 val transpose_into : src:Tensor.t -> dst:Tensor.t -> unit
 (** Writes [src]'s transpose into caller-owned [dst] (no allocation); [dst]
     must have the transposed element count. *)
-
-val gemv : a:Tensor.t -> x:Tensor.t -> Tensor.t
-(** [gemv ~a ~x] is the matrix-vector product for 2-D [a] and 1-D [x]. *)
 
 (** Prepacked float weights for inference.
 

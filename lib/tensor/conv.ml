@@ -1,3 +1,5 @@
+let set_wide_batch (_ : bool) = ()
+
 let out_size ~size ~kernel ~stride ~pad =
   let o = ((size + (2 * pad) - kernel) / stride) + 1 in
   if o <= 0 then invalid_arg "Conv.out_size: non-positive output size";
@@ -11,22 +13,6 @@ let tconv_out_size ~size ~kernel ~stride ~pad =
 (* Channel work below this many scalar reads stays serial (same cutoff idea
    as Blas.par_flops); thresholding never changes results. *)
 let par_work = 16_384
-
-(* Wide-batch forward mode: lower the whole batch to ONE GEMM over a
-   [k x n*cols] column matrix instead of one small GEMM per sample, which
-   amortises the per-call GEMM overhead (packing setup, dispatch) of the
-   tape's forward. Values are bit-identical to the per-sample path: each
-   output element's K-accumulation order depends only on the K blocking,
-   which is the same for every N, and im2col/col2im keep their per-sample
-   loop order. A layer whose per-sample product is small enough for the
-   row kernel (Blas.is_small) stays per sample, because that kernel rounds
-   differently from the tiled one the wide product runs. Off by default —
-   training backward passes and the compiled inference programs never use
-   it, and the per-sample path remains the reference. *)
-let wide_flag = Atomic.make false
-
-let set_wide_batch b = Atomic.set wide_flag b
-let wide_batch () = Atomic.get wide_flag
 
 (* Blas.activate, repeated: the library builds with -opaque in the dev
    profile, so a cross-module call could not inline and would box every
@@ -87,56 +73,6 @@ let im2col_into ?(act = Blas.No_act) x ~n ~kernel ~stride ~pad cols =
   if c * kernel * kernel * ncols < par_work then channels 0 (c - 1)
   else Dpool.parallel_for c channels
 
-(* Unfold EVERY sample of [x] into one wide [c*k*k x n*oh*ow] column matrix,
-   sample ni owning the column band [ni*oh*ow .. (ni+1)*oh*ow). Same zeroing
-   contract as im2col_into (only in-bounds positions are written). Samples
-   write disjoint column bands, so the sample loop parallelises. *)
-let im2col_wide_into x ~kernel ~stride ~pad cols =
-  let n = Tensor.dim x 0 and c = Tensor.dim x 1 in
-  let h = Tensor.dim x 2 and w = Tensor.dim x 3 in
-  let oh = out_size ~size:h ~kernel ~stride ~pad in
-  let ow = out_size ~size:w ~kernel ~stride ~pad in
-  let ncols = oh * ow in
-  let ld = n * ncols in
-  if Tensor.dim cols 0 <> c * kernel * kernel || Tensor.dim cols 1 <> ld then
-    invalid_arg "Conv.im2col_wide_into: column matrix shape mismatch";
-  let xd = x.Tensor.data and cd = cols.Tensor.data in
-  Dpool.parallel_for n (fun nlo nhi ->
-      for ni = nlo to nhi do
-        let sample_base = ni * c * h * w in
-        let col0 = ni * ncols in
-        for ci = 0 to c - 1 do
-          let chan_base = sample_base + (ci * h * w) in
-          for kh = 0 to kernel - 1 do
-            for kw = 0 to kernel - 1 do
-              let row = (((ci * kernel) + kh) * kernel) + kw in
-              let row_base = (row * ld) + col0 in
-              for ohi = 0 to oh - 1 do
-                let ih = (ohi * stride) - pad + kh in
-                if ih >= 0 && ih < h then begin
-                  let in_row = chan_base + (ih * w) in
-                  let out_row = row_base + (ohi * ow) in
-                  for owi = 0 to ow - 1 do
-                    let iw = (owi * stride) - pad + kw in
-                    if iw >= 0 && iw < w then
-                      Bigarray.Array1.unsafe_set cd (out_row + owi)
-                        (Bigarray.Array1.unsafe_get xd (in_row + iw))
-                  done
-                end
-              done
-            done
-          done
-        done
-      done)
-
-let im2col x ~n ~kernel ~stride ~pad =
-  let c = Tensor.dim x 1 and h = Tensor.dim x 2 and w = Tensor.dim x 3 in
-  let oh = out_size ~size:h ~kernel ~stride ~pad in
-  let ow = out_size ~size:w ~kernel ~stride ~pad in
-  let cols = Tensor.zeros [| c * kernel * kernel; oh * ow |] in
-  im2col_into x ~n ~kernel ~stride ~pad cols;
-  cols
-
 let col2im cols ~dst ~n ~channels:nchan ~height ~width ~kernel ~stride ~pad =
   let oh = out_size ~size:height ~kernel ~stride ~pad in
   let ow = out_size ~size:width ~kernel ~stride ~pad in
@@ -175,49 +111,6 @@ let col2im cols ~dst ~n ~channels:nchan ~height ~width ~kernel ~stride ~pad =
   in
   if nchan * kernel * kernel * ncols < par_work then channels 0 (nchan - 1)
   else Dpool.parallel_for nchan channels
-
-(* Adjoint of im2col_wide_into: scatter-accumulate each sample's column band
-   back into its plane of [dst]. Within a sample the accumulation order per
-   element is exactly col2im's, so results stay bit-identical to per-sample
-   col2im calls; samples touch disjoint planes so the outer loop
-   parallelises. *)
-let col2im_wide cols ~dst ~channels:nchan ~height ~width ~kernel ~stride ~pad =
-  let n = Tensor.dim dst 0 in
-  let oh = out_size ~size:height ~kernel ~stride ~pad in
-  let ow = out_size ~size:width ~kernel ~stride ~pad in
-  let ncols = oh * ow in
-  let ld = n * ncols in
-  if Tensor.dim cols 0 <> nchan * kernel * kernel || Tensor.dim cols 1 <> ld then
-    invalid_arg "Conv.col2im_wide: column matrix shape mismatch";
-  let cd = cols.Tensor.data and dd = dst.Tensor.data in
-  Dpool.parallel_for n (fun nlo nhi ->
-      for ni = nlo to nhi do
-        let sample_base = ni * nchan * height * width in
-        let col0 = ni * ncols in
-        for ci = 0 to nchan - 1 do
-          let chan_base = sample_base + (ci * height * width) in
-          for kh = 0 to kernel - 1 do
-            for kw = 0 to kernel - 1 do
-              let row = (((ci * kernel) + kh) * kernel) + kw in
-              let row_base = (row * ld) + col0 in
-              for ohi = 0 to oh - 1 do
-                let ih = (ohi * stride) - pad + kh in
-                if ih >= 0 && ih < height then begin
-                  let out_row = chan_base + (ih * width) in
-                  let col_row = row_base + (ohi * ow) in
-                  for owi = 0 to ow - 1 do
-                    let iw = (owi * stride) - pad + kw in
-                    if iw >= 0 && iw < width then
-                      Bigarray.Array1.unsafe_set dd (out_row + iw)
-                        (Bigarray.Array1.unsafe_get dd (out_row + iw)
-                        +. Bigarray.Array1.unsafe_get cd (col_row + owi))
-                  done
-                end
-              done
-            done
-          done
-        done
-      done)
 
 let add_bias_nchw y bias =
   match bias with
@@ -386,46 +279,14 @@ let conv_transpose2d_with ~gemm ~x ~oc ~kernel ~stride ~pad =
   y
 
 let conv2d ~x ~weight ~bias ~stride ~pad =
-  let n = Tensor.dim x 0 and ic = Tensor.dim x 1 in
-  let h = Tensor.dim x 2 and w = Tensor.dim x 3 in
+  let ic = Tensor.dim x 1 in
   let oc = Tensor.dim weight 0 and kernel = Tensor.dim weight 2 in
   if Tensor.dim weight 1 <> ic then invalid_arg "Conv.conv2d: channel mismatch";
-  let oh = out_size ~size:h ~kernel ~stride ~pad in
-  let ow = out_size ~size:w ~kernel ~stride ~pad in
   let wm = Tensor.view weight [| oc; ic * kernel * kernel |] in
   let y =
-    if
-      n > 1 && Atomic.get wide_flag
-      && not (Blas.is_small ~m:oc ~k:(ic * kernel * kernel) ~n:(oh * ow))
-    then begin
-      (* Wide path: one im2col over the whole batch, ONE GEMM, then a
-         scatter from the [oc x n*cols] result back into y's NCHW layout. *)
-      let y = Tensor.create [| n; oc; oh; ow |] in
-      let ncols = oh * ow in
-      let kk = ic * kernel * kernel in
-      Workspace.with_buf ~zero:true [| kk; n * ncols |] (fun cols ->
-          Workspace.with_buf [| oc; n * ncols |] (fun ywide ->
-              im2col_wide_into x ~kernel ~stride ~pad cols;
-              Blas.gemm ~alpha:1.0 ~a:wm ~b:cols ~beta:0.0 ywide;
-              let yd = y.Tensor.data and wd = ywide.Tensor.data in
-              let ld = n * ncols in
-              Dpool.parallel_for n (fun nlo nhi ->
-                  for ni = nlo to nhi do
-                    for ci = 0 to oc - 1 do
-                      let src = (ci * ld) + (ni * ncols) in
-                      let dst = ((ni * oc) + ci) * ncols in
-                      for i = 0 to ncols - 1 do
-                        Bigarray.Array1.unsafe_set yd (dst + i)
-                          (Bigarray.Array1.unsafe_get wd (src + i))
-                      done
-                    done
-                  done)));
-      y
-    end
-    else
-      conv2d_with
-        ~product:(Gemm (fun b c -> Blas.gemm ~alpha:1.0 ~a:wm ~b ~beta:0.0 c))
-        ~x ~oc ~kernel ~stride ~pad ()
+    conv2d_with
+      ~product:(Gemm (fun b c -> Blas.gemm ~alpha:1.0 ~a:wm ~b ~beta:0.0 c))
+      ~x ~oc ~kernel ~stride ~pad ()
   in
   add_bias_nchw y bias;
   y
@@ -461,52 +322,15 @@ let conv2d_backward_into ~x ~weight ~gout ~stride ~pad ~grad_weight ~grad_bias ~
           done));
   bias_grad_nchw gout grad_bias
 
-let conv2d_backward ~x ~weight ~gout ~stride ~pad ~grad_weight ~grad_bias =
-  let gx = Tensor.zeros (Tensor.shape x) in
-  conv2d_backward_into ~x ~weight ~gout ~stride ~pad ~grad_weight ~grad_bias ~gx;
-  gx
-
 let conv_transpose2d ~x ~weight ~bias ~stride ~pad =
-  let n = Tensor.dim x 0 and ic = Tensor.dim x 1 in
-  let h = Tensor.dim x 2 and w = Tensor.dim x 3 in
+  let ic = Tensor.dim x 1 in
   if Tensor.dim weight 0 <> ic then invalid_arg "Conv.conv_transpose2d: channel mismatch";
   let oc = Tensor.dim weight 1 and kernel = Tensor.dim weight 2 in
-  let oh = tconv_out_size ~size:h ~kernel ~stride ~pad in
-  let ow = tconv_out_size ~size:w ~kernel ~stride ~pad in
   let wm = Tensor.view weight [| ic; oc * kernel * kernel |] in
   let y =
-    if
-      n > 1 && Atomic.get wide_flag
-      && not (Blas.is_small ~m:(oc * kernel * kernel) ~k:ic ~n:(h * w))
-    then begin
-      (* Wide path: gather x into an [ic x n*hw] matrix (sample column
-         bands), ONE GEMM into a wide column matrix, then per-sample
-         col2im. *)
-      let y = Tensor.zeros [| n; oc; oh; ow |] in
-      let hw = h * w in
-      let kk = oc * kernel * kernel in
-      Workspace.with_buf2 [| ic; n * hw |] [| kk; n * hw |] (fun xwide cols ->
-          let xd = x.Tensor.data and xwd = xwide.Tensor.data in
-          let ld = n * hw in
-          Dpool.parallel_for n (fun nlo nhi ->
-              for ni = nlo to nhi do
-                for ci = 0 to ic - 1 do
-                  let src = ((ni * ic) + ci) * hw in
-                  let dst = (ci * ld) + (ni * hw) in
-                  for i = 0 to hw - 1 do
-                    Bigarray.Array1.unsafe_set xwd (dst + i)
-                      (Bigarray.Array1.unsafe_get xd (src + i))
-                  done
-                done
-              done);
-          Blas.gemm ~trans_a:true ~alpha:1.0 ~a:wm ~b:xwide ~beta:0.0 cols;
-          col2im_wide cols ~dst:y ~channels:oc ~height:oh ~width:ow ~kernel ~stride ~pad);
-      y
-    end
-    else
-      conv_transpose2d_with
-        ~gemm:(fun b c -> Blas.gemm ~trans_a:true ~alpha:1.0 ~a:wm ~b ~beta:0.0 c)
-        ~x ~oc ~kernel ~stride ~pad
+    conv_transpose2d_with
+      ~gemm:(fun b c -> Blas.gemm ~trans_a:true ~alpha:1.0 ~a:wm ~b ~beta:0.0 c)
+      ~x ~oc ~kernel ~stride ~pad
   in
   add_bias_nchw y bias;
   y
@@ -520,8 +344,9 @@ let conv_transpose2d_backward_into ~x ~weight ~gout ~stride ~pad ~grad_weight ~g
   let gwm = Tensor.view grad_weight [| ic; oc * kernel * kernel |] in
   if Tensor.shape gx <> [| n; ic; h; w |] then
     invalid_arg "Conv.conv_transpose2d_backward_into: gx shape mismatch";
-  (* Serial sample loop for the same reason as conv2d_backward: the weight
-     gradient's accumulation order must match the serial path exactly. *)
+  (* Serial sample loop for the same reason as conv2d_backward_into: the
+     weight gradient's accumulation order must match the serial path
+     exactly. *)
   Workspace.with_buf ~zero:true [| oc * kernel * kernel; h * w |] (fun cols ->
       for ni = 0 to n - 1 do
         (* The forward pass is col2im(W^T x); its adjoint unfolds gout. *)
@@ -534,9 +359,3 @@ let conv_transpose2d_backward_into ~x ~weight ~gout ~stride ~pad ~grad_weight ~g
         Blas.gemm ~alpha:1.0 ~a:wm ~b:cols ~beta:0.0 gxm
       done);
   bias_grad_nchw gout grad_bias
-
-let conv_transpose2d_backward ~x ~weight ~gout ~stride ~pad ~grad_weight ~grad_bias =
-  let gx = Tensor.zeros (Tensor.shape x) in
-  conv_transpose2d_backward_into ~x ~weight ~gout ~stride ~pad ~grad_weight ~grad_bias
-    ~gx;
-  gx

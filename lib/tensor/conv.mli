@@ -1,4 +1,7 @@
-(** 2-D convolution kernels (NCHW), lowered to GEMM through im2col.
+(** 2-D convolution kernels (NCHW), lowered to GEMM through im2col one
+    sample at a time: every forward and backward runs one product per
+    sample, and the tape and the compiled inference programs share that
+    lowering (see {!conv2d_with}).
 
     Weight layouts follow the PyTorch convention:
     - convolution: [\[out_channels; in_channels; kh; kw\]]
@@ -8,17 +11,11 @@
     autodiff tape by the [nn] library. *)
 
 val set_wide_batch : bool -> unit
-(** Enable/disable the wide-batch forward lowering: with the flag on (and a
-    batch of more than one sample), {!conv2d} and {!conv_transpose2d} unfold
-    the whole batch into one wide column matrix and run a single GEMM instead
-    of one small GEMM per sample. Values are bit-identical to the per-sample
-    path (per-element accumulation order is unchanged); only the speed
-    differs. Off by default. It affects the float tape only: backward passes
-    and the compiled inference programs ({!conv2d_with},
-    {!conv_transpose2d_with}) always lower per sample. *)
-
-val wide_batch : unit -> bool
-(** Current wide-batch mode. *)
+(** Does nothing. There is no wide-batch lowering: every convolution runs
+    one product per sample. This stub is kept only so that
+    [benchmark/bench_layers.ml], which calls it twice, still builds; the
+    next change to [benchmark/] deletes it with its two calls (ROADMAP
+    item 5). *)
 
 val out_size : size:int -> kernel:int -> stride:int -> pad:int -> int
 (** Spatial output size of a convolution. *)
@@ -26,18 +23,15 @@ val out_size : size:int -> kernel:int -> stride:int -> pad:int -> int
 val tconv_out_size : size:int -> kernel:int -> stride:int -> pad:int -> int
 (** Spatial output size of a transposed convolution. *)
 
-val im2col :
-  Tensor.t -> n:int -> kernel:int -> stride:int -> pad:int -> Tensor.t
-(** [im2col x ~n ~kernel ~stride ~pad] unfolds sample [n] of the NCHW tensor
-    [x] into a [\[c*kernel*kernel; oh*ow\]] matrix (zero padding). *)
-
 val im2col_into :
   ?act:Blas.act -> Tensor.t -> n:int -> kernel:int -> stride:int -> pad:int -> Tensor.t -> unit
-(** Like {!im2col} but writes into a caller-owned column matrix (typically a
-    {!Workspace} borrow), applying [act] (default none) to each value as it
-    is loaded. Only in-bounds positions are written and that set depends on
-    the geometry alone, so a buffer zeroed once may be reused across
-    samples of the same shape without re-zeroing. *)
+(** [im2col_into x ~n ~kernel ~stride ~pad cols] unfolds sample [n] of the
+    NCHW tensor [x] into the caller-owned [\[c*kernel*kernel; oh*ow\]]
+    column matrix [cols] (typically a {!Workspace} borrow), applying [act]
+    (default none) to each value as it is loaded. Only in-bounds positions
+    are written and that set depends on the geometry alone, so a buffer
+    zeroed once holds the zero padding and may be reused across samples of
+    the same shape without re-zeroing. *)
 
 val col2im :
   Tensor.t ->
@@ -52,7 +46,7 @@ val col2im :
   unit
 (** [col2im cols ~dst ~n ...] scatters-and-accumulates the column matrix back
     into sample [n] of [dst] (shape [\[_; channels; height; width\]]) —
-    the adjoint of {!im2col}. [dst] is accumulated into, not cleared. *)
+    the adjoint of {!im2col_into}. [dst] is accumulated into, not cleared. *)
 
 val conv2d :
   x:Tensor.t ->
@@ -62,18 +56,6 @@ val conv2d :
   pad:int ->
   Tensor.t
 (** Forward convolution. *)
-
-val conv2d_backward :
-  x:Tensor.t ->
-  weight:Tensor.t ->
-  gout:Tensor.t ->
-  stride:int ->
-  pad:int ->
-  grad_weight:Tensor.t ->
-  grad_bias:Tensor.t option ->
-  Tensor.t
-(** Accumulates weight/bias gradients (into [grad_weight]/[grad_bias]) and
-    returns the gradient with respect to [x]. *)
 
 val conv2d_backward_into :
   x:Tensor.t ->
@@ -85,9 +67,10 @@ val conv2d_backward_into :
   grad_bias:Tensor.t option ->
   gx:Tensor.t ->
   unit
-(** Allocation-free variant of {!conv2d_backward}: accumulates the input
-    gradient into caller-owned [gx] (which the caller must zero first when a
-    plain gradient rather than an accumulation is wanted). *)
+(** Accumulates weight/bias gradients (into [grad_weight]/[grad_bias]) and
+    the gradient with respect to [x] into caller-owned [gx] (which the
+    caller must zero first when a plain gradient rather than an
+    accumulation is wanted). *)
 
 val conv_transpose2d :
   x:Tensor.t ->
@@ -97,17 +80,6 @@ val conv_transpose2d :
   pad:int ->
   Tensor.t
 (** Forward transposed (fractionally-strided) convolution. *)
-
-val conv_transpose2d_backward :
-  x:Tensor.t ->
-  weight:Tensor.t ->
-  gout:Tensor.t ->
-  stride:int ->
-  pad:int ->
-  grad_weight:Tensor.t ->
-  grad_bias:Tensor.t option ->
-  Tensor.t
-(** Adjoint of {!conv_transpose2d}; same contract as {!conv2d_backward}. *)
 
 val conv_transpose2d_backward_into :
   x:Tensor.t ->
@@ -119,9 +91,10 @@ val conv_transpose2d_backward_into :
   grad_bias:Tensor.t option ->
   gx:Tensor.t ->
   unit
-(** Allocation-free variant of {!conv_transpose2d_backward}. [gx] is fully
-    overwritten (unlike {!conv2d_backward_into} it does not accumulate), so
-    pre-zeroing is permitted but not required. *)
+(** Adjoint of {!conv_transpose2d}: accumulates weight/bias gradients as
+    {!conv2d_backward_into} does. [gx] is fully overwritten (unlike
+    {!conv2d_backward_into} it does not accumulate), so pre-zeroing is
+    permitted but not required. *)
 
 (** {1 Per-sample lowerings}
 

@@ -3,7 +3,7 @@
     Worker domains are spawned lazily on the first parallel region that needs
     them and reused for the lifetime of the process (an [at_exit] hook — or an
     explicit {!shutdown} — joins them). The pool backs the row-blocked
-    {!Blas.gemm}/{!Blas.gemv} kernels, the sample/channel-parallel loops in
+    {!Blas.gemm} kernel, the sample/channel-parallel loops in
     {!Conv}, the large elementwise loops in {!Tensor}, and batch-parallel
     CB-GAN inference ({!Cbox_infer}).
 

@@ -371,8 +371,6 @@ let stack_batch ts =
     ignore row;
     r
 
-let equal_shape a b = a.shape = b.shape
-
 let pp ppf t =
   let n = numel t in
   let limit = min n 8 in

@@ -148,6 +148,5 @@ val stack_batch : t list -> t
 (** Concatenate along a new/existing leading axis: inputs must share trailing
     dimensions; each input's leading dim contributes. *)
 
-val equal_shape : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 (** Prints shape and a truncated value listing (for debugging). *)

@@ -112,12 +112,3 @@ let with_buf ?(zero = false) shape f =
 
 let with_buf2 ?zero sa sb f =
   with_buf ?zero sa (fun a -> with_buf ?zero sb (fun b -> f a b))
-
-let retained_slots () =
-  (* Current domain's arena only; a diagnostic, not a global census. *)
-  List.length (Domain.DLS.get arena_key).slots
-
-let retained_elems () =
-  List.fold_left
-    (fun acc s -> acc + Bigarray.Array1.dim s.buf)
-    0 (Domain.DLS.get arena_key).slots

@@ -40,9 +40,3 @@ val alloc_count : unit -> int
 
 val borrow_count : unit -> int
 (** Total borrows served (hits + misses). *)
-
-val retained_slots : unit -> int
-(** Retained slots in the {e calling} domain's arena (diagnostic). *)
-
-val retained_elems : unit -> int
-(** Total float32 elements retained by the calling domain's arena. *)

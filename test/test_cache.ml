@@ -45,7 +45,7 @@ let test_fifo_vs_lru () =
   Alcotest.(check (list bool)) "lru keeps 0" [ false; false; true; false; true ] lru_res;
   Alcotest.(check (list bool)) "fifo evicts 0" [ false; false; true; false; false ] fifo_res
 
-(* Inclusion under LRU: a cache with more ways at the same set count
+(* LRU's inclusion property: a cache with more ways at the same set count
    (Mattson et al., 1970), or twice the sets at the same ways (set
    refinement, Hill & Smith, 1989), hits on a superset of the accesses the
    smaller one hits on. Both follow from LRU's stack property, so FIFO can

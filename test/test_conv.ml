@@ -89,10 +89,9 @@ let test_conv_adjoint =
       let ax = Conv.conv2d ~x ~weight:w ~bias:None ~stride ~pad:1 in
       let g = Tensor.randn rng (Tensor.shape ax) in
       let gw = Tensor.zeros (Tensor.shape w) in
-      let atg =
-        Conv.conv2d_backward ~x ~weight:w ~gout:g ~stride ~pad:1 ~grad_weight:gw
-          ~grad_bias:None
-      in
+      let atg = Tensor.zeros (Tensor.shape x) in
+      Conv.conv2d_backward_into ~x ~weight:w ~gout:g ~stride ~pad:1 ~grad_weight:gw
+        ~grad_bias:None ~gx:atg;
       rel_close (dot ax g) (dot x atg))
 
 let test_tconv_adjoint =
@@ -105,10 +104,9 @@ let test_tconv_adjoint =
       let ax = Conv.conv_transpose2d ~x ~weight:w ~bias:None ~stride ~pad:1 in
       let g = Tensor.randn rng (Tensor.shape ax) in
       let gw = Tensor.zeros (Tensor.shape w) in
-      let atg =
-        Conv.conv_transpose2d_backward ~x ~weight:w ~gout:g ~stride ~pad:1
-          ~grad_weight:gw ~grad_bias:None
-      in
+      let atg = Tensor.zeros (Tensor.shape x) in
+      Conv.conv_transpose2d_backward_into ~x ~weight:w ~gout:g ~stride ~pad:1
+        ~grad_weight:gw ~grad_bias:None ~gx:atg;
       rel_close (dot ax g) (dot x atg))
 
 let test_weight_gradient_fd () =
@@ -119,7 +117,8 @@ let test_weight_gradient_fd () =
   let stride = 2 and pad = 1 in
   let g = Tensor.randn rng (Tensor.shape (Conv.conv2d ~x ~weight:w ~bias:None ~stride ~pad)) in
   let gw = Tensor.zeros (Tensor.shape w) in
-  ignore (Conv.conv2d_backward ~x ~weight:w ~gout:g ~stride ~pad ~grad_weight:gw ~grad_bias:None);
+  Conv.conv2d_backward_into ~x ~weight:w ~gout:g ~stride ~pad ~grad_weight:gw ~grad_bias:None
+    ~gx:(Tensor.zeros (Tensor.shape x));
   let phi () = dot (Conv.conv2d ~x ~weight:w ~bias:None ~stride ~pad) g in
   let p0 = phi () in
   let eps = 1e-3 in
@@ -138,7 +137,8 @@ let test_bias_gradient () =
   let gout = Tensor.ones (Tensor.shape y) in
   let gw = Tensor.zeros (Tensor.shape w) in
   let gb = Tensor.zeros [| 1 |] in
-  ignore (Conv.conv2d_backward ~x ~weight:w ~gout ~stride:1 ~pad:1 ~grad_weight:gw ~grad_bias:(Some gb));
+  Conv.conv2d_backward_into ~x ~weight:w ~gout ~stride:1 ~pad:1 ~grad_weight:gw
+    ~grad_bias:(Some gb) ~gx:(Tensor.zeros (Tensor.shape x));
   (* 2 samples x 16 output pixels *)
   Alcotest.(check (float 1e-4)) "bias grad sums gout" 32.0 (Tensor.get gb 0)
 
@@ -147,7 +147,9 @@ let test_im2col_col2im_adjoint =
     (fun seed ->
       let rng = Prng.create seed in
       let x = Tensor.randn rng [| 1; 2; 6; 6 |] in
-      let cols = Conv.im2col x ~n:0 ~kernel:3 ~stride:2 ~pad:1 in
+      let o = Conv.out_size ~size:6 ~kernel:3 ~stride:2 ~pad:1 in
+      let cols = Tensor.zeros [| 2 * 3 * 3; o * o |] in
+      Conv.im2col_into x ~n:0 ~kernel:3 ~stride:2 ~pad:1 cols;
       let g = Tensor.randn rng (Tensor.shape cols) in
       let back = Tensor.zeros (Tensor.shape x) in
       Conv.col2im g ~dst:back ~n:0 ~channels:2 ~height:6 ~width:6 ~kernel:3 ~stride:2 ~pad:1;

@@ -183,94 +183,3 @@ let suite =
       qc test_victim_never_hurts;
     ] )
 
-(* --- inclusion policies --- *)
-
-let incl_l1 = Cache.config ~sets:2 ~ways:1 ()
-let incl_l2 = Cache.config ~sets:4 ~ways:2 ()
-
-let random_blocks seed n =
-  let rng = Prng.create seed in
-  Array.init n (fun _ -> Prng.int rng 24 * 64)
-
-let test_inclusive_invariant =
-  QCheck.Test.make ~name:"inclusive: L1 contents are always in L2" ~count:30
-    QCheck.small_int (fun seed ->
-      let t = Inclusion.create Inclusion.Inclusive ~l1:incl_l1 ~l2:incl_l2 in
-      Inclusion.holds_invariant t (random_blocks seed 200))
-
-let test_exclusive_invariant =
-  QCheck.Test.make ~name:"exclusive: L1 and L2 are disjoint" ~count:30
-    QCheck.small_int (fun seed ->
-      let t = Inclusion.create Inclusion.Exclusive ~l1:incl_l1 ~l2:incl_l2 in
-      Inclusion.holds_invariant t (random_blocks (seed + 1000) 200))
-
-let test_inclusion_stats_partition =
-  QCheck.Test.make ~name:"inclusion stats partition accesses" ~count:20
-    QCheck.small_int (fun seed ->
-      List.for_all
-        (fun policy ->
-          let t = Inclusion.create policy ~l1:incl_l1 ~l2:incl_l2 in
-          Array.iter (fun a -> ignore (Inclusion.access t a)) (random_blocks seed 150);
-          let s = Inclusion.stats t in
-          s.Inclusion.accesses = s.Inclusion.l1_hits + s.Inclusion.l2_hits + s.Inclusion.misses)
-        [ Inclusion.Inclusive; Inclusion.Exclusive; Inclusion.Nine ])
-
-let test_exclusive_effective_capacity () =
-  (* Exclusion gives L1+L2 worth of distinct blocks; an inclusive pair only
-     holds L2's capacity. With a fully-associative L2 of 8 entries and a
-     2-entry L1, a cyclic sweep over 10 blocks fits exactly under exclusion
-     (only cold misses) but thrashes LRU under inclusion. *)
-  let l2_fa = Cache.config ~sets:1 ~ways:8 () in
-  let blocks = Array.init 10 (fun i -> i * 64) in
-  let run policy =
-    let t = Inclusion.create policy ~l1:incl_l1 ~l2:l2_fa in
-    for _ = 1 to 40 do
-      Array.iter (fun a -> ignore (Inclusion.access t a)) blocks
-    done;
-    let s = Inclusion.stats t in
-    float_of_int s.Inclusion.misses /. float_of_int s.Inclusion.accesses
-  in
-  let excl = run Inclusion.Exclusive and incl = run Inclusion.Inclusive in
-  Alcotest.(check bool) "exclusion: cold misses only" true (excl < 0.05);
-  Alcotest.(check bool) "inclusion thrashes" true (incl > 0.5)
-
-let test_l2_hit_moves_block_up () =
-  let t = Inclusion.create Inclusion.Exclusive ~l1:incl_l1 ~l2:incl_l2 in
-  ignore (Inclusion.access t 0);        (* miss: installed in L1 only *)
-  ignore (Inclusion.access t (2 * 64)); (* conflicts in L1; 0 spills to L2 *)
-  (match Inclusion.access t 0 with
-  | `L2_hit -> ()
-  | `L1_hit -> Alcotest.fail "expected L2 hit, got L1"
-  | `Miss -> Alcotest.fail "expected L2 hit, got miss");
-  (* The block moved up: it is in L1 now and not in L2. *)
-  match Inclusion.access t 0 with
-  | `L1_hit -> ()
-  | _ -> Alcotest.fail "block did not move up"
-
-let test_inclusion_reset () =
-  let t = Inclusion.create Inclusion.Nine ~l1:incl_l1 ~l2:incl_l2 in
-  ignore (Inclusion.access t 0);
-  Inclusion.reset t;
-  Alcotest.(check int) "cleared" 0 (Inclusion.stats t).Inclusion.accesses
-
-let test_cache_invalidate () =
-  let c = Cache.create incl_l1 in
-  ignore (Cache.access c 0);
-  Alcotest.(check bool) "present before" true (Cache.probe c 0);
-  Alcotest.(check bool) "invalidate reports presence" true (Cache.invalidate c 0);
-  Alcotest.(check bool) "gone after" false (Cache.probe c 0);
-  Alcotest.(check bool) "second invalidate is a no-op" false (Cache.invalidate c 0)
-
-let suite =
-  let name, cases = suite in
-  ( name,
-    cases
-    @ [
-        Alcotest.test_case "cache invalidate" `Quick test_cache_invalidate;
-        Alcotest.test_case "exclusive capacity advantage" `Quick test_exclusive_effective_capacity;
-        Alcotest.test_case "L2 hit moves block up" `Quick test_l2_hit_moves_block_up;
-        Alcotest.test_case "inclusion reset" `Quick test_inclusion_reset;
-        qc test_inclusive_invariant;
-        qc test_exclusive_invariant;
-        qc test_inclusion_stats_partition;
-      ] )

@@ -2,30 +2,6 @@
 
 let feq tol = Alcotest.(check (float tol))
 
-let test_sgd_quadratic () =
-  (* Minimise (x - 3)^2 by SGD. *)
-  let p = Param.create "x" (Tensor.of_array [| 1 |] [| 0.0 |]) in
-  let opt = Optimizer.sgd ~lr:0.1 [ p ] in
-  for _ = 1 to 100 do
-    Optimizer.zero_grad opt;
-    let x = Value.of_param p in
-    let loss = Value.mse_loss x (Tensor.of_array [| 1 |] [| 3.0 |]) in
-    Value.backward loss;
-    Optimizer.step opt
-  done;
-  feq 1e-2 "converged" 3.0 (Tensor.get p.Param.value 0)
-
-let test_sgd_momentum () =
-  let p = Param.create "x" (Tensor.of_array [| 1 |] [| 0.0 |]) in
-  let opt = Optimizer.sgd ~lr:0.05 ~momentum:0.9 [ p ] in
-  for _ = 1 to 200 do
-    Optimizer.zero_grad opt;
-    let loss = Value.mse_loss (Value.of_param p) (Tensor.of_array [| 1 |] [| -2.0 |]) in
-    Value.backward loss;
-    Optimizer.step opt
-  done;
-  feq 5e-2 "converged with momentum" (-2.0) (Tensor.get p.Param.value 0)
-
 let test_adam_rosenbrockish () =
   (* Adam on a 2-parameter quadratic with very different curvatures; Adam's
      per-parameter scaling should still converge quickly. *)
@@ -41,13 +17,6 @@ let test_adam_rosenbrockish () =
   done;
   feq 0.1 "fast axis" 1.0 (Tensor.get p.Param.value 0);
   feq 0.1 "slow axis" 2.0 (Tensor.get p.Param.value 1)
-
-let test_clip_grad_norm () =
-  let p = Param.create "g" (Tensor.zeros [| 4 |]) in
-  Tensor.fill p.Param.grad 10.0;
-  let opt = Optimizer.sgd ~lr:1.0 [ p ] in
-  Optimizer.clip_grad_norm opt ~max_norm:1.0;
-  feq 1e-4 "clipped norm" 1.0 (Optimizer.grad_norm opt)
 
 let test_zero_grad () =
   let p = Param.create "z" (Tensor.zeros [| 2 |]) in
@@ -138,10 +107,7 @@ let test_checkpoint_shape_mismatch () =
 let suite =
   ( "nn (layers/optim/checkpoint)",
     [
-      Alcotest.test_case "sgd quadratic" `Quick test_sgd_quadratic;
-      Alcotest.test_case "sgd momentum" `Quick test_sgd_momentum;
       Alcotest.test_case "adam anisotropic" `Quick test_adam_rosenbrockish;
-      Alcotest.test_case "clip grad norm" `Quick test_clip_grad_norm;
       Alcotest.test_case "zero grad" `Quick test_zero_grad;
       Alcotest.test_case "param group uniqueness" `Quick test_param_group_unique;
       Alcotest.test_case "layer shapes" `Quick test_layers_shapes;

@@ -183,6 +183,39 @@ let test_runlog_roundtrip () =
   | other -> Alcotest.failf "expected one note event, got %d" (List.length other));
   rm_rf dir
 
+(* Two domains append to one journal at once: every line must be a whole
+   JSON object and every event must land exactly once. *)
+let test_runlog_concurrent_appends () =
+  let dir = temp_dir () in
+  let path = Filename.concat dir "shared.jsonl" in
+  let per_domain = 2_000 in
+  Runlog.with_journal path (fun j ->
+      let writer d () =
+        for i = 0 to per_domain - 1 do
+          Runlog.event j "tick" [ ("domain", Runlog.I d); ("seq", Runlog.I i) ]
+        done
+      in
+      let others = List.map (fun d -> Domain.spawn (writer d)) [ 0; 1 ] in
+      List.iter Domain.join others);
+  let seen =
+    List.map
+      (fun line ->
+        let int_field k json = Option.bind (Sjson.member k json) Sjson.to_int in
+        match Sjson.parse line with
+        | Ok json -> (
+          match (int_field "domain" json, int_field "seq" json) with
+          | Some d, Some i -> (d, i)
+          | _ -> Alcotest.failf "line without its fields: %s" line)
+        | Error why -> Alcotest.failf "unparseable line (%s): %s" why line)
+      (Runlog.events path)
+  in
+  let expected =
+    List.concat_map (fun d -> List.init per_domain (fun i -> (d, i))) [ 0; 1 ]
+  in
+  Alcotest.(check (list (pair int int))) "each event exactly once" expected
+    (List.sort compare seen);
+  rm_rf dir
+
 let test_run_driver_skips_completed () =
   let dir = temp_dir () in
   let path = Filename.concat dir "sweep.jsonl" in
@@ -425,6 +458,8 @@ let suite =
       Alcotest.test_case "prng state roundtrip" `Quick test_prng_state_roundtrip;
       Alcotest.test_case "trace_io trailing garbage" `Quick test_trace_io_trailing_garbage;
       Alcotest.test_case "runlog roundtrip" `Quick test_runlog_roundtrip;
+      Alcotest.test_case "runlog: two domains append concurrently" `Quick
+        test_runlog_concurrent_appends;
       Alcotest.test_case "run_driver skips completed" `Quick test_run_driver_skips_completed;
       Alcotest.test_case "exact resume after kill" `Slow test_exact_resume;
       Alcotest.test_case "resume skips corrupt snapshot" `Slow test_resume_skips_corrupt_snapshot;

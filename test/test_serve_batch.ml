@@ -384,38 +384,6 @@ let test_batched_replies_bit_identical () =
         (hit_rate_bits seq) (hit_rate_bits bat))
     (List.combine sequential batched)
 
-(* The tape's wide-batch conv lowering is bit-identical to its per-sample
-   path, for any batch composition. (Serving runs compiled programs, which
-   always lower per sample; the eval-mode tape forward is where the wide
-   lowering still lives.) *)
-let test_wide_conv_identity =
-  let windows = lazy (Heatmap.of_trace tiny_spec (Lazy.force tiny_trace)) in
-  QCheck.Test.make ~name:"wide-batch conv lowering is bit-identical" ~count:8
-    QCheck.(int_range 2 8)
-    (fun n ->
-      let model = Lazy.force tiny_model in
-      let ws = Lazy.force windows in
-      let imgs = List.init n (fun i -> List.nth ws (i mod List.length ws)) in
-      let x = Cbox_dataset.batch_images tiny_spec imgs in
-      let cp = Cbgan.cache_params_tensor (List.init n (fun _ -> Cache.config ~sets:4 ~ways:2 ())) in
-      let forward () =
-        Value.value
-          (Cbgan.generator_forward model ~rng:(Prng.create 0) ~training:false ~cache_params:cp x)
-      in
-      let wide_before = Conv.wide_batch () in
-      Fun.protect
-        ~finally:(fun () -> Conv.set_wide_batch wide_before)
-        (fun () ->
-          Conv.set_wide_batch false;
-          let narrow = forward () in
-          Conv.set_wide_batch true;
-          let wide = forward () in
-          let bits t =
-            List.init (Tensor.numel t) (fun i ->
-                Int32.bits_of_float (Bigarray.Array1.get t.Tensor.data i))
-          in
-          bits narrow = bits wide))
-
 (* Virtual clock through the batched path: expiry beats everything, and a
    missing model degrades (the ladder holds batch-side). *)
 let test_batch_deadline_virtual_clock () =
@@ -529,7 +497,6 @@ let suite =
         test_reactor_disconnect_mid_request;
       Alcotest.test_case "batched replies bit-identical to batch-1" `Slow
         test_batched_replies_bit_identical;
-      QCheck_alcotest.to_alcotest test_wide_conv_identity;
       Alcotest.test_case "batch deadlines on a virtual clock" `Quick
         test_batch_deadline_virtual_clock;
       Alcotest.test_case "stats atomic under concurrent batches" `Slow

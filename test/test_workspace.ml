@@ -113,10 +113,9 @@ let test_conv_backward_aliasing () =
   let run () =
     let gw = Tensor.zeros [| 6; 4; 4; 4 |] in
     let gb = Some (Tensor.zeros [| 6 |]) in
-    let gx =
-      Conv.conv2d_backward ~x ~weight:w ~gout ~stride:2 ~pad:1 ~grad_weight:gw
-        ~grad_bias:gb
-    in
+    let gx = Tensor.zeros (Tensor.shape x) in
+    Conv.conv2d_backward_into ~x ~weight:w ~gout ~stride:2 ~pad:1 ~grad_weight:gw
+      ~grad_bias:gb ~gx;
     (Tensor.to_array gx, Tensor.to_array gw)
   in
   let pgx, pgw = with_ws true run in
