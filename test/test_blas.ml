@@ -61,6 +61,18 @@ let test_transpose_involution =
       let t = Tensor.randn (Prng.create seed) [| m; n |] in
       Tensor.to_array (Blas.transpose (Blas.transpose t)) = Tensor.to_array t)
 
+let test_gemm_matrix_vector () =
+  (* A column vector is an n = 1 operand, stored as [k; 1] or, transposed,
+     as a [1; k] row. *)
+  let a = Tensor.of_array [| 2; 3 |] [| 1.; 2.; 3.; 4.; 5.; 6. |] in
+  let x = [| 1.; 0.; -1. |] in
+  let y = Tensor.zeros [| 2; 1 |] in
+  Blas.gemm ~alpha:1.0 ~a ~b:(Tensor.of_array [| 3; 1 |] x) ~beta:0.0 y;
+  Alcotest.(check (array (float 1e-5))) "column" [| -2.; -2. |] (Tensor.to_array y);
+  let y = Tensor.zeros [| 2; 1 |] in
+  Blas.gemm ~trans_b:true ~alpha:1.0 ~a ~b:(Tensor.of_array [| 1; 3 |] x) ~beta:0.0 y;
+  Alcotest.(check (array (float 1e-5))) "transposed row" [| -2.; -2. |] (Tensor.to_array y)
+
 let test_dim_mismatch () =
   let a = Tensor.zeros [| 2; 3 |] and b = Tensor.zeros [| 2; 3 |] in
   let c = Tensor.zeros [| 2; 3 |] in
@@ -74,6 +86,7 @@ let suite =
     [
       Alcotest.test_case "alpha/beta semantics" `Quick test_gemm_alpha_beta;
       Alcotest.test_case "beta accumulation" `Quick test_gemm_accumulates;
+      Alcotest.test_case "matrix-vector (n = 1)" `Quick test_gemm_matrix_vector;
       Alcotest.test_case "dim mismatch" `Quick test_dim_mismatch;
       qc test_matmul_matches_naive;
       qc test_gemm_transposes;

@@ -162,6 +162,68 @@ let test_victim_reset () =
   let s = Victim.stats v in
   Alcotest.(check int) "cleared" 0 s.Victim.accesses
 
+(* The main cache allocates on every miss, victim hit or not, so its
+   contents evolve exactly as a lone cache's: the buffer only adds hits. *)
+let test_victim_main_is_plain =
+  QCheck.Test.make ~name:"victim: main hits are exactly a plain cache's hits" ~count:40
+    QCheck.(list_of_size Gen.(20 -- 300) (int_range 0 40))
+    (fun bs ->
+      let cfg = Cache.config ~sets:4 ~ways:2 () in
+      let plain = Cache.create cfg in
+      let v = Victim.create ~main:cfg ~victim_entries:3 in
+      List.for_all
+        (fun b ->
+          let plain_hit = Cache.access plain (b * 64) in
+          plain_hit = (Victim.access v (b * 64) = `Main_hit))
+        bs)
+
+let test_victim_swap () =
+  (* A victim hit swaps: the recovered block is back in the main cache and
+     the block it displaced now sits in the buffer. *)
+  let v = Victim.create ~main:main_cfg ~victim_entries:4 in
+  ignore (Victim.access v 0);
+  ignore (Victim.access v (2 * 64));
+  (match Victim.access v 0 with
+  | `Victim_hit -> ()
+  | _ -> Alcotest.fail "expected a victim hit on block 0");
+  (match Victim.access v 0 with
+  | `Main_hit -> ()
+  | _ -> Alcotest.fail "block 0 did not move back into the main cache");
+  match Victim.access v (2 * 64) with
+  | `Victim_hit -> ()
+  | _ -> Alcotest.fail "the displaced block 2 is not in the buffer"
+
+let test_victim_effective_capacity () =
+  (* The buffer holds only blocks the main cache evicted, so the pair holds
+     main + buffer distinct blocks: a cyclic sweep over 2 + 4 blocks misses
+     only cold, one block more thrashes. *)
+  let sweep nblocks =
+    let v = Victim.create ~main:main_cfg ~victim_entries:4 in
+    for _ = 1 to 40 do
+      for b = 0 to nblocks - 1 do
+        ignore (Victim.access v (b * 64))
+      done
+    done;
+    Victim.stats v
+  in
+  let fits = sweep 6 and spills = sweep 7 in
+  Alcotest.(check int) "cold misses only" 6 fits.Victim.misses;
+  Alcotest.(check bool) "one block more thrashes" true
+    (Victim.hit_rate spills < 0.5)
+
+let test_victim_reset_contents () =
+  let v = Victim.create ~main:main_cfg ~victim_entries:2 in
+  ignore (Victim.access v 0);
+  ignore (Victim.access v (2 * 64));
+  Victim.reset v;
+  let miss what addr =
+    match Victim.access v addr with
+    | `Miss -> ()
+    | _ -> Alcotest.failf "%s survived the reset" what
+  in
+  miss "the main cache's block" (2 * 64);
+  miss "the buffer's block" 0
+
 let qc = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -181,5 +243,10 @@ let suite =
       Alcotest.test_case "binary address bound" `Quick test_binary_address_bound;
       qc test_access_evict_address_reconstruction;
       qc test_victim_never_hurts;
+      Alcotest.test_case "victim reset empties both caches" `Quick test_victim_reset_contents;
+      Alcotest.test_case "victim capacity is main plus buffer" `Quick
+        test_victim_effective_capacity;
+      Alcotest.test_case "victim hit swaps with the main cache" `Quick test_victim_swap;
+      qc test_victim_main_is_plain;
     ] )
 

@@ -56,6 +56,64 @@ let test_stats_match_traces () =
         (Hierarchy.trace_hit_rate t))
     (Hierarchy.stats h) (Hierarchy.level_traces h)
 
+(* The hierarchy is non-inclusive: no level invalidates or fills another,
+   so each behaves as a lone cache fed the stream of misses above it. *)
+let test_levels_are_lone_caches =
+  QCheck.Test.make ~name:"each level = a lone cache fed the misses above" ~count:50
+    QCheck.(list_of_size Gen.(20 -- 400) (int_range 0 600))
+    (fun bs ->
+      let h = Hierarchy.create ~l2 ~l3 ~l1 () in
+      let trace = blocks bs in
+      Hierarchy.run h trace;
+      let lone = List.map Cache.create [ l1; l2; l3 ] in
+      let expected = List.map (fun _ -> (ref [], ref [])) lone in
+      Array.iter
+        (fun addr ->
+          let rec go caches logs =
+            match (caches, logs) with
+            | c :: cs, (addrs, hits) :: ls ->
+              let hit = Cache.access c addr in
+              addrs := addr :: !addrs;
+              hits := hit :: !hits;
+              if not hit then go cs ls
+            | _ -> ()
+          in
+          go lone expected)
+        trace;
+      List.for_all2
+        (fun (t : Hierarchy.level_trace) (addrs, hits) ->
+          Array.to_list t.Hierarchy.addresses = List.rev !addrs
+          && Array.to_list t.Hierarchy.hits = List.rev !hits)
+        (Hierarchy.level_traces h) expected)
+
+(* The streaming path must report, level by level, exactly the accesses and
+   hit flags that the recording path records, prefetcher included. *)
+let test_run_observed_matches_run =
+  QCheck.Test.make ~name:"run_observed reports what run records" ~count:50
+    QCheck.(
+      pair
+        (list_of_size Gen.(20 -- 400) (int_range 0 600))
+        (oneofl
+           [
+             Prefetch.No_prefetch;
+             Prefetch.Next_line;
+             Prefetch.Stride { degree = 2; table_size = 16 };
+           ]))
+    (fun (bs, l1_prefetcher) ->
+      let trace = blocks bs in
+      let recorded = Hierarchy.create ~l2 ~l3 ~l1_prefetcher ~l1 () in
+      Hierarchy.run recorded trace;
+      let observed = Hierarchy.create ~l2 ~l3 ~l1_prefetcher ~l1 () in
+      let events = Array.map (fun _ -> ref []) (Hierarchy.levels observed) in
+      Hierarchy.run_observed observed trace ~f:(fun level addr hit ->
+          events.(level) := (addr, hit) :: !(events.(level)));
+      List.for_all2
+        (fun (t : Hierarchy.level_trace) evs ->
+          List.rev !evs
+          = List.combine (Array.to_list t.Hierarchy.addresses) (Array.to_list t.Hierarchy.hits))
+        (Hierarchy.level_traces recorded) (Array.to_list events)
+      && Hierarchy.stats recorded = Hierarchy.stats observed)
+
 let test_next_line_prefetcher () =
   let h = Hierarchy.create ~l1 ~l1_prefetcher:Prefetch.Next_line () in
   (* Access block 0; next-line should have filled block 1, so a demand for
@@ -144,4 +202,6 @@ let suite =
       Alcotest.test_case "stride detection" `Quick test_prefetch_stride;
       Alcotest.test_case "stride ignores noise" `Quick test_prefetch_stride_irregular;
       qc test_propagation_random;
+      qc test_levels_are_lone_caches;
+      qc test_run_observed_matches_run;
     ] )

@@ -18,6 +18,49 @@ let test_adam_rosenbrockish () =
   feq 0.1 "fast axis" 1.0 (Tensor.get p.Param.value 0);
   feq 0.1 "slow axis" 2.0 (Tensor.get p.Param.value 1)
 
+let test_adam_quadratic () =
+  (* Minimise (x - 3)^2 by Adam. *)
+  let p = Param.create "x" (Tensor.of_array [| 1 |] [| 0.0 |]) in
+  let opt = Optimizer.adam ~lr:0.1 [ p ] in
+  for _ = 1 to 300 do
+    Optimizer.zero_grad opt;
+    let loss = Value.mse_loss (Value.of_param p) (Tensor.of_array [| 1 |] [| 3.0 |]) in
+    Value.backward loss;
+    Optimizer.step opt
+  done;
+  feq 1e-2 "converged" 3.0 (Tensor.get p.Param.value 0)
+
+let test_adam_first_step () =
+  (* After one step the bias-corrected moments are g and g^2, so every
+     weight with a gradient moves by lr against its sign, whatever the
+     gradient's size; a zero gradient leaves its weight where it is. *)
+  let p = Param.create "w" (Tensor.zeros [| 4 |]) in
+  let grads = [| 250.0; -0.5; 1e-3; 0.0 |] in
+  Array.iteri (fun i g -> Tensor.set p.Param.grad i g) grads;
+  let opt = Optimizer.adam ~lr:0.01 [ p ] in
+  Optimizer.step opt;
+  Alcotest.(check (array (float 1e-6)))
+    "moved by lr" [| -0.01; 0.01; -0.01; 0.0 |] (Tensor.to_array p.Param.value)
+
+let test_grad_norm () =
+  let a = Param.create "a" (Tensor.zeros [| 4 |]) in
+  let b = Param.create "b" (Tensor.zeros [| 2 |]) in
+  Tensor.fill a.Param.grad 10.0;
+  Tensor.set b.Param.grad 0 3.0;
+  Tensor.set b.Param.grad 1 (-4.0);
+  let opt = Optimizer.adam ~lr:1.0 [ a; b ] in
+  feq 1e-4 "L2 norm over every parameter" (sqrt 425.0) (Optimizer.grad_norm opt)
+
+(* Resumable training checkpoints store these names; renaming one would
+   make every saved run fail to resume. *)
+let test_adam_state_keys () =
+  let a = Param.create "a" (Tensor.zeros [| 3 |]) in
+  let b = Param.create "b" (Tensor.zeros [| 2 |]) in
+  let opt = Optimizer.adam ~lr:0.1 [ a; b ] in
+  Alcotest.(check (list string))
+    "state keys" [ "lr"; "step"; "m.a"; "m.b"; "v.a"; "v.b" ]
+    (List.map fst (Optimizer.state opt))
+
 let test_zero_grad () =
   let p = Param.create "z" (Tensor.zeros [| 2 |]) in
   Tensor.fill p.Param.grad 5.0;
@@ -107,7 +150,10 @@ let test_checkpoint_shape_mismatch () =
 let suite =
   ( "nn (layers/optim/checkpoint)",
     [
+      Alcotest.test_case "adam quadratic" `Quick test_adam_quadratic;
+      Alcotest.test_case "adam first step moves by lr" `Quick test_adam_first_step;
       Alcotest.test_case "adam anisotropic" `Quick test_adam_rosenbrockish;
+      Alcotest.test_case "grad norm" `Quick test_grad_norm;
       Alcotest.test_case "zero grad" `Quick test_zero_grad;
       Alcotest.test_case "param group uniqueness" `Quick test_param_group_unique;
       Alcotest.test_case "layer shapes" `Quick test_layers_shapes;
@@ -115,4 +161,5 @@ let suite =
       Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
       Alcotest.test_case "checkpoint missing entry" `Quick test_checkpoint_missing_entry;
       Alcotest.test_case "checkpoint shape mismatch" `Quick test_checkpoint_shape_mismatch;
+      Alcotest.test_case "adam state keys" `Quick test_adam_state_keys;
     ] )

@@ -52,6 +52,27 @@ let test_gemm_bit_identical =
       in
       exact (run_with 1) (run_with d))
 
+(* Matrix-vector shapes (n = 1) up to 220 x 220: a single output column,
+   split across domains by rows once m * k crosses the parallel threshold. *)
+let test_gemm_matrix_vector_bit_identical =
+  QCheck.Test.make ~name:"gemm matrix-vector parallel = serial (bit-identical)" ~count:100
+    QCheck.(
+      triple
+        (pair (int_range 1 220) (int_range 1 220))
+        (pair bool (int_range 0 10_000))
+        (oneofl domain_counts))
+    (fun ((m, k), (ta, seed), d) ->
+      let rng = Prng.create seed in
+      let a = Tensor.randn rng (if ta then [| k; m |] else [| m; k |]) in
+      let x = Tensor.randn rng [| k; 1 |] in
+      let run_with domains =
+        let y = Tensor.zeros [| m; 1 |] in
+        Dpool.with_domains domains (fun () ->
+            Blas.gemm ~trans_a:ta ~alpha:1.0 ~a ~b:x ~beta:0.0 y);
+        y
+      in
+      exact (run_with 1) (run_with d))
+
 (* --- conv --- *)
 
 let conv_case =
@@ -161,6 +182,7 @@ let suite =
   ( "parallel-bit-identity",
     [
       qc test_gemm_bit_identical;
+      qc test_gemm_matrix_vector_bit_identical;
       qc test_conv2d_bit_identical;
       qc test_conv_transpose2d_bit_identical;
       qc test_conv2d_backward_bit_identical;

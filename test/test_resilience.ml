@@ -458,8 +458,6 @@ let suite =
       Alcotest.test_case "prng state roundtrip" `Quick test_prng_state_roundtrip;
       Alcotest.test_case "trace_io trailing garbage" `Quick test_trace_io_trailing_garbage;
       Alcotest.test_case "runlog roundtrip" `Quick test_runlog_roundtrip;
-      Alcotest.test_case "runlog: two domains append concurrently" `Quick
-        test_runlog_concurrent_appends;
       Alcotest.test_case "run_driver skips completed" `Quick test_run_driver_skips_completed;
       Alcotest.test_case "exact resume after kill" `Slow test_exact_resume;
       Alcotest.test_case "resume skips corrupt snapshot" `Slow test_resume_skips_corrupt_snapshot;
@@ -469,4 +467,6 @@ let suite =
         test_distill_resume_skips_corrupt_snapshot;
       Alcotest.test_case "distill nan -> rollback + lr halving" `Slow test_distill_nan_rollback;
       Alcotest.test_case "divergence retries exhausted" `Quick test_divergence_retries_exhausted;
+      Alcotest.test_case "runlog: two domains append concurrently" `Quick
+        test_runlog_concurrent_appends;
     ] )

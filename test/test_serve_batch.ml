@@ -384,6 +384,38 @@ let test_batched_replies_bit_identical () =
         (hit_rate_bits seq) (hit_rate_bits bat))
     (List.combine sequential batched)
 
+(* The eval-mode forward that a coalesced batch shares: every layer lowers
+   one sample at a time and batch norm uses its running statistics, so each
+   row of a batched forward is bit-identical to that image's forward alone,
+   for any batch composition and mix of cache configs. *)
+let test_batched_forward_rows =
+  let windows = lazy (Heatmap.of_trace tiny_spec (Lazy.force tiny_trace)) in
+  QCheck.Test.make ~name:"batched forward rows = single-image forwards (bit-identical)"
+    ~count:8
+    QCheck.(int_range 2 8)
+    (fun n ->
+      let model = Lazy.force tiny_model in
+      let ws = Lazy.force windows in
+      let imgs = List.init n (fun i -> List.nth ws (i mod List.length ws)) in
+      let cfgs =
+        List.init n (fun i -> Cache.config ~sets:(4 lsl (i mod 3)) ~ways:(1 + (i mod 4)) ())
+      in
+      let forward imgs cfgs =
+        Value.value
+          (Cbgan.generator_forward model ~rng:(Prng.create 0) ~training:false
+             ~cache_params:(Cbgan.cache_params_tensor cfgs)
+             (Cbox_dataset.batch_images tiny_spec imgs))
+      in
+      let bits t = List.map Int64.bits_of_float (Array.to_list (Tensor.to_array t)) in
+      let batched = forward imgs cfgs in
+      let per = Tensor.numel batched / n in
+      List.for_all
+        (fun i ->
+          let row = Tensor.slice_batch batched i 1 in
+          Tensor.numel row = per
+          && bits row = bits (forward [ List.nth imgs i ] [ List.nth cfgs i ]))
+        (List.init n Fun.id))
+
 (* Virtual clock through the batched path: expiry beats everything, and a
    missing model degrades (the ladder holds batch-side). *)
 let test_batch_deadline_virtual_clock () =
@@ -497,6 +529,7 @@ let suite =
         test_reactor_disconnect_mid_request;
       Alcotest.test_case "batched replies bit-identical to batch-1" `Slow
         test_batched_replies_bit_identical;
+      QCheck_alcotest.to_alcotest test_batched_forward_rows;
       Alcotest.test_case "batch deadlines on a virtual clock" `Quick
         test_batch_deadline_virtual_clock;
       Alcotest.test_case "stats atomic under concurrent batches" `Slow
