@@ -62,10 +62,9 @@ let domains_arg =
 
 let apply_domains = function
   | None -> ()
-  | Some n when n >= 1 -> Dpool.set_domains n
   | Some n ->
-    Fmt.epr "--domains must be at least 1 (got %d)@." n;
-    exit 2
+    require (n >= 1) "--domains must be at least 1 (got %d)" n;
+    Dpool.set_domains n
 
 let workload_arg idx =
   Arg.(required & pos idx (some string) None & info [] ~docv:"BENCHMARK" ~doc:"Benchmark name (see $(b,cachebox list)).")
@@ -73,8 +72,7 @@ let workload_arg idx =
 let find_workload name =
   try Suite.find name
   with Not_found ->
-    Fmt.epr "unknown benchmark %S; try `cachebox list`@." name;
-    exit 2
+    die (Serve_error.v Serve_error.Invalid_config "unknown benchmark %S; try `cachebox list`" name)
 
 (* All CLI cache geometry flows through the shared Validate gate: an
    impossible --sets/--ways prints the taxonomy error and exits 2 instead

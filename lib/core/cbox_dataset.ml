@@ -22,9 +22,17 @@ type benchmark_data = {
    non-zero background level. *)
 let normalize (spec : Heatmap.spec) img =
   let scale = log (1.0 +. float_of_int spec.window) in
-  Tensor.map
-    (fun v -> Float.max (-1.0) (Float.min 1.0 ((2.0 *. log (1.0 +. v) /. scale) -. 1.0)))
-    img
+  let r = Tensor.create (Tensor.shape img) in
+  let src = img.Tensor.data and dst = r.Tensor.data in
+  (* A loop over the buffers, not [Tensor.map]: a closure per pixel would
+     box every float of every training batch. *)
+  Tensor.pfor (Tensor.numel img) (fun lo hi ->
+      for i = lo to hi do
+        let v = Bigarray.Array1.unsafe_get src i in
+        Bigarray.Array1.unsafe_set dst i
+          (Float.max (-1.0) (Float.min 1.0 ((2.0 *. log (1.0 +. v) /. scale) -. 1.0)))
+      done);
+  r
 
 let denormalize (spec : Heatmap.spec) img =
   let scale = log (1.0 +. float_of_int spec.window) in

@@ -152,19 +152,21 @@ let drive_loop ~log ~resume (r : run) t samples =
          t.optimizers states)
   in
 
-  (* --- in-memory rollback points: [capture ()] returns the restore --- *)
+  (* --- in-memory rollback points: [capture ()] returns the restore ---
+     Parameters and moments are kept as float32 tensor copies, so a capture
+     is a copy and a restore a blit. *)
   let capture () =
-    let params = List.map (fun p -> Tensor.to_array p.Param.value) t.params in
+    let params = List.map (fun p -> Tensor.copy p.Param.value) t.params in
     let bn = List.map (fun (_, a) -> Array.copy a) t.bn in
-    let opts = opt_states () in
+    let opts = List.map (fun (_, o) -> Optimizer.snapshot o) t.optimizers in
     let prng = Prng.state t.rng in
     let { epoch; done_in_epoch; global_batch; history; _ } = st in
     let sums = Array.copy st.sums in
     let order = Array.copy st.order in
     fun () ->
-      List.iter2 (fun p a -> Array.iteri (Tensor.set p.Param.value) a) t.params params;
+      List.iter2 (fun p src -> Tensor.blit ~src ~dst:p.Param.value) t.params params;
       List.iter2 (fun (_, live) a -> Array.blit a 0 live 0 (Array.length live)) t.bn bn;
-      set_opt_states opts;
+      List.iter2 (fun (_, o) s -> Optimizer.restore o s) t.optimizers opts;
       Prng.set_state t.rng prng;
       st.epoch <- epoch;
       st.done_in_epoch <- done_in_epoch;
@@ -297,7 +299,8 @@ let drive_loop ~log ~resume (r : run) t samples =
           st.global_batch <- bidx;
           (match r.snapshot_every with
           | Some k when k > 0 && bidx mod k = 0 ->
-            good := capture ();
+            (* An epoch's last batch is captured at the epoch boundary. *)
+            if st.done_in_epoch < nb then good := capture ();
             Option.iter write_snapshot r.snapshot_dir
           | _ -> ());
           Faultinject.kill_point ~batch:bidx
@@ -318,8 +321,9 @@ let drive_loop ~log ~resume (r : run) t samples =
           Array.concat [ [| float_of_int st.epoch |]; means; [| float_of_int nb |] ] :: st.history;
         st.epoch <- st.epoch + 1;
         st.done_in_epoch <- 0;
-        (* Epoch boundaries are rollback points even with snapshotting off. *)
-        good := capture ()
+        (* Epoch boundaries are rollback points even with snapshotting off;
+           after the last epoch the loop ends, so none is taken. *)
+        if st.epoch <= r.epochs then good := capture ()
       | exception Diverged (source, v) ->
         jevent "divergence"
           [
@@ -430,7 +434,12 @@ let train ?log ?(resume = false) model spec (options : options) samples =
        balance by adding an L1 term restricted to the non-empty target
        pixels, weighted by half the background/foreground pixel ratio —
        the weight vanishes on dense targets and grows with sparsity. *)
-    let fg_mask = Tensor.map (fun v -> if v > -0.999 then 1.0 else 0.0) target in
+    let fg_mask = Tensor.create shape in
+    let td = target.Tensor.data and md = fg_mask.Tensor.data in
+    for i = 0 to Tensor.numel target - 1 do
+      Bigarray.Array1.unsafe_set md i
+        (if Bigarray.Array1.unsafe_get td i > -0.999 then 1.0 else 0.0)
+    done;
     let fg_count = Tensor.sum fg_mask in
     let bg_count = float_of_int (Tensor.numel target) -. fg_count in
     let fg_weight = Float.min 8.0 (0.5 *. (bg_count /. Float.max 1.0 fg_count)) in

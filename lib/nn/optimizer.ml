@@ -20,10 +20,19 @@ let set_lr t lr = t.lr <- lr
 let lr t = t.lr
 let params t = Array.to_list t.params
 
+(* The update and the norm read and write the raw buffers: a cross-module
+   [Tensor.get]/[set] or a closure per element would box every float. *)
 let grad_norm t =
   let acc = ref 0.0 in
   Array.iter
-    (fun p -> acc := !acc +. Tensor.fold (fun a g -> a +. (g *. g)) 0.0 p.Param.grad)
+    (fun p ->
+      let gd = p.Param.grad.Tensor.data in
+      let sq = ref 0.0 in
+      for j = 0 to Bigarray.Array1.dim gd - 1 do
+        let g = Bigarray.Array1.unsafe_get gd j in
+        sq := !sq +. (g *. g)
+      done;
+      acc := !acc +. !sq)
     t.params;
   sqrt !acc
 
@@ -63,21 +72,41 @@ let set_state t entries =
       restore_tensor ("v." ^ p.Param.name) t.v.(i))
     t.params
 
+(* A rollback point: the moments as float32 copies, so taking one is a copy
+   and restoring it a blit, with no float array in between. *)
+type snapshot = { s_lr : float; s_step : int; s_m : Tensor.t array; s_v : Tensor.t array }
+
+let snapshot t =
+  {
+    s_lr = t.lr;
+    s_step = t.step_count;
+    s_m = Array.map Tensor.copy t.m;
+    s_v = Array.map Tensor.copy t.v;
+  }
+
+let restore t s =
+  t.lr <- s.s_lr;
+  t.step_count <- s.s_step;
+  Array.iteri (fun i src -> Tensor.blit ~src ~dst:t.m.(i)) s.s_m;
+  Array.iteri (fun i src -> Tensor.blit ~src ~dst:t.v.(i)) s.s_v
+
 let step t =
   t.step_count <- t.step_count + 1;
   let bc1 = 1.0 -. (t.beta1 ** float_of_int t.step_count) in
   let bc2 = 1.0 -. (t.beta2 ** float_of_int t.step_count) in
+  let beta1 = t.beta1 and beta2 = t.beta2 and lr = t.lr and eps = t.eps in
   Array.iteri
     (fun i p ->
-      let g = p.Param.grad and m = t.m.(i) and v = t.v.(i) in
-      for j = 0 to Tensor.numel g - 1 do
-        let gj = Tensor.get g j in
-        let mj = (t.beta1 *. Tensor.get m j) +. ((1.0 -. t.beta1) *. gj) in
-        let vj = (t.beta2 *. Tensor.get v j) +. ((1.0 -. t.beta2) *. gj *. gj) in
-        Tensor.set m j mj;
-        Tensor.set v j vj;
+      let g = p.Param.grad.Tensor.data and w = p.Param.value.Tensor.data in
+      let m = t.m.(i).Tensor.data and v = t.v.(i).Tensor.data in
+      for j = 0 to Bigarray.Array1.dim g - 1 do
+        let gj = Bigarray.Array1.unsafe_get g j in
+        let mj = (beta1 *. Bigarray.Array1.unsafe_get m j) +. ((1.0 -. beta1) *. gj) in
+        let vj = (beta2 *. Bigarray.Array1.unsafe_get v j) +. ((1.0 -. beta2) *. gj *. gj) in
+        Bigarray.Array1.unsafe_set m j mj;
+        Bigarray.Array1.unsafe_set v j vj;
         let m_hat = mj /. bc1 and v_hat = vj /. bc2 in
-        Tensor.set p.Param.value j
-          (Tensor.get p.Param.value j -. (t.lr *. m_hat /. (sqrt v_hat +. t.eps)))
+        Bigarray.Array1.unsafe_set w j
+          (Bigarray.Array1.unsafe_get w j -. (lr *. m_hat /. (sqrt v_hat +. eps)))
       done)
     t.params

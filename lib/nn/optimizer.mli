@@ -10,7 +10,10 @@ val adam :
 val zero_grad : t -> unit
 val step : t -> unit
 (** Applies one update using the gradients currently accumulated in the
-    parameters. *)
+    parameters. The update is one loop per parameter over the raw float32
+    buffers, each weight's formula evaluated in double precision as
+    written (moments stored as float32, the bias-corrected step computed
+    from the unrounded moments); it allocates nothing per weight. *)
 
 val set_lr : t -> float -> unit
 val lr : t -> float
@@ -28,4 +31,18 @@ val set_state : t -> (string * float array) list -> unit
     list. Raises [Failure] on a missing entry or length mismatch. *)
 
 val grad_norm : t -> float
-(** L2 norm of the concatenated gradients (diagnostic). *)
+(** L2 norm of the concatenated gradients (diagnostic): each parameter's
+    squares summed in order, then the parameters' sums in order. *)
+
+(** {1 Rollback points} *)
+
+type snapshot
+(** The learning rate, the step count and float32 copies of both moments. *)
+
+val snapshot : t -> snapshot
+(** A copy of the optimizer's state, for an in-memory rollback point. The
+    on-disk form stays {!state}, whose format does not change. *)
+
+val restore : t -> snapshot -> unit
+(** Puts a {!snapshot} back, blitting the moments into the live tensors.
+    The optimizer must be the one the snapshot was taken from. *)

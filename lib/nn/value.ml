@@ -28,6 +28,20 @@ let accum t delta =
 let the_grad t =
   match t.g with Some g -> g | None -> assert false
 
+(* Accumulate a gradient that [fill] writes whole into a tensor of [t]'s
+   shape: the first gradient to reach [t] becomes its own, a later one is
+   written into a workspace borrow and added, so neither needs a copy. *)
+let accum_with t fill =
+  match t.g with
+  | None ->
+    let d = Tensor.create (Tensor.shape t.v) in
+    fill d;
+    t.g <- Some d
+  | Some g ->
+    Workspace.with_buf (Tensor.shape t.v) (fun d ->
+        fill d;
+        Tensor.add_ g d)
+
 let const x = node x
 let leaf x = node x
 
@@ -68,30 +82,73 @@ let scale a alpha =
 
 let neg a = scale a (-1.0)
 
-(* --- activations --- *)
+(* --- activations ---
 
-let pointwise_fwd_bwd f df a =
-  (* Both the forward map and the backward chain-rule map run on the Dpool
-     parallel backend for large activations; [f]/[df] must be pure. *)
-  let y = Tensor.map f a.v in
+   Each activation's forward and backward is one loop over the raw
+   buffers, fanned out over the domain pool for large tensors as Tensor's
+   elementwise loops are. A closure call per element, or a cross-module
+   Tensor.get/set (the dev profile builds with -opaque, so those do not
+   inline), would box every float. The backward multiplies the incoming
+   gradient by the derivative, [g *. df x y], exactly as written. *)
+
+(* An elementwise node over [a]: [fwd y lo hi] writes slice [lo..hi] of
+   the output's buffer; [bwd y g d lo hi] writes that slice of the
+   gradient with respect to [a], from the output [y] and the incoming
+   gradient [g]. Each is called once per slice, never per element. *)
+let elementwise a ~fwd ~bwd =
+  let n = Tensor.numel a.v in
+  let y = Tensor.create (Tensor.shape a.v) in
+  let yd = y.Tensor.data in
+  Tensor.pfor n (fwd yd);
   let push self =
-    let g = the_grad self in
-    accum a (Tensor.map3 (fun gi xi yi -> gi *. df xi yi) g a.v y)
+    let gd = (the_grad self).Tensor.data in
+    accum_with a (fun d -> Tensor.pfor n (bwd yd gd d.Tensor.data))
   in
   node ~parents:[| a |] ~push y
 
-let relu a = pointwise_fwd_bwd (fun x -> Float.max 0.0 x) (fun x _y -> if x > 0.0 then 1.0 else 0.0) a
+let relu a =
+  let xd = a.v.Tensor.data in
+  elementwise a
+    ~fwd:(fun yd lo hi ->
+      for i = lo to hi do
+        Bigarray.Array1.unsafe_set yd i (Float.max 0.0 (Bigarray.Array1.unsafe_get xd i))
+      done)
+    ~bwd:(fun _ gd dd lo hi ->
+      for i = lo to hi do
+        let x = Bigarray.Array1.unsafe_get xd i in
+        Bigarray.Array1.unsafe_set dd i
+          (Bigarray.Array1.unsafe_get gd i *. if x > 0.0 then 1.0 else 0.0)
+      done)
 
 let leaky_relu slope a =
-  pointwise_fwd_bwd
-    (fun x -> if x > 0.0 then x else slope *. x)
-    (fun x _y -> if x > 0.0 then 1.0 else slope)
-    a
+  let xd = a.v.Tensor.data in
+  elementwise a
+    ~fwd:(fun yd lo hi ->
+      for i = lo to hi do
+        let x = Bigarray.Array1.unsafe_get xd i in
+        Bigarray.Array1.unsafe_set yd i (if x > 0.0 then x else slope *. x)
+      done)
+    ~bwd:(fun _ gd dd lo hi ->
+      for i = lo to hi do
+        let x = Bigarray.Array1.unsafe_get xd i in
+        Bigarray.Array1.unsafe_set dd i
+          (Bigarray.Array1.unsafe_get gd i *. if x > 0.0 then 1.0 else slope)
+      done)
 
-let tanh_ a = pointwise_fwd_bwd Float.tanh (fun _x y -> 1.0 -. (y *. y)) a
+let tanh_ a =
+  let xd = a.v.Tensor.data in
+  elementwise a
+    ~fwd:(fun yd lo hi ->
+      for i = lo to hi do
+        Bigarray.Array1.unsafe_set yd i (Float.tanh (Bigarray.Array1.unsafe_get xd i))
+      done)
+    ~bwd:(fun yd gd dd lo hi ->
+      for i = lo to hi do
+        let y = Bigarray.Array1.unsafe_get yd i in
+        Bigarray.Array1.unsafe_set dd i (Bigarray.Array1.unsafe_get gd i *. (1.0 -. (y *. y)))
+      done)
 
 let sigmoid_f x = 1.0 /. (1.0 +. exp (-.x))
-let sigmoid a = pointwise_fwd_bwd sigmoid_f (fun _x y -> y *. (1.0 -. y)) a
 
 let dropout rng ~rate ~training a =
   if (not training) || rate <= 0.0 then a
@@ -99,11 +156,22 @@ let dropout rng ~rate ~training a =
     if rate >= 1.0 then invalid_arg "Value.dropout: rate must be < 1";
     let keep = 1.0 -. rate in
     let mask = Tensor.create (Tensor.shape a.v) in
+    let md = mask.Tensor.data in
     for i = 0 to Tensor.numel mask - 1 do
-      Tensor.set mask i (if Prng.float rng 1.0 < rate then 0.0 else 1.0 /. keep)
+      Bigarray.Array1.unsafe_set md i (if Prng.float rng 1.0 < rate then 0.0 else 1.0 /. keep)
     done;
-    let push self = accum a (Tensor.mul (the_grad self) mask) in
-    node ~parents:[| a |] ~push (Tensor.mul a.v mask)
+    let xd = a.v.Tensor.data in
+    elementwise a
+      ~fwd:(fun yd lo hi ->
+        for i = lo to hi do
+          Bigarray.Array1.unsafe_set yd i
+            (Bigarray.Array1.unsafe_get xd i *. Bigarray.Array1.unsafe_get md i)
+        done)
+      ~bwd:(fun _ gd dd lo hi ->
+        for i = lo to hi do
+          Bigarray.Array1.unsafe_set dd i
+            (Bigarray.Array1.unsafe_get gd i *. Bigarray.Array1.unsafe_get md i)
+        done)
   end
 
 (* --- shape --- *)
@@ -255,56 +323,59 @@ let batch_norm ~gamma ~beta ~running_mean ~running_var ~momentum ~eps ~training 
   let hw = h * w in
   let xhat = Tensor.create shp in
   let y = Tensor.create shp in
+  let xd = x.v.Tensor.data and xhd = xhat.Tensor.data and yd = y.Tensor.data in
+  let gammad = gamma.v.Tensor.data and betad = beta.v.Tensor.data in
   for ni = 0 to n - 1 do
     for ci = 0 to c - 1 do
       let base = ((ni * c) + ci) * hw in
-      let g = Tensor.get gamma.v ci and b = Tensor.get beta.v ci in
-      for i = 0 to hw - 1 do
-        let xh = (Tensor.get x.v (base + i) -. mu.(ci)) *. inv_std.(ci) in
-        Tensor.set xhat (base + i) xh;
-        Tensor.set y (base + i) ((g *. xh) +. b)
+      let g = Bigarray.Array1.unsafe_get gammad ci and b = Bigarray.Array1.unsafe_get betad ci in
+      let m = mu.(ci) and s = inv_std.(ci) in
+      for i = base to base + hw - 1 do
+        let xh = (Bigarray.Array1.unsafe_get xd i -. m) *. s in
+        Bigarray.Array1.unsafe_set xhd i xh;
+        Bigarray.Array1.unsafe_set yd i ((g *. xh) +. b)
       done
     done
   done;
   let push self =
-    let gout = the_grad self in
+    let gd = (the_grad self).Tensor.data in
     let count = float_of_int (n * hw) in
     let dgamma = Tensor.zeros [| c |] and dbeta = Tensor.zeros [| c |] in
     let sum_g = Array.make c 0.0 and sum_gx = Array.make c 0.0 in
     for ni = 0 to n - 1 do
       for ci = 0 to c - 1 do
         let base = ((ni * c) + ci) * hw in
-        for i = 0 to hw - 1 do
-          let go = Tensor.get gout (base + i) and xh = Tensor.get xhat (base + i) in
-          sum_g.(ci) <- sum_g.(ci) +. go;
-          sum_gx.(ci) <- sum_gx.(ci) +. (go *. xh)
-        done
+        let sg = ref sum_g.(ci) and sgx = ref sum_gx.(ci) in
+        for i = base to base + hw - 1 do
+          let go = Bigarray.Array1.unsafe_get gd i and xh = Bigarray.Array1.unsafe_get xhd i in
+          sg := !sg +. go;
+          sgx := !sgx +. (go *. xh)
+        done;
+        sum_g.(ci) <- !sg;
+        sum_gx.(ci) <- !sgx
       done
     done;
     for ci = 0 to c - 1 do
-      Tensor.set dbeta ci sum_g.(ci);
-      Tensor.set dgamma ci sum_gx.(ci)
+      Bigarray.Array1.unsafe_set dbeta.Tensor.data ci sum_g.(ci);
+      Bigarray.Array1.unsafe_set dgamma.Tensor.data ci sum_gx.(ci)
     done;
-    (* gx is fully written below, so it is borrowed uninitialised; [accum]
-       copies it out before the borrow ends. *)
-    Workspace.with_buf shp (fun gx ->
+    accum_with x (fun gx ->
+        let gxd = gx.Tensor.data in
         for ni = 0 to n - 1 do
           for ci = 0 to c - 1 do
             let base = ((ni * c) + ci) * hw in
-            let g = Tensor.get gamma.v ci in
-            let scale = g *. inv_std.(ci) in
-            for i = 0 to hw - 1 do
-              let go = Tensor.get gout (base + i) and xh = Tensor.get xhat (base + i) in
+            let scale = Bigarray.Array1.unsafe_get gammad ci *. inv_std.(ci) in
+            let sg = sum_g.(ci) and sgx = sum_gx.(ci) in
+            for i = base to base + hw - 1 do
+              let go = Bigarray.Array1.unsafe_get gd i and xh = Bigarray.Array1.unsafe_get xhd i in
               let v =
-                if training then
-                  scale *. (go -. (sum_g.(ci) /. count) -. (xh *. sum_gx.(ci) /. count))
+                if training then scale *. (go -. (sg /. count) -. (xh *. sgx /. count))
                 else scale *. go
               in
-              Tensor.set gx (base + i) v
+              Bigarray.Array1.unsafe_set gxd i v
             done
           done
-        done;
-        accum x gx);
+        done);
     accum gamma dgamma;
     accum beta dbeta
   in
@@ -327,39 +398,45 @@ let sum_all a =
   in
   node ~parents:[| a |] ~push (Tensor.scalar (Tensor.sum a.v))
 
+(* The losses read both operands' raw buffers, as the activations do. *)
 let l1_loss a target =
   if Tensor.numel a.v <> Tensor.numel target then invalid_arg "Value.l1_loss: size mismatch";
   let n = float_of_int (Tensor.numel a.v) in
+  let ad = a.v.Tensor.data and td = target.Tensor.data in
   let total = ref 0.0 in
   for i = 0 to Tensor.numel a.v - 1 do
-    total := !total +. Float.abs (Tensor.get a.v i -. Tensor.get target i)
+    total :=
+      !total +. Float.abs (Bigarray.Array1.unsafe_get ad i -. Bigarray.Array1.unsafe_get td i)
   done;
   let push self =
     let g = Tensor.get (the_grad self) 0 /. n in
-    let d = Tensor.create (Tensor.shape a.v) in
-    for i = 0 to Tensor.numel a.v - 1 do
-      let diff = Tensor.get a.v i -. Tensor.get target i in
-      Tensor.set d i (if diff > 0.0 then g else if diff < 0.0 then -.g else 0.0)
-    done;
-    accum a d
+    accum_with a (fun d ->
+        let dd = d.Tensor.data in
+        for i = 0 to Tensor.numel d - 1 do
+          let diff = Bigarray.Array1.unsafe_get ad i -. Bigarray.Array1.unsafe_get td i in
+          Bigarray.Array1.unsafe_set dd i
+            (if diff > 0.0 then g else if diff < 0.0 then -.g else 0.0)
+        done)
   in
   node ~parents:[| a |] ~push (Tensor.scalar (!total /. n))
 
 let mse_loss a target =
   if Tensor.numel a.v <> Tensor.numel target then invalid_arg "Value.mse_loss: size mismatch";
   let n = float_of_int (Tensor.numel a.v) in
+  let ad = a.v.Tensor.data and td = target.Tensor.data in
   let total = ref 0.0 in
   for i = 0 to Tensor.numel a.v - 1 do
-    let d = Tensor.get a.v i -. Tensor.get target i in
+    let d = Bigarray.Array1.unsafe_get ad i -. Bigarray.Array1.unsafe_get td i in
     total := !total +. (d *. d)
   done;
   let push self =
     let g = Tensor.get (the_grad self) 0 /. n in
-    let d = Tensor.create (Tensor.shape a.v) in
-    for i = 0 to Tensor.numel a.v - 1 do
-      Tensor.set d i (2.0 *. g *. (Tensor.get a.v i -. Tensor.get target i))
-    done;
-    accum a d
+    accum_with a (fun d ->
+        let dd = d.Tensor.data in
+        for i = 0 to Tensor.numel d - 1 do
+          Bigarray.Array1.unsafe_set dd i
+            (2.0 *. g *. (Bigarray.Array1.unsafe_get ad i -. Bigarray.Array1.unsafe_get td i))
+        done)
   in
   node ~parents:[| a |] ~push (Tensor.scalar (!total /. n))
 
@@ -367,21 +444,22 @@ let bce_with_logits a target =
   if Tensor.numel a.v <> Tensor.numel target then
     invalid_arg "Value.bce_with_logits: size mismatch";
   let n = float_of_int (Tensor.numel a.v) in
+  let ad = a.v.Tensor.data and td = target.Tensor.data in
   let total = ref 0.0 in
   for i = 0 to Tensor.numel a.v - 1 do
-    let x = Tensor.get a.v i and t = Tensor.get target i in
+    let x = Bigarray.Array1.unsafe_get ad i and t = Bigarray.Array1.unsafe_get td i in
     (* max(x,0) - x*t + log(1 + exp(-|x|)) *)
     total :=
       !total +. Float.max x 0.0 -. (x *. t) +. log (1.0 +. exp (-.Float.abs x))
   done;
   let push self =
     let g = Tensor.get (the_grad self) 0 /. n in
-    let d = Tensor.create (Tensor.shape a.v) in
-    for i = 0 to Tensor.numel a.v - 1 do
-      let x = Tensor.get a.v i and t = Tensor.get target i in
-      Tensor.set d i (g *. (sigmoid_f x -. t))
-    done;
-    accum a d
+    accum_with a (fun d ->
+        let dd = d.Tensor.data in
+        for i = 0 to Tensor.numel d - 1 do
+          let x = Bigarray.Array1.unsafe_get ad i and t = Bigarray.Array1.unsafe_get td i in
+          Bigarray.Array1.unsafe_set dd i (g *. (sigmoid_f x -. t))
+        done)
   in
   node ~parents:[| a |] ~push (Tensor.scalar (!total /. n))
 

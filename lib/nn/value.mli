@@ -35,12 +35,18 @@ val mul : t -> t -> t
 val scale : t -> float -> t
 val neg : t -> t
 
-(** {1 Activations} *)
+(** {1 Activations}
+
+    Each forward and backward is one loop over the raw float32 buffers,
+    split over the {!Dpool} lanes for large tensors ({!Tensor.pfor}), with
+    no closure or boxed float per element. The formulas are the reference
+    definitions: [Float.max 0.0 x], [if x > 0 then x else slope * x] and
+    [Float.tanh x]; a backward multiplies the incoming gradient by the
+    derivative. *)
 
 val relu : t -> t
 val leaky_relu : float -> t -> t
 val tanh_ : t -> t
-val sigmoid : t -> t
 
 val dropout : Prng.t -> rate:float -> training:bool -> t -> t
 (** Inverted dropout: at training time each element is zeroed with
@@ -86,9 +92,14 @@ val batch_norm :
   t
 (** Batch normalisation over the N/H/W axes of an NCHW tensor. In training
     mode batch statistics are used and the running statistics are updated in
-    place; in inference mode the running statistics are used. *)
+    place; in inference mode the running statistics are used. Forward and
+    backward read and write the raw buffers, one channel plane at a time. *)
 
-(** {1 Losses (scalar-valued nodes of shape [|1|])} *)
+(** {1 Losses (scalar-valued nodes of shape [|1|])}
+
+    Each loss sums its elements in order in a float accumulator, and its
+    backward writes the per-element gradient straight into the operand's
+    gradient (the first to reach it) or a workspace borrow. *)
 
 val mean_all : t -> t
 val sum_all : t -> t

@@ -469,42 +469,63 @@ module Packed = struct
 
   let rows t = t.pm
 
-  (* One pass over [w], writing the panels in order. A [row_scale] entry
-     multiplies its row, which is how a batch norm folds into a weight. *)
-  let pack ?(trans = false) ?row_scale w =
-    check_2d "Blas.Packed.pack" w;
+  (* One pass over [w] into [pdata]. Panel [pi] of the block at depth [pc]
+     starts at [npan * MR * pc + pi * MR * kcur], so the domain pool packs
+     disjoint panel ranges at once; the values are copies, identical at
+     any domain count. A [row_scale] entry multiplies its row, which is how
+     a batch norm folds into a weight. *)
+  let pack_into ~trans ?row_scale w (pdata : Tensor.buffer) =
     let m = Tensor.dim w (if trans then 1 else 0) in
     let k = Tensor.dim w (if trans then 0 else 1) in
+    let wd = w.Tensor.data and wc = Tensor.dim w 1 in
+    let npan = npanels m in
+    let panels plo phi =
+      let pc = ref 0 in
+      while !pc < k do
+        let kcur = min kc_blk (k - !pc) in
+        for pi = plo to phi do
+          let o = ref ((npan * mr * !pc) + (pi * mr * kcur)) in
+          for p = !pc to !pc + kcur - 1 do
+            for r = 0 to mr - 1 do
+              let i = (pi * mr) + r in
+              let v =
+                if i >= m then 0.0
+                else
+                  let v =
+                    if trans then Bigarray.Array1.unsafe_get wd ((p * wc) + i)
+                    else Bigarray.Array1.unsafe_get wd ((i * wc) + p)
+                  in
+                  match row_scale with None -> v | Some s -> v *. Array.unsafe_get s i
+              in
+              Bigarray.Array1.unsafe_set pdata !o v;
+              incr o
+            done
+          done
+        done;
+        pc := !pc + kcur
+      done
+    in
+    if m * k < par_flops then panels 0 (npan - 1) else Dpool.parallel_for npan panels;
+    { pm = m; pk = k; pdata }
+
+  (* Rows, depth and packed size of op(w). *)
+  let dims name ~trans w =
+    check_2d name w;
+    let m = Tensor.dim w (if trans then 1 else 0) in
+    let k = Tensor.dim w (if trans then 0 else 1) in
+    (m, k, npanels m * mr * k)
+
+  let pack ?(trans = false) ?row_scale w =
+    let m, _, size = dims "Blas.Packed.pack" ~trans w in
     (match row_scale with
     | Some s when Array.length s <> m -> invalid_arg "Blas.Packed.pack: row_scale length"
     | _ -> ());
-    let wd = w.Tensor.data and wc = Tensor.dim w 1 in
-    let npan = npanels m in
-    let pdata = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout (npan * mr * k) in
-    let o = ref 0 and pc = ref 0 in
-    while !pc < k do
-      let kcur = min kc_blk (k - !pc) in
-      for pi = 0 to npan - 1 do
-        for p = !pc to !pc + kcur - 1 do
-          for r = 0 to mr - 1 do
-            let i = (pi * mr) + r in
-            let v =
-              if i >= m then 0.0
-              else
-                let v =
-                  if trans then Bigarray.Array1.unsafe_get wd ((p * wc) + i)
-                  else Bigarray.Array1.unsafe_get wd ((i * wc) + p)
-                in
-                match row_scale with None -> v | Some s -> v *. Array.unsafe_get s i
-            in
-            Bigarray.Array1.unsafe_set pdata !o v;
-            incr o
-          done
-        done
-      done;
-      pc := !pc + kcur
-    done;
-    { pm = m; pk = k; pdata }
+    pack_into ~trans ?row_scale w
+      (Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout size)
+
+  let with_packed ?(trans = false) w f =
+    let _, _, size = dims "Blas.Packed.with_packed" ~trans w in
+    Workspace.with_buf [| size |] (fun buf -> f (pack_into ~trans w buf.Tensor.data))
 
   (* One lane's share: MR panels [pan_lo .. pan_hi] of C. *)
   let lane t ~act ~(bd : Tensor.buffer) ~(cd : Tensor.buffer) ~n ~pan_lo ~pan_hi

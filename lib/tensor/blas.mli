@@ -1,7 +1,8 @@
 (** Dense linear algebra kernels over 2-D {!Tensor.t} values.
 
     These are the hot loops of the neural-network stack: everything
-    convolutional is lowered onto {!gemm} through im2col (see {!Conv}).
+    convolutional is lowered through im2col onto {!gemm} or {!Packed.gemm}
+    (see {!Conv}).
 
     The production GEMM is cache-blocked and panel-packed: A and B are
     copied into contiguous MR-tall / NR-wide k-major micro-panels one
@@ -69,7 +70,7 @@ val transpose_into : src:Tensor.t -> dst:Tensor.t -> unit
 (** Writes [src]'s transpose into caller-owned [dst] (no allocation); [dst]
     must have the transposed element count. *)
 
-(** Prepacked float weights for inference.
+(** Prepacked float weights.
 
     [pack] copies op(W) once into MR-tall k-major panels grouped in
     KC-major blocks, the layout {!Int8.qweight} uses. A {!Packed.gemm}
@@ -78,14 +79,26 @@ val transpose_into : src:Tensor.t -> dst:Tensor.t -> unit
     [Packed.gemm ~a:(Packed.pack ~trans w) ~b c] is bit-identical to
     [gemm ~trans_a:trans ~alpha:1.0 ~a:w ~b ~beta:0.0 c] under the [Tiled]
     kernel, at every domain count and on every shape, including those
-    below the small-GEMM cutoff. *)
+    below the small-GEMM cutoff.
+
+    Two owners use it. A compiled inference program packs each weight once
+    at compile time ({!pack}). A convolution on the autodiff tape packs its
+    weight once per call and reuses the panels for every sample
+    ({!with_packed}), where {!gemm} would pack W again for each one. *)
 module Packed : sig
   type t
 
   val pack : ?trans:bool -> ?row_scale:float array -> Tensor.t -> t
   (** [pack w] packs op(w) (2-D; [trans] selects the transpose) in one
-      pass. [row_scale] (length = rows of op(w)) multiplies each row as it
-      is packed, rounding to float32 as a scaled copy of [w] would. *)
+      pass, into storage of its own, with disjoint panel ranges packed on
+      the domain pool's lanes. [row_scale] (length = rows of op(w))
+      multiplies each row as it is packed, rounding to float32 as a scaled
+      copy of [w] would. *)
+
+  val with_packed : ?trans:bool -> Tensor.t -> (t -> 'a) -> 'a
+  (** [with_packed ~trans w f] is [f (pack ~trans w)] with the panels in a
+      {!Workspace} borrow, so a warm caller allocates nothing. The packed
+      weight is valid only inside [f] and must not escape it. *)
 
   val gemm : ?act:act -> a:t -> b:Tensor.t -> Tensor.t -> unit
   (** [gemm ~act ~a ~b c] overwrites [c] with [a * act(b)]; [c] must be

@@ -278,15 +278,20 @@ let conv_transpose2d_with ~gemm ~x ~oc ~kernel ~stride ~pad =
           done));
   y
 
+(* The tape's lowerings pack W (or W^T) once per call, in a workspace
+   borrow, and run every sample's product over those panels: by
+   Blas.Packed's contract each product is bit-identical to the
+   [Blas.gemm ~alpha:1.0 ~beta:0.0] that would pack W again per sample. *)
 let conv2d ~x ~weight ~bias ~stride ~pad =
   let ic = Tensor.dim x 1 in
   let oc = Tensor.dim weight 0 and kernel = Tensor.dim weight 2 in
   if Tensor.dim weight 1 <> ic then invalid_arg "Conv.conv2d: channel mismatch";
   let wm = Tensor.view weight [| oc; ic * kernel * kernel |] in
   let y =
-    conv2d_with
-      ~product:(Gemm (fun b c -> Blas.gemm ~alpha:1.0 ~a:wm ~b ~beta:0.0 c))
-      ~x ~oc ~kernel ~stride ~pad ()
+    Blas.Packed.with_packed wm (fun a ->
+        conv2d_with
+          ~product:(Gemm (fun b c -> Blas.Packed.gemm ~a ~b c))
+          ~x ~oc ~kernel ~stride ~pad ())
   in
   add_bias_nchw y bias;
   y
@@ -301,25 +306,27 @@ let conv2d_backward_into ~x ~weight ~gout ~stride ~pad ~grad_weight ~grad_bias ~
   if Tensor.shape gx <> [| n; ic; h; w |] then
     invalid_arg "Conv.conv2d_backward_into: gx shape mismatch";
   (* The sample loop stays serial: grad_weight accumulates across samples and
-     its float accumulation order is part of the determinism guarantee. The
-     kernels inside each iteration (im2col, both gemms, col2im) parallelise
-     internally with disjoint-write slices, which keeps every value
-     bit-identical to the serial path. [cols] is zeroed once and reused
-     across samples; [dcols] is fully overwritten by its beta=0 GEMM. *)
-  Workspace.with_buf ~zero:true [| ic * kernel * kernel; oh * ow |] (fun cols ->
-      Workspace.with_buf [| ic * kernel * kernel; oh * ow |] (fun dcols ->
-          for ni = 0 to n - 1 do
-            im2col_into x ~n:ni ~kernel ~stride ~pad cols;
-            let gout_m =
-              Tensor.sub_view gout ~off:(ni * oc * oh * ow) ~shape:[| oc; oh * ow |]
-            in
-            (* dW += gout * cols^T *)
-            Blas.gemm ~trans_b:true ~alpha:1.0 ~a:gout_m ~b:cols ~beta:1.0 gwm;
-            (* dcols = W^T * gout, then fold back into the input plane. *)
-            Blas.gemm ~trans_a:true ~alpha:1.0 ~a:wm ~b:gout_m ~beta:0.0 dcols;
-            col2im dcols ~dst:gx ~n:ni ~channels:ic ~height:h ~width:w ~kernel ~stride
-              ~pad
-          done));
+     its float accumulation order is part of the determinism guarantee, so
+     each sample adds its own product (beta=1) and the samples are never
+     merged into one. The kernels inside each iteration (im2col, both gemms,
+     col2im) parallelise internally with disjoint-write slices, which keeps
+     every value bit-identical to the serial path. [cols] is zeroed once and
+     reused across samples; [dcols] is fully overwritten by its product. *)
+  Blas.Packed.with_packed ~trans:true wm (fun wt ->
+      Workspace.with_buf ~zero:true [| ic * kernel * kernel; oh * ow |] (fun cols ->
+          Workspace.with_buf [| ic * kernel * kernel; oh * ow |] (fun dcols ->
+              for ni = 0 to n - 1 do
+                im2col_into x ~n:ni ~kernel ~stride ~pad cols;
+                let gout_m =
+                  Tensor.sub_view gout ~off:(ni * oc * oh * ow) ~shape:[| oc; oh * ow |]
+                in
+                (* dW += gout * cols^T *)
+                Blas.gemm ~trans_b:true ~alpha:1.0 ~a:gout_m ~b:cols ~beta:1.0 gwm;
+                (* dcols = W^T * gout, then fold back into the input plane. *)
+                Blas.Packed.gemm ~a:wt ~b:gout_m dcols;
+                col2im dcols ~dst:gx ~n:ni ~channels:ic ~height:h ~width:w ~kernel ~stride
+                  ~pad
+              done)));
   bias_grad_nchw gout grad_bias
 
 let conv_transpose2d ~x ~weight ~bias ~stride ~pad =
@@ -328,9 +335,10 @@ let conv_transpose2d ~x ~weight ~bias ~stride ~pad =
   let oc = Tensor.dim weight 1 and kernel = Tensor.dim weight 2 in
   let wm = Tensor.view weight [| ic; oc * kernel * kernel |] in
   let y =
-    conv_transpose2d_with
-      ~gemm:(fun b c -> Blas.gemm ~trans_a:true ~alpha:1.0 ~a:wm ~b ~beta:0.0 c)
-      ~x ~oc ~kernel ~stride ~pad
+    Blas.Packed.with_packed ~trans:true wm (fun a ->
+        conv_transpose2d_with
+          ~gemm:(fun b c -> Blas.Packed.gemm ~a ~b c)
+          ~x ~oc ~kernel ~stride ~pad)
   in
   add_bias_nchw y bias;
   y
@@ -347,15 +355,16 @@ let conv_transpose2d_backward_into ~x ~weight ~gout ~stride ~pad ~grad_weight ~g
   (* Serial sample loop for the same reason as conv2d_backward_into: the
      weight gradient's accumulation order must match the serial path
      exactly. *)
-  Workspace.with_buf ~zero:true [| oc * kernel * kernel; h * w |] (fun cols ->
-      for ni = 0 to n - 1 do
-        (* The forward pass is col2im(W^T x); its adjoint unfolds gout. *)
-        im2col_into gout ~n:ni ~kernel ~stride ~pad cols;
-        let xm = Tensor.sub_view x ~off:(ni * ic * h * w) ~shape:[| ic; h * w |] in
-        (* dW += x * cols^T *)
-        Blas.gemm ~trans_b:true ~alpha:1.0 ~a:xm ~b:cols ~beta:1.0 gwm;
-        (* dx = W * cols *)
-        let gxm = Tensor.sub_view gx ~off:(ni * ic * h * w) ~shape:[| ic; h * w |] in
-        Blas.gemm ~alpha:1.0 ~a:wm ~b:cols ~beta:0.0 gxm
-      done);
+  Blas.Packed.with_packed wm (fun wp ->
+      Workspace.with_buf ~zero:true [| oc * kernel * kernel; h * w |] (fun cols ->
+          for ni = 0 to n - 1 do
+            (* The forward pass is col2im(W^T x); its adjoint unfolds gout. *)
+            im2col_into gout ~n:ni ~kernel ~stride ~pad cols;
+            let xm = Tensor.sub_view x ~off:(ni * ic * h * w) ~shape:[| ic; h * w |] in
+            (* dW += x * cols^T *)
+            Blas.gemm ~trans_b:true ~alpha:1.0 ~a:xm ~b:cols ~beta:1.0 gwm;
+            (* dx = W * cols *)
+            let gxm = Tensor.sub_view gx ~off:(ni * ic * h * w) ~shape:[| ic; h * w |] in
+            Blas.Packed.gemm ~a:wp ~b:cols gxm
+          done));
   bias_grad_nchw gout grad_bias

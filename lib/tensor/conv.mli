@@ -70,7 +70,9 @@ val conv2d_backward_into :
 (** Accumulates weight/bias gradients (into [grad_weight]/[grad_bias]) and
     the gradient with respect to [x] into caller-owned [gx] (which the
     caller must zero first when a plain gradient rather than an
-    accumulation is wanted). *)
+    accumulation is wanted). The data-gradient products share one packing
+    of W^T; the weight gradient adds one product per sample, in sample
+    order. *)
 
 val conv_transpose2d :
   x:Tensor.t ->
@@ -92,16 +94,20 @@ val conv_transpose2d_backward_into :
   gx:Tensor.t ->
   unit
 (** Adjoint of {!conv_transpose2d}: accumulates weight/bias gradients as
-    {!conv2d_backward_into} does. [gx] is fully overwritten (unlike
+    {!conv2d_backward_into} does, and its data-gradient products share one
+    packing of W. [gx] is fully overwritten (unlike
     {!conv2d_backward_into} it does not accumulate), so pre-zeroing is
     permitted but not required. *)
 
 (** {1 Per-sample lowerings}
 
     One product per sample, with the product passed in. {!conv2d} and
-    {!conv_transpose2d} pass {!Blas.gemm}; the compiled inference programs
-    pass a {!Blas.Packed} or {!Blas.Int8} product. Samples run on separate
-    domains; results do not depend on the domain count. *)
+    {!conv_transpose2d} pack their weight once per call
+    ({!Blas.Packed.with_packed}) and pass a {!Blas.Packed} product over it,
+    bit-identical to {!Blas.gemm} at alpha 1 and beta 0; the compiled
+    inference programs pass a {!Blas.Packed} product packed at compile time
+    or a {!Blas.Int8} one. Samples run on separate domains; results do not
+    depend on the domain count. *)
 
 (** The product a convolution lowers onto. *)
 type product =

@@ -91,7 +91,13 @@ let set4 t n c h w v =
   assert (Array.length t.shape = 4);
   Bigarray.Array1.set t.data (idx4 t n c h w) v
 
-let to_array t = Array.init (numel t) (fun i -> Bigarray.Array1.unsafe_get t.data i)
+let to_array t =
+  let n = numel t in
+  let a = Array.create_float n in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (Bigarray.Array1.unsafe_get t.data i)
+  done;
+  a
 
 let check_same_size name a b =
   if numel a <> numel b then invalid_arg (name ^ ": size mismatch")
@@ -167,26 +173,18 @@ let binop name f a b =
       done);
   r
 
-let add a b = binop "Tensor.add" ( +. ) a b
-let sub a b = binop "Tensor.sub" ( -. ) a b
-let mul a b = binop "Tensor.mul" ( *. ) a b
+(* A copy and an in-place loop: [binop]'s closure would box every float. *)
+let copy_then name op_ a b =
+  check_same_size name a b;
+  let r = copy a in
+  op_ r b;
+  r
+
+let add a b = copy_then "Tensor.add" add_ a b
+let sub a b = copy_then "Tensor.sub" sub_ a b
+let mul a b = copy_then "Tensor.mul" mul_ a b
 let div a b = binop "Tensor.div" ( /. ) a b
 let map2 f a b = binop "Tensor.map2" f a b
-
-let map3 f a b c =
-  check_same_size "Tensor.map3" a b;
-  check_same_size "Tensor.map3" a c;
-  let r = create a.shape in
-  let rd = r.data and ad = a.data and bd = b.data and cd = c.data in
-  pfor (numel a) (fun lo hi ->
-      for i = lo to hi do
-        Bigarray.Array1.unsafe_set rd i
-          (f
-             (Bigarray.Array1.unsafe_get ad i)
-             (Bigarray.Array1.unsafe_get bd i)
-             (Bigarray.Array1.unsafe_get cd i))
-      done);
-  r
 
 let map f t =
   let r = copy t in

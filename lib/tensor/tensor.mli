@@ -88,6 +88,13 @@ val axpy : alpha:float -> x:t -> y:t -> unit
 val map_ : (float -> float) -> t -> unit
 val clip_ : t -> lo:float -> hi:float -> unit
 
+val pfor : int -> (int -> int -> unit) -> unit
+(** [pfor n body] runs [body lo hi] over slices of [0 .. n-1]: as one slice
+    below 65,536 elements, otherwise one contiguous slice per {!Dpool}
+    lane. Every elementwise loop here fans out this way, and so do the
+    autodiff tape's, which read and write [data] directly. [body] must
+    write only its own slice. *)
+
 (** {1 Allocating elementwise operations} *)
 
 val add : t -> t -> t
@@ -98,11 +105,6 @@ val scale : t -> float -> t
 val neg : t -> t
 val map : (float -> float) -> t -> t
 val map2 : (float -> float -> float) -> t -> t -> t
-
-val map3 : (float -> float -> float -> float) -> t -> t -> t -> t
-(** [map3 f a b c] is the elementwise three-argument map (sizes must agree).
-    Like every elementwise operation here, large tensors are processed in
-    parallel on the {!Dpool} backend, so [f] must be pure. *)
 
 (** {1 Reductions and statistics} *)
 

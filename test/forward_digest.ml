@@ -9,8 +9,8 @@
    1 and 2 domains, in that order. Run it at two commits and compare the
    lines. *)
 
-let spec = Heatmap.spec ()
-let caches = [ Cache.config ~sets:64 ~ways:12 (); Cache.config ~sets:16 ~ways:4 () ]
+let spec = Trained_fixture.spec
+let caches = Trained_fixture.caches
 
 let chunks n l =
   let rec go acc cur k = function
@@ -46,32 +46,6 @@ let digest program =
     caches;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* A few steps of training move the weights and batch-norm statistics away
-   from their seeds, so the digests cover non-trivial values. *)
-let trained () =
-  let cfg = Cbgan.default_config ~ngf:8 ~ndf:8 () in
-  let workload name seed =
-    Workload.make ~name ~suite:Workload.Spec ~group:name (fun n ->
-        let rng = Prng.create seed in
-        Array.init n (fun i ->
-            if Prng.float rng 1.0 < 0.7 then (i mod 64) * 8 else Prng.int rng 65536 * 64))
-  in
-  let samples =
-    Cbox_dataset.to_samples
-      (Cbox_dataset.build_l1 spec ~configs:caches
-         ~trace_len:(2 * Heatmap.accesses_per_image spec)
-         [ workload "d1" 5; workload "d2" 6 ])
-  in
-  let teacher = Cbgan.create ~seed:42 cfg in
-  let options =
-    { (Cbox_train.default_options ~epochs:1 ~batch_size:2 ()) with Cbox_train.lr = 0.01 }
-  in
-  ignore (Cbox_train.train teacher spec options samples);
-  let student = Student.create ~seed:7 (Distill.student_config cfg) in
-  let options = { (Distill.default_options ~epochs:1 ()) with Distill.batch_size = 2; lr = 0.01 } in
-  ignore (Distill.train ~teacher student spec options samples);
-  (teacher, student)
-
 let () =
   let trained_models = ref false in
   Arg.parse
@@ -79,7 +53,7 @@ let () =
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "forward_digest [--trained]";
   let teacher, student =
-    if !trained_models then trained ()
+    if !trained_models then Trained_fixture.train ()
     else
       let cfg = Cbgan.default_config () in
       (Cbgan.create ~seed:42 cfg, Student.create ~seed:7 (Distill.student_config cfg))

@@ -165,9 +165,11 @@ let test_reference_vs_tiled () =
 
 (* Blas.Packed against Blas.gemm ~alpha:1 ~beta:0 with the activation
    applied to B first, exactly as the tape materialises it: bitwise, on
-   both sides of the small-product cutoff, at 1 and 4 domains. B carries
-   signed zeros and A a zero row pair, to reach the leaky activation's
-   zero-sign difference and the row kernel's zero skip. *)
+   both sides of the small-product cutoff, at 1 and 4 domains, with the
+   panels in storage of their own ([pack]) and in a workspace borrow
+   ([with_packed], as the tape's convolutions pack). B carries signed zeros
+   and A a zero row pair, to reach the leaky activation's zero-sign
+   difference and the row kernel's zero skip. *)
 let packed_matches_gemm ~m ~k ~n ~trans ~act seed =
   let rng = Prng.create seed in
   let w = Tensor.randn rng (if trans then [| k; m |] else [| m; k |]) in
@@ -189,14 +191,18 @@ let packed_matches_gemm ~m ~k ~n ~trans ~act seed =
   in
   let want = Tensor.create [| m; n |] in
   Blas.gemm ~trans_a:trans ~alpha:1.0 ~a:w ~b:tape_act ~beta:0.0 want;
-  let p = Blas.Packed.pack ~trans w in
+  let with_own f = f (Blas.Packed.pack ~trans w) in
   List.for_all
-    (fun d ->
-      let got = Tensor.randn rng [| m; n |] in
-      Dpool.with_domains d (fun () -> Blas.Packed.gemm ~act ~a:p ~b got);
-      Array.map Int32.bits_of_float (Tensor.to_array got)
-      = Array.map Int32.bits_of_float (Tensor.to_array want))
-    [ 1; 4 ]
+    (fun packing ->
+      List.for_all
+        (fun d ->
+          let got = Tensor.randn rng [| m; n |] in
+          Dpool.with_domains d (fun () ->
+              packing (fun p -> Blas.Packed.gemm ~act ~a:p ~b got));
+          Array.map Int32.bits_of_float (Tensor.to_array got)
+          = Array.map Int32.bits_of_float (Tensor.to_array want))
+        [ 1; 4 ])
+    [ with_own; Blas.Packed.with_packed ~trans w ]
 
 let acts = [ Blas.No_act; Blas.Relu; Blas.Leaky 0.2 ]
 

@@ -343,6 +343,46 @@ let test_parameter_layout () =
   Alcotest.(check (list string)) "student state names" student_state_names
     (List.map fst (Unet.state student))
 
+(* --- training numerics, pinned across commits ---
+
+   MD5s of the trained fixture's weights: every parameter's float32 bits
+   and every batch-norm statistic's float64 bits, in parameter order, with
+   their names. A change to the tape, the kernels, Adam or the training
+   loop that moves one bit of a trained checkpoint changes them. The
+   values were taken before the tape's elementwise loops, Adam and the
+   convolutions' weight packing were rewritten, and must not move. *)
+let weights_digest params state =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (p : Param.t) ->
+      Buffer.add_string buf p.Param.name;
+      for i = 0 to Tensor.numel p.Param.value - 1 do
+        Buffer.add_int32_le buf (Int32.bits_of_float (Tensor.get p.Param.value i))
+      done)
+    params;
+  List.iter
+    (fun (name, a) ->
+      Buffer.add_string buf name;
+      Array.iter (fun v -> Buffer.add_int64_le buf (Int64.bits_of_float v)) a)
+    state;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_trained_weights_pinned () =
+  List.iter
+    (fun d ->
+      let teacher, student = Dpool.with_domains d Trained_fixture.train in
+      Alcotest.(check string)
+        (Printf.sprintf "teacher weights at %d domains" d)
+        "f6c638ed4d88a27e63c46c13faf67670"
+        (weights_digest
+           (Cbgan.generator_params teacher @ Cbgan.discriminator_params teacher)
+           (Cbgan.state teacher));
+      Alcotest.(check string)
+        (Printf.sprintf "student weights at %d domains" d)
+        "cf780120b5a3329b731728d61c7623e5"
+        (weights_digest (Unet.params student) (Unet.state student)))
+    [ 1; 4 ]
+
 let suite =
   ( "cachebox core",
     [
@@ -365,4 +405,5 @@ let suite =
       Alcotest.test_case "batch-size invariance" `Quick test_synthesize_batch_invariance;
       qc test_normalize_roundtrip;
       Alcotest.test_case "generator parameter layout" `Quick test_parameter_layout;
+      Alcotest.test_case "trained fixture weights pinned" `Slow test_trained_weights_pinned;
     ] )

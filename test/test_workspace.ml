@@ -172,33 +172,71 @@ let test_threads_claim_distinct_slots () =
 
 (* --- steady state: a warmed-up training step allocates nothing --- *)
 
+(* The ngf-4 teacher on one training workload, one epoch at batch 2, on one
+   domain (so every kernel runs on the calling domain). *)
+let fixture () =
+  let spec = (Experiments.default_scale ()).Experiments.spec in
+  let ws = List.filteri (fun i _ -> i < 1) (Suite.split (Suite.all ())).Suite.train in
+  let data = Cbox_dataset.build_l1 spec ~configs:[ Experiments.l1_64s12w ] ~trace_len:4000 ws in
+  let samples = Cbox_dataset.to_samples data in
+  let cfg = Cbgan.default_config ~ngf:4 ~ndf:4 () in
+  (spec, samples, cfg, Cbgan.create ~seed:7 cfg)
+
+type usage = { fresh_allocs : int; borrows : int; minor_words : float }
+
+(* Two warm-up calls populate every size class the call's kernels borrow;
+   the third is measured. *)
+let third_call call =
+  call ();
+  call ();
+  let a0 = Workspace.alloc_count () and b0 = Workspace.borrow_count () in
+  let w0 = Gc.minor_words () in
+  call ();
+  let minor_words = Gc.minor_words () -. w0 in
+  {
+    fresh_allocs = Workspace.alloc_count () - a0;
+    borrows = Workspace.borrow_count () - b0;
+    minor_words;
+  }
+
+let train_call () =
+  let spec, samples, _, model = fixture () in
+  let options =
+    { (Cbox_train.default_options ~epochs:1 ~batch_size:2 ()) with Cbox_train.domains = Some 1 }
+  in
+  fun () -> ignore (Cbox_train.train model spec options samples)
+
+let distill_call () =
+  let spec, samples, cfg, teacher = fixture () in
+  let student = Student.create ~seed:7 (Distill.student_config cfg) in
+  let options =
+    { (Distill.default_options ~epochs:1 ()) with Distill.batch_size = 2; domains = Some 1 }
+  in
+  fun () -> ignore (Distill.train ~teacher student spec options samples)
+
 let test_training_steady_state () =
   with_ws true (fun () ->
-      let spec = (Experiments.default_scale ()).Experiments.spec in
-      let ws =
-        List.filteri (fun i _ -> i < 1) (Suite.split (Suite.all ())).Suite.train
-      in
-      let data =
-        Cbox_dataset.build_l1 spec ~configs:[ Experiments.l1_64s12w ] ~trace_len:4000 ws
-      in
-      let samples = Cbox_dataset.to_samples data in
-      let model = Cbgan.create ~seed:7 (Cbgan.default_config ~ngf:4 ~ndf:4 ()) in
-      let options =
-        { (Cbox_train.default_options ~epochs:1 ~batch_size:2 ()) with
-          Cbox_train.domains = Some 1;
-        }
-      in
-      let step () = ignore (Cbox_train.train model spec options samples) in
-      (* Warmup: populate every size class the step's kernels borrow. *)
-      step ();
-      step ();
-      let a0 = Workspace.alloc_count () in
-      let b0 = Workspace.borrow_count () in
-      step ();
-      let fresh_allocs = Workspace.alloc_count () - a0 in
-      let borrows = Workspace.borrow_count () - b0 in
-      Alcotest.(check bool) "steady step borrows scratch" true (borrows > 0);
-      Alcotest.(check int) "steady step allocates no scratch" 0 fresh_allocs)
+      let u = third_call (train_call ()) in
+      Alcotest.(check bool) "steady step borrows scratch" true (u.borrows > 0);
+      Alcotest.(check int) "steady step allocates no scratch" 0 u.fresh_allocs)
+
+(* Minor-heap words of a warm training call. A float boxed per element of
+   the step (a cross-module Tensor.get/set, or a closure per element) costs
+   millions of words here. With every elementwise loop over the raw
+   buffers a call allocated 50,203 words (Cbox_train.train) and 22,063
+   (Distill.train); when Adam, batch norm, the activations and the losses
+   boxed their floats, 4,711,636 and 560,080. The bounds leave 1.8-2x. *)
+let minor_words_bound name call bound =
+  with_ws true (fun () ->
+      let u = third_call (call ()) in
+      if u.minor_words > bound then
+        Alcotest.failf "%s allocated %.0f minor words (bound %.0f)" name u.minor_words bound)
+
+let test_train_minor_words () =
+  minor_words_bound "Cbox_train.train" train_call 100_000.0
+
+let test_distill_minor_words () =
+  minor_words_bound "Distill.train" distill_call 40_000.0
 
 let suite =
   ( "workspace",
@@ -216,4 +254,6 @@ let suite =
         test_threads_claim_distinct_slots;
       Alcotest.test_case "training step steady-state allocations" `Slow
         test_training_steady_state;
+      Alcotest.test_case "training call minor words" `Slow test_train_minor_words;
+      Alcotest.test_case "distillation call minor words" `Slow test_distill_minor_words;
     ] )
