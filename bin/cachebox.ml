@@ -880,18 +880,14 @@ let route_cmd =
         (fun s -> List.filter (( <> ) "") (String.split_on_char ',' s))
         backends
     in
-    if specs = [] then begin
-      Fmt.epr "cachebox route: no backends (repeat --backend or set CACHEBOX_ROUTER_BACKENDS)@.";
-      exit 2
-    end;
+    require (specs <> [])
+      "cachebox route: no backends (repeat --backend or set CACHEBOX_ROUTER_BACKENDS)";
     let backends =
       List.map
         (fun s ->
           match parse_backend_spec s with
           | Ok b -> b
-          | Error m ->
-            Fmt.epr "cachebox route: %s@." m;
-            exit 2)
+          | Error m -> die (Serve_error.v Serve_error.Invalid_config "cachebox route: %s" m))
         specs
     in
     let listen = listen_of ~socket ~port in
@@ -996,8 +992,9 @@ let loadgen_cmd =
       | None -> None
       | Some s ->
         let bad why =
-          Fmt.epr "--backend-mix: %s (expected NAME:W,... e.g. float32:2,int8:1)@." why;
-          exit 2
+          die
+            (Serve_error.v Serve_error.Invalid_config
+               "--backend-mix: %s (expected NAME:W,... e.g. float32:2,int8:1)" why)
         in
         let expanded =
           List.concat_map
@@ -1014,10 +1011,7 @@ let loadgen_cmd =
         if expanded = [] then bad "empty mix";
         Some expanded
     in
-    if backend <> None && mix <> None then begin
-      Fmt.epr "--backend and --backend-mix are mutually exclusive@.";
-      exit 2
-    end;
+    require (backend = None || mix = None) "--backend and --backend-mix are mutually exclusive";
     let listen = listen_of ~socket ~port in
     let verdict = function
       | [] -> Fmt.pr "loadgen: OK@."
@@ -1091,10 +1085,7 @@ let replay_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Trace file (text or binary; auto-detected).")
   in
   let run file sets ways =
-    if not (Sys.file_exists file) then begin
-      Fmt.epr "no such trace file: %s@." file;
-      exit 2
-    end;
+    require (Sys.file_exists file) "no such trace file: %s" file;
     let trace =
       match Trace_io.read_auto file with
       | trace -> trace

@@ -82,14 +82,3 @@ let successors t ~key n =
     done;
     List.rev !out
   end
-
-(* Per-node share of [keys], for balance tests and the stats reply. *)
-let spread t keys =
-  let counts = Hashtbl.create 8 in
-  Array.iter (fun n -> Hashtbl.replace counts n 0) t.nodes;
-  List.iter
-    (fun k ->
-      let n = lookup t ~key:k in
-      Hashtbl.replace counts n (1 + Hashtbl.find counts n))
-    keys;
-  Array.to_list (Array.map (fun n -> (n, Hashtbl.find counts n)) t.nodes)

@@ -23,9 +23,3 @@ val successors : t -> key:string -> int -> string list
 
 val nodes : t -> string list
 (** Node names, in the order given to {!create}. *)
-
-val point_of_key : string -> int
-(** The ring coordinate of a key (exposed for determinism tests). *)
-
-val spread : t -> string list -> (string * int) list
-(** Keys-per-node histogram for a key list (balance tests, stats). *)

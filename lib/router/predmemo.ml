@@ -21,7 +21,6 @@ type t = {
   mutable mru : node option;
   mutable lru : node option;
   mutable hits : int;
-  mutable misses : int;
   mutable evictions : int;
 }
 
@@ -34,7 +33,6 @@ let create ~capacity =
     mru = None;
     lru = None;
     hits = 0;
-    misses = 0;
     evictions = 0;
   }
 
@@ -66,9 +64,7 @@ let find t key =
           unlink t n;
           push_front t n;
           Some n.value
-        | None ->
-          t.misses <- t.misses + 1;
-          None)
+        | None -> None)
 
 let add t key value =
   if t.capacity > 0 then
@@ -99,6 +95,4 @@ let clear t =
 
 let length t = with_lock t (fun () -> Hashtbl.length t.table)
 let hits t = with_lock t (fun () -> t.hits)
-let misses t = with_lock t (fun () -> t.misses)
 let evictions t = with_lock t (fun () -> t.evictions)
-let capacity t = t.capacity

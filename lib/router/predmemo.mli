@@ -13,10 +13,8 @@ val add : t -> string -> Sjson.t -> unit
 
 val clear : t -> unit
 (** Drop every entry (after a cluster-wide reload the old model's
-    predictions are stale). Hit/miss counters survive. *)
+    predictions are stale). The hit and eviction counters survive. *)
 
 val length : t -> int
 val hits : t -> int
-val misses : t -> int
 val evictions : t -> int
-val capacity : t -> int

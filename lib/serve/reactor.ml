@@ -69,7 +69,6 @@ type t = {
   mutable woken : bool;  (* a wake byte is already in flight *)
   mutable conns : conn list;
   mutable next_cid : int;
-  mutable reap_count : int;
   mutable stopping : bool;
 }
 
@@ -120,7 +119,6 @@ let create ?(max_conns = 512) ?(max_line = 1 lsl 20)
     woken = false;
     conns = [];
     next_cid = 0;
-    reap_count = 0;
     stopping = false;
   }
 
@@ -137,8 +135,6 @@ let stop t =
       t.stopping <- true;
       wake_locked t)
 
-let connections t = with_lock t (fun () -> List.length t.conns)
-let reaped t = with_lock t (fun () -> t.reap_count)
 let ticket_conn_id ticket = ticket.tk_conn.cid
 
 (* Exempting is a plain boolean store: the reaper only ever reads it on the
@@ -301,10 +297,7 @@ let run t =
       let now = Unix.gettimeofday () in
       List.iter
         (fun c ->
-          if idle_candidate c && now -. c.last_activity > it then begin
-            with_lock t (fun () -> t.reap_count <- t.reap_count + 1);
-            close_conn t c
-          end)
+          if idle_candidate c && now -. c.last_activity > it then close_conn t c)
         conns
     | _ -> ());
     let conns = with_lock t (fun () -> t.conns) in

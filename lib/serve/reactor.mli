@@ -72,12 +72,6 @@ val stop : t -> unit
     connections, and make {!run} return. Callers must resolve all
     outstanding tickets first (the daemon's shutdown drain does). *)
 
-val connections : t -> int
-(** Live connection count (diagnostics). *)
-
-val reaped : t -> int
-(** Connections closed by the idle reaper so far (diagnostics/stats). *)
-
 val ticket_conn_id : ticket -> int
 (** Stable id of the connection that carried this ticket's request, unique
     for the reactor's lifetime — streaming sessions bind to it so feeds

@@ -50,4 +50,3 @@ let close t =
       Condition.broadcast t.nonempty)
 
 let length t = with_lock t (fun () -> Queue.length t.q)
-let capacity t = t.capacity

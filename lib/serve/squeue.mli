@@ -27,4 +27,3 @@ val close : 'a t -> unit
 (** Rejects future pushes and wakes blocked poppers (idempotent). *)
 
 val length : 'a t -> int
-val capacity : 'a t -> int

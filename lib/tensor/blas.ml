@@ -11,26 +11,6 @@ let transpose_into ~src ~dst =
     done
   done
 
-let transpose t =
-  check_2d "Blas.transpose" t;
-  let m = Tensor.dim t 0 and n = Tensor.dim t 1 in
-  let r = Tensor.create [| n; m |] in
-  transpose_into ~src:t ~dst:r;
-  r
-
-(* --- kernel selection ---
-
-   [Tiled] is the cache-blocked, panel-packed production kernel. [Reference]
-   is the previous two-row-blocked kernel (with materialised transposes and
-   no packing), kept as the oracle the tiled kernel is tested against. Both
-   satisfy the same contract: bit-identical results at every domain count. *)
-
-type kernel_impl = Reference | Tiled
-
-let selected = ref Tiled
-let set_kernel k = selected := k
-let kernel () = !selected
-
 (* Minimum multiply-add count before a kernel is worth packing panels or
    fanning out over the domain pool; below it the overhead dominates.
    Thresholding never affects results: the small path runs the same scalar
@@ -85,26 +65,22 @@ let activate_ act t =
    [caml_ba_set_1] C call per element (boxing every float), and no later
    inlining undoes that. test/check_bigarray_calls.sh guards the rule. *)
 
-(* --- reference kernel (previous implementation, unchanged) ---
+(* --- the small-product row kernel ---
 
-   Core kernel over rows [row_lo .. row_hi] (inclusive) of the output:
-   c[i,:] += alpha * a[i,:] * b, with an i-k-j loop order so the inner loop
-   streams contiguously over b and c. Two rows of A per pass halve the
-   traffic on B. Row slices handed to the pool are aligned to even row pairs
-   so the pairing — and with it the exact float behaviour — matches the
-   serial pass over [0 .. m-1]. *)
-let gemm_rows ~alpha ~(ad : Tensor.buffer) ~(bd : Tensor.buffer) ~(cd : Tensor.buffer) ~k ~n
-    ~row_lo ~row_hi =
-  let i = ref row_lo in
-  while !i <= row_hi do
-    let two_rows = !i + 1 <= row_hi in
+   c += a * b over plain row-major operands ([m x k] by [k x n]), with an
+   i-k-j loop order so the inner loop streams contiguously over b and c,
+   and two rows of A per pass to halve the traffic on B. Every multiply-add
+   lands in C, so each one rounds to float32. Only products below
+   [small_cutoff] run it, serially. *)
+let gemm_rows ~(ad : Tensor.buffer) ~(bd : Tensor.buffer) ~(cd : Tensor.buffer) ~m ~k ~n =
+  let i = ref 0 in
+  while !i < m do
+    let two_rows = !i + 1 < m in
     let a_row0 = !i * k and a_row1 = (!i + 1) * k in
     let c_row0 = !i * n and c_row1 = (!i + 1) * n in
     for p = 0 to k - 1 do
-      let a0 = alpha *. Bigarray.Array1.unsafe_get ad (a_row0 + p) in
-      let a1 =
-        if two_rows then alpha *. Bigarray.Array1.unsafe_get ad (a_row1 + p) else 0.0
-      in
+      let a0 = Bigarray.Array1.unsafe_get ad (a_row0 + p) in
+      let a1 = if two_rows then Bigarray.Array1.unsafe_get ad (a_row1 + p) else 0.0 in
       if a0 <> 0.0 || a1 <> 0.0 then begin
         let b_row = p * n in
         if two_rows then
@@ -126,28 +102,16 @@ let gemm_rows ~alpha ~(ad : Tensor.buffer) ~(bd : Tensor.buffer) ~(cd : Tensor.b
     i := !i + if two_rows then 2 else 1
   done
 
-let gemm_nn_ref ~alpha ~a ~b ~c ~m ~k ~n =
-  let ad = a.Tensor.data and bd = b.Tensor.data and cd = c.Tensor.data in
-  if m * n * k < par_flops then gemm_rows ~alpha ~ad ~bd ~cd ~k ~n ~row_lo:0 ~row_hi:(m - 1)
-  else begin
-    (* Slice ownership in units of row pairs keeps the two-row blocking of
-       the serial pass intact, so results are bit-identical for any lane
-       count. Each lane writes only its own rows of c. *)
-    let npairs = (m + 1) / 2 in
-    Dpool.parallel_for npairs (fun plo phi ->
-        gemm_rows ~alpha ~ad ~bd ~cd ~k ~n ~row_lo:(2 * plo)
-          ~row_hi:(min (m - 1) ((2 * phi) + 1)))
-  end
+(* --- the tiled & packed kernel ---
 
-(* --- tiled & packed kernel ---
-
-   Classic three-level blocking: C is computed in NC-wide column blocks; for
-   each, B is packed one KC x NC panel at a time into NR-wide column
-   micro-panels (k-major, zero-padded to a whole panel), and A is packed one
-   MC x KC block at a time into MR-tall row micro-panels with alpha folded
-   in. Register tiles then cover each MR x NR tile of C, two 4x2 tiles or
-   a 4x2 and a 4x1 or one of either: each accumulates a full KC block into
-   local accumulators and flushes to C once.
+   Classic three-level blocking: op(A) is packed once, into MR-tall k-major
+   row micro-panels grouped in KC-deep blocks (a [Packed.t]); C is computed
+   in NC-wide column blocks, and for each, B is packed one KC x NC panel at
+   a time into NR-wide column micro-panels (k-major, zero-padded to a whole
+   panel). Register tiles then cover each MR x NR tile of C, MC rows of A
+   at a time, two 4x2 tiles or a 4x2 and a 4x1 or one of either: each
+   accumulates a full KC block into local accumulators and flushes to C
+   once.
 
    Determinism: an element (i, j) of C receives exactly one contribution per
    (jc, pc) block, in pc order, each computed by the same scalar k-ordered
@@ -162,31 +126,6 @@ let nr = 4
 let kc_blk = 256
 let mc_blk = 64
 let nc_blk = 256
-
-(* Pack op(A)[i0 .. i0+mcur-1, p0 .. p0+kcur-1] as MR-tall k-major panels
-   with [alpha] folded in; rows past [mcur] pack as zero. [ac] is the stored
-   column count of [a] (its leading dimension). *)
-let pack_a ~trans ~alpha (ad : Tensor.buffer) ~ac ~i0 ~mcur ~p0 ~kcur (dst : Tensor.buffer) =
-  let panels = (mcur + mr - 1) / mr in
-  for pi = 0 to panels - 1 do
-    let base = pi * mr * kcur in
-    let row0 = i0 + (pi * mr) in
-    for p = 0 to kcur - 1 do
-      let o = base + (p * mr) in
-      let kp = p0 + p in
-      for r = 0 to mr - 1 do
-        let i = row0 + r in
-        let v =
-          if i < i0 + mcur then
-            alpha
-            *. (if trans then Bigarray.Array1.unsafe_get ad ((kp * ac) + i)
-                else Bigarray.Array1.unsafe_get ad ((i * ac) + kp))
-          else 0.0
-        in
-        Bigarray.Array1.unsafe_set dst (o + r) v
-      done
-    done
-  done
 
 (* Pack act(op(B))[p0 .. p0+kcur-1, j0 .. j0+ncur-1] as NR-wide k-major
    panels; columns past [ncur] pack as zero. [bc] is [b]'s stored column
@@ -356,99 +295,13 @@ let tile ap a0 bp b0 ~kcur cd ~c0 ~ldc ~rows ~cols =
   else if cols land 1 = 1 then
     kern4x1 ap a0 bp (b0 + cols - 1) ~kcur cd ~c0:(c0 + cols - 1) ~ldc ~rows
 
-(* One lane's share: rows [row_lo .. row_hi] of C, full jc -> pc -> ic block
-   sweep. [ap]/[bp] are this lane's packing buffers (>= mc_blk*kc_blk and
-   nc_blk*kc_blk elements). *)
-let gemm_tile_rows ~trans_a ~trans_b ~alpha ~(ad : Tensor.buffer) ~ac ~(bd : Tensor.buffer)
-    ~bc ~(cd : Tensor.buffer) ~k ~n ~row_lo ~row_hi ~(ap : Tensor.buffer)
-    ~(bp : Tensor.buffer) =
-  let jc = ref 0 in
-  while !jc < n do
-    let ncur = min nc_blk (n - !jc) in
-    let pc = ref 0 in
-    while !pc < k do
-      let kcur = min kc_blk (k - !pc) in
-      pack_b ~trans:trans_b ~act:No_act bd ~bc ~p0:!pc ~kcur ~j0:!jc ~ncur bp;
-      let ic = ref row_lo in
-      while !ic <= row_hi do
-        let mcur = min mc_blk (row_hi - !ic + 1) in
-        pack_a ~trans:trans_a ~alpha ad ~ac ~i0:!ic ~mcur ~p0:!pc ~kcur ap;
-        let mpan = (mcur + mr - 1) / mr and npan = (ncur + nr - 1) / nr in
-        (* NR-panel outer, MR-panel inner: the KC x NR sliver of packed B
-           stays hot in L1 while the whole packed A block streams past it. *)
-        for pj = 0 to npan - 1 do
-          let cols = min nr (ncur - (pj * nr)) in
-          let b0 = pj * nr * kcur and jcol = !jc + (pj * nr) in
-          for pi = 0 to mpan - 1 do
-            let rows = min mr (mcur - (pi * mr)) in
-            tile ap (pi * mr * kcur) bp b0 ~kcur cd
-              ~c0:(((!ic + (pi * mr)) * n) + jcol)
-              ~ldc:n ~rows ~cols
-          done
-        done;
-        ic := !ic + mcur
-      done;
-      pc := !pc + kcur
-    done;
-    jc := !jc + ncur
-  done
+(* --- packed A operands ---
 
-let gemm_tiled ~trans_a ~trans_b ~alpha ~a ~b ~c ~m ~k ~n =
-  let ad = a.Tensor.data and bd = b.Tensor.data and cd = c.Tensor.data in
-  let ac = Tensor.dim a 1 and bc = Tensor.dim b 1 in
-  (* Row ownership in MR-aligned panels: every lane runs the same jc/pc
-     block grid over its own rows, so results are bit-identical for any
-     lane count (see the module comment above). *)
-  let npanels = (m + mr - 1) / mr in
-  Dpool.parallel_for npanels (fun plo phi ->
-      let row_lo = plo * mr and row_hi = min (m - 1) ((phi * mr) + mr - 1) in
-      Workspace.with_buf2 [| mc_blk * kc_blk |] [| nc_blk * kc_blk |] (fun apt bpt ->
-          gemm_tile_rows ~trans_a ~trans_b ~alpha ~ad ~ac ~bd ~bc ~cd ~k ~n ~row_lo
-            ~row_hi ~ap:apt.Tensor.data ~bp:bpt.Tensor.data))
-
-(* Materialise op(t) (dims rows x cols) into workspace scratch when a
-   transpose is requested; the small path's row kernel wants plain NN
-   operands but must not allocate. *)
-let with_op ~trans t ~rows ~cols f =
-  if not trans then f t
-  else
-    Workspace.with_buf [| rows; cols |] (fun dst ->
-        transpose_into ~src:t ~dst;
-        f dst)
-
-let gemm ?(trans_a = false) ?(trans_b = false) ~alpha ~a ~b ~beta c =
-  check_2d "Blas.gemm a" a;
-  check_2d "Blas.gemm b" b;
-  check_2d "Blas.gemm c" c;
-  let m = Tensor.dim a (if trans_a then 1 else 0) in
-  let k = Tensor.dim a (if trans_a then 0 else 1) in
-  let k2 = Tensor.dim b (if trans_b then 1 else 0) in
-  let n = Tensor.dim b (if trans_b then 0 else 1) in
-  if k <> k2 then invalid_arg "Blas.gemm: inner dimension mismatch";
-  if Tensor.dim c 0 <> m || Tensor.dim c 1 <> n then
-    invalid_arg "Blas.gemm: output dimension mismatch";
-  if beta = 0.0 then Tensor.fill c 0.0 else if beta <> 1.0 then Tensor.scale_ c beta;
-  if alpha = 0.0 then ()
-  else
-    match !selected with
-    | Reference ->
-      let a = if trans_a then transpose a else a in
-      let b = if trans_b then transpose b else b in
-      gemm_nn_ref ~alpha ~a ~b ~c ~m ~k ~n
-    | Tiled ->
-      if is_small ~m ~k ~n then
-        with_op ~trans:trans_a a ~rows:m ~cols:k (fun a ->
-            with_op ~trans:trans_b b ~rows:k ~cols:n (fun b ->
-                gemm_rows ~alpha ~ad:a.Tensor.data ~bd:b.Tensor.data ~cd:c.Tensor.data
-                  ~k ~n ~row_lo:0 ~row_hi:(m - 1)))
-      else gemm_tiled ~trans_a ~trans_b ~alpha ~a ~b ~c ~m ~k ~n
-
-(* --- prepacked weights ---
-
-   Inference multiplies one weight matrix by a fresh activation matrix on
-   every call, so the weight side is packed once, into MR-tall k-major
-   panels grouped in KC-major blocks (padding rows zero): the layout of
-   [Int8.qweight]. Row i, depth p of op(W) lives at [pack_index]. *)
+   op(A) packed into MR-tall k-major panels grouped in KC-major blocks
+   (padding rows zero): the layout of [Int8.qweight]. Row i, depth p of
+   op(A) lives at [pack_index]. Inference packs each weight once, a
+   convolution on the tape once per call, and [gemm] its A once per call;
+   every product then runs [Packed.lane] over the stored panels. *)
 
 let npanels m = (m + mr - 1) / mr
 
@@ -457,13 +310,6 @@ let pack_index ~m ~k ~i ~p =
   let kcur = min kc_blk (k - p0) in
   (npanels m * mr * p0) + (i / mr * mr * kcur) + ((p - p0) * mr) + (i mod mr)
 
-(* A call packs only act(B) and runs the same register tiles over the
-   stored panels, in [gemm_tiled]'s jc -> pc -> MC -> pj -> pi order. Every
-   element of C meets the same packed A and B values (alpha = 1 folds
-   exactly), the same KC grid and the same flush order as
-   [gemm ~alpha:1.0 ~beta:0.0] under [Tiled], and a product below
-   [small_cutoff] runs that path's row kernel on an unpacked copy, so every
-   product is bit-identical to it at any domain count. *)
 module Packed = struct
   type t = { pm : int; pk : int; pdata : Tensor.buffer }
 
@@ -473,7 +319,7 @@ module Packed = struct
      starts at [npan * MR * pc + pi * MR * kcur], so the domain pool packs
      disjoint panel ranges at once; the values are copies, identical at
      any domain count. A [row_scale] entry multiplies its row, which is how
-     a batch norm folds into a weight. *)
+     a batch norm folds into a weight and [gemm]'s alpha into its A. *)
   let pack_into ~trans ?row_scale w (pdata : Tensor.buffer) =
     let m = Tensor.dim w (if trans then 1 else 0) in
     let k = Tensor.dim w (if trans then 0 else 1) in
@@ -508,27 +354,30 @@ module Packed = struct
     if m * k < par_flops then panels 0 (npan - 1) else Dpool.parallel_for npan panels;
     { pm = m; pk = k; pdata }
 
-  (* Rows, depth and packed size of op(w). *)
-  let dims name ~trans w =
+  (* The packed size of op(w), after checking [w] and [row_scale]. *)
+  let size name ~trans ?row_scale w =
     check_2d name w;
     let m = Tensor.dim w (if trans then 1 else 0) in
     let k = Tensor.dim w (if trans then 0 else 1) in
-    (m, k, npanels m * mr * k)
+    (match row_scale with
+    | Some s when Array.length s <> m -> invalid_arg (name ^ ": row_scale length")
+    | _ -> ());
+    npanels m * mr * k
 
   let pack ?(trans = false) ?row_scale w =
-    let m, _, size = dims "Blas.Packed.pack" ~trans w in
-    (match row_scale with
-    | Some s when Array.length s <> m -> invalid_arg "Blas.Packed.pack: row_scale length"
-    | _ -> ());
     pack_into ~trans ?row_scale w
-      (Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout size)
+      (Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout
+         (size "Blas.Packed.pack" ~trans ?row_scale w))
 
-  let with_packed ?(trans = false) w f =
-    let _, _, size = dims "Blas.Packed.with_packed" ~trans w in
-    Workspace.with_buf [| size |] (fun buf -> f (pack_into ~trans w buf.Tensor.data))
+  let with_packed ?(trans = false) ?row_scale w f =
+    Workspace.with_buf
+      [| size "Blas.Packed.with_packed" ~trans ?row_scale w |]
+      (fun buf -> f (pack_into ~trans ?row_scale w buf.Tensor.data))
 
-  (* One lane's share: MR panels [pan_lo .. pan_hi] of C. *)
-  let lane t ~act ~(bd : Tensor.buffer) ~(cd : Tensor.buffer) ~n ~pan_lo ~pan_hi
+  (* One lane's share of C += a * act(op(B)): MR panels [pan_lo .. pan_hi]
+     of C, in jc -> pc -> MC -> pj -> pi order. [bc] is B's stored column
+     count and [bp] this lane's B panel (>= nc_blk*kc_blk elements). *)
+  let lane t ~trans_b ~act ~(bd : Tensor.buffer) ~bc ~(cd : Tensor.buffer) ~n ~pan_lo ~pan_hi
       ~(bp : Tensor.buffer) =
     let m = t.pm and k = t.pk and ap = t.pdata in
     let npan = npanels m and mc_pan = mc_blk / mr in
@@ -538,12 +387,14 @@ module Packed = struct
       let pc = ref 0 in
       while !pc < k do
         let kcur = min kc_blk (k - !pc) in
-        pack_b ~trans:false ~act bd ~bc:n ~p0:!pc ~kcur ~j0:!jc ~ncur bp;
+        pack_b ~trans:trans_b ~act bd ~bc ~p0:!pc ~kcur ~j0:!jc ~ncur bp;
         let ablock = npan * mr * !pc in
         let npanb = (ncur + nr - 1) / nr in
         let ic = ref pan_lo in
         while !ic <= pan_hi do
           let ic_hi = min pan_hi (!ic + mc_pan - 1) in
+          (* NR-panel outer, MR-panel inner: the KC x NR sliver of packed B
+             stays hot in L1 while the MC block of packed A streams past it. *)
           for pj = 0 to npanb - 1 do
             let cols = min nr (ncur - (pj * nr)) in
             let b0 = pj * nr * kcur and jcol = !jc + (pj * nr) in
@@ -560,6 +411,34 @@ module Packed = struct
       jc := !jc + ncur
     done
 
+  (* C += a * act(op(b)), for a [c] of [rows a] x n. A product below
+     [small_cutoff] runs the row kernel over plain copies of op(A),
+     unpacked from the panels, and of act(op(B)); a larger one fans the
+     lanes out over the domain pool. *)
+  let add_into t ~trans_b ~act b c =
+    let m = t.pm and k = t.pk and n = Tensor.dim c 1 in
+    if is_small ~m ~k ~n then
+      Workspace.with_buf [| m; k |] (fun ua ->
+          let ud = ua.Tensor.data in
+          for i = 0 to m - 1 do
+            for p = 0 to k - 1 do
+              Bigarray.Array1.unsafe_set ud ((i * k) + p)
+                (Bigarray.Array1.unsafe_get t.pdata (pack_index ~m ~k ~i ~p))
+            done
+          done;
+          let run (bd : Tensor.buffer) = gemm_rows ~ad:ud ~bd ~cd:c.Tensor.data ~m ~k ~n in
+          if (not trans_b) && act = No_act then run b.Tensor.data
+          else
+            Workspace.with_buf [| k; n |] (fun ab ->
+                if trans_b then transpose_into ~src:b ~dst:ab else Tensor.blit ~src:b ~dst:ab;
+                activate_ act ab;
+                run ab.Tensor.data))
+    else
+      let bd = b.Tensor.data and bc = Tensor.dim b 1 and cd = c.Tensor.data in
+      Dpool.parallel_for (npanels m) (fun plo phi ->
+          Workspace.with_buf [| nc_blk * kc_blk |] (fun bpt ->
+              lane t ~trans_b ~act ~bd ~bc ~cd ~n ~pan_lo:plo ~pan_hi:phi ~bp:bpt.Tensor.data))
+
   let gemm ?(act = No_act) ~a ~b c =
     check_2d "Blas.Packed.gemm b" b;
     check_2d "Blas.Packed.gemm c" c;
@@ -568,32 +447,26 @@ module Packed = struct
     if Tensor.dim c 0 <> m || Tensor.dim c 1 <> n then
       invalid_arg "Blas.Packed.gemm: output dimension mismatch";
     Tensor.fill c 0.0;
-    if is_small ~m ~k ~n then
-      (* [gemm]'s small path: the row kernel over plain operands. *)
-      Workspace.with_buf [| m; k |] (fun ua ->
-          let ud = ua.Tensor.data in
-          for i = 0 to m - 1 do
-            for p = 0 to k - 1 do
-              Bigarray.Array1.unsafe_set ud ((i * k) + p)
-                (Bigarray.Array1.unsafe_get a.pdata (pack_index ~m ~k ~i ~p))
-            done
-          done;
-          let run (bd : Tensor.buffer) =
-            gemm_rows ~alpha:1.0 ~ad:ud ~bd ~cd:c.Tensor.data ~k ~n ~row_lo:0 ~row_hi:(m - 1)
-          in
-          if act = No_act then run b.Tensor.data
-          else
-            Workspace.with_buf [| k; n |] (fun ab ->
-                Tensor.blit ~src:b ~dst:ab;
-                activate_ act ab;
-                run ab.Tensor.data))
-    else
-      let bd = b.Tensor.data and cd = c.Tensor.data in
-      Dpool.parallel_for (npanels m) (fun plo phi ->
-          Workspace.with_buf [| nc_blk * kc_blk |] (fun bpt ->
-              lane a ~act ~bd ~cd ~n ~pan_lo:plo ~pan_hi:phi ~bp:bpt.Tensor.data))
+    add_into a ~trans_b:false ~act b c
 end
 
+let gemm ?(trans_a = false) ?(trans_b = false) ~alpha ~a ~b ~beta c =
+  check_2d "Blas.gemm a" a;
+  check_2d "Blas.gemm b" b;
+  check_2d "Blas.gemm c" c;
+  let m = Tensor.dim a (if trans_a then 1 else 0) in
+  let k = Tensor.dim a (if trans_a then 0 else 1) in
+  let k2 = Tensor.dim b (if trans_b then 1 else 0) in
+  let n = Tensor.dim b (if trans_b then 0 else 1) in
+  if k <> k2 then invalid_arg "Blas.gemm: inner dimension mismatch";
+  if Tensor.dim c 0 <> m || Tensor.dim c 1 <> n then
+    invalid_arg "Blas.gemm: output dimension mismatch";
+  if beta = 0.0 then Tensor.fill c 0.0 else if beta <> 1.0 then Tensor.scale_ c beta;
+  if alpha <> 0.0 then
+    (* alpha rides on A's packing as a row scale; at 1.0 nothing is scaled. *)
+    let row_scale = if alpha = 1.0 then None else Some (Array.make m alpha) in
+    Packed.with_packed ~trans:trans_a ?row_scale a (fun p ->
+        Packed.add_into p ~trans_b ~act:No_act b c)
 
 (* --- int8 quantized GEMM micro-path ---
 
@@ -845,7 +718,7 @@ module Int8 = struct
       end
     done
 
-  (* One lane's share: MR panels [pan_lo .. pan_hi] of C, in [gemm_tiled]'s
+  (* One lane's share: MR panels [pan_lo .. pan_hi] of C, in [Packed.lane]'s
      jc -> pc -> pj -> pi order over the packed B of [panels_size]. *)
   let lane qw ~act_scale ~(bp : Tensor.buffer) ~(cd : Tensor.buffer) ~n ~pan_lo ~pan_hi =
     let m = qw.qm and k = qw.qk and ap = qw.qpack in

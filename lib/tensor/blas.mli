@@ -4,35 +4,30 @@
     convolutional is lowered through im2col onto {!gemm} or {!Packed.gemm}
     (see {!Conv}).
 
-    The production GEMM is cache-blocked and panel-packed: A and B are
-    copied into contiguous MR-tall / NR-wide k-major micro-panels one
-    MC x KC / KC x NC block at a time (packing buffers come from the
-    {!Workspace} arena, so steady state allocates nothing). Register tiles
-    cover each 4 x 4 tile of C: a 4x2 tile on each full column pair and a
-    4x1 tile on a lone last column. A tile accumulates each KC block in
-    registers, one product at a time in depth order, and adds it to C
-    once; a tile that overhangs the last row adds only its real rows.
-    Transposes are absorbed by the packing — [trans_a]/[trans_b] never
-    materialise a transposed copy on this path.
+    One cache-blocked, panel-packed loop nest computes every float
+    product. op(A) is packed into MR-tall k-major micro-panels grouped in
+    KC-deep blocks (a {!Packed.t}): once per call by {!gemm}, with alpha
+    folded in, or once ahead of many calls by its other owners. B is
+    copied into NR-wide k-major micro-panels one KC x NC block at a time
+    (packing buffers come from the {!Workspace} arena, so steady state
+    allocates nothing). Register tiles cover each 4 x 4 tile of C: a 4x2
+    tile on each full column pair and a 4x1 tile on a lone last column. A
+    tile accumulates each KC block in registers, one product at a time in
+    depth order, and adds it to C once; a tile that overhangs the last row
+    adds only its real rows. Transposes are absorbed by the packing —
+    [trans_a]/[trans_b] never materialise a transposed copy on this path.
+    A product below {!set_small_cutoff} multiply-adds runs a serial row
+    kernel over plain copies of its operands instead.
 
     Determinism contract: results are bit-identical for every domain count.
     The pool partitions rows of C in MR-aligned panels and every element's
     accumulation order depends only on the KC block grid, never on lane
     boundaries. *)
 
-type kernel_impl =
-  | Reference  (** previous two-row-blocked kernel, the tests' oracle *)
-  | Tiled  (** cache-blocked, packed production kernel (default) *)
-
-val set_kernel : kernel_impl -> unit
-val kernel : unit -> kernel_impl
-(** Kernel selection; defaults to [Tiled]. Both implementations satisfy the
-    full {!gemm} contract. *)
-
 val set_small_cutoff : int -> unit
-(** Multiply-add count below which {!gemm} uses the serial row kernel
-    instead of packing panels (default 16384). Exposed so tests can force
-    tiny shapes through the tiled path. *)
+(** Multiply-add count below which {!gemm} and {!Packed.gemm} use the
+    serial row kernel instead of the register tiles (default 16384).
+    Exposed so tests can force tiny shapes through the tiled path. *)
 
 val is_small : m:int -> k:int -> n:int -> bool
 (** Whether an [m x k] by [k x n] product runs the row kernel. That kernel
@@ -61,30 +56,24 @@ val gemm :
   unit
 (** [gemm ~alpha ~a ~b ~beta c] computes [c <- alpha * op(a) * op(b) + beta * c]
     where [op] optionally transposes. All of [a], [b], [c] are 2-D; inner
-    dimensions must agree. *)
-
-val transpose : Tensor.t -> Tensor.t
-(** Fresh transposed copy of a 2-D tensor. *)
-
-val transpose_into : src:Tensor.t -> dst:Tensor.t -> unit
-(** Writes [src]'s transpose into caller-owned [dst] (no allocation); [dst]
-    must have the transposed element count. *)
+    dimensions must agree. Each [alpha * op(a)] element is rounded to
+    float32 once, as it is packed; at [alpha = 1.0] nothing is scaled. *)
 
 (** Prepacked float weights.
 
     [pack] copies op(W) once into MR-tall k-major panels grouped in
     KC-major blocks, the layout {!Int8.qweight} uses. A {!Packed.gemm}
-    call then packs only its B operand and runs the same register tiles
-    over the stored panels, so
-    [Packed.gemm ~a:(Packed.pack ~trans w) ~b c] is bit-identical to
-    [gemm ~trans_a:trans ~alpha:1.0 ~a:w ~b ~beta:0.0 c] under the [Tiled]
-    kernel, at every domain count and on every shape, including those
-    below the small-GEMM cutoff.
+    call then packs only its B operand and runs the register tiles over
+    the stored panels: [Packed.gemm ~a:(Packed.pack ~trans w) ~b c] is
+    [gemm ~trans_a:trans ~alpha:1.0 ~a:w ~b ~beta:0.0 c], bit for bit, at
+    every domain count and on every shape, including those below the
+    small-GEMM cutoff.
 
-    Two owners use it. A compiled inference program packs each weight once
-    at compile time ({!pack}). A convolution on the autodiff tape packs its
-    weight once per call and reuses the panels for every sample
-    ({!with_packed}), where {!gemm} would pack W again for each one. *)
+    Three owners use it. A compiled inference program packs each weight
+    once at compile time ({!pack}). A convolution on the autodiff tape
+    packs its weight once per call and reuses the panels for every sample
+    ({!with_packed}). And {!gemm} packs its A operand once per call, with
+    alpha as a row scale, then runs the same lanes. *)
 module Packed : sig
   type t
 
@@ -95,10 +84,11 @@ module Packed : sig
       multiplies each row as it is packed, rounding to float32 as a scaled
       copy of [w] would. *)
 
-  val with_packed : ?trans:bool -> Tensor.t -> (t -> 'a) -> 'a
-  (** [with_packed ~trans w f] is [f (pack ~trans w)] with the panels in a
-      {!Workspace} borrow, so a warm caller allocates nothing. The packed
-      weight is valid only inside [f] and must not escape it. *)
+  val with_packed : ?trans:bool -> ?row_scale:float array -> Tensor.t -> (t -> 'a) -> 'a
+  (** [with_packed ~trans ?row_scale w f] is [f (pack ~trans ?row_scale w)]
+      with the panels in a {!Workspace} borrow, so a warm caller allocates
+      nothing. The packed weight is valid only inside [f] and must not
+      escape it. *)
 
   val gemm : ?act:act -> a:t -> b:Tensor.t -> Tensor.t -> unit
   (** [gemm ~act ~a ~b c] overwrites [c] with [a * act(b)]; [c] must be

@@ -368,15 +368,3 @@ let stack_batch ts =
       ts;
     ignore row;
     r
-
-let pp ppf t =
-  let n = numel t in
-  let limit = min n 8 in
-  Format.fprintf ppf "tensor%a [" (fun ppf sh ->
-      Array.iter (fun d -> Format.fprintf ppf " %d" d) sh)
-    t.shape;
-  for i = 0 to limit - 1 do
-    Format.fprintf ppf "%s%.4g" (if i > 0 then "; " else "") (get t i)
-  done;
-  if n > limit then Format.fprintf ppf "; ...";
-  Format.fprintf ppf "]"

@@ -149,6 +149,3 @@ val slice_batch : t -> int -> int -> t
 val stack_batch : t list -> t
 (** Concatenate along a new/existing leading axis: inputs must share trailing
     dimensions; each input's leading dim contributes. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints shape and a truncated value listing (for debugging). *)
