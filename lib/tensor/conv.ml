@@ -152,9 +152,10 @@ let bias_grad_nchw gout grad_bias =
 
    One product per sample, with the product as an argument. A [Gemm] must
    overwrite its output with the layer's weight matrix times its B operand:
-   the float tape passes [Blas.gemm], the compiled inference programs a
-   prepacked float product, so every forward shares this unfold/scatter
-   plumbing and only the product differs. An int8 convolution ([Int8])
+   the float tape passes a [Blas.Packed] product over the weight it packs
+   once per call, the compiled inference programs one over a weight packed
+   at compile time, so every forward shares this unfold/scatter plumbing
+   and only the product differs. An int8 convolution ([Int8])
    quantizes each sample's input once and packs B straight from the
    quantized planes. Samples are independent and write disjoint planes of
    y, so they run on separate domains; the GEMM inside a lane detects the
