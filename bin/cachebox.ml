@@ -504,10 +504,7 @@ let serve_cmd =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc:"Append serve events (start/stop, degradations, breaker trips, sheds) to a JSONL journal.")
   in
   let batch_max_arg =
-    Arg.(value & opt int Batcher.default_config.Batcher.max_batch & info [ "batch-max" ] ~docv:"N" ~doc:"Micro-batching: flush as soon as N infer requests have coalesced.")
-  in
-  let batch_linger_arg =
-    Arg.(value & opt float 5.0 & info [ "batch-linger-ms" ] ~docv:"MS" ~doc:"Micro-batching: longest any request waits for batch mates before its batch is flushed.")
+    Arg.(value & opt int 32 & info [ "batch-max" ] ~docv:"N" ~doc:"Most infer requests (and stream windows) one model forward runs. Requests that queue behind a running forward share the next one; none waits for batch mates.")
   in
   let senv name = Cmd.Env.info ("CACHEBOX_" ^ name) in
   let idle_timeout_arg =
@@ -533,8 +530,8 @@ let serve_cmd =
   in
   let run socket port ckpt student fallback backend queue_depth deadline_ms
       breaker_threshold breaker_cooldown_ms max_trace_len journal batch_max
-      batch_linger_ms idle_timeout_ms stream_sessions stream_credit
-      stream_pending stream_bytes stream_ttl_ms domains =
+      idle_timeout_ms stream_sessions stream_credit stream_pending stream_bytes
+      stream_ttl_ms domains =
     apply_domains domains;
     if Faultinject.arm_from_env () then
       Fmt.epr "cachebox serve: fault armed from CACHEBOX_FAULT@.";
@@ -564,7 +561,7 @@ let serve_cmd =
       {
         Serve_daemon.listen;
         queue_depth;
-        batcher = { Batcher.max_batch = batch_max; max_linger_s = batch_linger_ms /. 1000.0 };
+        max_batch = batch_max;
         engine =
           {
             (Serve_engine.default_config ~fallback ~default_backend ()) with
@@ -630,9 +627,9 @@ let serve_cmd =
           & info [ "fallback" ] ~docv:"KIND"
               ~doc:"Analytical fallback for degraded answers: $(b,hrd), $(b,stm) or $(b,none).")
       $ backend_arg $ queue_arg $ deadline_arg $ breaker_threshold_arg $ breaker_cooldown_arg
-      $ max_trace_arg $ journal_serve_arg $ batch_max_arg $ batch_linger_arg
-      $ idle_timeout_arg $ stream_sessions_arg $ stream_credit_arg
-      $ stream_pending_arg $ stream_bytes_arg $ stream_ttl_arg $ domains_arg)
+      $ max_trace_arg $ journal_serve_arg $ batch_max_arg $ idle_timeout_arg
+      $ stream_sessions_arg $ stream_credit_arg $ stream_pending_arg $ stream_bytes_arg
+      $ stream_ttl_arg $ domains_arg)
 
 let call_cmd =
   let request_arg =

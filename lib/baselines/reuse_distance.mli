@@ -15,14 +15,11 @@ val distances : ?block_bytes:int -> int array -> int array
 val histogram : int array -> (int * int) list
 (** Sorted (distance, count) pairs; {!infinite} collects cold misses. *)
 
-val log2_bin : int -> int
-(** Representative distance of the power-of-two bucket containing the
-    argument (0 and {!infinite} map to themselves). Compact log2-binned
-    profiles are what HRD-family tools store instead of exact histograms;
-    binning before prediction reproduces their fidelity. *)
-
 val log2_binned : int array -> int array
-(** Maps every distance through {!log2_bin}. *)
+(** Maps every distance to the representative distance of the power-of-two
+    bucket containing it (0 and {!infinite} map to themselves). Compact
+    log2-binned profiles are what HRD-family tools store instead of exact
+    histograms; binning before prediction reproduces their fidelity. *)
 
 val hit_rate_fully_associative : capacity_blocks:int -> int array -> float
 (** Exact LRU hit rate of a fully-associative cache of the given capacity,

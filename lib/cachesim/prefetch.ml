@@ -10,7 +10,7 @@ type state =
   | S_next
   | S_stride of { degree : int; table : stride_entry array }
 
-type t = { k : kind; state : state; mutable issued : int }
+type t = { state : state; mutable issued : int }
 
 let create k =
   let state =
@@ -23,9 +23,7 @@ let create k =
         { degree;
           table = Array.init table_size (fun _ -> { last_block = -1; stride = 0; confidence = 0 }) }
   in
-  { k; state; issued = 0 }
-
-let kind t = t.k
+  { state; issued = 0 }
 
 (* The trace has no PCs, so the stride table is keyed by the 4KiB region the
    access falls in — a region-local stride detector, as in spatial-pattern

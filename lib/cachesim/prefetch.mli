@@ -16,7 +16,6 @@ type kind =
 type t
 
 val create : kind -> t
-val kind : t -> kind
 
 val on_access : t -> addr:int -> block_bytes:int -> int list
 (** Byte addresses the prefetcher wants filled in response to a demand

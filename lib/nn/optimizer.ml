@@ -18,7 +18,6 @@ let adam ~lr ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8) params =
 let zero_grad t = Array.iter Param.zero_grad t.params
 let set_lr t lr = t.lr <- lr
 let lr t = t.lr
-let params t = Array.to_list t.params
 
 (* The update and the norm read and write the raw buffers: a cross-module
    [Tensor.get]/[set] or a closure per element would box every float. *)

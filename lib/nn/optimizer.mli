@@ -17,7 +17,6 @@ val step : t -> unit
 
 val set_lr : t -> float -> unit
 val lr : t -> float
-val params : t -> Param.t list
 
 val state : t -> (string * float array) list
 (** Serializable optimizer state as named float arrays (fresh copies):

@@ -49,8 +49,6 @@ let create ?(vnodes = 128) nodes =
     points;
   { points; nodes = Array.of_list nodes }
 
-let nodes t = Array.to_list t.nodes
-
 (* Index of the first point with point >= p, wrapping past the top. *)
 let first_at_or_after t p =
   let n = Array.length t.points in

@@ -20,6 +20,3 @@ val successors : t -> key:string -> int -> string list
 (** The first [n] {e distinct} nodes clockwise from [key] — the retry
     order: primary first, then failover replicas. Capped at the node
     count. *)
-
-val nodes : t -> string list
-(** Node names, in the order given to {!create}. *)

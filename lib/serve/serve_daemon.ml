@@ -3,7 +3,7 @@ type listen = Unix_socket of string | Tcp of string * int
 type config = {
   listen : listen;
   queue_depth : int;
-  batcher : Batcher.config;
+  max_batch : int;
   engine : Serve_engine.config;
   stream : Stream_session.config;
   idle_timeout_s : float option;
@@ -13,7 +13,7 @@ let default_config listen =
   {
     listen;
     queue_depth = 64;
-    batcher = Batcher.default_config;
+    max_batch = 32;
     engine = Serve_engine.default_config ();
     stream = Stream_session.default_config;
     idle_timeout_s = None;
@@ -71,19 +71,22 @@ let bind_listener = function
          (Unix.error_message e));
     fd
 
-(* The batcher thread: drains the admission queue, coalesces infer requests
-   in the {!Batcher}, and runs each due batch through the engine inline.
+(* The batcher thread: blocks until the reactor admits a line, then takes
+   whatever else is already queued, and runs the infer items those lines
+   carry (plain requests and the windows a stream feed closes) through the
+   engine inline, at most [max_batch] per forward. Work that queues behind
+   a running forward shares the next batch; nothing waits for batch mates.
 
    Shutdown protocol, on a [{"op": "shutdown"}] line:
    + flip [draining] so the reactor answers further lines with the shed
      reply without touching the queue;
    + answer the shutdown request itself;
-   + requests already coalescing in the batcher were picked up before the
-     shutdown, so they get real (batched) answers;
+   + infer items gathered from lines taken before the shutdown get real
+     (batched) answers;
    + close the admission queue, answering orphaned queue entries as shed;
    + stop the reactor, which flushes every reply and closes connections —
      idle clients see EOF. *)
-let batcher_loop engine sessions b queue reactor draining =
+let batcher_loop engine sessions ~max_batch queue reactor draining =
   (* Deferred (reload) work runs on its own threads so a multi-second model
      load never stalls the batcher; shutdown joins them so every ticket is
      resolved before the reactor stops. *)
@@ -101,10 +104,31 @@ let batcher_loop engine sessions b queue reactor draining =
     Mutex.unlock dm;
     List.iter Thread.join ths
   in
-  let dispatch batch =
-    if batch <> [] then
-      let replies = Serve_engine.infer_batch engine (List.map fst batch) in
-      List.iter2 (fun (_, complete) json -> complete json) batch replies
+  (* Each gathered item carries its own completion callback: a plain infer
+     resolves its reactor ticket, a streamed window reports into its feed's
+     completion group (which resolves the feed's ticket once every window
+     the chunk closed has landed). *)
+  let pending = Queue.create () in
+  let submit item complete =
+    Serve_engine.set_item_pickup item (Serve_engine.now engine);
+    Queue.push (item, complete) pending
+  in
+  (* One forward over the oldest [max_batch] gathered items. *)
+  let dispatch () =
+    let rec take k =
+      if k = 0 || Queue.is_empty pending then []
+      else
+        let x = Queue.pop pending in
+        x :: take (k - 1)
+    in
+    let batch = take max_batch in
+    let replies = Serve_engine.infer_batch engine (List.map fst batch) in
+    List.iter2 (fun (_, complete) json -> complete json) batch replies
+  in
+  let flush () =
+    while not (Queue.is_empty pending) do
+      dispatch ()
+    done
   in
   let process job =
     match Serve_engine.classify_line ~arrival:job.arrival engine job.line with
@@ -115,19 +139,13 @@ let batcher_loop engine sessions b queue reactor draining =
       `Shutdown (job.ticket, json)
     | Serve_engine.Batchable item ->
       let ticket = job.ticket in
-      Serve_engine.set_item_pickup item (Serve_engine.now engine);
-      Batcher.push b
-        ~deadline:(Serve_engine.item_deadline item)
-        (item, fun json -> Reactor.resolve ticket (Sjson.to_string json));
+      submit item (fun json -> Reactor.resolve ticket (Sjson.to_string json));
       `Continue
     | Serve_engine.Stream req ->
       let ticket = job.ticket in
       Stream_session.handle sessions
         ~conn:(Reactor.ticket_conn_id ticket)
-        ~arrival:job.arrival
-        ~submit:(fun item complete ->
-          Serve_engine.set_item_pickup item (Serve_engine.now engine);
-          Batcher.push b ~deadline:(Serve_engine.item_deadline item) (item, complete))
+        ~arrival:job.arrival ~submit
         ~resolve:(fun json -> Reactor.resolve ticket (Sjson.to_string json))
         ~exempt:(fun () -> Reactor.exempt_idle ticket)
         req;
@@ -146,7 +164,7 @@ let batcher_loop engine sessions b queue reactor draining =
   let shutdown ticket json =
     Atomic.set draining true;
     Reactor.resolve ticket (Sjson.to_string json);
-    dispatch (Batcher.drain b);
+    flush ();
     Squeue.close queue;
     let rec drain_orphans () =
       match Squeue.pop queue with
@@ -161,9 +179,9 @@ let batcher_loop engine sessions b queue reactor draining =
     Reactor.stop reactor
   in
   (* Abandoned sessions release their quota without waiting for the next
-     open: sweep at most once a second, from whichever branch of the loop
-     is active. (A fully idle daemon sweeps on the next request — opens
-     also sweep, so quota admission never sees stale sessions.) *)
+     open: sweep at most once a second, before each line taken. (A fully
+     idle daemon sweeps on the next request — opens also sweep, so quota
+     admission never sees stale sessions.) *)
   let last_sweep = ref (Serve_engine.now engine) in
   let maybe_sweep () =
     let now = Serve_engine.now engine in
@@ -173,36 +191,24 @@ let batcher_loop engine sessions b queue reactor draining =
     end
   in
   let rec loop () =
+    match Squeue.pop queue with
+    | None ->
+      join_deferred ();
+      Reactor.stop reactor (* external close: bail out cleanly *)
+    | Some job -> step job
+  and step job =
     maybe_sweep ();
-    if Batcher.length b = 0 then
-      (* Nothing coalescing: block until the reactor admits a request. *)
-      match Squeue.pop queue with
-      | None ->
-        join_deferred ();
-        Reactor.stop reactor (* external close: bail out cleanly *)
-      | Some job -> step job
-    else if Batcher.due b then begin
-      dispatch (Batcher.take b);
-      loop ()
-    end
-    else
-      (* A batch is forming: keep pulling ready work, and otherwise nap
-         until the earliest flush obligation (bounded so a new arrival is
-         picked up within a millisecond). *)
+    match process job with
+    | `Shutdown (ticket, json) -> shutdown ticket json
+    | `Continue -> (
+      while Queue.length pending >= max_batch do
+        dispatch ()
+      done;
       match Squeue.try_pop queue with
       | Some job -> step job
       | None ->
-        let wait =
-          match Batcher.next_flush b with
-          | Some at -> at -. Serve_engine.now engine
-          | None -> 0.001
-        in
-        if wait > 0.0 then Thread.delay (Float.min wait 0.001);
-        loop ()
-  and step job =
-    match process job with
-    | `Continue -> loop ()
-    | `Shutdown (ticket, json) -> shutdown ticket json
+        flush ();
+        loop ())
   in
   loop ()
 
@@ -214,20 +220,14 @@ let run ?journal ?reload ?student_path ?(ready = fun () -> ()) ~spec ~model conf
   (* Everything a configured number can make a constructor reject is built
      before the socket is bound: a bad number is an [invalid_config] error,
      with no socket file left behind and no thread dying after startup. *)
-  let engine, queue, batcher, sessions =
+  let engine, queue, sessions =
     try
+      if config.max_batch < 1 then invalid_arg "Serve_daemon.run: max_batch must be >= 1";
       let engine =
         Serve_engine.create ?journal ?reload ?student_path ~spec ~model config.engine
       in
       let queue : job Squeue.t = Squeue.create ~capacity:config.queue_depth in
-      (* Each batched item carries its own completion callback: a plain
-         infer resolves its reactor ticket, a streamed window reports into
-         its feed's completion group (which resolves the feed's ticket once
-         every window the chunk closed has landed). *)
-      let batcher : (Serve_engine.infer_item * (Sjson.t -> unit)) Batcher.t =
-        Batcher.create ~now:(fun () -> Serve_engine.now engine) config.batcher
-      in
-      (engine, queue, batcher, Stream_session.create ~config:config.stream engine)
+      (engine, queue, Stream_session.create ~config:config.stream engine)
     with Invalid_argument m -> Serve_error.fail Serve_error.Invalid_config "%s" m
   in
   let listener = bind_listener config.listen in
@@ -278,7 +278,10 @@ let run ?journal ?reload ?student_path ?(ready = fun () -> ()) ~spec ~model conf
       fun () -> Sys.set_signal Sys.sighup prev
   in
   let batcher =
-    Thread.create (fun () -> batcher_loop engine sessions batcher queue reactor draining) ()
+    Thread.create
+      (fun () ->
+        batcher_loop engine sessions ~max_batch:config.max_batch queue reactor draining)
+      ()
   in
   ready ();
   Reactor.run reactor;

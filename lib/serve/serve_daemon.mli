@@ -5,19 +5,21 @@
     read and write for every connection (no per-connection threads); each
     admitted line is pushed as a job into a bounded {!Squeue}. A single
     batcher thread drains it: health/stats/validation-error requests are
-    answered immediately, valid infer requests coalesce in a {!Batcher}
-    until the batch is full or a linger/deadline obligation fires, then the
-    whole batch runs through one shared model forward
-    ({!Serve_engine.infer_batch}) inline on the batcher thread.
+    answered immediately. It blocks until one line is admitted, takes every
+    other line already queued, and runs the infer requests and stream
+    windows they carry through one shared model forward
+    ({!Serve_engine.infer_batch}) inline, at most [max_batch] per forward.
+    Requests that queue behind a running forward share the next batch; no
+    request waits for batch mates.
 
     A full queue sheds the request immediately with an [overloaded] reply —
     admission control, not buffering. Jobs are stamped with their admission
     time, so time spent queued counts against the request's deadline. A
     [{"op": "shutdown"}] request answers, then stops the daemon cleanly:
-    requests already coalescing in the batcher get real (batched) answers,
-    requests still in the admission queue are answered with an [overloaded]
-    "server shutting down" error, idle connections are woken with EOF, and
-    the Unix socket file is removed.
+    requests taken from the queue before the shutdown line get real
+    (batched) answers, requests still in the admission queue are answered
+    with an [overloaded] "server shutting down" error, idle connections are
+    woken with EOF, and the Unix socket file is removed.
 
     Zero-downtime reload (when [run] is given a reload spec): a
     [{"op": "reload"}] request — or SIGHUP for the default checkpoint —
@@ -31,7 +33,7 @@ type listen = Unix_socket of string | Tcp of string * int
 type config = {
   listen : listen;
   queue_depth : int;  (** bounded admission queue capacity *)
-  batcher : Batcher.config;  (** micro-batching policy (size/linger) *)
+  max_batch : int;  (** most infer items one forward runs (at least 1) *)
   engine : Serve_engine.config;
   stream : Stream_session.config;  (** streaming-session quotas *)
   idle_timeout_s : float option;
@@ -40,9 +42,8 @@ type config = {
 }
 
 val default_config : listen -> config
-(** Queue depth 64, {!Batcher.default_config}, over
-    {!Serve_engine.default_config}; {!Stream_session.default_config}
-    quotas, no idle reaping. *)
+(** Queue depth 64, max_batch 32, over {!Serve_engine.default_config};
+    {!Stream_session.default_config} quotas, no idle reaping. *)
 
 val sockaddr : listen -> Unix.sockaddr
 (** The socket address of [listen], resolving a TCP host. Raises

@@ -305,6 +305,10 @@ let stats_reply t =
        ("shed", Sjson.Num (float_of_int s.Serve_stats.shed));
        ("p50_ms", Sjson.Num s.Serve_stats.p50_ms);
        ("p99_ms", Sjson.Num s.Serve_stats.p99_ms);
+       (* Model forwards run, and the most items one carried: whether work
+          that queued behind a running forward shared the next one. *)
+       ("batches", Sjson.Num (float_of_int s.Serve_stats.batches));
+       ("max_batch", Sjson.Num (float_of_int s.Serve_stats.max_batch));
        ("breaker", Sjson.Str (Breaker.state_name (Breaker.state t.breaker)));
        ("breaker_opens", Sjson.Num (float_of_int (Breaker.times_opened t.breaker)));
        (* Workspace-arena counters: ws_allocs should plateau after the first requests;
@@ -451,8 +455,8 @@ let do_reload t ~arrival ~id ~checkpoint =
 
 (* --- batched execution ---
 
-   Every infer request runs through [infer_batch]: the daemon's dynamic
-   micro-batcher hands it coalesced batches, and the sequential entry
+   Every infer request runs through [infer_batch]: the daemon's batcher
+   thread hands it whatever was queued together, and the sequential entry
    points ([handle_line], [handle_request]) a batch of one. *)
 
 type infer_item = {
@@ -480,7 +484,6 @@ type classified =
       (* a stream_* op: the daemon hands it to the session manager with
          its connection identity and completion callbacks *)
 
-let item_deadline it = it.item_deadline
 let set_item_pickup it ts = it.item_pickup <- ts
 
 (* One streamed window as a batchable item: the access heatmap was already

@@ -235,9 +235,6 @@ val stream_item :
     offline requests — and the engine's default deadline from [arrival]
     (the moment the window closed). *)
 
-val item_deadline : infer_item -> float
-(** Absolute deadline on the engine clock — feed it to {!Batcher.push}. *)
-
 val set_item_pickup : infer_item -> float -> unit
 (** Stamp when the batcher popped the item from the admission queue
     (queue-wait vs batch-wait attribution in {!Serve_stats}). *)

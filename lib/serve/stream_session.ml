@@ -85,12 +85,25 @@ let with_lock t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
+(* One session's footprint, charged against [max_bytes]: the accumulator's
+   column ring and open-window histogram, the tail ring, and slack for the
+   retention ring's scalar records. *)
+let session_bytes spec =
+  (8 * (((spec.Heatmap.width + 1) * spec.Heatmap.height) + Heatmap.accesses_per_image spec))
+  + 4096
+
 let create ?(config = default_config) engine =
   if config.max_sessions <= 0 then invalid_arg "Stream_session.create: max_sessions";
   if config.retain_windows <= 0 then invalid_arg "Stream_session.create: retain_windows";
   if config.max_pending_windows <= 0 then
     invalid_arg "Stream_session.create: max_pending_windows";
   if config.session_ttl_s <= 0.0 then invalid_arg "Stream_session.create: session_ttl_s";
+  let footprint = session_bytes (Serve_engine.spec engine) in
+  if config.max_bytes < footprint then
+    invalid_arg
+      (Printf.sprintf
+         "Stream_session.create: max_bytes %d is below one session's footprint (%d bytes)"
+         config.max_bytes footprint);
   {
     cfg = config;
     engine;
@@ -248,12 +261,7 @@ let open_session mgr ~conn ~arrival ~resolve ~exempt ~id ~sets ~ways =
           | Ok cache ->
             let spec = Serve_engine.spec mgr.engine in
             let apw = Heatmap.accesses_per_image spec in
-            (* Footprint: the accumulator's column ring and open-window
-               histogram, the tail ring, and slack for the retention ring's
-               scalar records. *)
-            let bytes =
-              (8 * (((spec.Heatmap.width + 1) * spec.Heatmap.height) + apw)) + 4096
-            in
+            let bytes = session_bytes spec in
             if mgr.bytes + bytes > mgr.cfg.max_bytes then begin
               mgr.shed_quota <- mgr.shed_quota + 1;
               `Err

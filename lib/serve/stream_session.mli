@@ -58,7 +58,9 @@ type t
 val create : ?config:config -> Serve_engine.t -> t
 (** Sessions window their input with the engine's heatmap spec; replies,
     sheds and degradations are recorded through the engine's stats and
-    journal. Raises [Invalid_argument] on non-positive config fields. *)
+    journal. Raises [Invalid_argument] on non-positive config fields, and
+    on a [max_bytes] below one session's footprint (a daemon that could
+    never open a stream). *)
 
 val handle :
   t ->
@@ -80,8 +82,8 @@ val handle :
 
 val sweep : t -> unit
 (** Evict sessions idle past the TTL (with no windows in flight) — call
-    periodically from the daemon's nap loop so abandoned sessions release
-    their quota without waiting for the next open. *)
+    periodically from the daemon's batcher thread so abandoned sessions
+    release their quota without waiting for the next open. *)
 
 val stats_fields : t -> unit -> (string * Sjson.t) list
 (** Gauges/counters for the [stats] reply (register with

@@ -102,6 +102,19 @@ let gemm_rows ~(ad : Tensor.buffer) ~(bd : Tensor.buffer) ~(cd : Tensor.buffer) 
     i := !i + if two_rows then 2 else 1
   done
 
+(* The small path: C += a * act(op(b)) by the row kernel, where [ad] holds
+   op(A) row-major ([m] x [k]). B goes in as stored when it needs neither
+   a transpose nor an activation, else as a transposed, activated copy. *)
+let small_gemm ~(ad : Tensor.buffer) ~m ~k ~trans_b ~act b c =
+  let n = Tensor.dim c 1 in
+  let run (bd : Tensor.buffer) = gemm_rows ~ad ~bd ~cd:c.Tensor.data ~m ~k ~n in
+  if (not trans_b) && act = No_act then run b.Tensor.data
+  else
+    Workspace.with_buf [| k; n |] (fun ab ->
+        if trans_b then transpose_into ~src:b ~dst:ab else Tensor.blit ~src:b ~dst:ab;
+        activate_ act ab;
+        run ab.Tensor.data)
+
 (* --- the tiled & packed kernel ---
 
    Classic three-level blocking: op(A) is packed once, into MR-tall k-major
@@ -412,9 +425,9 @@ module Packed = struct
     done
 
   (* C += a * act(op(b)), for a [c] of [rows a] x n. A product below
-     [small_cutoff] runs the row kernel over plain copies of op(A),
-     unpacked from the panels, and of act(op(B)); a larger one fans the
-     lanes out over the domain pool. *)
+     [small_cutoff] runs [small_gemm] over a plain copy of op(A), unpacked
+     from the panels; a larger one fans the lanes out over the domain
+     pool. *)
   let add_into t ~trans_b ~act b c =
     let m = t.pm and k = t.pk and n = Tensor.dim c 1 in
     if is_small ~m ~k ~n then
@@ -426,13 +439,7 @@ module Packed = struct
                 (Bigarray.Array1.unsafe_get t.pdata (pack_index ~m ~k ~i ~p))
             done
           done;
-          let run (bd : Tensor.buffer) = gemm_rows ~ad:ud ~bd ~cd:c.Tensor.data ~m ~k ~n in
-          if (not trans_b) && act = No_act then run b.Tensor.data
-          else
-            Workspace.with_buf [| k; n |] (fun ab ->
-                if trans_b then transpose_into ~src:b ~dst:ab else Tensor.blit ~src:b ~dst:ab;
-                activate_ act ab;
-                run ab.Tensor.data))
+          small_gemm ~ad:ud ~m ~k ~trans_b ~act b c)
     else
       let bd = b.Tensor.data and bc = Tensor.dim b 1 and cd = c.Tensor.data in
       Dpool.parallel_for (npanels m) (fun plo phi ->
@@ -462,7 +469,29 @@ let gemm ?(trans_a = false) ?(trans_b = false) ~alpha ~a ~b ~beta c =
   if Tensor.dim c 0 <> m || Tensor.dim c 1 <> n then
     invalid_arg "Blas.gemm: output dimension mismatch";
   if beta = 0.0 then Tensor.fill c 0.0 else if beta <> 1.0 then Tensor.scale_ c beta;
-  if alpha <> 0.0 then
+  if alpha = 0.0 then ()
+  else if is_small ~m ~k ~n then
+    if (not trans_a) && alpha = 1.0 then
+      small_gemm ~ad:a.Tensor.data ~m ~k ~trans_b ~act:No_act b c
+    else
+      (* op(A) row-major, read in storage order, with alpha folded in as
+         packing folds it: alpha * a rounds to float32 once (and 1.0 * a
+         is a). *)
+      Workspace.with_buf [| m; k |] (fun ua ->
+          let ad = a.Tensor.data and ud = ua.Tensor.data in
+          if trans_a then
+            for p = 0 to k - 1 do
+              for i = 0 to m - 1 do
+                Bigarray.Array1.unsafe_set ud ((i * k) + p)
+                  (Bigarray.Array1.unsafe_get ad ((p * m) + i) *. alpha)
+              done
+            done
+          else
+            for q = 0 to (m * k) - 1 do
+              Bigarray.Array1.unsafe_set ud q (Bigarray.Array1.unsafe_get ad q *. alpha)
+            done;
+          small_gemm ~ad:ud ~m ~k ~trans_b ~act:No_act b c)
+  else
     (* alpha rides on A's packing as a row scale; at 1.0 nothing is scaled. *)
     let row_scale = if alpha = 1.0 then None else Some (Array.make m alpha) in
     Packed.with_packed ~trans:trans_a ?row_scale a (fun p ->

@@ -17,7 +17,9 @@
     adds only its real rows. Transposes are absorbed by the packing —
     [trans_a]/[trans_b] never materialise a transposed copy on this path.
     A product below {!set_small_cutoff} multiply-adds runs a serial row
-    kernel over plain copies of its operands instead.
+    kernel instead, over row-major op(A) and op(B): an operand as stored
+    when it needs no transpose (nor, for A, a scale by alpha), else a
+    plain copy.
 
     Determinism contract: results are bit-identical for every domain count.
     The pool partitions rows of C in MR-aligned panels and every element's
@@ -57,7 +59,8 @@ val gemm :
 (** [gemm ~alpha ~a ~b ~beta c] computes [c <- alpha * op(a) * op(b) + beta * c]
     where [op] optionally transposes. All of [a], [b], [c] are 2-D; inner
     dimensions must agree. Each [alpha * op(a)] element is rounded to
-    float32 once, as it is packed; at [alpha = 1.0] nothing is scaled. *)
+    float32 once, as it is packed (or copied, below the small-GEMM
+    cutoff); at [alpha = 1.0] nothing is scaled. *)
 
 (** Prepacked float weights.
 
@@ -72,8 +75,9 @@ val gemm :
     Three owners use it. A compiled inference program packs each weight
     once at compile time ({!pack}). A convolution on the autodiff tape
     packs its weight once per call and reuses the panels for every sample
-    ({!with_packed}). And {!gemm} packs its A operand once per call, with
-    alpha as a row scale, then runs the same lanes. *)
+    ({!with_packed}). And {!gemm}, above the small-GEMM cutoff, packs its
+    A operand once per call, with alpha as a row scale, then runs the same
+    lanes. *)
 module Packed : sig
   type t
 

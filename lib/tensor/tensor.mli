@@ -78,14 +78,12 @@ val blit : src:t -> dst:t -> unit
 val add_ : t -> t -> unit
 (** [add_ dst x] is [dst <- dst + x] elementwise. *)
 
-val sub_ : t -> t -> unit
 val mul_ : t -> t -> unit
 val scale_ : t -> float -> unit
 
 val axpy : alpha:float -> x:t -> y:t -> unit
 (** [y <- alpha * x + y]. *)
 
-val map_ : (float -> float) -> t -> unit
 val clip_ : t -> lo:float -> hi:float -> unit
 
 val pfor : int -> (int -> int -> unit) -> unit

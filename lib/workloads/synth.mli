@@ -16,10 +16,6 @@ type pattern =
   | Stack_walk of { max_depth : int }
   | Tiled of { matrix : int; tile : int }
 
-val pattern_stepper : Prng.t -> pattern -> base:int -> unit -> int
-(** [pattern_stepper rng p ~base] returns a stateful generator of byte
-    addresses following pattern [p] inside a region starting at [base]. *)
-
 val trace_of_patterns : seed:int -> (pattern * float) list -> int -> int array
 (** [trace_of_patterns ~seed weighted n] interleaves the weighted patterns
     stochastically into an [n]-access trace. *)

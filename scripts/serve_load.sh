@@ -43,7 +43,7 @@ echo "== serve with micro-batching and an armed Slow fault"
 # at the 4th model call — batches behind a stalled forward must still all
 # be answered, in order.
 CACHEBOX_FAULT="slow:0.05@4x3" "$CB" serve --socket "$SOCK" --checkpoint "$CKPT" \
-  --batch-max 16 --batch-linger-ms 2 --queue-depth 64 &
+  --batch-max 16 --queue-depth 64 &
 SERVE_PID=$!
 wait_ready
 

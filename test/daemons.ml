@@ -7,7 +7,7 @@ let config ?(queue_depth = 8) sock =
   {
     Serve_daemon.listen = Serve_daemon.Unix_socket sock;
     queue_depth;
-    batcher = Batcher.default_config;
+    max_batch = 32;
     engine =
       { (Serve_engine.default_config ~fallback:Cbox_infer.Fallback_hrd ()) with
         Serve_engine.grace_lo = -1e9; grace_hi = 1e9 };

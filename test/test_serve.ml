@@ -717,7 +717,7 @@ let test_daemon_unresolvable_host () =
     Alcotest.(check string) "unresolvable host is invalid_config" "invalid_config"
       (Serve_error.code_string e.Serve_error.code)
 
-(* A number the batcher, queue, engine or session manager rejects is an
+(* A number the daemon, queue, engine or session manager rejects is an
    invalid_config error raised before the socket is bound. [ready] fails
    the test rather than waiting on [run], which never returns for a daemon
    whose batcher thread died at startup. *)
@@ -725,8 +725,7 @@ let test_daemon_rejects_bad_numbers () =
   let dir = temp_dir () in
   let sock = Filename.concat dir "s.sock" in
   let base = Daemons.config sock in
-  let batcher = base.Serve_daemon.batcher
-  and engine = base.Serve_daemon.engine
+  let engine = base.Serve_daemon.engine
   and stream = base.Serve_daemon.stream in
   List.iter
     (fun (what, config) ->
@@ -742,9 +741,8 @@ let test_daemon_rejects_bad_numbers () =
       Alcotest.(check bool) (what ^ ": no socket file") false (Sys.file_exists sock))
     [
       ("queue_depth 0", { base with Serve_daemon.queue_depth = 0 });
-      ("max_batch 0", { base with batcher = { batcher with Batcher.max_batch = 0 } });
-      ( "max_linger_s -0.001",
-        { base with batcher = { batcher with Batcher.max_linger_s = -0.001 } } );
+      ("max_batch 0", { base with max_batch = 0 });
+      ("max_bytes 0", { base with stream = { stream with Stream_session.max_bytes = 0 } });
       ( "breaker_threshold 0",
         { base with engine = { engine with Serve_engine.breaker_threshold = 0 } } );
       ( "breaker_cooldown_s -0.001",

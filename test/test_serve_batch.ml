@@ -1,7 +1,8 @@
-(* Batched serving: dynamic micro-batching policy (virtual clock), the
-   incremental line-framing buffer, the select reactor's ordering and
-   rejection paths, bit-identity of batched vs sequential inference, and
-   counter/breaker atomicity under concurrent batch completions. *)
+(* Batched serving: batches the daemon forms from work queued behind a
+   running forward, the incremental line-framing buffer, the select
+   reactor's ordering and rejection paths, bit-identity of batched vs
+   sequential inference, and counter/breaker atomicity under concurrent
+   batch completions. *)
 
 let temp_dir () =
   let d = Filename.temp_file "cbox_sbatch" "" in
@@ -18,115 +19,6 @@ let rm_rf dir =
 let str_field json k = Option.bind (Sjson.member k json) Sjson.to_str
 let bool_field json k = Option.bind (Sjson.member k json) Sjson.to_bool
 let num_field json k = Option.bind (Sjson.member k json) Sjson.to_float
-
-(* --- batcher: coalescing policy under a virtual clock --- *)
-
-let batcher_cfg = { Batcher.max_batch = 4; max_linger_s = 0.02 }
-
-let test_batcher_linger_flush () =
-  let t = ref 100.0 in
-  let b = Batcher.create ~now:(fun () -> !t) batcher_cfg in
-  Batcher.push b "a";
-  Batcher.push b "b";
-  Alcotest.(check bool) "not due immediately" false (Batcher.due b);
-  Alcotest.(check (option (float 1e-9))) "obligation is enqueue + linger" (Some 100.02)
-    (Batcher.next_flush b);
-  t := 100.019;
-  Alcotest.(check bool) "not due just before linger" false (Batcher.due b);
-  Alcotest.(check (list string)) "take refuses before due" [] (Batcher.take b);
-  t := 100.02;
-  Alcotest.(check bool) "due at linger" true (Batcher.due b);
-  Alcotest.(check (list string)) "FIFO batch" [ "a"; "b" ] (Batcher.take b);
-  Alcotest.(check int) "emptied" 0 (Batcher.length b);
-  Alcotest.(check (pair int int)) "counted as a timed flush" (0, 1) (Batcher.flushes b)
-
-let test_batcher_full_batch () =
-  let t = ref 5.0 in
-  let b = Batcher.create ~now:(fun () -> !t) batcher_cfg in
-  List.iter (Batcher.push b) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check bool) "full batch due with no time passing" true (Batcher.due b);
-  Alcotest.(check (list int)) "take caps at max_batch" [ 1; 2; 3; 4 ] (Batcher.take b);
-  Alcotest.(check int) "remainder queued" 1 (Batcher.length b);
-  Alcotest.(check (pair int int)) "counted as a full flush" (1, 0) (Batcher.flushes b);
-  Alcotest.(check (list int)) "drain ignores obligations" [ 5 ] (Batcher.drain b)
-
-let test_batcher_deadline_flush () =
-  let t = ref 50.0 in
-  let b = Batcher.create ~now:(fun () -> !t) batcher_cfg in
-  (* Deadline 60 ms out, margin 50 ms: must flush within 10 ms — tighter
-     than the 20 ms linger. *)
-  Batcher.push b ~deadline:(!t +. 0.06) "tight";
-  Alcotest.(check (option (float 1e-9))) "deadline tightens the obligation"
-    (Some 50.01) (Batcher.next_flush b);
-  (* Already inside the margin: flush immediately, not in the past. *)
-  Batcher.push b ~deadline:(!t +. 0.01) "urgent";
-  Alcotest.(check bool) "deadline-near request forces the flush" true (Batcher.due b);
-  Alcotest.(check (list string)) "flush carries the whole queue" [ "tight"; "urgent" ]
-    (Batcher.take b)
-
-(* Replaying a random push schedule against a virtual clock: every request
-   flushes by its documented obligation
-   max(enqueue, min(enqueue + linger, deadline - margin)), and batches
-   come out strictly FIFO. *)
-let test_batcher_obligation_property =
-  let gen =
-    QCheck.(
-      list_of_size (Gen.int_range 1 40)
-        (pair (float_range 0.0 0.015) (option (float_range 0.0 0.2))))
-  in
-  QCheck.Test.make ~name:"batcher flushes by obligation, FIFO" ~count:200 gen
-    (fun pushes ->
-      let t = ref 0.0 in
-      let b = Batcher.create ~now:(fun () -> !t) batcher_cfg in
-      let flushed = ref [] in
-      let flush_now () =
-        List.iter (fun item -> flushed := (item, !t) :: !flushed) (Batcher.take b)
-      in
-      (* Model the daemon's polling loop faithfully: never jump the clock
-         past a pending flush obligation without flushing at it. *)
-      let advance_to target =
-        let rec go () =
-          match Batcher.next_flush b with
-          | Some at when at <= target ->
-            t := Float.max !t at;
-            while Batcher.due b do
-              flush_now ()
-            done;
-            go ()
-          | _ -> t := Float.max !t target
-        in
-        go ()
-      in
-      List.iteri
-        (fun i (dt, deadline_off) ->
-          advance_to (!t +. dt);
-          let deadline = Option.map (fun off -> !t +. off) deadline_off in
-          let obligation =
-            let linger = !t +. batcher_cfg.Batcher.max_linger_s in
-            match deadline with
-            | None -> linger
-            | Some d ->
-              Float.max !t (Float.min linger (d -. Batcher.deadline_margin_s))
-          in
-          Batcher.push b ?deadline (i, obligation);
-          while Batcher.due b do
-            flush_now ()
-          done)
-        pushes;
-      while Batcher.length b > 0 do
-        (match Batcher.next_flush b with
-        | Some at -> t := Float.max !t at
-        | None -> ());
-        while Batcher.due b do
-          flush_now ()
-        done
-      done;
-      let flushed = List.rev !flushed in
-      let fifo = List.mapi (fun pos ((i, _), _) -> pos = i) flushed in
-      List.for_all Fun.id fifo
-      && List.for_all
-           (fun ((_, obligation), at) -> at <= obligation +. 1e-9)
-           flushed)
 
 (* --- incremental line framing --- *)
 
@@ -445,6 +337,140 @@ let test_batch_deadline_virtual_clock () =
       (str_field r_fresh "reason")
   | rs -> Alcotest.failf "expected 2 replies, got %d" (List.length rs)
 
+(* --- daemon: batches form behind a busy forward --- *)
+
+let count json k =
+  match num_field json k with
+  | Some v -> int_of_float v
+  | None -> Alcotest.failf "reply has no %s: %s" k (Sjson.to_string json)
+
+type daemon = { dir : string; sock : string; server : Thread.t; before : Sjson.t }
+
+(* An in-process daemon over the tiny model, with its stats before any
+   request. *)
+let start_daemon ?(max_batch = 32) () =
+  let dir = temp_dir () in
+  let sock = Filename.concat dir "s.sock" in
+  let config = { (Daemons.config sock) with Serve_daemon.max_batch } in
+  let server = Daemons.start ~model:(Some (Lazy.force tiny_model)) config in
+  { dir; sock; server; before = Daemons.call sock {|{"op": "stats"}|} }
+
+(* A reply that never comes fails the case instead of hanging the suite. *)
+let timed_connect sock =
+  let c = Daemons.connect sock in
+  Client.set_timeout c 10.0;
+  c
+
+(* Sends request "r1", whose forward stalls for 0.3 s (an injected [Slow]
+   fault), and returns its connection once that forward has had 50 ms to
+   start: whatever is sent next queues behind it. *)
+let stall d =
+  let first = timed_connect d.sock in
+  Faultinject.arm (Faultinject.Slow 0.3) ~at_batch:1;
+  Daemons.send first (infer_line ~id:"r1" ());
+  Thread.delay 0.05;
+  first
+
+let check_model_reply id r =
+  Alcotest.(check (option string)) "replies in request order" (Some id) (str_field r "id");
+  Alcotest.(check (option bool)) (id ^ " ok") (Some true) (bool_field r "ok");
+  Alcotest.(check (option string)) (id ^ " from the model") (Some "model")
+    (str_field r "source")
+
+(* Reads r1's reply, shuts the daemon down and returns how many forwards
+   it ran since [start_daemon], and the most items one carried. *)
+let finish d first =
+  check_model_reply "r1" (Daemons.recv first);
+  let after = Daemons.call d.sock {|{"op": "stats"}|} in
+  ignore (Daemons.call d.sock {|{"op": "shutdown"}|});
+  Thread.join d.server;
+  Client.close first;
+  rm_rf d.dir;
+  (count after "batches" - count d.before "batches", count after "max_batch")
+
+(* Requests r2-r6, pipelined on one connection while r1's forward runs. *)
+let pipeline_behind_stall ~max_batch =
+  Fun.protect ~finally:Faultinject.disarm (fun () ->
+      let d = start_daemon ~max_batch () in
+      let first = stall d in
+      let c = timed_connect d.sock in
+      let ids = List.init 5 (fun i -> Printf.sprintf "r%d" (i + 2)) in
+      List.iter (fun id -> Daemons.send c (infer_line ~id ())) ids;
+      List.iter (fun id -> check_model_reply id (Daemons.recv c)) ids;
+      Client.close c;
+      finish d first)
+
+let test_daemon_batches_queued_requests () =
+  let batches, largest = pipeline_behind_stall ~max_batch:32 in
+  Alcotest.(check int) "r1's forward, then one for r2-r6" 2 batches;
+  Alcotest.(check int) "largest batch" 5 largest
+
+let test_daemon_batch_max_splits () =
+  let batches, largest = pipeline_behind_stall ~max_batch:2 in
+  Alcotest.(check int) "r1's forward, then batches of 2, 2 and 1" 4 batches;
+  Alcotest.(check int) "largest batch" 2 largest
+
+(* The windows a stream feed closes join the plain requests queued with
+   it: one forward carries the feed's two windows and r2 and r3. *)
+let test_daemon_stream_windows_share_batch () =
+  Fun.protect ~finally:Faultinject.disarm (fun () ->
+      let d = start_daemon () in
+      let st = timed_connect d.sock in
+      let o = Daemons.request st {|{"op": "stream_open", "sets": 4, "ways": 2}|} in
+      let token = Option.get (str_field o "session") in
+      let first = stall d in
+      let addrs =
+        Array.sub (Lazy.force tiny_trace) 0
+          (Heatmap.accesses_per_image tiny_spec + Heatmap.step_accesses tiny_spec)
+      in
+      Daemons.send st
+        (Sjson.to_string
+           (Sjson.Obj
+              [
+                ("op", Sjson.Str "stream_feed");
+                ("session", Sjson.Str token);
+                ( "addrs",
+                  Sjson.Arr
+                    (Array.to_list (Array.map (fun a -> Sjson.Num (float_of_int a)) addrs)) );
+              ]));
+      let c = timed_connect d.sock in
+      List.iter (fun id -> Daemons.send c (infer_line ~id ())) [ "r2"; "r3" ];
+      (match Sjson.member "windows" (Daemons.recv st) with
+      | Some (Sjson.Arr ws) ->
+        Alcotest.(check int) "the feed closed two windows" 2 (List.length ws);
+        List.iter
+          (fun w ->
+            Alcotest.(check (option string)) "window from the model" (Some "model")
+              (str_field w "source"))
+          ws
+      | _ -> Alcotest.fail "feed reply carries no windows");
+      List.iter (fun id -> check_model_reply id (Daemons.recv c)) [ "r2"; "r3" ];
+      List.iter Client.close [ st; c ];
+      let batches, largest = finish d first in
+      Alcotest.(check int) "r1's forward, then one for both windows, r2 and r3" 2 batches;
+      Alcotest.(check int) "largest batch" 4 largest)
+
+(* A shutdown line taken in the same pass as queued requests: those
+   requests still get the model's answers, and a line after it is shed. *)
+let test_daemon_shutdown_answers_gathered () =
+  Fun.protect ~finally:Faultinject.disarm (fun () ->
+      let d = start_daemon () in
+      let first = stall d in
+      let c = timed_connect d.sock and ctl = timed_connect d.sock in
+      List.iter (fun id -> Daemons.send c (infer_line ~id ())) [ "r2"; "r3" ];
+      Thread.delay 0.05;
+      Daemons.send ctl {|{"op": "shutdown"}|};
+      Daemons.send ctl (infer_line ~id:"late" ());
+      check_model_reply "r1" (Daemons.recv first);
+      List.iter (fun id -> check_model_reply id (Daemons.recv c)) [ "r2"; "r3" ];
+      Alcotest.(check (option string)) "shutdown answered" (Some "shutdown")
+        (str_field (Daemons.recv ctl) "op");
+      Alcotest.(check (option string)) "a line after the shutdown is shed" (Some "overloaded")
+        (str_field (Daemons.recv ctl) "error");
+      Thread.join d.server;
+      List.iter Client.close [ first; c; ctl ];
+      rm_rf d.dir)
+
 (* --- atomicity under concurrent batch completions --- *)
 
 let test_stats_concurrent_batches () =
@@ -515,10 +541,14 @@ let test_stats_stage_accounting () =
 let suite =
   ( "serve-batch",
     [
-      Alcotest.test_case "batcher linger flush" `Quick test_batcher_linger_flush;
-      Alcotest.test_case "batcher full batch" `Quick test_batcher_full_batch;
-      Alcotest.test_case "batcher deadline flush" `Quick test_batcher_deadline_flush;
-      QCheck_alcotest.to_alcotest test_batcher_obligation_property;
+      Alcotest.test_case "daemon batches requests queued behind a forward" `Slow
+        test_daemon_batches_queued_requests;
+      Alcotest.test_case "daemon splits a queued batch at max_batch" `Slow
+        test_daemon_batch_max_splits;
+      Alcotest.test_case "stream windows share a batch with queued requests" `Slow
+        test_daemon_stream_windows_share_batch;
+      Alcotest.test_case "shutdown answers the requests taken with it" `Slow
+        test_daemon_shutdown_answers_gathered;
       Alcotest.test_case "linebuf framings agree" `Quick test_linebuf_framings;
       Alcotest.test_case "linebuf overflow" `Quick test_linebuf_overflow;
       QCheck_alcotest.to_alcotest test_linebuf_chunking_property;

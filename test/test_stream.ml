@@ -357,13 +357,24 @@ let test_session_and_bytes_quotas () =
   check_bool second "ok" false;
   check_str second "error" "overloaded";
   Alcotest.(check int) "quota shed counted" 1 (stream_stat mgr "shed_quota");
-  (* A vanishingly small byte budget rejects even the first open. *)
-  let tight = { Stream_session.default_config with Stream_session.max_bytes = 64 } in
+  (* A byte budget of one session's footprint admits one open and sheds
+     the next; a budget below it could never open one, so it is refused. *)
+  let footprint = Stream_session.buffered_bytes mgr in
+  let tight = { Stream_session.default_config with Stream_session.max_bytes = footprint } in
   let mgr2 = Stream_session.create ~config:tight eng in
+  let _tok2, _ = open_session mgr2 eng in
   let o = call mgr2 eng (open_req ()) in
   check_bool o "ok" false;
   check_str o "error" "overloaded";
-  Alcotest.(check int) "no bytes charged on reject" 0 (Stream_session.buffered_bytes mgr2)
+  Alcotest.(check int) "no bytes charged on reject" footprint
+    (Stream_session.buffered_bytes mgr2);
+  match
+    Stream_session.create
+      ~config:{ tight with Stream_session.max_bytes = footprint - 1 }
+      eng
+  with
+  | _ -> Alcotest.fail "a budget below one session's footprint was accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_pending_window_quota_degrades () =
   let eng = engine ~model:None () in
