@@ -130,7 +130,7 @@ let simulate_cmd =
           (Hierarchy.level_name lvl) s.Cache.accesses s.Cache.hits s.Cache.misses
           (Cache.hit_rate s))
       (Hierarchy.stats h);
-    let pf_count = Array.length (Hierarchy.prefetched_addresses h) in
+    let pf_count = Hierarchy.prefetches h in
     if pf_count > 0 then Fmt.pr "prefetches issued: %d@." pf_count
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Run a benchmark through the cache hierarchy simulator")

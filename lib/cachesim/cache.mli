@@ -1,9 +1,16 @@
 (** Trace-driven set-associative cache model (the ChampSim-equivalent
     ground-truth engine of this reproduction).
 
-    Addresses are byte addresses; the cache operates on aligned blocks of
-    [block_bytes]. The set count must be a power of two (as in ChampSim);
-    associativity is arbitrary. *)
+    Addresses are non-negative byte addresses; the cache operates on
+    aligned blocks of [block_bytes]. The set count must be a power of two
+    (as in ChampSim); associativity is arbitrary.
+
+    LRU and FIFO keep each set in order, most recently used (LRU) or
+    filled (FIFO) block first and invalid ways last, so a lookup stops at
+    the block or at the first invalid way and the victim is always the
+    last way; no per-way replacement state is kept. PLRU, SRRIP and Random
+    keep blocks where they were filled, because their replacement bits and
+    random draws are tied to way positions. *)
 
 type policy =
   | Lru  (** least-recently-used (ChampSim default, used by the paper) *)
@@ -51,7 +58,8 @@ val access : t -> int -> bool
 val access_evict : t -> int -> bool * int option
 (** Like {!access}, additionally reporting the byte address of the block
     evicted to make room (None on hit or when an invalid way was filled) —
-    the hook victim caches need. *)
+    the hook victim caches need. Under LRU and FIFO that is the block in
+    the set's last way. *)
 
 val probe : t -> int -> bool
 (** Presence check with no side effects. *)

@@ -2,164 +2,67 @@ type level = L1 | L2 | L3
 
 let level_name = function L1 -> "L1" | L2 -> "L2" | L3 -> "L3"
 
-type level_trace = {
-  level : level;
-  addresses : int array;
-  hits : bool array;
-}
-
-let trace_hit_rate t =
-  let n = Array.length t.hits in
-  if n = 0 then 0.0
-  else begin
-    let h = ref 0 in
-    Array.iter (fun b -> if b then incr h) t.hits;
-    float_of_int !h /. float_of_int n
-  end
-
-type recorder = { addrs : Buffer.t; flags : Buffer.t }
-(* Traces are recorded compactly: addresses as 8 little-endian bytes, flags
-   as single bytes; converted to arrays on demand. *)
-
-let recorder () = { addrs = Buffer.create 4096; flags = Buffer.create 512 }
-
-let record r addr hit =
-  Buffer.add_int64_le r.addrs (Int64.of_int addr);
-  Buffer.add_char r.flags (if hit then '\001' else '\000')
-
-let recorded_trace r level =
-  let raw = Buffer.contents r.addrs in
-  let n = String.length raw / 8 in
-  let addresses = Array.init n (fun i -> Int64.to_int (String.get_int64_le raw (i * 8))) in
-  let flags_raw = Buffer.contents r.flags in
-  let hits = Array.init n (fun i -> flags_raw.[i] = '\001') in
-  { level; addresses; hits }
-
-type node = {
-  level : level;
-  cache : Cache.t;
-  rec_ : recorder;
-  mutable decoded : level_trace option;
-      (* memo of [recorded_trace rec_], valid while its length still matches
-         the recorder — revalidated by length so the hot loop never touches
-         it *)
-}
-
 type t = {
-  nodes : node array;  (** innermost first; non-empty *)
+  levels : level array;  (** innermost first; non-empty *)
+  caches : Cache.t array;  (** one per level, same order *)
   prefetcher : Prefetch.t;
   pf_scratch : int array;  (** >= Prefetch.max_degree cells, reused per access *)
   l1_block_bytes : int;
-  pf_addrs : Buffer.t;
-  mutable pf_decoded : int array option;
 }
 
 let create ?l2 ?l3 ?(l1_prefetcher = Prefetch.No_prefetch) ~l1 () =
   if l3 <> None && l2 = None then
     invalid_arg "Hierarchy.create: cannot have an L3 without an L2";
-  let mk lvl cfg = { level = lvl; cache = Cache.create cfg; rec_ = recorder (); decoded = None } in
-  let nodes =
-    mk L1 l1
-    :: List.filter_map
-         (fun x -> x)
-         [ Option.map (mk L2) l2; Option.map (mk L3) l3 ]
+  let configured =
+    (L1, l1)
+    :: List.filter_map Fun.id
+         [ Option.map (fun c -> (L2, c)) l2; Option.map (fun c -> (L3, c)) l3 ]
   in
   let prefetcher = Prefetch.create l1_prefetcher in
   {
-    nodes = Array.of_list nodes;
+    levels = Array.of_list (List.map fst configured);
+    caches = Array.of_list (List.map (fun (_, c) -> Cache.create c) configured);
     prefetcher;
     pf_scratch = Array.make (max 1 (Prefetch.max_degree prefetcher)) 0;
     l1_block_bytes = l1.Cache.block_bytes;
-    pf_addrs = Buffer.create 512;
-    pf_decoded = None;
   }
 
-let levels t = Array.map (fun nd -> nd.level) t.nodes
-
-(* Walk the miss chain below L1: access each deeper level until one hits,
-   reporting every (level index, hit) step to [f]. *)
-let walk_deeper nodes f addr =
-  let n = Array.length nodes in
-  let i = ref 1 and propagate = ref true in
-  while !propagate && !i < n do
-    let nd = Array.unsafe_get nodes !i in
-    let hit = Cache.access nd.cache addr in
-    f nd !i hit;
-    if hit then propagate := false;
-    incr i
-  done
-
-let access t addr =
-  let nodes = t.nodes in
-  let n0 = Array.unsafe_get nodes 0 in
-  let npf =
-    Prefetch.on_access_into t.prefetcher ~addr ~block_bytes:t.l1_block_bytes
-      ~buf:t.pf_scratch
-  in
-  let l1_hit = Cache.access n0.cache addr in
-  record n0.rec_ addr l1_hit;
-  if not l1_hit then walk_deeper nodes (fun nd _ hit -> record nd.rec_ addr hit) addr;
-  (* L1 prefetches are generated from the demand stream and fill L1 only. *)
-  for k = 0 to npf - 1 do
-    let pf_addr = Array.unsafe_get t.pf_scratch k in
-    Buffer.add_int64_le t.pf_addrs (Int64.of_int pf_addr);
-    Cache.insert n0.cache pf_addr
-  done;
-  l1_hit
-
-let run t trace = Array.iter (fun addr -> ignore (access t addr)) trace
+let levels t = Array.copy t.levels
 
 let run_observed t ~f trace =
-  let nodes = t.nodes in
-  let n0 = Array.unsafe_get nodes 0 in
+  let caches = t.caches in
+  let depth = Array.length caches in
+  let l1 = Array.unsafe_get caches 0 in
   let bb = t.l1_block_bytes and scratch = t.pf_scratch in
   let has_pf = Prefetch.max_degree t.prefetcher > 0 in
-  let n = Array.length trace in
-  for j = 0 to n - 1 do
+  for j = 0 to Array.length trace - 1 do
     let addr = Array.unsafe_get trace j in
     let npf =
       if has_pf then Prefetch.on_access_into t.prefetcher ~addr ~block_bytes:bb ~buf:scratch
       else 0
     in
-    let l1_hit = Cache.access n0.cache addr in
-    f 0 addr l1_hit;
-    if not l1_hit then walk_deeper nodes (fun _ i hit -> f i addr hit) addr;
+    let hit = Cache.access l1 addr in
+    f 0 addr hit;
+    (* The miss walk: each deeper level in turn, until one hits. *)
+    let i = ref 1 and missed = ref (not hit) in
+    while !missed && !i < depth do
+      let hit = Cache.access (Array.unsafe_get caches !i) addr in
+      f !i addr hit;
+      missed := not hit;
+      incr i
+    done;
+    (* L1 prefetches are generated from the demand stream and fill L1 only. *)
     for k = 0 to npf - 1 do
-      Cache.insert n0.cache (Array.unsafe_get scratch k)
+      Cache.insert l1 (Array.unsafe_get scratch k)
     done
   done
 
-let decoded_trace nd =
-  let n = Buffer.length nd.rec_.addrs / 8 in
-  match nd.decoded with
-  | Some lt when Array.length lt.addresses = n -> lt
-  | _ ->
-    let lt = recorded_trace nd.rec_ nd.level in
-    nd.decoded <- Some lt;
-    lt
+let run t trace = run_observed t ~f:(fun _ _ _ -> ()) trace
 
-let level_traces t = Array.to_list (Array.map decoded_trace t.nodes)
+let prefetches t = Prefetch.issued t.prefetcher
 
-let prefetched_addresses t =
-  let n = Buffer.length t.pf_addrs / 8 in
-  match t.pf_decoded with
-  | Some a when Array.length a = n -> a
-  | _ ->
-    let raw = Buffer.contents t.pf_addrs in
-    let a = Array.init n (fun i -> Int64.to_int (String.get_int64_le raw (i * 8))) in
-    t.pf_decoded <- Some a;
-    a
-
-let stats t = Array.to_list (Array.map (fun nd -> (nd.level, Cache.stats nd.cache)) t.nodes)
+let stats t = Array.to_list (Array.map2 (fun lvl c -> (lvl, Cache.stats c)) t.levels t.caches)
 
 let reset t =
-  Array.iter
-    (fun nd ->
-      Cache.reset nd.cache;
-      Buffer.clear nd.rec_.addrs;
-      Buffer.clear nd.rec_.flags;
-      nd.decoded <- None)
-    t.nodes;
-  Prefetch.reset t.prefetcher;
-  Buffer.clear t.pf_addrs;
-  t.pf_decoded <- None
+  Array.iter Cache.reset t.caches;
+  Prefetch.reset t.prefetcher

@@ -1,23 +1,16 @@
 (** Multi-level cache hierarchy simulation.
 
     Demand accesses enter L1; misses propagate to L2 and then L3 (when
-    present). Each level records the address stream that *entered* it and a
-    hit/miss flag per entry — exactly the per-level access/miss traces the
-    CacheBox heatmap pipeline consumes (paper §2: the bus between level i-1
-    and level i carries level i's access trace; the bus below carries its
-    miss trace). *)
+    present). The hierarchy is non-inclusive: each level behaves as a lone
+    cache fed the misses of the level above. {!run_observed} reports every
+    access that reaches a level with its hit flag — the per-level
+    access/miss streams the CacheBox heatmap pipeline consumes (paper §2:
+    the bus between level i-1 and level i carries level i's access trace;
+    the bus below carries its miss trace). Nothing is recorded. *)
 
 type level = L1 | L2 | L3
 
 val level_name : level -> string
-
-type level_trace = {
-  level : level;
-  addresses : int array;  (** accesses that reached this level, in order *)
-  hits : bool array;  (** per-access hit flag, same length *)
-}
-
-val trace_hit_rate : level_trace -> float
 
 type t
 
@@ -32,34 +25,24 @@ val create :
     (matching the paper's setup where prefetching is off for ground truth
     and modelled separately for RQ7). *)
 
-val access : t -> int -> bool
-(** Runs one demand access through the hierarchy; returns the L1 hit flag. *)
-
 val run : t -> int array -> unit
-(** Feeds a whole trace (recording enabled). *)
+(** Feeds a whole trace: {!run_observed} with an observer that does
+    nothing. *)
 
 val levels : t -> level array
 (** The configured levels, innermost (L1) first — the index space of
     {!run_observed}'s observer. *)
 
 val run_observed : t -> f:(int -> int -> bool -> unit) -> int array -> unit
-(** Streaming variant of {!run}: feeds the trace and calls
-    [f level_index addr hit] for every access that reaches a level (index 0
-    is L1; see {!levels}), instead of recording per-level traces or
-    prefetch issue logs. Memory use is constant in the trace length — this
-    is the dataset-pipeline fast path that folds accesses straight into
-    heatmap accumulators. Cache state, statistics and prefetch fills evolve
-    exactly as under {!run}. *)
+(** Feeds the trace and calls [f level_index addr hit] for every access
+    that reaches a level (index 0 is L1; see {!levels}), in order: L1
+    first, then each deeper level until one hits. Memory use is constant
+    in the trace length — the dataset pipeline folds these events straight
+    into heatmap accumulators. *)
 
-val level_traces : t -> level_trace list
-(** Recorded per-level traces, innermost (L1) first. Only meaningful after
-    {!run} or a sequence of {!access} calls. The decode is memoised until
-    the next {!access}/{!run}/{!reset}, and the same arrays are returned on
-    repeated calls — treat them as read-only. *)
-
-val prefetched_addresses : t -> int array
-(** Addresses the L1 prefetcher filled, in issue order (RQ7 ground truth).
-    Memoised like {!level_traces}; treat the array as read-only. *)
+val prefetches : t -> int
+(** Prefetches the L1 prefetcher has issued since creation or {!reset}
+    (RQ7 ground truth). *)
 
 val stats : t -> (level * Cache.stats) list
 val reset : t -> unit

@@ -1,9 +1,9 @@
 type t = {
   main : Cache.t;
   block_bytes : int;
-  entries : int array;  (** block addresses, -1 = invalid *)
-  stamps : int array;
-  mutable clock : int;
+  entries : int array;
+      (** block addresses, most recently spilled first; -1 = invalid, only
+          at the tail *)
   mutable accesses : int;
   mutable main_hits : int;
   mutable victim_hits : int;
@@ -15,8 +15,6 @@ let create ~main ~victim_entries =
     main = Cache.create main;
     block_bytes = main.Cache.block_bytes;
     entries = Array.make victim_entries (-1);
-    stamps = Array.make victim_entries 0;
-    clock = 0;
     accesses = 0;
     main_hits = 0;
     victim_hits = 0;
@@ -25,25 +23,28 @@ let create ~main ~victim_entries =
 let block_of t addr = addr / t.block_bytes
 
 let victim_find t block =
+  let n = Array.length t.entries in
   let rec go i =
-    if i >= Array.length t.entries then -1
+    if i >= n || t.entries.(i) < 0 then -1
     else if t.entries.(i) = block then i
     else go (i + 1)
   in
   go 0
 
+(* The buffer is kept in spill order, as [Cache] keeps an LRU set: a spill
+   goes to slot 0 and pushes the rest down one, so when the buffer is full
+   the least recently spilled entry falls off the end. *)
 let victim_insert t block =
-  (* LRU slot, preferring invalid entries. *)
-  let slot = ref 0 in
-  for i = 1 to Array.length t.entries - 1 do
-    if t.entries.(i) = -1 && t.entries.(!slot) <> -1 then slot := i
-    else if t.entries.(!slot) <> -1 && t.stamps.(i) < t.stamps.(!slot) then slot := i
-  done;
-  t.clock <- t.clock + 1;
-  t.entries.(!slot) <- block;
-  t.stamps.(!slot) <- t.clock
+  let e = t.entries in
+  Array.blit e 0 e 1 (Array.length e - 1);
+  e.(0) <- block
 
-let victim_remove t i = t.entries.(i) <- -1
+(* Recovering entry [i] closes its gap, so invalid entries stay at the tail. *)
+let victim_remove t i =
+  let e = t.entries in
+  let n = Array.length e in
+  Array.blit e (i + 1) e i (n - i - 1);
+  e.(n - 1) <- -1
 
 let spill t evicted =
   match evicted with
@@ -94,8 +95,6 @@ let hit_rate s =
 let reset t =
   Cache.reset t.main;
   Array.fill t.entries 0 (Array.length t.entries) (-1);
-  Array.fill t.stamps 0 (Array.length t.stamps) 0;
-  t.clock <- 0;
   t.accesses <- 0;
   t.main_hits <- 0;
   t.victim_hits <- 0

@@ -41,7 +41,7 @@ val batch_images : Heatmap.spec -> Tensor.t list -> Tensor.t
     nothing is stored between calls. Workload traces are self-seeded by
     name, each lane simulates a disjoint roster slice, and results are
     concatenated in roster order — output is bit-identical to a serial run
-    at every domain count, and to the recorded-path [_reference] builders
+    at every domain count, and to the array-path [_reference] builders
     below. *)
 
 val build_l1 :
@@ -77,11 +77,14 @@ val build_prefetch :
 (** Pairs of (demand access heatmap, prefetched-address heatmap) for RQ7.
     [true_hit_rate] holds the cache's demand hit rate for reference. *)
 
-(** {1 Recorded-path references}
+(** {1 Array-path references}
 
-    The original record-decode-then-cut implementations, kept verbatim
-    and always serial. They are the bit-identity oracle the test suite
-    compares the streaming builders against. *)
+    Simulate into whole per-level address and hit-flag arrays, then cut
+    the heatmaps out of them; always serial. They are the bit-identity
+    oracle the test suite compares the streaming builders against.
+    {!build_hierarchy_reference} runs a chain of lone caches, each fed the
+    misses of the level above, not {!Hierarchy}, so it checks the
+    hierarchy's miss walk as well. *)
 
 val build_l1_reference :
   Heatmap.spec ->

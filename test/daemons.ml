@@ -58,8 +58,12 @@ let stop_reactor (r, thread, listener) =
   Thread.join thread;
   try Unix.close listener with Unix.Unix_error _ -> ()
 
+(* Every connection and call sends and receives under [timeout]: a reply
+   that never comes fails the case instead of hanging the suite. *)
+let timeout = 30.0
+
 let connect sock =
-  match Client.connect (Serve_daemon.Unix_socket sock) with
+  match Client.connect ~timeout (Serve_daemon.Unix_socket sock) with
   | Ok c -> c
   | Error e -> Alcotest.failf "cannot connect to %s: %s" sock e
 
@@ -82,7 +86,7 @@ let request c line = reply (Client.request c line)
 
 (* One request on a fresh connection. *)
 let call sock line =
-  match Client.call (Serve_daemon.Unix_socket sock) line with
+  match Client.call ~timeout (Serve_daemon.Unix_socket sock) line with
   | Ok line -> parse line
   | Error e -> Alcotest.failf "%s: %s" sock e
 

@@ -207,6 +207,125 @@ let test_hit_rate () =
   Alcotest.(check (float 1e-9)) "half" 0.5
     (Cache.hit_rate { Cache.accesses = 4; hits = 2; misses = 2 })
 
+(* LRU and FIFO keep each set in order instead of stamping its ways. The
+   reference below is the stamped form: per way a block and a stamp, the
+   last use (LRU) or the fill (FIFO); the victim is the first invalid way,
+   else the oldest stamp. It holds whole block numbers, so the evicted
+   address is checked too. *)
+module Stamped = struct
+  type t = {
+    lru : bool;
+    sets : int;
+    ways : int;
+    blocks : int array;  (** -1 = invalid *)
+    stamps : int array;
+    mutable clock : int;
+    mutable accesses : int;
+    mutable hits : int;
+  }
+
+  let create ~lru ~sets ~ways =
+    {
+      lru;
+      sets;
+      ways;
+      blocks = Array.make (sets * ways) (-1);
+      stamps = Array.make (sets * ways) 0;
+      clock = 0;
+      accesses = 0;
+      hits = 0;
+    }
+
+  let base m b = b mod m.sets * m.ways
+
+  let find m b =
+    let base = base m b in
+    let rec go w = if w = m.ways then -1 else if m.blocks.(base + w) = b then w else go (w + 1) in
+    go 0
+
+  let stamp m i =
+    m.clock <- m.clock + 1;
+    m.stamps.(i) <- m.clock
+
+  let fill m b =
+    let base = base m b in
+    let victim = ref (-1) in
+    for w = m.ways - 1 downto 0 do
+      if m.blocks.(base + w) < 0 then victim := w
+    done;
+    if !victim < 0 then begin
+      victim := 0;
+      for w = 1 to m.ways - 1 do
+        if m.stamps.(base + w) < m.stamps.(base + !victim) then victim := w
+      done
+    end;
+    let i = base + !victim in
+    let evicted = m.blocks.(i) in
+    m.blocks.(i) <- b;
+    stamp m i;
+    if evicted < 0 then None else Some (addr_of_block evicted)
+
+  let access_evict m b =
+    m.accesses <- m.accesses + 1;
+    match find m b with
+    | -1 -> (false, fill m b)
+    | w ->
+      m.hits <- m.hits + 1;
+      if m.lru then stamp m (base m b + w);
+      (true, None)
+
+  let insert m b = if find m b < 0 then ignore (fill m b)
+  let probe m b = find m b >= 0
+end
+
+type op = Access | Access_evict | Insert | Probe
+
+let arb_ordered_case =
+  let op_name = function
+    | Access -> "access"
+    | Access_evict -> "access_evict"
+    | Insert -> "insert"
+    | Probe -> "probe"
+  in
+  QCheck.make
+    ~print:(fun (lru, sets, ways, ops) ->
+      Printf.sprintf "%s, sets %d, ways %d: %s"
+        (if lru then "LRU" else "FIFO")
+        sets ways
+        (String.concat "; " (List.map (fun (o, b) -> Printf.sprintf "%s %d" (op_name o) b) ops)))
+    QCheck.Gen.(
+      let* lru = bool in
+      let* sets = map (fun k -> 1 lsl k) (int_range 0 4) in
+      let* ways = int_range 1 16 in
+      let* ops =
+        list_size (int_range 1 400)
+          (pair
+             (oneofl [ Access; Access_evict; Insert; Probe ])
+             (int_range 0 ((4 * sets * ways) - 1)))
+      in
+      return (lru, sets, ways, ops))
+
+let test_ordered_sets_match_stamps =
+  QCheck.Test.make ~name:"LRU/FIFO ordered sets = per-way stamps" ~count:500 arb_ordered_case
+    (fun (lru, sets, ways, ops) ->
+      let policy = if lru then Cache.Lru else Cache.Fifo in
+      let c = Cache.create (cfg ~policy ~sets ~ways ()) in
+      let m = Stamped.create ~lru ~sets ~ways in
+      List.for_all
+        (fun (op, b) ->
+          let a = addr_of_block b in
+          match op with
+          | Access -> Cache.access c a = fst (Stamped.access_evict m b)
+          | Access_evict -> Cache.access_evict c a = Stamped.access_evict m b
+          | Insert ->
+            Cache.insert c a;
+            Stamped.insert m b;
+            true
+          | Probe -> Cache.probe c a = Stamped.probe m b)
+        ops
+      && Cache.stats c
+         = { Cache.accesses = m.accesses; hits = m.hits; misses = m.accesses - m.hits })
+
 let qc = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -228,4 +347,5 @@ let suite =
       qc test_lru_set_refinement;
       qc test_stats_consistency;
       qc test_config_tag_injective;
+      qc test_ordered_sets_match_stamps;
     ] )

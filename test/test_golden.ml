@@ -64,16 +64,125 @@ let run_hierarchy trace =
       (Hierarchy.level_name lvl, s.Cache.accesses, s.Cache.hits, s.Cache.misses))
     (Hierarchy.stats h)
 
+(* The other four policies at the L1 geometry, and the 3-level hierarchy
+   under each L1 prefetcher. LRU above is the paper's policy; these pin
+   the rest of the simulator's behaviour. *)
+let policies =
+  [
+    ("fifo", Cache.Fifo);
+    ("plru", Cache.Plru);
+    ("srrip", Cache.Srrip);
+    ("rnd7", Cache.Random_policy 7);
+  ]
+
+let prefetchers =
+  [ ("next-line", Prefetch.Next_line); ("stride", Prefetch.Stride { degree = 2; table_size = 64 }) ]
+
+(* Taken with CACHEBOX_PRINT_GOLDEN=1 while LRU and FIFO sets still kept a
+   use or fill stamp per way and the hierarchy recorded every access, so
+   these pin the simulator across that change. *)
+let golden_policies =
+  [
+    ( "streaming",
+      [
+        ("fifo", (12000, 10500, 1500));
+        ("plru", (12000, 10500, 1500));
+        ("srrip", (12000, 10500, 1500));
+        ("rnd7", (12000, 10500, 1500));
+      ] );
+    ( "mixed",
+      [
+        ("fifo", (12000, 7549, 4451));
+        ("plru", (12000, 7560, 4440));
+        ("srrip", (12000, 7868, 4132));
+        ("rnd7", (12000, 7578, 4422));
+      ] );
+    ( "strided",
+      [
+        ("fifo", (12000, 4000, 8000));
+        ("plru", (12000, 4000, 8000));
+        ("srrip", (12000, 4000, 8000));
+        ("rnd7", (12000, 3977, 8023));
+      ] );
+  ]
+
+(* Per prefetcher: the per-level stats and the prefetches issued. *)
+let golden_prefetch =
+  [
+    ( "streaming",
+      [
+        ("next-line", ([ ("L1", 12000, 11999, 1); ("L2", 1, 0, 1); ("L3", 1, 0, 1) ], 12000));
+        ( "stride",
+          ([ ("L1", 12000, 10500, 1500); ("L2", 1500, 0, 1500); ("L3", 1500, 0, 1500) ], 0) );
+      ] );
+    ( "mixed",
+      [
+        ( "next-line",
+          ([ ("L1", 12000, 7621, 4379); ("L2", 4379, 625, 3754); ("L3", 3754, 114, 3640) ], 12000)
+        );
+        ( "stride",
+          ([ ("L1", 12000, 7614, 4386); ("L2", 4386, 586, 3800); ("L3", 3800, 122, 3678) ], 7598)
+        );
+      ] );
+    ( "strided",
+      [
+        ( "next-line",
+          ([ ("L1", 12000, 7998, 4002); ("L2", 4002, 1, 4001); ("L3", 4001, 500, 3501) ], 12000)
+        );
+        ( "stride",
+          ([ ("L1", 12000, 10134, 1866); ("L2", 1866, 310, 1556); ("L3", 1556, 8, 1548) ], 11866)
+        );
+      ] );
+  ]
+
+let run_policy policy trace =
+  let c = Cache.create { l1 with Cache.policy } in
+  Array.iter (fun a -> ignore (Cache.access c a)) trace;
+  let s = Cache.stats c in
+  (s.Cache.accesses, s.Cache.hits, s.Cache.misses)
+
+let run_prefetch kind trace =
+  let h = Hierarchy.create ~l2 ~l3 ~l1_prefetcher:kind ~l1 () in
+  Hierarchy.run h trace;
+  ( List.map
+      (fun (lvl, (s : Cache.stats)) ->
+        (Hierarchy.level_name lvl, s.Cache.accesses, s.Cache.hits, s.Cache.misses))
+      (Hierarchy.stats h),
+    Hierarchy.prefetches h )
+
 let print_golden () =
+  let print_levels ls =
+    List.iter (fun (l, a, h, m) -> Printf.printf " (%S, %d, %d, %d);" l a h m) ls
+  in
+  List.iter
+    (fun (name, trace) ->
+      Printf.printf "(%S, [" name;
+      print_levels (run_hierarchy trace);
+      let m = Multicachesim.create ~sets:64 ~ways:8 ~block_bytes:block in
+      let misses = Multicachesim.run m trace in
+      Printf.printf " ]);  (* mcs misses: %d *)\n" misses)
+    traces;
   List.iter
     (fun (name, trace) ->
       Printf.printf "(%S, [" name;
       List.iter
-        (fun (l, a, h, m) -> Printf.printf " (%S, %d, %d, %d);" l a h m)
-        (run_hierarchy trace);
-      let m = Multicachesim.create ~sets:64 ~ways:8 ~block_bytes:block in
-      let misses = Multicachesim.run m trace in
-      Printf.printf " ]);  (* mcs misses: %d *)\n" misses)
+        (fun (p, policy) ->
+          let a, h, m = run_policy policy trace in
+          Printf.printf " (%S, (%d, %d, %d));" p a h m)
+        policies;
+      Printf.printf " ]);  (* L1 policies *)\n")
+    traces;
+  List.iter
+    (fun (name, trace) ->
+      Printf.printf "(%S, [" name;
+      List.iter
+        (fun (p, kind) ->
+          let levels, issued = run_prefetch kind trace in
+          Printf.printf "\n  (%S, ([" p;
+          print_levels levels;
+          Printf.printf " ], %d));" issued)
+        prefetchers;
+      Printf.printf " ]);  (* prefetchers *)\n")
     traces
 
 let () = if Sys.getenv_opt "CACHEBOX_PRINT_GOLDEN" <> None then print_golden ()
@@ -111,6 +220,22 @@ let test_mcs_matches_l1 name () =
   let m = Multicachesim.create ~sets:64 ~ways:8 ~block_bytes:block in
   Alcotest.(check int) (name ^ " L1 misses agree") l1_misses (Multicachesim.run m trace)
 
+let test_policy_golden name (p, policy) () =
+  let trace = List.assoc name traces in
+  Alcotest.(check (triple int int int))
+    (name ^ " " ^ p ^ " L1 stats")
+    (List.assoc p (List.assoc name golden_policies))
+    (run_policy policy trace)
+
+let test_prefetch_golden name (p, kind) () =
+  let trace = List.assoc name traces in
+  let want_levels, want_issued = List.assoc p (List.assoc name golden_prefetch) in
+  let levels_got, issued = run_prefetch kind trace in
+  Alcotest.check levels (name ^ " " ^ p ^ " per-level stats") want_levels levels_got;
+  Alcotest.(check int) (name ^ " " ^ p ^ " prefetches") want_issued issued
+
+(* The policy and prefetcher cases come after the LRU ones, so those keep
+   their indices. *)
 let suite =
   ( "golden-trace",
     List.concat_map
@@ -120,4 +245,16 @@ let suite =
           Alcotest.test_case (name ^ " multicachesim") `Quick (test_mcs_golden name);
           Alcotest.test_case (name ^ " mcs = hierarchy L1") `Quick (test_mcs_matches_l1 name);
         ])
-      traces )
+      traces
+    @ List.concat_map
+        (fun (name, _) ->
+          List.map
+            (fun ((p, _) as policy) ->
+              Alcotest.test_case (name ^ " " ^ p) `Quick (test_policy_golden name policy))
+            policies
+          @ List.map
+              (fun ((p, _) as kind) ->
+                Alcotest.test_case (name ^ " " ^ p ^ " prefetch") `Quick
+                  (test_prefetch_golden name kind))
+              prefetchers)
+        traces )

@@ -1,5 +1,5 @@
-(* Multi-level hierarchy: per-level trace recording, miss propagation, and
-   prefetcher integration. *)
+(* Multi-level hierarchy: the per-level event streams of [run_observed],
+   miss propagation, and prefetcher integration. *)
 
 let l1 = Cache.config ~sets:2 ~ways:2 ()
 let l2 = Cache.config ~sets:4 ~ways:4 ()
@@ -7,27 +7,33 @@ let l3 = Cache.config ~sets:8 ~ways:4 ()
 
 let blocks bs = Array.of_list (List.map (fun b -> b * 64) bs)
 
+(* Every (address, hit) event [run_observed] reports, one list per level,
+   innermost first. *)
+let observe h trace =
+  let events = Array.map (fun _ -> ref []) (Hierarchy.levels h) in
+  Hierarchy.run_observed h trace ~f:(fun level addr hit ->
+      events.(level) := (addr, hit) :: !(events.(level)));
+  Array.to_list (Array.map (fun evs -> List.rev !evs) events)
+
+let misses evs = List.filter_map (fun (a, hit) -> if hit then None else Some a) evs
+
 let test_l1_only () =
   let h = Hierarchy.create ~l1 () in
-  Hierarchy.run h (blocks [ 0; 0; 1 ]);
-  match Hierarchy.level_traces h with
-  | [ t ] ->
-    Alcotest.(check int) "three accesses" 3 (Array.length t.Hierarchy.addresses);
-    Alcotest.(check (array bool)) "hits" [| false; true; false |] t.Hierarchy.hits
+  match observe h (blocks [ 0; 0; 1 ]) with
+  | [ evs ] ->
+    Alcotest.(check (list int)) "three accesses" [ 0; 0; 64 ] (List.map fst evs);
+    Alcotest.(check (list bool)) "hits" [ false; true; false ] (List.map snd evs)
   | _ -> Alcotest.fail "expected one level"
 
 let test_miss_propagation () =
   let h = Hierarchy.create ~l2 ~l3 ~l1 () in
-  Hierarchy.run h (blocks [ 0; 0; 1; 0 ]);
-  match Hierarchy.level_traces h with
-  | [ t1; t2; t3 ] ->
-    Alcotest.(check int) "L1 sees all" 4 (Array.length t1.Hierarchy.addresses);
-    let l1_misses = Array.length (Array.of_seq (Seq.filter not (Array.to_seq t1.Hierarchy.hits))) in
-    Alcotest.(check int) "L2 sees exactly the L1 misses" l1_misses
-      (Array.length t2.Hierarchy.addresses);
-    let l2_misses = Array.length (Array.of_seq (Seq.filter not (Array.to_seq t2.Hierarchy.hits))) in
-    Alcotest.(check int) "L3 sees exactly the L2 misses" l2_misses
-      (Array.length t3.Hierarchy.addresses)
+  match observe h (blocks [ 0; 0; 1; 0 ]) with
+  | [ e1; e2; e3 ] ->
+    Alcotest.(check int) "L1 sees all" 4 (List.length e1);
+    Alcotest.(check int) "L2 sees exactly the L1 misses" (List.length (misses e1))
+      (List.length e2);
+    Alcotest.(check int) "L3 sees exactly the L2 misses" (List.length (misses e2))
+      (List.length e3)
   | _ -> Alcotest.fail "expected three levels"
 
 let test_propagation_random =
@@ -35,26 +41,22 @@ let test_propagation_random =
     QCheck.(list_of_size Gen.(20 -- 300) (int_range 0 500))
     (fun bs ->
       let h = Hierarchy.create ~l2 ~l1 () in
-      Hierarchy.run h (blocks bs);
-      match Hierarchy.level_traces h with
-      | [ t1; t2 ] ->
-        let missed =
-          Array.to_list t1.Hierarchy.addresses
-          |> List.filteri (fun i _ -> not t1.Hierarchy.hits.(i))
-        in
-        missed = Array.to_list t2.Hierarchy.addresses
+      match observe h (blocks bs) with
+      | [ e1; e2 ] -> misses e1 = List.map fst e2
       | _ -> false)
 
-let test_stats_match_traces () =
+let test_stats_match_events () =
   let h = Hierarchy.create ~l2 ~l1 () in
-  Hierarchy.run h (blocks [ 0; 1; 2; 3; 0; 1 ]);
+  let events = observe h (blocks [ 0; 1; 2; 3; 0; 1 ]) in
+  Alcotest.(check int) "one stats row per level" (List.length events)
+    (List.length (Hierarchy.stats h));
   List.iter2
-    (fun (lvl, (s : Cache.stats)) (t : Hierarchy.level_trace) ->
-      Alcotest.(check bool) "same level" true (lvl = t.Hierarchy.level);
-      Alcotest.(check int) "accesses" s.Cache.accesses (Array.length t.Hierarchy.addresses);
-      Alcotest.(check (float 1e-9)) "hit rate" (Cache.hit_rate s)
-        (Hierarchy.trace_hit_rate t))
-    (Hierarchy.stats h) (Hierarchy.level_traces h)
+    (fun (_, (s : Cache.stats)) evs ->
+      Alcotest.(check int) "accesses" s.Cache.accesses (List.length evs);
+      Alcotest.(check int) "hits" s.Cache.hits (List.length (List.filter snd evs)))
+    (Hierarchy.stats h) events;
+  Alcotest.(check (list string)) "levels innermost first" [ "L1"; "L2" ]
+    (List.map (fun (lvl, _) -> Hierarchy.level_name lvl) (Hierarchy.stats h))
 
 (* The hierarchy is non-inclusive: no level invalidates or fills another,
    so each behaves as a lone cache fed the stream of misses above it. *)
@@ -64,32 +66,27 @@ let test_levels_are_lone_caches =
     (fun bs ->
       let h = Hierarchy.create ~l2 ~l3 ~l1 () in
       let trace = blocks bs in
-      Hierarchy.run h trace;
+      let observed = observe h trace in
       let lone = List.map Cache.create [ l1; l2; l3 ] in
-      let expected = List.map (fun _ -> (ref [], ref [])) lone in
+      let expected = List.map (fun _ -> ref []) lone in
       Array.iter
         (fun addr ->
           let rec go caches logs =
             match (caches, logs) with
-            | c :: cs, (addrs, hits) :: ls ->
+            | c :: cs, log :: ls ->
               let hit = Cache.access c addr in
-              addrs := addr :: !addrs;
-              hits := hit :: !hits;
+              log := (addr, hit) :: !log;
               if not hit then go cs ls
             | _ -> ()
           in
           go lone expected)
         trace;
-      List.for_all2
-        (fun (t : Hierarchy.level_trace) (addrs, hits) ->
-          Array.to_list t.Hierarchy.addresses = List.rev !addrs
-          && Array.to_list t.Hierarchy.hits = List.rev !hits)
-        (Hierarchy.level_traces h) expected)
+      observed = List.map (fun log -> List.rev !log) expected)
 
-(* The streaming path must report, level by level, exactly the accesses and
-   hit flags that the recording path records, prefetcher included. *)
-let test_run_observed_matches_run =
-  QCheck.Test.make ~name:"run_observed reports what run records" ~count:50
+(* [run] is [run_observed] without an observer: the same trace leaves the
+   same stats and prefetch count either way, prefetcher included. *)
+let test_run_matches_run_observed =
+  QCheck.Test.make ~name:"run and run_observed leave identical stats" ~count:50
     QCheck.(
       pair
         (list_of_size Gen.(20 -- 400) (int_range 0 600))
@@ -101,37 +98,40 @@ let test_run_observed_matches_run =
            ]))
     (fun (bs, l1_prefetcher) ->
       let trace = blocks bs in
-      let recorded = Hierarchy.create ~l2 ~l3 ~l1_prefetcher ~l1 () in
-      Hierarchy.run recorded trace;
+      let plain = Hierarchy.create ~l2 ~l3 ~l1_prefetcher ~l1 () in
+      Hierarchy.run plain trace;
       let observed = Hierarchy.create ~l2 ~l3 ~l1_prefetcher ~l1 () in
-      let events = Array.map (fun _ -> ref []) (Hierarchy.levels observed) in
-      Hierarchy.run_observed observed trace ~f:(fun level addr hit ->
-          events.(level) := (addr, hit) :: !(events.(level)));
-      List.for_all2
-        (fun (t : Hierarchy.level_trace) evs ->
-          List.rev !evs
-          = List.combine (Array.to_list t.Hierarchy.addresses) (Array.to_list t.Hierarchy.hits))
-        (Hierarchy.level_traces recorded) (Array.to_list events)
-      && Hierarchy.stats recorded = Hierarchy.stats observed)
+      ignore (observe observed trace);
+      Hierarchy.stats plain = Hierarchy.stats observed
+      && Hierarchy.prefetches plain = Hierarchy.prefetches observed)
 
 let test_next_line_prefetcher () =
   let h = Hierarchy.create ~l1 ~l1_prefetcher:Prefetch.Next_line () in
-  (* Access block 0; next-line should have filled block 1, so a demand for
-     block 1 hits. *)
-  ignore (Hierarchy.access h 0);
-  Alcotest.(check bool) "prefetched next block hits" true (Hierarchy.access h 64);
-  let pf = Hierarchy.prefetched_addresses h in
-  Alcotest.(check bool) "prefetches recorded" true (Array.length pf >= 1);
-  Alcotest.(check int) "first prefetch is next line" 64 pf.(0)
+  (* Block 0 misses and prefetches block 1, so a demand for block 1 hits;
+     that in turn prefetches block 2. *)
+  (match observe h (blocks [ 0; 1; 2 ]) with
+  | [ evs ] ->
+    Alcotest.(check (list bool)) "prefetched next blocks hit" [ false; true; true ]
+      (List.map snd evs)
+  | _ -> Alcotest.fail "expected one level");
+  Alcotest.(check int) "one prefetch per access" 3 (Hierarchy.prefetches h);
+  Alcotest.(check int) "prefetches are not demand accesses" 3
+    (match Hierarchy.stats h with [ (_, s) ] -> s.Cache.accesses | _ -> -1)
 
 let test_reset () =
-  let h = Hierarchy.create ~l2 ~l1 () in
-  Hierarchy.run h (blocks [ 0; 1; 2 ]);
+  let l1_prefetcher = Prefetch.Next_line in
+  let trace = blocks [ 0; 1; 2; 7; 0 ] in
+  let h = Hierarchy.create ~l2 ~l1_prefetcher ~l1 () in
+  let first = observe h trace in
   Hierarchy.reset h;
   List.iter
-    (fun (t : Hierarchy.level_trace) ->
-      Alcotest.(check int) "traces cleared" 0 (Array.length t.Hierarchy.addresses))
-    (Hierarchy.level_traces h)
+    (fun (_, (s : Cache.stats)) ->
+      Alcotest.(check int) "stats cleared" 0 s.Cache.accesses)
+    (Hierarchy.stats h);
+  Alcotest.(check int) "prefetch count cleared" 0 (Hierarchy.prefetches h);
+  (* Contents and prefetcher state are gone too: a rerun sees what the
+     first run saw. *)
+  Alcotest.(check bool) "rerun = first run" true (observe h trace = first)
 
 let test_l3_requires_l2 () =
   Alcotest.check_raises "l3 without l2"
@@ -192,7 +192,7 @@ let suite =
     [
       Alcotest.test_case "single level" `Quick test_l1_only;
       Alcotest.test_case "miss propagation" `Quick test_miss_propagation;
-      Alcotest.test_case "stats match traces" `Quick test_stats_match_traces;
+      Alcotest.test_case "stats match events" `Quick test_stats_match_events;
       Alcotest.test_case "next-line prefetcher fills L1" `Quick test_next_line_prefetcher;
       Alcotest.test_case "reset" `Quick test_reset;
       Alcotest.test_case "l3 requires l2" `Quick test_l3_requires_l2;
@@ -203,5 +203,5 @@ let suite =
       Alcotest.test_case "stride ignores noise" `Quick test_prefetch_stride_irregular;
       qc test_propagation_random;
       qc test_levels_are_lone_caches;
-      qc test_run_observed_matches_run;
+      qc test_run_matches_run_observed;
     ] )

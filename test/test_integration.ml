@@ -12,18 +12,19 @@ let test_l2_heatmap_mass_is_l1_misses () =
     Hierarchy.create ~l2:(Cache.config ~sets:8 ~ways:4 ())
       ~l1:(Cache.config ~sets:4 ~ways:2 ()) ()
   in
-  Hierarchy.run h trace;
-  match Hierarchy.level_traces h with
-  | [ _; l2 ] ->
-    let n = Array.length l2.Hierarchy.addresses in
-    Alcotest.(check bool) "enough L2 traffic" true (n >= Heatmap.accesses_per_image spec);
-    let imgs = Heatmap.of_trace spec l2.Hierarchy.addresses in
-    let covered =
-      Heatmap.accesses_per_image spec
-      + ((List.length imgs - 1) * Heatmap.step_accesses spec)
-    in
-    Alcotest.(check (float 1e-3)) "mass = covered accesses" (float_of_int covered)
-      (Heatmap.deoverlapped_sum spec imgs)
+  let l2 = ref [] in
+  Hierarchy.run_observed h trace ~f:(fun level addr _ -> if level = 1 then l2 := addr :: !l2);
+  let l2 = Array.of_list (List.rev !l2) in
+  let n = Array.length l2 in
+  Alcotest.(check bool) "enough L2 traffic" true (n >= Heatmap.accesses_per_image spec);
+  let imgs = Heatmap.of_trace spec l2 in
+  let covered =
+    Heatmap.accesses_per_image spec + ((List.length imgs - 1) * Heatmap.step_accesses spec)
+  in
+  Alcotest.(check (float 1e-3)) "mass = covered accesses" (float_of_int covered)
+    (Heatmap.deoverlapped_sum spec imgs);
+  match Hierarchy.stats h with
+  | [ (_, s1); _ ] -> Alcotest.(check int) "L2 stream = L1 misses" s1.Cache.misses n
   | _ -> Alcotest.fail "expected two levels"
 
 let test_trace_io_pipeline_equivalence () =

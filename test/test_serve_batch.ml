@@ -355,17 +355,11 @@ let start_daemon ?(max_batch = 32) () =
   let server = Daemons.start ~model:(Some (Lazy.force tiny_model)) config in
   { dir; sock; server; before = Daemons.call sock {|{"op": "stats"}|} }
 
-(* A reply that never comes fails the case instead of hanging the suite. *)
-let timed_connect sock =
-  let c = Daemons.connect sock in
-  Client.set_timeout c 10.0;
-  c
-
 (* Sends request "r1", whose forward stalls for 0.3 s (an injected [Slow]
    fault), and returns its connection once that forward has had 50 ms to
    start: whatever is sent next queues behind it. *)
 let stall d =
-  let first = timed_connect d.sock in
+  let first = Daemons.connect d.sock in
   Faultinject.arm (Faultinject.Slow 0.3) ~at_batch:1;
   Daemons.send first (infer_line ~id:"r1" ());
   Thread.delay 0.05;
@@ -393,7 +387,7 @@ let pipeline_behind_stall ~max_batch =
   Fun.protect ~finally:Faultinject.disarm (fun () ->
       let d = start_daemon ~max_batch () in
       let first = stall d in
-      let c = timed_connect d.sock in
+      let c = Daemons.connect d.sock in
       let ids = List.init 5 (fun i -> Printf.sprintf "r%d" (i + 2)) in
       List.iter (fun id -> Daemons.send c (infer_line ~id ())) ids;
       List.iter (fun id -> check_model_reply id (Daemons.recv c)) ids;
@@ -415,7 +409,7 @@ let test_daemon_batch_max_splits () =
 let test_daemon_stream_windows_share_batch () =
   Fun.protect ~finally:Faultinject.disarm (fun () ->
       let d = start_daemon () in
-      let st = timed_connect d.sock in
+      let st = Daemons.connect d.sock in
       let o = Daemons.request st {|{"op": "stream_open", "sets": 4, "ways": 2}|} in
       let token = Option.get (str_field o "session") in
       let first = stall d in
@@ -433,7 +427,7 @@ let test_daemon_stream_windows_share_batch () =
                   Sjson.Arr
                     (Array.to_list (Array.map (fun a -> Sjson.Num (float_of_int a)) addrs)) );
               ]));
-      let c = timed_connect d.sock in
+      let c = Daemons.connect d.sock in
       List.iter (fun id -> Daemons.send c (infer_line ~id ())) [ "r2"; "r3" ];
       (match Sjson.member "windows" (Daemons.recv st) with
       | Some (Sjson.Arr ws) ->
@@ -456,7 +450,7 @@ let test_daemon_shutdown_answers_gathered () =
   Fun.protect ~finally:Faultinject.disarm (fun () ->
       let d = start_daemon () in
       let first = stall d in
-      let c = timed_connect d.sock and ctl = timed_connect d.sock in
+      let c = Daemons.connect d.sock and ctl = Daemons.connect d.sock in
       List.iter (fun id -> Daemons.send c (infer_line ~id ())) [ "r2"; "r3" ];
       Thread.delay 0.05;
       Daemons.send ctl {|{"op": "shutdown"}|};
