@@ -224,6 +224,48 @@ let test_victim_reset_contents () =
   miss "the main cache's block" (2 * 64);
   miss "the buffer's block" 0
 
+(* The buffer keeps its entries in spill order instead of stamping them.
+   The reference below is the stamped form, beside a lone main cache: per
+   entry a block and its spill time; a spill takes the first free entry,
+   else the oldest. *)
+let stamped_victim ~main ~entries =
+  let c = Cache.create main and bb = main.Cache.block_bytes in
+  let blocks = Array.make entries (-1) and stamps = Array.make entries 0 in
+  let clock = ref 0 in
+  fun addr ->
+    match Cache.access_evict c addr with
+    | true, _ -> `Main_hit
+    | false, evicted ->
+      let b = addr / bb in
+      let found = ref (-1) in
+      Array.iteri (fun i x -> if x = b then found := i) blocks;
+      if !found >= 0 then blocks.(!found) <- -1;
+      Option.iter
+        (fun a ->
+          let slot =
+            match Array.find_index (fun x -> x < 0) blocks with
+            | Some i -> i
+            | None ->
+              let oldest = ref 0 in
+              Array.iteri (fun i s -> if s < stamps.(!oldest) then oldest := i) stamps;
+              !oldest
+          in
+          incr clock;
+          blocks.(slot) <- a / bb;
+          stamps.(slot) <- !clock)
+        evicted;
+      if !found >= 0 then `Victim_hit else `Miss
+
+let test_victim_matches_stamps =
+  QCheck.Test.make ~name:"victim buffer in spill order = per-entry stamps" ~count:200
+    QCheck.(
+      triple (int_range 1 4) (int_range 1 8) (list_of_size Gen.(1 -- 400) (int_range 0 40)))
+    (fun (ways, entries, bs) ->
+      let main = Cache.config ~sets:2 ~ways () in
+      let v = Victim.create ~main ~victim_entries:entries in
+      let model = stamped_victim ~main ~entries in
+      List.for_all (fun b -> Victim.access v (b * 64) = model (b * 64)) bs)
+
 let qc = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -248,5 +290,6 @@ let suite =
         test_victim_effective_capacity;
       Alcotest.test_case "victim hit swaps with the main cache" `Quick test_victim_swap;
       qc test_victim_main_is_plain;
+      qc test_victim_matches_stamps;
     ] )
 
