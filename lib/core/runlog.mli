@@ -28,12 +28,14 @@ val with_journal : string -> (t -> 'a) -> 'a
 (** {1 Read-back} *)
 
 val events : ?kind:string -> string -> string list
-(** Raw journal lines, optionally filtered to one event kind. An absent file
-    reads as empty. *)
+(** Raw journal lines, optionally filtered to one event kind; a line that
+    does not parse as JSON (cut short by a crash mid-write) is of no kind.
+    An absent file reads as empty. *)
 
 val field : string -> string -> string option
-(** [field line key] extracts the string value of ["key"] from a journal
-    line written by this module. *)
+(** [field line key] is the string value of ["key"] in a journal line, read
+    with {!Sjson}; [None] when the line does not parse or has no such string
+    field. *)
 
 val completed_drivers : string -> string list
 (** Driver names with a [driver_end] event in the journal, in order. *)

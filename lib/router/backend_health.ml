@@ -33,14 +33,10 @@ let create ?(eject_after = 3) () =
     readmissions = 0;
   }
 
-let with_lock t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
 (* Both recorders return whether the up/down state flipped, so the caller
    can journal ejections/readmissions without re-deriving transitions. *)
 let record_success t ~latency_s =
-  with_lock t (fun () ->
+  Mutex.protect t.m (fun () ->
       t.successes <- t.successes + 1;
       t.streak <- 0;
       t.ewma_s <-
@@ -53,7 +49,7 @@ let record_success t ~latency_s =
       else false)
 
 let record_failure t =
-  with_lock t (fun () ->
+  Mutex.protect t.m (fun () ->
       t.failures <- t.failures + 1;
       t.streak <- t.streak + 1;
       if t.up && t.streak >= t.eject_after then begin
@@ -63,10 +59,10 @@ let record_failure t =
       end
       else false)
 
-let up t = with_lock t (fun () -> t.up)
-let ewma_ms t = with_lock t (fun () -> 1000.0 *. t.ewma_s)
-let consecutive_failures t = with_lock t (fun () -> t.streak)
-let successes t = with_lock t (fun () -> t.successes)
-let failures t = with_lock t (fun () -> t.failures)
-let ejections t = with_lock t (fun () -> t.ejections)
-let readmissions t = with_lock t (fun () -> t.readmissions)
+let up t = Mutex.protect t.m (fun () -> t.up)
+let ewma_ms t = Mutex.protect t.m (fun () -> 1000.0 *. t.ewma_s)
+let consecutive_failures t = Mutex.protect t.m (fun () -> t.streak)
+let successes t = Mutex.protect t.m (fun () -> t.successes)
+let failures t = Mutex.protect t.m (fun () -> t.failures)
+let ejections t = Mutex.protect t.m (fun () -> t.ejections)
+let readmissions t = Mutex.protect t.m (fun () -> t.readmissions)

@@ -36,10 +36,6 @@ let create ~capacity =
     evictions = 0;
   }
 
-let with_lock t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
 (* list surgery (lock held) *)
 
 let unlink t n =
@@ -57,7 +53,7 @@ let push_front t n =
 let find t key =
   if t.capacity = 0 then None
   else
-    with_lock t (fun () ->
+    Mutex.protect t.m (fun () ->
         match Hashtbl.find_opt t.table key with
         | Some n ->
           t.hits <- t.hits + 1;
@@ -68,7 +64,7 @@ let find t key =
 
 let add t key value =
   if t.capacity > 0 then
-    with_lock t (fun () ->
+    Mutex.protect t.m (fun () ->
         (match Hashtbl.find_opt t.table key with
         | Some n ->
           n.value <- value;
@@ -88,11 +84,11 @@ let add t key value =
         done)
 
 let clear t =
-  with_lock t (fun () ->
+  Mutex.protect t.m (fun () ->
       Hashtbl.reset t.table;
       t.mru <- None;
       t.lru <- None)
 
-let length t = with_lock t (fun () -> Hashtbl.length t.table)
-let hits t = with_lock t (fun () -> t.hits)
-let evictions t = with_lock t (fun () -> t.evictions)
+let length t = Mutex.protect t.m (fun () -> Hashtbl.length t.table)
+let hits t = Mutex.protect t.m (fun () -> t.hits)
+let evictions t = Mutex.protect t.m (fun () -> t.evictions)

@@ -411,32 +411,17 @@ let backend_json b =
         Sjson.Num (float_of_int (Backend_health.readmissions b.b_health)) );
     ]
 
+(* The router credits whichever backend the upstream reply names. *)
 let stats_reply t =
-  let s = Serve_stats.snapshot t.stats in
   Sjson.Obj
-    ([
-       ("ok", Sjson.Bool true);
-       ("op", Sjson.Str "stats");
-       ("role", Sjson.Str "router");
-       ("served", Sjson.Num (float_of_int s.Serve_stats.served));
-       ("ok_count", Sjson.Num (float_of_int s.Serve_stats.ok));
-       ("degraded_count", Sjson.Num (float_of_int s.Serve_stats.degraded));
-       ("shed", Sjson.Num (float_of_int s.Serve_stats.shed));
-       ("p50_ms", Sjson.Num s.Serve_stats.p50_ms);
-       ("p99_ms", Sjson.Num s.Serve_stats.p99_ms);
-       ("retries", Sjson.Num (float_of_int s.Serve_stats.retries));
-       ("hedges", Sjson.Num (float_of_int s.Serve_stats.hedges));
-       ("degraded_router", Sjson.Num (float_of_int s.Serve_stats.degraded_router));
-       ("memo_hits", Sjson.Num (float_of_int (Predmemo.hits t.memo)));
-       ("memo_entries", Sjson.Num (float_of_int (Predmemo.length t.memo)));
-       ("backends_up", Sjson.Num (float_of_int (backends_up t)));
-       ("backends", Sjson.Arr (Array.to_list (Array.map backend_json t.backends)));
-     ]
-    (* The router credits whichever backend the upstream reply names. *)
-    @ Serve_engine.backend_counters s
-    @ List.map
-        (fun (code, n) -> ("err_" ^ code, Sjson.Num (float_of_int n)))
-        s.Serve_stats.errors)
+    (Serve_engine.stats_fields (Serve_stats.snapshot t.stats)
+       [
+         ("role", Sjson.Str "router");
+         ("memo_hits", Sjson.Num (float_of_int (Predmemo.hits t.memo)));
+         ("memo_entries", Sjson.Num (float_of_int (Predmemo.length t.memo)));
+         ("backends_up", Sjson.Num (float_of_int (backends_up t)));
+         ("backends", Sjson.Arr (Array.to_list (Array.map backend_json t.backends)));
+       ])
 
 (* Rolling reload across every backend, one at a time, so at most one shard
    is reloading a model at any moment while the others keep serving. The
@@ -506,37 +491,32 @@ let process t rng queue job =
     Reactor.resolve job.ticket (Sjson.to_string (shed_reply t ~why:"router shutting down"))
   else
     let arrival = job.arrival in
-    match Sjson.parse job.line with
-    | Error why ->
-      answer_error t job ~arrival
-        (Serve_error.v Serve_error.Bad_request "malformed JSON: %s" why)
-    | Ok json -> (
-      match Validate.request ~max_trace_len:t.cfg.max_trace_len json with
-      | Error e -> answer_error t job ~arrival e
-      | Ok Validate.Health ->
-        answer t job ~arrival ~ok:true ~degraded:false ~code:None (health_reply t)
-      | Ok Validate.Stats_request ->
-        answer t job ~arrival ~ok:true ~degraded:false ~code:None (stats_reply t)
-      | Ok Validate.Shutdown ->
-        journal t "router_stop" [];
-        Atomic.set t.draining true;
-        answer t job ~arrival ~ok:true ~degraded:false ~code:None
-          (Sjson.Obj [ ("ok", Sjson.Bool true); ("op", Sjson.Str "shutdown") ]);
-        Squeue.close queue
-      | Ok (Validate.Reload { id; checkpoint }) -> broadcast_reload t job ~id ~checkpoint
-      | Ok
-          ( Validate.Stream_open { id; _ }
-          | Validate.Stream_feed { id; _ }
-          | Validate.Stream_resume { id; _ }
-          | Validate.Stream_close { id; _ } ) ->
-        (* Streaming sessions are stateful and bound to one backend's
-           session registry; a hit-rate-hashing forwarder cannot carry
-           them. Clients stream against a shard daemon directly. *)
-        answer_error t job ~arrival ?id
-          (Serve_error.v Serve_error.Bad_request
-             "stream ops are not routable; connect to a backend daemon directly")
-      | Ok (Validate.Infer { id; sets; ways; source; deadline_s; backend }) ->
-        route_infer t rng job ~id ~sets ~ways ~source ~deadline_s ~backend)
+    match Validate.request ~max_trace_len:t.cfg.max_trace_len job.line with
+    | Error e -> answer_error t job ~arrival e
+    | Ok Validate.Health ->
+      answer t job ~arrival ~ok:true ~degraded:false ~code:None (health_reply t)
+    | Ok Validate.Stats_request ->
+      answer t job ~arrival ~ok:true ~degraded:false ~code:None (stats_reply t)
+    | Ok Validate.Shutdown ->
+      journal t "router_stop" [];
+      Atomic.set t.draining true;
+      answer t job ~arrival ~ok:true ~degraded:false ~code:None
+        (Sjson.Obj [ ("ok", Sjson.Bool true); ("op", Sjson.Str "shutdown") ]);
+      Squeue.close queue
+    | Ok (Validate.Reload { id; checkpoint }) -> broadcast_reload t job ~id ~checkpoint
+    | Ok
+        ( Validate.Stream_open { id; _ }
+        | Validate.Stream_feed { id; _ }
+        | Validate.Stream_resume { id; _ }
+        | Validate.Stream_close { id; _ } ) ->
+      (* Streaming sessions are stateful and bound to one backend's
+         session registry; a hit-rate-hashing forwarder cannot carry
+         them. Clients stream against a shard daemon directly. *)
+      answer_error t job ~arrival ?id
+        (Serve_error.v Serve_error.Bad_request
+           "stream ops are not routable; connect to a backend daemon directly")
+    | Ok (Validate.Infer { id; sets; ways; source; deadline_s; backend }) ->
+      route_infer t rng job ~id ~sets ~ways ~source ~deadline_s ~backend
 
 (* Total: a forwarder that dies would strand its ticket and hang the
    client's FIFO; any escaped exception becomes an internal reply. *)
@@ -601,6 +581,19 @@ let run ?journal ?(ready = fun () -> ()) (config : config) =
     Serve_error.fail Serve_error.Invalid_config "backend names must be distinct";
   if config.workers < 1 then
     Serve_error.fail Serve_error.Invalid_config "router needs at least one worker";
+  (* Settings under which the router could never forward a request, or
+     would probe in a busy loop. *)
+  if config.max_attempts < 1 then
+    Serve_error.fail Serve_error.Invalid_config "router needs at least one attempt";
+  List.iter
+    (fun (what, v) ->
+      if not (v > 0.0) then
+        Serve_error.fail Serve_error.Invalid_config "%s must be positive (got %g s)" what v)
+    [
+      ("default deadline", config.default_deadline_s);
+      ("attempt timeout", config.attempt_timeout_s);
+      ("probe interval", config.probe_interval_s);
+    ];
   (* Upstream writes race with backend crashes by design; a broken pipe
      must surface as EPIPE on the write, not kill the router. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());

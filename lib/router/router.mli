@@ -22,13 +22,14 @@ type config = {
   queue_depth : int;  (** admission queue bound; overflow is shed *)
   workers : int;  (** concurrent forwarder threads *)
   vnodes : int;  (** ring virtual nodes per backend *)
-  max_attempts : int;  (** total upstream attempts per request *)
+  max_attempts : int;  (** total upstream attempts per request (at least 1) *)
   backoff_base_s : float;  (** retry backoff: min(max, base*2^k)*U(.5,1) *)
   backoff_max_s : float;
   attempt_timeout_s : float;
-      (** per-attempt (hedge) timeout, clamped to the request deadline *)
+      (** per-attempt (hedge) timeout, clamped to the request deadline;
+          positive *)
   reload_timeout_s : float;  (** reloads load and compile a model: generous *)
-  probe_interval_s : float;  (** health-probe cadence per backend *)
+  probe_interval_s : float;  (** health-probe cadence per backend; positive *)
   probe_timeout_s : float;
   eject_after : int;  (** consecutive failures before ejection *)
   breaker_threshold : int;
@@ -37,7 +38,10 @@ type config = {
       (** router-level degradation baseline; [No_fallback] turns
           exhaustion into [upstream_unavailable] errors *)
   memo_capacity : int;  (** prediction memo entries; 0 disables *)
-  default_deadline_s : float;  (** for requests without [deadline_ms] *)
+  default_deadline_s : float;
+      (** for requests without [deadline_ms]; positive. A requested
+          deadline is capped at 60 s by {!Validate.request}, as in the
+          daemons behind the router. *)
   max_trace_len : int;
 }
 

@@ -25,15 +25,6 @@ let create ?(threshold = 3) ?(cooldown = 5.0) ~now () =
     opened = 0;
   }
 
-(* Every observation and transition runs under the mutex: the engine is
-   multi-entrant, so batches may complete concurrently, and a torn
-   read-modify-write of the failure streak
-   could miss a trip or double-open. The critical sections are a few loads
-   and stores — contention is negligible next to a model forward pass. *)
-let with_lock t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
 (* An expired cooldown surfaces as Half_open the moment anyone looks.
    Call only with the lock held. *)
 let refresh t =
@@ -45,7 +36,12 @@ let observe t =
   refresh t;
   match t.st with St_closed -> Closed | St_open _ -> Open | St_half_open -> Half_open
 
-let state t = with_lock t (fun () -> observe t)
+(* Every observation and transition runs under the mutex: the engine is
+   multi-entrant, so batches may complete concurrently, and a torn
+   read-modify-write of the failure streak could miss a trip or
+   double-open. The critical sections are a few loads and stores —
+   contention is negligible next to a model forward pass. *)
+let state t = Mutex.protect t.m (fun () -> observe t)
 
 let state_name = function
   | Closed -> "closed"
@@ -59,12 +55,12 @@ let trip t =
   t.st <- St_open (t.now () +. t.cooldown)
 
 let record_success t =
-  with_lock t (fun () ->
+  Mutex.protect t.m (fun () ->
       t.failures <- 0;
       t.st <- St_closed)
 
 let record_failure t =
-  with_lock t (fun () ->
+  Mutex.protect t.m (fun () ->
       refresh t;
       t.failures <- t.failures + 1;
       match t.st with
@@ -72,5 +68,5 @@ let record_failure t =
       | St_closed when t.failures >= t.threshold -> trip t
       | _ -> ())
 
-let consecutive_failures t = with_lock t (fun () -> t.failures)
-let times_opened t = with_lock t (fun () -> t.opened)
+let consecutive_failures t = Mutex.protect t.m (fun () -> t.failures)
+let times_opened t = Mutex.protect t.m (fun () -> t.opened)

@@ -87,10 +87,6 @@ and conn = {
 
 and ticket = { tk_conn : conn; mutable tk_reply : string option }
 
-let with_lock t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
 let wake_locked t =
   if not t.woken then begin
     t.woken <- true;
@@ -126,12 +122,12 @@ let set_on_line t f = t.on_line <- f
 
 let resolve ticket reply =
   let t = ticket.tk_conn.owner in
-  with_lock t (fun () ->
+  Mutex.protect t.m (fun () ->
       ticket.tk_reply <- Some reply;
       wake_locked t)
 
 let stop t =
-  with_lock t (fun () ->
+  Mutex.protect t.m (fun () ->
       t.stopping <- true;
       wake_locked t)
 
@@ -146,12 +142,12 @@ let exempt_idle ticket = ticket.tk_conn.idle_exempt <- true
 
 let enqueue_ticket t conn =
   let tk = { tk_conn = conn; tk_reply = None } in
-  with_lock t (fun () -> Queue.push tk conn.tickets);
+  Mutex.protect t.m (fun () -> Queue.push tk conn.tickets);
   tk
 
 (* Move the resolved prefix of the ticket FIFO into the output buffer. *)
 let flush_ready t conn =
-  with_lock t (fun () ->
+  Mutex.protect t.m (fun () ->
       let rec go () =
         match Queue.peek_opt conn.tickets with
         | Some { tk_reply = Some reply; _ } ->
@@ -164,12 +160,12 @@ let flush_ready t conn =
       go ())
 
 let close_conn t conn =
-  with_lock t (fun () -> t.conns <- List.filter (fun c -> c != conn) t.conns);
+  Mutex.protect t.m (fun () -> t.conns <- List.filter (fun c -> c != conn) t.conns);
   try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
 let conn_flushed conn = conn.out_off >= Buffer.length conn.out
 
-let has_pending t conn = with_lock t (fun () -> not (Queue.is_empty conn.tickets))
+let has_pending t conn = Mutex.protect t.m (fun () -> not (Queue.is_empty conn.tickets))
 
 (* Closing decision: a connection dies once its read side is finished AND
    every admitted request has been answered and flushed. *)
@@ -208,7 +204,7 @@ let handle_readable t conn =
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error (_, _, _) ->
     (* Connection reset: nobody left to answer; drop everything. *)
-    with_lock t (fun () -> Queue.clear conn.tickets);
+    Mutex.protect t.m (fun () -> Queue.clear conn.tickets);
     close_conn t conn
 
 let handle_writable t conn =
@@ -226,7 +222,7 @@ let handle_writable t conn =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
       ()
     | exception Unix.Unix_error (_, _, _) ->
-      with_lock t (fun () -> Queue.clear conn.tickets);
+      Mutex.protect t.m (fun () -> Queue.clear conn.tickets);
       close_conn t conn
   end;
   maybe_close t conn
@@ -238,7 +234,7 @@ let handle_accept t =
     let conn =
       {
         owner = t;
-        cid = with_lock t (fun () -> t.next_cid <- t.next_cid + 1; t.next_cid);
+        cid = Mutex.protect t.m (fun () -> t.next_cid <- t.next_cid + 1; t.next_cid);
         fd;
         lbuf = Linebuf.create ~max_line:t.max_line;
         out = Buffer.create 256;
@@ -249,14 +245,14 @@ let handle_accept t =
         idle_exempt = false;
       }
     in
-    with_lock t (fun () -> t.conns <- conn :: t.conns)
+    Mutex.protect t.m (fun () -> t.conns <- conn :: t.conns)
   | exception
       Unix.Unix_error
         ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _) ->
     ()
   | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
     (* Listener shut down under us (external kill path). *)
-    with_lock t (fun () -> t.stopping <- true)
+    Mutex.protect t.m (fun () -> t.stopping <- true)
 
 let drain_wake t =
   let buf = Bytes.create 64 in
@@ -268,12 +264,12 @@ let drain_wake t =
       ()
   in
   go ();
-  with_lock t (fun () -> t.woken <- false)
+  Mutex.protect t.m (fun () -> t.woken <- false)
 
 let run t =
   let finished = ref false in
   while not !finished do
-    let stopping, conns = with_lock t (fun () -> (t.stopping, t.conns)) in
+    let stopping, conns = Mutex.protect t.m (fun () -> (t.stopping, t.conns)) in
     (* In stopping mode every ticket has been resolved by the shutdown
        drain; flush what remains and close as connections empty out. *)
     if stopping then begin
@@ -300,7 +296,7 @@ let run t =
           if idle_candidate c && now -. c.last_activity > it then close_conn t c)
         conns
     | _ -> ());
-    let conns = with_lock t (fun () -> t.conns) in
+    let conns = Mutex.protect t.m (fun () -> t.conns) in
     if stopping && conns = [] then finished := true
     else begin
       let accepting = (not stopping) && List.length conns < t.max_conns in
@@ -335,16 +331,16 @@ let run t =
         if List.mem t.wake_r rs then drain_wake t;
         (* Ticket resolutions arrive from the batcher thread at any time;
            sweep every connection for newly-ready replies. *)
-        List.iter (fun c -> flush_ready t c) (with_lock t (fun () -> t.conns));
+        List.iter (fun c -> flush_ready t c) (Mutex.protect t.m (fun () -> t.conns));
         List.iter
           (fun c ->
             if List.mem c.fd ws then handle_writable t c
             else if not (conn_flushed c) then ()
             else maybe_close t c)
-          (with_lock t (fun () -> t.conns));
+          (Mutex.protect t.m (fun () -> t.conns));
         List.iter
           (fun c -> if List.mem c.fd rs then handle_readable t c)
-          (with_lock t (fun () -> t.conns));
+          (Mutex.protect t.m (fun () -> t.conns));
         if accepting && List.mem t.listener rs then handle_accept t
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | exception Unix.Unix_error (Unix.EBADF, _, _) ->

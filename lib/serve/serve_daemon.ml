@@ -71,6 +71,13 @@ let bind_listener = function
          (Unix.error_message e));
     fd
 
+(* A line admitted, or arriving, after a shutdown: shed, journalled with
+   why "shutdown". *)
+let draining_reply engine =
+  Sjson.to_string
+    (Serve_engine.shed_reply ~why:"shutdown" engine
+       (Serve_error.v Serve_error.Overloaded "server shutting down"))
+
 (* The batcher thread: blocks until the reactor admits a line, then takes
    whatever else is already queued, and runs the infer items those lines
    carry (plain requests and the windows a stream feed closes) through the
@@ -109,10 +116,7 @@ let batcher_loop engine sessions ~max_batch queue reactor draining =
      completion group (which resolves the feed's ticket once every window
      the chunk closed has landed). *)
   let pending = Queue.create () in
-  let submit item complete =
-    Serve_engine.set_item_pickup item (Serve_engine.now engine);
-    Queue.push (item, complete) pending
-  in
+  let submit item complete = Queue.push (item, complete) pending in
   (* One forward over the oldest [max_batch] gathered items. *)
   let dispatch () =
     let rec take k =
@@ -170,8 +174,7 @@ let batcher_loop engine sessions ~max_batch queue reactor draining =
       match Squeue.pop queue with
       | None -> ()
       | Some orphan ->
-        Reactor.resolve orphan.ticket
-          (Sjson.to_string (Serve_engine.draining_reply engine));
+        Reactor.resolve orphan.ticket (draining_reply engine);
         drain_orphans ()
     in
     drain_orphans ();
@@ -249,12 +252,14 @@ let run ?journal ?reload ?student_path ?(ready = fun () -> ()) ~spec ~model conf
   Serve_engine.set_extra_stats engine (Stream_session.stats_fields sessions);
   let draining = Atomic.make false in
   Reactor.set_on_line reactor (fun ticket line ->
-      if Atomic.get draining then
-        Reactor.resolve ticket (Sjson.to_string (Serve_engine.draining_reply engine))
+      if Atomic.get draining then Reactor.resolve ticket (draining_reply engine)
       else begin
         let job = { line; arrival = Serve_engine.now engine; ticket } in
         if not (Squeue.try_push queue job) then
-          Reactor.resolve ticket (Sjson.to_string (Serve_engine.overload_reply engine))
+          Reactor.resolve ticket
+            (Sjson.to_string
+               (Serve_engine.shed_reply engine
+                  (Serve_error.v Serve_error.Overloaded "request queue full")))
       end);
   (* SIGHUP = operator-driven zero-downtime reload of the default
      checkpoint path. The handler only spawns a thread; the load/compile/swap

@@ -22,9 +22,6 @@ let default_config ?(fallback = Cbox_infer.Fallback_hrd)
     grace_hi = 1.25;
   }
 
-(* A requested deadline is clamped to this budget. *)
-let max_deadline_s = 60.0
-
 type reload_spec = {
   reload_seed : int;
   reload_model_cfg : Cbgan.config;
@@ -139,6 +136,13 @@ type t = {
 }
 
 let create ?now ?journal ?reload ?student_path ~spec ~model cfg =
+  (* Settings under which no infer could ever be answered. *)
+  if not (cfg.default_deadline_s > 0.0) then
+    invalid_arg "Serve_engine.create: default_deadline_s must be > 0";
+  if cfg.max_trace_len < Heatmap.accesses_per_image spec then
+    invalid_arg
+      (Printf.sprintf "Serve_engine.create: max_trace_len must be >= %d (one heatmap image)"
+         (Heatmap.accesses_per_image spec));
   let now = Option.value now ~default:Unix.gettimeofday in
   let on_reject p why =
     Option.iter
@@ -268,16 +272,33 @@ let hit_rate_reply ?id ~degraded ~source ~backend ~reason ~latency_ms hit_rate =
 
 let backend_counter b = "backend_" ^ key_of b
 
-(* All six, so clients can take deltas without existence checks. *)
-let backend_counters (s : Serve_stats.summary) =
-  List.map
-    (fun b ->
-      let n =
-        Option.value ~default:0
-          (List.assoc_opt (Cbox_infer.backend_name b) s.Serve_stats.backends)
-      in
-      (backend_counter b, Sjson.Num (float_of_int n)))
-    Cbox_infer.backends
+let stats_fields (s : Serve_stats.summary) extra =
+  let num n = Sjson.Num (float_of_int n) in
+  [
+    ("ok", Sjson.Bool true);
+    ("op", Sjson.Str "stats");
+    ("served", num s.served);
+    ("ok_count", num s.ok);
+    ("degraded_count", num s.degraded);
+    ("shed", num s.shed);
+    ("p50_ms", Sjson.Num s.p50_ms);
+    ("p99_ms", Sjson.Num s.p99_ms);
+    (* Routing counters are zero on a plain backend; the router fills
+       them in. Present everywhere so the stats schema is uniform. *)
+    ("retries", num s.retries);
+    ("hedges", num s.hedges);
+    ("degraded_router", num s.degraded_router);
+  ]
+  @ extra
+  (* All six backends, so clients can take deltas without existence checks. *)
+  @ List.map
+      (fun b ->
+        ( backend_counter b,
+          num
+            (Option.value ~default:0
+               (List.assoc_opt (Cbox_infer.backend_name b) s.backends)) ))
+      Cbox_infer.backends
+  @ List.map (fun (code, n) -> ("err_" ^ code, num n)) s.errors
 
 let health_reply t =
   let breaker = Breaker.state t.breaker in
@@ -295,50 +316,25 @@ let health_reply t =
 
 let stats_reply t =
   let s = Serve_stats.snapshot t.stats in
+  let num n = Sjson.Num (float_of_int n) in
   Sjson.Obj
-    ([
-       ("ok", Sjson.Bool true);
-       ("op", Sjson.Str "stats");
-       ("served", Sjson.Num (float_of_int s.Serve_stats.served));
-       ("ok_count", Sjson.Num (float_of_int s.Serve_stats.ok));
-       ("degraded_count", Sjson.Num (float_of_int s.Serve_stats.degraded));
-       ("shed", Sjson.Num (float_of_int s.Serve_stats.shed));
-       ("p50_ms", Sjson.Num s.Serve_stats.p50_ms);
-       ("p99_ms", Sjson.Num s.Serve_stats.p99_ms);
-       (* Model forwards run, and the most items one carried: whether work
-          that queued behind a running forward shared the next one. *)
-       ("batches", Sjson.Num (float_of_int s.Serve_stats.batches));
-       ("max_batch", Sjson.Num (float_of_int s.Serve_stats.max_batch));
-       ("breaker", Sjson.Str (Breaker.state_name (Breaker.state t.breaker)));
-       ("breaker_opens", Sjson.Num (float_of_int (Breaker.times_opened t.breaker)));
-       (* Workspace-arena counters: ws_allocs should plateau after the first requests;
-          steady growth under load means scratch buffers are not being
-          reused (an allocation regression). *)
-       ("ws_allocs", Sjson.Num (float_of_int (Workspace.alloc_count ())));
-       ("ws_borrows", Sjson.Num (float_of_int (Workspace.borrow_count ())));
-       (* Routing counters are zero on a plain backend; the router fills
-          them in. Present everywhere so the stats schema is uniform. *)
-       ("retries", Sjson.Num (float_of_int s.Serve_stats.retries));
-       ("hedges", Sjson.Num (float_of_int s.Serve_stats.hedges));
-       ("degraded_router", Sjson.Num (float_of_int s.Serve_stats.degraded_router));
-       ("reloads", Sjson.Num (float_of_int t.reloads));
-       ("reload_failures", Sjson.Num (float_of_int t.reload_failures));
-     ]
-    @ backend_counters s
-    @ t.extra_stats ()
-    @ List.map
-        (fun (code, n) -> ("err_" ^ code, Sjson.Num (float_of_int n)))
-        s.Serve_stats.errors)
-
-let overload_reply t =
-  Serve_stats.shed t.stats;
-  journal t "shed" [];
-  error_reply (Serve_error.v Serve_error.Overloaded "request queue full")
-
-let draining_reply t =
-  Serve_stats.shed t.stats;
-  journal t "shed" [ ("why", Runlog.S "shutdown") ];
-  error_reply (Serve_error.v Serve_error.Overloaded "server shutting down")
+    (stats_fields s
+       ([
+          (* Model forwards run, and the most items one carried: whether work
+             that queued behind a running forward shared the next one. *)
+          ("batches", num s.batches);
+          ("max_batch", num s.max_batch);
+          ("breaker", Sjson.Str (Breaker.state_name (Breaker.state t.breaker)));
+          ("breaker_opens", num (Breaker.times_opened t.breaker));
+          (* Workspace-arena counters: ws_allocs should plateau after the first
+             requests; steady growth under load means scratch buffers are not
+             being reused (an allocation regression). *)
+          ("ws_allocs", num (Workspace.alloc_count ()));
+          ("ws_borrows", num (Workspace.borrow_count ()));
+          ("reloads", num t.reloads);
+          ("reload_failures", num t.reload_failures);
+        ]
+       @ t.extra_stats ()))
 
 (* --- inference --- *)
 
@@ -389,9 +385,9 @@ let baseline t ~arrival ~id ~fallback ~reason cache trace =
    protocol misuse, per-window degradation) but must keep the engine's
    counters and journal truthful, so its replies route through these. *)
 
-let shed_reply ?id ?(why = "stream") t e =
+let shed_reply ?id ?why t e =
   Serve_stats.shed t.stats;
-  journal t "shed" [ ("why", Runlog.S why) ];
+  journal t "shed" (match why with None -> [] | Some w -> [ ("why", Runlog.S w) ]);
   error_reply ?id e
 
 let error_reply_counted ?id t ~arrival (e : Serve_error.t) =
@@ -456,8 +452,8 @@ let do_reload t ~arrival ~id ~checkpoint =
 (* --- batched execution ---
 
    Every infer request runs through [infer_batch]: the daemon's batcher
-   thread hands it whatever was queued together, and the sequential entry
-   points ([handle_line], [handle_request]) a batch of one. *)
+   thread hands it whatever was queued together, and [handle_line] a batch
+   of one. *)
 
 type infer_item = {
   item_id : string option;
@@ -471,7 +467,6 @@ type infer_item = {
          is still carried for the analytical-baseline degradation path. *)
   item_deadline : float;  (* absolute, on the engine clock *)
   item_backend : Cbox_infer.backend;  (* resolved (request or daemon default) *)
-  mutable item_pickup : float;  (* when the batcher popped it (stats) *)
 }
 
 type classified =
@@ -483,8 +478,6 @@ type classified =
   | Stream of Validate.request
       (* a stream_* op: the daemon hands it to the session manager with
          its connection identity and completion callbacks *)
-
-let set_item_pickup it ts = it.item_pickup <- ts
 
 (* One streamed window as a batchable item: the access heatmap was already
    blitted out of the session's accumulator (bit-identical to of_trace on
@@ -502,7 +495,6 @@ let stream_item t ~arrival ~cache ~trace ~access =
     item_access = Some access;
     item_deadline = arrival +. t.cfg.default_deadline_s;
     item_backend = t.cfg.default_backend;
-    item_pickup = arrival;
   }
 
 let classify_request t ~arrival req =
@@ -519,10 +511,7 @@ let classify_request t ~arrival req =
           match Validate.trace_for_spec t.spec ~max_len:t.cfg.max_trace_len trace with
           | Error e -> fail_with e
           | Ok () ->
-            let budget =
-              Float.min max_deadline_s
-                (Option.value deadline_s ~default:t.cfg.default_deadline_s)
-            in
+            let budget = Option.value deadline_s ~default:t.cfg.default_deadline_s in
             Batchable
               {
                 item_id = id;
@@ -533,7 +522,6 @@ let classify_request t ~arrival req =
                 item_access = None;
                 item_deadline = arrival +. budget;
                 item_backend = Option.value backend ~default:t.cfg.default_backend;
-                item_pickup = arrival;
               }))
     with
     | c -> c
@@ -554,16 +542,9 @@ let classify_request t ~arrival req =
 
 let classify_line ?arrival t line =
   let arrival = Option.value arrival ~default:(t.now ()) in
-  match Sjson.parse line with
-  | Error why ->
-    Immediate
-      (Reply
-         (error_reply_counted t ~arrival
-            (Serve_error.v Serve_error.Bad_request "malformed JSON: %s" why)))
-  | Ok json -> (
-    match Validate.request ~max_trace_len:t.cfg.max_trace_len json with
-    | Error e -> Immediate (Reply (error_reply_counted t ~arrival e))
-    | Ok req -> classify_request t ~arrival req)
+  match Validate.request ~max_trace_len:t.cfg.max_trace_len line with
+  | Error e -> Immediate (Reply (error_reply_counted t ~arrival e))
+  | Ok req -> classify_request t ~arrival req
 
 (* Per-item execution plan, decided once at batch start: the admission
    decision (breaker state, headroom) is made for the whole batch, so a
@@ -716,18 +697,10 @@ let infer_batch t items =
          Serve_stats.record_batch t.stats ~size:n_fwd
        end
      end);
-    (* Replies, breaker bookkeeping and stage accounting, in item order. *)
+    (* Replies and breaker bookkeeping, in item order. *)
     List.map
       (fun (it, plan) ->
         let arrival = it.item_arrival and id = it.item_id in
-        let infer_share =
-          match plan with
-          | P_forward -> (t.now () -. t0) /. float_of_int n_fwd
-          | _ -> 0.0
-        in
-        Serve_stats.record_stages t.stats
-          ~queue_s:(it.item_pickup -. arrival)
-          ~batch_s:(t0 -. it.item_pickup) ~infer_s:infer_share;
         let fault why =
           let before = Breaker.state t.breaker in
           Breaker.record_failure t.breaker;
@@ -776,41 +749,28 @@ let infer_batch t items =
             fault "batch result missing"))
       pairs
 
-(* --- sequential entry points: a batch of one --- *)
-
-let handle_request t ~arrival req =
-  match req with
-  | Validate.Stream_open { id; _ }
-  | Validate.Stream_feed { id; _ }
-  | Validate.Stream_resume { id; _ }
-  | Validate.Stream_close { id; _ } ->
-    (* Streaming needs the reactor's connection identity and the batcher's
-       completion callbacks; the sequential entry points have neither. *)
+(* The daemon's dispatch, run in place: an infer is a batch of one, a
+   deferred reload runs inline, and a stream op, which needs a connection
+   and a batcher, is refused. *)
+let handle_line ?arrival t line =
+  let arrival = Option.value arrival ~default:(t.now ()) in
+  match classify_line ~arrival t line with
+  | Immediate o -> o
+  | Deferred f -> f ()
+  | Stream
+      ( Validate.Stream_open { id; _ }
+      | Validate.Stream_feed { id; _ }
+      | Validate.Stream_resume { id; _ }
+      | Validate.Stream_close { id; _ } ) ->
     Reply
       (error_reply_counted ?id t ~arrival
          (Serve_error.v Serve_error.Bad_request
             "stream ops are only served by the streaming daemon path"))
-  | _ -> (
-    match classify_request t ~arrival req with
-    | Immediate o -> o
-    | Deferred f -> f ()
-    | Stream _ -> assert false (* answered above *)
-    | Batchable it -> (
-      (* Total: a bug below this point is an [internal] reply, not a dead
-         worker. *)
-      match infer_batch t [ it ] with
-      | [ r ] -> Reply r
-      | _ -> assert false
-      | exception e -> Reply (internal_reply ?id:it.item_id t ~arrival e)))
-
-let handle_line ?arrival t line =
-  let arrival = Option.value arrival ~default:(t.now ()) in
-  match Sjson.parse line with
-  | Error why ->
-    Reply
-      (error_reply_counted t ~arrival
-         (Serve_error.v Serve_error.Bad_request "malformed JSON: %s" why))
-  | Ok json -> (
-    match Validate.request ~max_trace_len:t.cfg.max_trace_len json with
-    | Error e -> Reply (error_reply_counted t ~arrival e)
-    | Ok req -> handle_request t ~arrival req)
+  | Stream _ -> assert false (* classify_request makes Stream of stream ops only *)
+  | Batchable it -> (
+    (* Total: a bug below this point is an [internal] reply, not a dead
+       worker. *)
+    match infer_batch t [ it ] with
+    | [ r ] -> Reply r
+    | _ -> assert false
+    | exception e -> Reply (internal_reply ?id:it.item_id t ~arrival e))

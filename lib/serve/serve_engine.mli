@@ -2,13 +2,16 @@
 
     One engine holds a {e generation} — the table of learned backends — the
     circuit breaker guarding it, the serving counters and the degradation
-    policy; {!handle_line} takes one protocol line and always produces a
-    reply — every failure mode is a taxonomy error or a [degraded:true]
-    baseline answer, never an escaped exception.
+    policy. Every protocol line takes one path: {!classify_line} parses and
+    validates it ({!Validate.request}) and either answers it or hands back
+    the work, and the daemon runs that work; {!handle_line} is the same
+    dispatch run in place. Every reply is a taxonomy error, a
+    [degraded:true] baseline answer or a served answer, never an escaped
+    exception.
 
-    Every infer request runs through {!infer_batch}; the sequential entry
-    points answer it as a batch of one. The degradation ladder (TAO-style
-    hybrid) is one fold down the backend table:
+    Every infer request runs through {!infer_batch}; {!handle_line} answers
+    it as a batch of one. The degradation ladder (TAO-style hybrid) is one
+    fold down the backend table:
     + a derived model — the int8 quantization, the distilled student, or
       the student's int8 quantization — when the request selects the
       [int8] / [student] / [student-int8] backend; a derived rung that is
@@ -45,9 +48,9 @@ type config = {
       (** backend for requests that name none ([float32] unless overridden
           at daemon start) *)
   default_deadline_s : float;
-      (** when the request names none; a requested deadline is clamped to
-          60 s *)
-  max_trace_len : int;
+      (** when the request names none (must be positive); a requested
+          deadline is capped at 60 s by {!Validate.request} *)
+  max_trace_len : int;  (** at least one heatmap image's accesses *)
   breaker_threshold : int;  (** consecutive model faults before opening *)
   breaker_cooldown_s : float;
   grace_lo : float;  (** validity gate, passed to Cbox_infer.validate_hit_rate *)
@@ -87,7 +90,10 @@ val create :
     [model = None] starts in degraded mode (every inference falls back).
     [reload] enables the hot-swap path ({!reload}, the [reload] wire verb
     and SIGHUP in the daemon); without it reloads are rejected as
-    [invalid_config]. [student_path] loads a distilled student checkpoint
+    [invalid_config]. Raises [Invalid_argument] on settings under which no
+    infer could be answered: a [default_deadline_s] that is not positive,
+    or a [max_trace_len] below {!Heatmap.accesses_per_image} [spec] (and on
+    a breaker setting {!Breaker.create} rejects). [student_path] loads a distilled student checkpoint
     (and eagerly builds its int8 quantization) for the [student] and
     [student-int8] backends; a checkpoint that fails to load — missing,
     corrupt, wrong schema — is journalled ([student_reject]) and dropped,
@@ -136,23 +142,14 @@ val model_of_checkpoint :
 type outcome = Reply of Sjson.t | Shutdown_reply of Sjson.t
 
 val handle_line : ?arrival:float -> t -> string -> outcome
-(** Parse, validate and execute one protocol line; total. A
-    [Shutdown_reply] asks the caller to send the reply and stop serving.
-    [arrival] is when the request entered the system (defaults to "now");
-    the daemon stamps it at enqueue time so queue wait counts against the
-    request's deadline. *)
-
-val handle_request : t -> arrival:float -> Validate.request -> outcome
-(** Same, from an already-validated request ([arrival] stamps queue entry;
-    deadlines count from it). *)
-
-val overload_reply : t -> Sjson.t
-(** The [overloaded] error reply for a shed request; also counts it. *)
-
-val draining_reply : t -> Sjson.t
-(** The [overloaded] error reply for a request that was admitted but
-    orphaned by shutdown before the worker reached it; also counted as a
-    shed. *)
+(** {!classify_line}, then the daemon's dispatch run in place: a
+    [Batchable] item is an {!infer_batch} of one, a [Deferred] thunk runs
+    inline, and a stream op is answered [bad_request] (it needs the
+    daemon's connections). Total; replies equal the daemon's but for
+    [latency_ms]. A [Shutdown_reply] asks the caller to send the reply and
+    stop serving. [arrival] is when the request entered the system
+    (defaults to "now"); deadlines count from it, so queue wait is on the
+    clock. *)
 
 val now : t -> float
 (** The engine's clock — use it to stamp request arrival at admission so
@@ -191,14 +188,14 @@ val reloads : t -> int
 
 (** {2 Batched execution}
 
-    The daemon's dynamic micro-batching path: {!classify_line} splits a
-    protocol line into either an immediate outcome (health/stats/shutdown,
-    validation errors — answered without queueing for the model) or a
-    batchable infer item; {!infer_batch} then executes a coalesced batch of
-    items through one shared forward pass per backend. Replies are
-    bit-identical to running {!handle_line} per request (inference
-    batch-norm uses running statistics, and every sample runs its own
-    GEMMs), except for the [latency_ms] field. *)
+    The one line path: {!classify_line} splits a protocol line into either
+    an immediate outcome (health/stats/shutdown, validation errors —
+    answered without queueing for the model) or the work it asks for: a
+    batchable infer item, a deferred reload or a stream op.
+    {!infer_batch} then executes a coalesced batch of items through one
+    shared forward pass per backend. Replies are bit-identical whatever the
+    batch (inference batch-norm uses running statistics, and every sample
+    runs its own GEMMs), except for the [latency_ms] field. *)
 
 type infer_item
 
@@ -210,11 +207,12 @@ type classified =
           batcher thread so model loading never stalls serving *)
   | Stream of Validate.request
       (** a [stream_*] op — the daemon routes it to {!Stream_session} with
-          the request's connection identity and completion callbacks; the
-          sequential {!handle_line} path answers it [bad_request] *)
+          the request's connection identity and completion callbacks;
+          {!handle_line} answers it [bad_request] *)
 
 val classify_line : ?arrival:float -> t -> string -> classified
-(** Parse + validate one protocol line. Validation errors and non-infer ops
+(** Parse + validate one protocol line ({!Validate.request}, which also
+    caps a requested deadline at 60 s). Validation errors and non-infer ops
     are [Immediate] (already recorded in stats); a valid infer request
     becomes a [Batchable] item stamped with its admission index and absolute
     deadline; a reload is [Deferred]; stream ops are [Stream]. Total, like
@@ -234,10 +232,6 @@ val stream_item :
     next admission index — armed faults hit streamed windows exactly like
     offline requests — and the engine's default deadline from [arrival]
     (the moment the window closed). *)
-
-val set_item_pickup : infer_item -> float -> unit
-(** Stamp when the batcher popped the item from the admission queue
-    (queue-wait vs batch-wait attribution in {!Serve_stats}). *)
 
 val infer_batch : t -> infer_item list -> Sjson.t list
 (** Execute a batch: one reply per item, in order. Expired, breaker-blocked
@@ -268,8 +262,14 @@ val hit_rate_reply :
 val backend_counter : Cbox_infer.backend -> string
 (** A stats reply's count of one backend's answers: ["backend_student_int8"]. *)
 
-val backend_counters : Serve_stats.summary -> (string * Sjson.t) list
-(** Every {!backend_counter}, zeros included. *)
+val stats_fields :
+  Serve_stats.summary -> (string * Sjson.t) list -> (string * Sjson.t) list
+(** The fields of a stats reply, daemon's and router's alike: [ok], [op],
+    the counters every server reports ([served], [ok_count],
+    [degraded_count], [shed], [p50_ms], [p99_ms], [retries], [hedges],
+    [degraded_router]), then [extra] (the server's own fields), then every
+    {!backend_counter}, zeros included, and an [err_<code>] count per
+    error code seen. *)
 
 (** {2 Stream-session hooks}
 
@@ -279,8 +279,9 @@ val backend_counters : Serve_stats.summary -> (string * Sjson.t) list
     through these. *)
 
 val shed_reply : ?id:string -> ?why:string -> t -> Serve_error.t -> Sjson.t
-(** Typed error reply counted as a shed (and journaled with [why],
-    default ["stream"]). *)
+(** Typed error reply counted as a shed and journalled as a ["shed"]
+    event, with a ["why"] field when [why] is given. The daemon answers a
+    full queue with it too, and a line that arrives while it drains. *)
 
 val error_reply_counted :
   ?id:string -> t -> arrival:float -> Serve_error.t -> Sjson.t

@@ -8,15 +8,8 @@ type t = {
   ring : float array;
   mutable ring_len : int;  (* samples stored, <= Array.length ring *)
   mutable ring_pos : int;  (* next write slot *)
-  (* Stage accounting: per-request sums in seconds, plus how many requests
-     carried stage timings (health/stats requests don't). *)
-  mutable staged : int;
-  mutable queue_sum_s : float;
-  mutable batch_sum_s : float;
-  mutable infer_sum_s : float;
-  (* Batching: forward passes executed and requests they carried. *)
+  (* Batching: forward passes executed and the most items one carried. *)
   mutable batches : int;
-  mutable batched_requests : int;
   mutable max_batch : int;
   (* Routing: extra upstream attempts behind one client-visible answer.
      The answer itself still counts exactly once in [served]/[ok]. *)
@@ -35,23 +28,15 @@ type summary = {
   errors : (string * int) list;
   p50_ms : float;
   p99_ms : float;
-  window : int;
-  staged : int;
-  queue_ms_mean : float;
-  batch_ms_mean : float;
-  infer_ms_mean : float;
   batches : int;
-  batched_requests : int;
   max_batch : int;
-  mean_batch : float;
   retries : int;
   hedges : int;
   degraded_router : int;
   backends : (string * int) list;
 }
 
-let create ?(window = 1024) () =
-  if window < 1 then invalid_arg "Serve_stats.create: window must be >= 1";
+let create () =
   {
     m = Mutex.create ();
     served = 0;
@@ -59,15 +44,10 @@ let create ?(window = 1024) () =
     degraded = 0;
     shed_count = 0;
     errors = Hashtbl.create 8;
-    ring = Array.make window 0.0;
+    ring = Array.make 1024 0.0;  (* the most recent latency samples *)
     ring_len = 0;
     ring_pos = 0;
-    staged = 0;
-    queue_sum_s = 0.0;
-    batch_sum_s = 0.0;
-    infer_sum_s = 0.0;
     batches = 0;
-    batched_requests = 0;
     max_batch = 0;
     retries = 0;
     hedges = 0;
@@ -75,12 +55,8 @@ let create ?(window = 1024) () =
     backends = Hashtbl.create 4;
   }
 
-let with_lock t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
 let record ?backend t ~ok ~degraded ~code ~latency_s =
-  with_lock t (fun () ->
+  Mutex.protect t.m (fun () ->
       t.served <- t.served + 1;
       if ok then t.ok <- t.ok + 1;
       if degraded then t.degraded <- t.degraded + 1;
@@ -100,25 +76,17 @@ let record ?backend t ~ok ~degraded ~code ~latency_s =
       t.ring_pos <- (t.ring_pos + 1) mod Array.length t.ring;
       t.ring_len <- min (t.ring_len + 1) (Array.length t.ring))
 
-let record_stages t ~queue_s ~batch_s ~infer_s =
-  with_lock t (fun () ->
-      t.staged <- t.staged + 1;
-      t.queue_sum_s <- t.queue_sum_s +. Float.max 0.0 queue_s;
-      t.batch_sum_s <- t.batch_sum_s +. Float.max 0.0 batch_s;
-      t.infer_sum_s <- t.infer_sum_s +. Float.max 0.0 infer_s)
-
 let record_batch t ~size =
-  with_lock t (fun () ->
+  Mutex.protect t.m (fun () ->
       t.batches <- t.batches + 1;
-      t.batched_requests <- t.batched_requests + size;
       if size > t.max_batch then t.max_batch <- size)
 
-let shed t = with_lock t (fun () -> t.shed_count <- t.shed_count + 1)
-let record_retry t = with_lock t (fun () -> t.retries <- t.retries + 1)
-let record_hedge t = with_lock t (fun () -> t.hedges <- t.hedges + 1)
+let shed t = Mutex.protect t.m (fun () -> t.shed_count <- t.shed_count + 1)
+let record_retry t = Mutex.protect t.m (fun () -> t.retries <- t.retries + 1)
+let record_hedge t = Mutex.protect t.m (fun () -> t.hedges <- t.hedges + 1)
 
 let record_degraded_router t =
-  with_lock t (fun () -> t.degraded_router <- t.degraded_router + 1)
+  Mutex.protect t.m (fun () -> t.degraded_router <- t.degraded_router + 1)
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -128,10 +96,9 @@ let percentile sorted p =
     sorted.(max 0 (min (n - 1) rank))
 
 let snapshot t =
-  with_lock t (fun () ->
+  Mutex.protect t.m (fun () ->
       let samples = Array.sub t.ring 0 t.ring_len in
       Array.sort compare samples;
-      let mean sum n = if n = 0 then 0.0 else 1000.0 *. sum /. float_of_int n in
       {
         served = t.served;
         ok = t.ok;
@@ -146,17 +113,8 @@ let snapshot t =
             Serve_error.all_codes;
         p50_ms = 1000.0 *. percentile samples 0.50;
         p99_ms = 1000.0 *. percentile samples 0.99;
-        window = t.ring_len;
-        staged = t.staged;
-        queue_ms_mean = mean t.queue_sum_s t.staged;
-        batch_ms_mean = mean t.batch_sum_s t.staged;
-        infer_ms_mean = mean t.infer_sum_s t.staged;
         batches = t.batches;
-        batched_requests = t.batched_requests;
         max_batch = t.max_batch;
-        mean_batch =
-          (if t.batches = 0 then 0.0
-           else float_of_int t.batched_requests /. float_of_int t.batches);
         retries = t.retries;
         hedges = t.hedges;
         degraded_router = t.degraded_router;

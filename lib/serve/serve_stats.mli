@@ -1,10 +1,10 @@
-(** Serving counters, stage timings and latency percentiles.
+(** Serving counters and latency percentiles: what a stats reply reports.
 
     Thread-safe: every mutation and the snapshot run under one internal
     mutex, so counters stay consistent across the daemon's threads (the
     reactor records sheds, the batcher thread records batch completions,
-    a reload thread records its reply). Latencies are kept in a fixed-size ring of the most
-    recent samples; p50/p99 are computed over that window on demand. *)
+    a reload thread records its reply). Latencies are kept in a ring of the
+    1024 most recent samples; p50/p99 are computed over it on demand. *)
 
 type t
 
@@ -16,15 +16,8 @@ type summary = {
   errors : (string * int) list;  (** taxonomy code → count, code order *)
   p50_ms : float;  (** 0 when no samples *)
   p99_ms : float;
-  window : int;  (** latency samples currently in the ring *)
-  staged : int;  (** requests that carried stage timings (infer only) *)
-  queue_ms_mean : float;  (** admission → batcher pickup *)
-  batch_ms_mean : float;  (** batcher pickup → forward-pass start *)
-  infer_ms_mean : float;  (** forward pass, amortised share per request *)
   batches : int;  (** batched forward passes executed *)
-  batched_requests : int;  (** infer requests those batches carried *)
-  max_batch : int;
-  mean_batch : float;  (** batched_requests / batches; 0 with no batches *)
+  max_batch : int;  (** the most infer items one forward carried *)
   retries : int;
       (** extra upstream attempts after a failed one (router only; a
           request shed on one backend and served by another counts once in
@@ -39,8 +32,7 @@ type summary = {
           backend absent from the list has served nothing *)
 }
 
-val create : ?window:int -> unit -> t
-(** [window] is the latency-ring size (default 1024). *)
+val create : unit -> t
 
 val record :
   ?backend:string ->
@@ -52,10 +44,6 @@ val record :
   unit
 (** One answered request. [code] is set for error answers; [backend] names
     the backend that produced a successful answer. *)
-
-val record_stages : t -> queue_s:float -> batch_s:float -> infer_s:float -> unit
-(** Per-stage wall-clock breakdown for one answered infer request (negative
-    inputs clamp to 0). *)
 
 val record_batch : t -> size:int -> unit
 (** One batched forward pass carrying [size] requests. *)

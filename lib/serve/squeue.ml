@@ -16,12 +16,8 @@ let create ~capacity =
     closed = false;
   }
 
-let with_lock t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
 let try_push t x =
-  with_lock t (fun () ->
+  Mutex.protect t.m (fun () ->
       if t.closed || Queue.length t.q >= t.capacity then false
       else begin
         Queue.push x t.q;
@@ -30,10 +26,10 @@ let try_push t x =
       end)
 
 let try_pop t =
-  with_lock t (fun () -> if Queue.is_empty t.q then None else Some (Queue.pop t.q))
+  Mutex.protect t.m (fun () -> if Queue.is_empty t.q then None else Some (Queue.pop t.q))
 
 let pop t =
-  with_lock t (fun () ->
+  Mutex.protect t.m (fun () ->
       let rec wait () =
         if not (Queue.is_empty t.q) then Some (Queue.pop t.q)
         else if t.closed then None
@@ -45,8 +41,8 @@ let pop t =
       wait ())
 
 let close t =
-  with_lock t (fun () ->
+  Mutex.protect t.m (fun () ->
       t.closed <- true;
       Condition.broadcast t.nonempty)
 
-let length t = with_lock t (fun () -> Queue.length t.q)
+let length t = Mutex.protect t.m (fun () -> Queue.length t.q)

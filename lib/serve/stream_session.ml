@@ -81,10 +81,6 @@ type group = {
   g_resolve : Sjson.t -> unit;
 }
 
-let with_lock t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
 (* One session's footprint, charged against [max_bytes]: the accumulator's
    column ring and open-window histogram, the tail ring, and slack for the
    retention ring's scalar records. *)
@@ -189,7 +185,8 @@ let sweep_locked mgr ~now =
         [ ("idle_s", Runlog.F (now -. s.last_seen)); ("retained", Runlog.I (List.length s.retained)) ])
     dead
 
-let sweep mgr = with_lock mgr (fun () -> sweep_locked mgr ~now:(Serve_engine.now mgr.engine))
+let sweep mgr =
+  Mutex.protect mgr.m (fun () -> sweep_locked mgr ~now:(Serve_engine.now mgr.engine))
 
 (* --- window completion --- *)
 
@@ -230,7 +227,7 @@ let complete_window_locked mgr g index wjson =
 (* Completion callback for a window that went through the batcher; runs
    when the batcher thread finishes the window's batch. *)
 let on_window_reply mgr g index reply =
-  with_lock mgr (fun () ->
+  Mutex.protect mgr.m (fun () ->
       mgr.pending <- mgr.pending - 1;
       (match Hashtbl.find_opt mgr.sessions g.g_token with
       | Some s -> s.inflight <- s.inflight - 1
@@ -245,7 +242,7 @@ let unknown_session mgr ?id ~arrival token =
 
 let open_session mgr ~conn ~arrival ~resolve ~exempt ~id ~sets ~ways =
   let reply =
-    with_lock mgr (fun () ->
+    Mutex.protect mgr.m (fun () ->
         let now = Serve_engine.now mgr.engine in
         sweep_locked mgr ~now;
         if Hashtbl.length mgr.sessions >= mgr.cfg.max_sessions then begin
@@ -409,7 +406,7 @@ let apply_chunk mgr s ~arrival ~resolve ~id ~seq addrs =
 
 let feed mgr ~conn ~arrival ~resolve ~submit ~id ~token ~seq ~ack ~payload =
   let action =
-    with_lock mgr (fun () ->
+    Mutex.protect mgr.m (fun () ->
         match Hashtbl.find_opt mgr.sessions token with
         | None -> `Resolve (unknown_session mgr ?id ~arrival token)
         | Some s ->
@@ -457,7 +454,7 @@ let feed mgr ~conn ~arrival ~resolve ~submit ~id ~token ~seq ~ack ~payload =
 
 let resume mgr ~conn ~arrival ~resolve ~exempt ~id ~token ~last_window =
   let reply =
-    with_lock mgr (fun () ->
+    Mutex.protect mgr.m (fun () ->
         match Hashtbl.find_opt mgr.sessions token with
         | None -> `Err (unknown_session mgr ?id ~arrival token)
         | Some s ->
@@ -494,7 +491,7 @@ let resume mgr ~conn ~arrival ~resolve ~exempt ~id ~token ~last_window =
 
 let close mgr ~arrival ~resolve ~id ~token =
   resolve
-    (with_lock mgr (fun () ->
+    (Mutex.protect mgr.m (fun () ->
          match Hashtbl.find_opt mgr.sessions token with
          | None -> unknown_session mgr ?id ~arrival token
          | Some s ->
@@ -541,12 +538,12 @@ let handle mgr ~conn ~arrival ~submit ~resolve ~exempt (req : Validate.request) 
   with e ->
     resolve (Serve_engine.error_reply_counted mgr.engine ~arrival (Serve_error.of_exn e))
 
-let live_sessions mgr = with_lock mgr (fun () -> Hashtbl.length mgr.sessions)
-let pending_windows mgr = with_lock mgr (fun () -> mgr.pending)
-let buffered_bytes mgr = with_lock mgr (fun () -> mgr.bytes)
+let live_sessions mgr = Mutex.protect mgr.m (fun () -> Hashtbl.length mgr.sessions)
+let pending_windows mgr = Mutex.protect mgr.m (fun () -> mgr.pending)
+let buffered_bytes mgr = Mutex.protect mgr.m (fun () -> mgr.bytes)
 
 let stats_fields mgr () =
-  with_lock mgr (fun () ->
+  Mutex.protect mgr.m (fun () ->
       [
         ( "stream",
           Sjson.Obj

@@ -2,7 +2,11 @@ let max_sets = 1 lsl 22
 let max_ways = 1024
 let max_block = 65536
 let default_max_trace_len = 2_000_000
+
+(* A requested deadline must lie in (0, 600 s]; it is served with at most
+   60 s of budget, by a daemon and a router alike. *)
 let max_deadline_s = 600.0
+let deadline_cap_s = 60.0
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
@@ -244,7 +248,12 @@ let infer_source ~max_trace_len json =
     err Serve_error.Bad_request "conflicting trace sources: %s"
       (String.concat ", " several)
 
-let request ?(max_trace_len = default_max_trace_len) json =
+let request ?(max_trace_len = default_max_trace_len) line =
+  let* json =
+    match Sjson.parse line with
+    | Ok json -> Ok json
+    | Error why -> err Serve_error.Bad_request "malformed JSON: %s" why
+  in
   match json with
   | Sjson.Obj _ -> (
     match Sjson.member "op" json with
@@ -270,7 +279,7 @@ let request ?(max_trace_len = default_max_trace_len) json =
           | Some v -> (
             match Sjson.to_float v with
             | Some ms when ms > 0.0 && ms <= max_deadline_s *. 1000.0 ->
-              Ok (Some (ms /. 1000.0))
+              Ok (Some (Float.min deadline_cap_s (ms /. 1000.0)))
             | Some ms ->
               err Serve_error.Bad_request
                 "field \"deadline_ms\" out of range (0, %g] (got %g)"

@@ -73,7 +73,7 @@ type request =
       sets : int;
       ways : int;
       source : trace_source;
-      deadline_s : float option;  (** requested budget, seconds *)
+      deadline_s : float option;  (** requested budget, seconds, at most 60 *)
       backend : Cbox_infer.backend option;
           (** requested scoring backend; [None] means the daemon default *)
     }
@@ -99,13 +99,15 @@ type request =
           results past [last_window] are replayed in the reply *)
   | Stream_close of { id : string option; session : string }
 
-val request : ?max_trace_len:int -> Sjson.t -> (request, Serve_error.t) result
-(** Schema gate for one parsed protocol line. [op] selects the variant;
+val request : ?max_trace_len:int -> string -> (request, Serve_error.t) result
+(** Parse and schema-check one protocol line: a line that is not JSON is
+    [bad_request] ("malformed JSON: ..."). [op] selects the variant;
     [infer] requires integer [sets]/[ways] and exactly one of [trace]
     (array of addresses), [benchmark] (+ optional [trace_len]) or
-    [trace_file]; optional [id] (string), [deadline_ms] (positive number)
-    and [backend] (["float32" | "int8" | "hrd" | "stm"] — an unknown value
-    is a typed {!Serve_error.Invalid_config});
+    [trace_file]; optional [id] (string), [deadline_ms] (a number in
+    (0, 600000], served with a budget capped at 60 s: [deadline_s] is at
+    most 60) and [backend] (a {!Cbox_infer.backend_name} — an unknown
+    value is a typed {!Serve_error.Invalid_config});
     [reload] takes optional [id] and [checkpoint] (string path);
     the [stream_*] ops require a non-empty [session] (except [stream_open],
     which requires [sets]/[ways]). Unknown [op]s, wrong types, over-limit

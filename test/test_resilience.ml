@@ -181,6 +181,41 @@ let test_runlog_roundtrip () =
     Alcotest.(check (option string)) "escaped field round-trips"
       (Some "with \"quotes\" and\nnewline") (Runlog.field line "msg")
   | other -> Alcotest.failf "expected one note event, got %d" (List.length other));
+  (* One line per value kind, pinned byte for byte after its timestamp. *)
+  let path = Filename.concat dir "kinds.jsonl" in
+  let ctrl = "tab\there, back\\slash, \001 and \"q\"\n" in
+  Runlog.with_journal path (fun j ->
+      Runlog.event j "s" [ ("v", Runlog.S ctrl) ];
+      Runlog.event j "i" [ ("v", Runlog.I 123456789012345); ("w", Runlog.I (-7)) ];
+      Runlog.event j "f"
+        [
+          ("nan", Runlog.F Float.nan); ("two", Runlog.F 2.0); ("tenth", Runlog.F 0.1);
+          ("negzero", Runlog.F (-0.0)); ("big", Runlog.F 1e16); ("near", Runlog.F 9.1e15);
+          ("inf", Runlog.F Float.infinity); ("neginf", Runlog.F Float.neg_infinity);
+        ];
+      Runlog.event j "b" [ ("t", Runlog.B true); ("f", Runlog.B false) ]);
+  let after_ts line =
+    match String.index_opt line ',' with
+    | Some i -> String.sub line i (String.length line - i)
+    | None -> Alcotest.failf "journal line without fields: %s" line
+  in
+  Alcotest.(check (list string)) "line bytes after ts"
+    [
+      {|, "event": "s", "v": "tab\there, back\\slash, \u0001 and \"q\"\n"}|};
+      {|, "event": "i", "v": 123456789012345, "w": -7}|};
+      {|, "event": "f", "nan": "nan", "two": 2, "tenth": 0.10000000000000001, "negzero": -0, "big": 10000000000000000, "near": 9100000000000000, "inf": "inf", "neginf": "-inf"}|};
+      {|, "event": "b", "t": true, "f": false}|};
+    ]
+    (List.map after_ts (Runlog.events path));
+  (match Runlog.events ~kind:"s" path with
+  | [ line ] ->
+    Alcotest.(check (option string)) "control character round-trips" (Some ctrl)
+      (Runlog.field line "v")
+  | other -> Alcotest.failf "expected one s event, got %d" (List.length other));
+  (* A line cut short by a crash mid-write is no event of its kind. *)
+  Out_channel.with_open_gen [ Open_append ] 0o644 path (fun oc ->
+      output_string oc "{\"ts\": 1, \"event\": \"s\", \"v\": \"cut\n");
+  Alcotest.(check int) "torn line is no event" 1 (List.length (Runlog.events ~kind:"s" path));
   rm_rf dir
 
 (* Two domains append to one journal at once: every line must be a whole

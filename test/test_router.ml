@@ -361,6 +361,34 @@ let test_router_memo_live () =
   Thread.join rt;
   rm_rf dir
 
+(* Every name a router's stats reply carries, with one error counted so an
+   err_* field shows. Readers look fields up by name, so the order is free,
+   but no counter may go missing or be renamed. *)
+let test_router_stats_fields () =
+  let dir = temp_dir () in
+  let b1 = Filename.concat dir "b1.sock" and rs = Filename.concat dir "r.sock" in
+  let t1 = start_backend b1 in
+  let rt =
+    Daemons.start_router
+      (router_config ~sock:rs ~backends:[ ("b1", Serve_daemon.Unix_socket b1) ])
+  in
+  check_str (Daemons.call rs "{ not json") "error" "bad_request";
+  (match Daemons.call rs {|{"op": "stats"}|} with
+  | Sjson.Obj fields ->
+    Alcotest.(check (list string)) "stats field names"
+      [
+        "backend_float32"; "backend_hrd"; "backend_int8"; "backend_stm"; "backend_student";
+        "backend_student_int8"; "backends"; "backends_up"; "degraded_count";
+        "degraded_router"; "err_bad_request"; "hedges"; "memo_entries"; "memo_hits"; "ok";
+        "ok_count"; "op"; "p50_ms"; "p99_ms"; "retries"; "role"; "served"; "shed";
+      ]
+      (List.sort compare (List.map fst fields))
+  | _ -> Alcotest.fail "stats reply is not an object");
+  check_bool (Daemons.call rs {|{"op": "shutdown"}|}) "ok" true;
+  Thread.join rt;
+  shut_down_backend b1 t1;
+  rm_rf dir
+
 (* A number the ring, health records, breakers, memo or queue rejects is
    an invalid_config error raised before the socket is bound. *)
 let test_router_rejects_bad_numbers () =
@@ -385,6 +413,10 @@ let test_router_rejects_bad_numbers () =
       ("breaker_cooldown_s -1", { base with Router.breaker_cooldown_s = -1.0 });
       ("memo_capacity -1", { base with Router.memo_capacity = -1 });
       ("queue_depth 0", { base with Router.queue_depth = 0 });
+      ("max_attempts 0", { base with Router.max_attempts = 0 });
+      ("default_deadline_s 0", { base with Router.default_deadline_s = 0.0 });
+      ("attempt_timeout_s 0", { base with Router.attempt_timeout_s = 0.0 });
+      ("probe_interval_s 0", { base with Router.probe_interval_s = 0.0 });
     ];
   rm_rf dir
 
@@ -404,6 +436,7 @@ let suite =
       Alcotest.test_case "live failover, ejection, readmission, degradation" `Quick
         test_router_failover_and_degradation;
       Alcotest.test_case "live memo + reload invalidation" `Quick test_router_memo_live;
+      Alcotest.test_case "stats field names" `Quick test_router_stats_fields;
       Alcotest.test_case "bad numbers rejected before binding" `Quick
         test_router_rejects_bad_numbers;
     ] )

@@ -157,13 +157,8 @@ let test_validate_trace () =
   expect_code "over max_len" Serve_error.Bad_request
     (Validate.trace ~max_len:2 [| 0; 64; 128 |])
 
-let parse_request s =
-  match Sjson.parse s with
-  | Ok j -> Validate.request j
-  | Error e -> Alcotest.failf "test request is not JSON: %s" e
-
 let test_validate_request () =
-  (match parse_request {|{"op": "infer", "id": "r", "sets": 8, "ways": 2, "trace": [0, 64, 128], "deadline_ms": 250}|} with
+  (match Validate.request {|{"op": "infer", "id": "r", "sets": 8, "ways": 2, "trace": [0, 64, 128], "deadline_ms": 250}|} with
   | Ok (Validate.Infer { id; sets; ways; source; deadline_s; backend }) ->
     Alcotest.(check (option string)) "id" (Some "r") id;
     Alcotest.(check int) "sets" 8 sets;
@@ -175,33 +170,45 @@ let test_validate_request () =
     | _ -> Alcotest.fail "expected inline source")
   | Ok _ -> Alcotest.fail "wrong variant"
   | Error e -> Alcotest.failf "valid request rejected: %s" e.Serve_error.message);
-  Alcotest.(check bool) "health" true (parse_request {|{"op": "health"}|} = Ok Validate.Health);
+  Alcotest.(check bool) "health" true (Validate.request {|{"op": "health"}|} = Ok Validate.Health);
   Alcotest.(check bool) "shutdown" true
-    (parse_request {|{"op": "shutdown"}|} = Ok Validate.Shutdown);
-  expect_code "unknown op" Serve_error.Bad_request (parse_request {|{"op": "frobnicate"}|});
-  expect_code "non-object" Serve_error.Bad_request (parse_request {|[1, 2]|});
+    (Validate.request {|{"op": "shutdown"}|} = Ok Validate.Shutdown);
+  expect_code "unknown op" Serve_error.Bad_request (Validate.request {|{"op": "frobnicate"}|});
+  expect_code "non-object" Serve_error.Bad_request (Validate.request {|[1, 2]|});
   expect_code "missing sets" Serve_error.Bad_request
-    (parse_request {|{"op": "infer", "ways": 2, "trace": [0]}|});
+    (Validate.request {|{"op": "infer", "ways": 2, "trace": [0]}|});
   expect_code "no trace source" Serve_error.Bad_request
-    (parse_request {|{"op": "infer", "sets": 8, "ways": 2}|});
+    (Validate.request {|{"op": "infer", "sets": 8, "ways": 2}|});
   expect_code "conflicting sources" Serve_error.Bad_request
-    (parse_request {|{"op": "infer", "sets": 8, "ways": 2, "trace": [0], "benchmark": "x"}|});
+    (Validate.request {|{"op": "infer", "sets": 8, "ways": 2, "trace": [0], "benchmark": "x"}|});
   expect_code "float sets" Serve_error.Bad_request
-    (parse_request {|{"op": "infer", "sets": 8.5, "ways": 2, "trace": [0]}|});
+    (Validate.request {|{"op": "infer", "sets": 8.5, "ways": 2, "trace": [0]}|});
   expect_code "zero deadline" Serve_error.Bad_request
-    (parse_request {|{"op": "infer", "sets": 8, "ways": 2, "trace": [0], "deadline_ms": 0}|});
+    (Validate.request {|{"op": "infer", "sets": 8, "ways": 2, "trace": [0], "deadline_ms": 0}|});
   expect_code "huge deadline" Serve_error.Bad_request
-    (parse_request {|{"op": "infer", "sets": 8, "ways": 2, "trace": [0], "deadline_ms": 900000}|});
+    (Validate.request {|{"op": "infer", "sets": 8, "ways": 2, "trace": [0], "deadline_ms": 900000}|});
   (match
-     parse_request {|{"op": "infer", "sets": 8, "ways": 2, "trace": [0], "backend": "int8"}|}
+     Validate.request {|{"op": "infer", "sets": 8, "ways": 2, "trace": [0], "deadline_ms": 120000}|}
+   with
+  | Ok (Validate.Infer { deadline_s; _ }) ->
+    Alcotest.(check (option (float 1e-9))) "a 120 s deadline is served with 60 s" (Some 60.0)
+      deadline_s
+  | _ -> Alcotest.fail "120 s deadline rejected");
+  (match Validate.request "{ not json" with
+  | Error { Serve_error.code = Serve_error.Bad_request; message } ->
+    Alcotest.(check bool) "malformed line named" true
+      (String.starts_with ~prefix:"malformed JSON: " message)
+  | _ -> Alcotest.fail "malformed line not a bad_request");
+  (match
+     Validate.request {|{"op": "infer", "sets": 8, "ways": 2, "trace": [0], "backend": "int8"}|}
    with
   | Ok (Validate.Infer { backend; _ }) ->
     Alcotest.(check bool) "int8 backend" true (backend = Some Cbox_infer.Backend_int8)
   | _ -> Alcotest.fail "backend request rejected");
   expect_code "unknown backend" Serve_error.Invalid_config
-    (parse_request {|{"op": "infer", "sets": 8, "ways": 2, "trace": [0], "backend": "fp16"}|});
+    (Validate.request {|{"op": "infer", "sets": 8, "ways": 2, "trace": [0], "backend": "fp16"}|});
   expect_code "non-string backend" Serve_error.Bad_request
-    (parse_request {|{"op": "infer", "sets": 8, "ways": 2, "trace": [0], "backend": 8}|})
+    (Validate.request {|{"op": "infer", "sets": 8, "ways": 2, "trace": [0], "backend": 8}|})
 
 (* --- circuit breaker (fake clock) --- *)
 
@@ -348,29 +355,7 @@ let test_engine_typed_errors () =
   Alcotest.(check (option (float 1e-9))) "bad_request errors counted" (Some 3.0)
     (num_field s "err_bad_request")
 
-let test_engine_deadline_expired_in_queue () =
-  let t = ref 1000.0 in
-  let e = engine ~now:(fun () -> !t) ~model:None () in
-  let req =
-    Validate.Infer
-      {
-        id = Some "late";
-        sets = 4;
-        ways = 2;
-        source = Validate.Inline (Lazy.force tiny_trace);
-        deadline_s = Some 1.0;
-        backend = None;
-      }
-  in
-  (* Arrived 10 s ago with a 1 s budget: dead before the worker saw it. *)
-  match Serve_engine.handle_request e ~arrival:(!t -. 10.0) req with
-  | Serve_engine.Reply r ->
-    check_bool r "ok" false;
-    check_str r "error" "deadline_exceeded";
-    check_str r "id" "late"
-  | Serve_engine.Shutdown_reply _ -> Alcotest.fail "unexpected shutdown"
-
-(* Same scenario through [handle_line ?arrival] — the daemon path: the
+(* Arrived 10 s ago with a 1 s budget: dead before the worker saw it. The
    timestamp the daemon stamps at enqueue, not the dequeue time, drives the
    deadline, so time spent queued is on the clock. *)
 let test_engine_queue_wait_counts_against_deadline () =
@@ -466,7 +451,9 @@ let test_engine_slow_model_degrades_on_deadline () =
 
 let test_engine_overload_reply () =
   let e = engine ~model:None () in
-  let r = Serve_engine.overload_reply e in
+  let r =
+    Serve_engine.shed_reply e (Serve_error.v Serve_error.Overloaded "request queue full")
+  in
   check_bool r "ok" false;
   check_str r "error" "overloaded";
   let s = reply e {|{"op": "stats"}|} in
@@ -642,6 +629,32 @@ let test_daemon_roundtrip () =
   Alcotest.(check bool) "socket file removed on shutdown" false (Sys.file_exists sock);
   rm_rf dir
 
+(* Every name a daemon's stats reply carries, with one error counted so an
+   err_* field shows. Readers look fields up by name, so the order is free,
+   but no counter may go missing or be renamed. *)
+let test_daemon_stats_fields () =
+  let dir = temp_dir () in
+  let sock = Filename.concat dir "s.sock" in
+  let server = Daemons.start (Daemons.config sock) in
+  let c = Daemons.connect sock in
+  check_str (Daemons.request c "{ not json") "error" "bad_request";
+  (match Daemons.request c {|{"op": "stats"}|} with
+  | Sjson.Obj fields ->
+    Alcotest.(check (list string)) "stats field names"
+      [
+        "backend_float32"; "backend_hrd"; "backend_int8"; "backend_stm"; "backend_student";
+        "backend_student_int8"; "batches"; "breaker"; "breaker_opens"; "degraded_count";
+        "degraded_router"; "err_bad_request"; "hedges"; "max_batch"; "ok"; "ok_count"; "op";
+        "p50_ms"; "p99_ms"; "reload_failures"; "reloads"; "retries"; "served"; "shed";
+        "stream"; "ws_allocs"; "ws_borrows";
+      ]
+      (List.sort compare (List.map fst fields))
+  | _ -> Alcotest.fail "stats reply is not an object");
+  ignore (Daemons.request c {|{"op": "shutdown"}|});
+  Thread.join server;
+  Client.close c;
+  rm_rf dir
+
 (* Shutdown under concurrency: while the worker is stalled inside a slow
    model inference, a shutdown and a trailing infer pile up in the queue.
    The daemon must answer the stalled request, the shutdown, and the
@@ -755,6 +768,17 @@ let test_daemon_rejects_bad_numbers () =
         { base with stream = { stream with Stream_session.max_pending_windows = 0 } } );
       ( "session_ttl_s 0",
         { base with stream = { stream with Stream_session.session_ttl_s = 0.0 } } );
+      ( "default_deadline_s 0",
+        { base with engine = { engine with Serve_engine.default_deadline_s = 0.0 } } );
+      ( "max_trace_len below one image",
+        {
+          base with
+          engine =
+            {
+              engine with
+              Serve_engine.max_trace_len = Heatmap.accesses_per_image tiny_spec - 1;
+            };
+        } );
     ];
   rm_rf dir
 
@@ -777,7 +801,6 @@ let suite =
       Alcotest.test_case "engine degrades without model" `Quick test_engine_degrades_without_model;
       Alcotest.test_case "engine no model no fallback" `Quick test_engine_no_model_no_fallback;
       Alcotest.test_case "engine typed errors" `Quick test_engine_typed_errors;
-      Alcotest.test_case "engine deadline expired in queue" `Quick test_engine_deadline_expired_in_queue;
       Alcotest.test_case "engine queue wait counts against deadline" `Quick
         test_engine_queue_wait_counts_against_deadline;
       Alcotest.test_case "engine model happy path" `Slow test_engine_model_happy_path;
@@ -790,6 +813,7 @@ let suite =
       QCheck_alcotest.to_alcotest test_corrupt_checkpoint_property;
       QCheck_alcotest.to_alcotest test_junk_request_property;
       Alcotest.test_case "daemon unix-socket roundtrip" `Quick test_daemon_roundtrip;
+      Alcotest.test_case "daemon stats field names" `Quick test_daemon_stats_fields;
       Alcotest.test_case "daemon shutdown drains queue and wakes idle clients" `Slow
         test_daemon_shutdown_drains_and_wakes;
       Alcotest.test_case "daemon refuses live socket, reclaims stale" `Quick

@@ -490,11 +490,7 @@ let test_stats_concurrent_batches () =
   let d f = f after - f before in
   Alcotest.(check int) "served counted exactly once each" 16
     (d (fun s -> s.Serve_stats.served));
-  Alcotest.(check int) "stage timings for every batched request" 16
-    (d (fun s -> s.Serve_stats.staged));
   Alcotest.(check int) "two forward passes" 2 (d (fun s -> s.Serve_stats.batches));
-  Alcotest.(check int) "batched requests counted" 16
-    (d (fun s -> s.Serve_stats.batched_requests));
   Alcotest.(check bool) "max batch at least 8" true (after.Serve_stats.max_batch >= 8);
   Alcotest.(check string) "breaker stays closed on concurrent successes" "closed"
     (Breaker.state_name (Serve_engine.breaker_state e))
@@ -515,22 +511,14 @@ let test_breaker_concurrent_failures () =
   Alcotest.(check string) "success closes" "closed"
     (Breaker.state_name (Breaker.state b))
 
-let test_stats_stage_accounting () =
+let test_stats_batch_accounting () =
   let s = Serve_stats.create () in
-  Serve_stats.record_stages s ~queue_s:0.010 ~batch_s:0.004 ~infer_s:0.002;
-  Serve_stats.record_stages s ~queue_s:0.020 ~batch_s:(-1.0) ~infer_s:0.004;
   Serve_stats.record_batch s ~size:2;
   Serve_stats.record_batch s ~size:6;
+  Serve_stats.record_batch s ~size:3;
   let sum = Serve_stats.snapshot s in
-  Alcotest.(check int) "staged" 2 sum.Serve_stats.staged;
-  Alcotest.(check (float 1e-6)) "queue mean" 15.0 sum.Serve_stats.queue_ms_mean;
-  Alcotest.(check (float 1e-6)) "negative batch wait clamps to 0" 2.0
-    sum.Serve_stats.batch_ms_mean;
-  Alcotest.(check (float 1e-6)) "infer mean" 3.0 sum.Serve_stats.infer_ms_mean;
-  Alcotest.(check int) "batches" 2 sum.Serve_stats.batches;
-  Alcotest.(check int) "batched requests" 8 sum.Serve_stats.batched_requests;
-  Alcotest.(check int) "max batch" 6 sum.Serve_stats.max_batch;
-  Alcotest.(check (float 1e-6)) "mean batch" 4.0 sum.Serve_stats.mean_batch
+  Alcotest.(check int) "batches" 3 sum.Serve_stats.batches;
+  Alcotest.(check int) "max batch" 6 sum.Serve_stats.max_batch
 
 let suite =
   ( "serve-batch",
@@ -560,5 +548,5 @@ let suite =
         test_stats_concurrent_batches;
       Alcotest.test_case "breaker atomic under concurrent failures" `Quick
         test_breaker_concurrent_failures;
-      Alcotest.test_case "stats stage accounting" `Quick test_stats_stage_accounting;
+      Alcotest.test_case "stats batch accounting" `Quick test_stats_batch_accounting;
     ] )

@@ -152,18 +152,11 @@ let offline_entries eng trace =
   let n = Heatmap.image_count tiny_spec (Array.length trace) in
   List.init n (fun c ->
       let slice = Array.sub trace (c * step) apw in
-      match
-        Serve_engine.handle_request eng ~arrival:(Serve_engine.now eng)
-          (Validate.Infer
-             {
-               id = None;
-               sets = 4;
-               ways = 2;
-               source = Validate.Inline slice;
-               deadline_s = None;
-               backend = None;
-             })
-      with
+      let line =
+        Printf.sprintf {|{"op": "infer", "sets": 4, "ways": 2, "trace": [%s]}|}
+          (String.concat ", " (Array.to_list (Array.map string_of_int slice)))
+      in
+      match Serve_engine.handle_line eng line with
       | Serve_engine.Reply r ->
         Printf.sprintf "%d:%Lx:%b" c
           (Int64.bits_of_float (Option.get (num_field r "hit_rate")))
